@@ -23,7 +23,7 @@ namespace {
 void encodeStats(Encoder &E, const sat::SolverStats &S) {
   E.u64(S.Decisions);
   // WireVersion 4: the one Propagations counter became the binary/long
-  // split, and the chrono counters joined at the tail.
+  // split.
   E.u64(S.BinPropagations);
   E.u64(S.LongPropagations);
   E.u64(S.Conflicts);
@@ -36,9 +36,6 @@ void encodeStats(Encoder &E, const sat::SolverStats &S) {
   E.u64(S.ArenaBytes);
   E.u64(S.WastedBytes);
   E.u64(S.Compactions);
-  E.u64(S.ChronoBacktracks);
-  E.u64(S.OutOfOrderAssignments);
-  E.u64(S.TrailSavedLits);
 }
 
 sat::SolverStats decodeStats(Decoder &D) {
@@ -55,9 +52,6 @@ sat::SolverStats decodeStats(Decoder &D) {
   S.ArenaBytes = D.u64();
   S.WastedBytes = D.u64();
   S.Compactions = D.u64();
-  S.ChronoBacktracks = D.u64();
-  S.OutOfOrderAssignments = D.u64();
-  S.TrailSavedLits = D.u64();
   return S;
 }
 
@@ -117,8 +111,6 @@ void encodeConfig(Encoder &E, const engine::CubeRunConfig &C) {
   E.u64(C.ConflictBudget);
   E.u64(C.RandomSeed);
   E.boolean(C.LogProofs);
-  // WireVersion 4.
-  E.boolean(C.Chrono);
 }
 
 engine::CubeRunConfig decodeConfig(Decoder &D) {
@@ -128,7 +120,6 @@ engine::CubeRunConfig decodeConfig(Decoder &D) {
   C.ConflictBudget = D.u64();
   C.RandomSeed = D.u64();
   C.LogProofs = D.boolean();
-  C.Chrono = D.boolean();
   return C;
 }
 

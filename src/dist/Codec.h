@@ -42,10 +42,12 @@ constexpr uint32_t WireMagic = 0x43455156; // "VQEC" little-endian
 /// Bumped on every incompatible wire change; the handshake refuses a
 /// mismatch in either direction. v2: CubeRunConfig::LogProofs and
 /// BatchResultMsg::ProofChunks. v3: arena telemetry in SolverStats.
-/// v4: the binary/long propagation split + chrono counters in
-/// SolverStats and CubeRunConfig::Chrono. v5: progress Heartbeat
-/// (worker -> coordinator) and Evicted (coordinator -> worker) frames.
-constexpr uint32_t WireVersion = 5;
+/// v4: the binary/long propagation split in SolverStats, plus a
+/// backtracking-policy flag in CubeRunConfig with three SolverStats
+/// counters. v5: progress Heartbeat (worker -> coordinator) and Evicted
+/// (coordinator -> worker) frames. v6: the v4 policy flag and its
+/// counters are gone again.
+constexpr uint32_t WireVersion = 6;
 /// Upper bound on one frame payload (a surface-scale problem is a few
 /// MB; anything near this is a corrupt length prefix, not data).
 constexpr uint32_t MaxFrameBytes = 256u << 20;
@@ -89,22 +91,27 @@ private:
   std::vector<uint8_t> Buf;
 };
 
-/// Bounds-checked little-endian byte reader. Every underrun or
-/// out-of-range count sets the sticky failure flag and yields zero
-/// values; callers check ok() once at the end instead of after every
-/// field.
+/// Bounds-checked little-endian byte reader. Failure is sticky and
+/// closed: every underrun, out-of-range count or corrupt value jumps to
+/// the end of the input, so every later read yields zero and every later
+/// count() yields 0 — a poisoned frame can never announce a length that
+/// drives an allocation. Callers check ok() once at the end instead of
+/// after every field.
 class Decoder {
 public:
   explicit Decoder(std::span<const uint8_t> Data) : Data(Data) {}
 
   bool ok() const { return !Failed; }
   bool atEnd() const { return Pos == Data.size(); }
-  void fail() { Failed = true; }
+  void fail() {
+    Failed = true;
+    Pos = Data.size();
+  }
   size_t remaining() const { return Data.size() - Pos; }
 
   uint8_t u8() {
     if (remaining() < 1) {
-      Failed = true;
+      fail();
       return 0;
     }
     return Data[Pos++];
@@ -112,13 +119,12 @@ public:
   bool boolean() {
     uint8_t V = u8();
     if (V > 1)
-      Failed = true; // corrupt: bools are canonical 0/1 on the wire
+      fail(); // corrupt: bools are canonical 0/1 on the wire
     return V == 1;
   }
   uint32_t u32() {
     if (remaining() < 4) {
-      Failed = true;
-      Pos = Data.size();
+      fail();
       return 0;
     }
     uint32_t V = 0;
@@ -129,8 +135,7 @@ public:
   int32_t i32() { return static_cast<int32_t>(u32()); }
   uint64_t u64() {
     if (remaining() < 8) {
-      Failed = true;
-      Pos = Data.size();
+      fail();
       return 0;
     }
     uint64_t V = 0;
@@ -141,11 +146,13 @@ public:
   /// Reads a count that prefixes \p ElemBytes-sized elements; fails (and
   /// returns 0) when the announced count cannot fit in the remaining
   /// bytes — the defense against corrupt length fields triggering huge
-  /// allocations.
+  /// allocations. Once the decoder has failed it always returns 0.
   uint32_t count(size_t ElemBytes) {
     uint32_t N = u32();
-    if (!Failed && static_cast<uint64_t>(N) * ElemBytes > remaining()) {
-      Failed = true;
+    if (Failed)
+      return 0;
+    if (static_cast<uint64_t>(N) * ElemBytes > remaining()) {
+      fail();
       return 0;
     }
     return N;

@@ -201,6 +201,10 @@ bool Coordinator::sendBatch(WorkerState &W, uint32_t ProblemId,
   BM.Cubes = AP.BatchCubes[AP.indexOf(BatchId)];
   if (!W.L->send(encodeMessage(BM)))
     return false;
+  // An idle worker owed no frames, so its silence clock starts with this
+  // grant, not with whatever it last sent before going idle.
+  if (W.Outstanding.empty())
+    W.LastActivity = Clock::now();
   W.Outstanding.insert({ProblemId, BatchId});
   return true;
 }

@@ -63,8 +63,8 @@ bool parseHostPort(const std::string &HostPort, sockaddr_in &Addr,
 
 /// One connected TCP socket with frame reassembly. The socket is
 /// non-blocking; receive() polls, send() polls for writability and
-/// writes synchronously (frames are small next to solve times, and
-/// back-pressure from a slow worker is acceptable).
+/// writes the whole frame before returning (frames are small next to
+/// solve times, and back-pressure from a slow worker is acceptable).
 class TcpLink : public Link {
 public:
   explicit TcpLink(int Fd) : Fd(Fd) {

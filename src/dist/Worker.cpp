@@ -256,9 +256,6 @@ private:
     Inflight = std::make_unique<InflightBatch>();
     Inflight->Batch = std::move(Batch);
     Inflight->State = &S;
-    // Batch boundary: point lemma retention at the cubes about to run,
-    // so the slot solvers keep the clauses this batch still needs.
-    S.Run->setPendingCubes(Inflight->Batch.Cubes);
     size_t N = Inflight->Batch.Cubes.size();
     size_t Slots = Pool.numWorkers();
     size_t NumTasks = std::min(N, Slots);

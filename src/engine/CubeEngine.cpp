@@ -174,12 +174,6 @@ PreparedProblem veriqec::engine::prepareCubeProblem(const CubeProblem &P,
   Out.Config.ConflictBudget = O.ConflictBudget;
   Out.Config.RandomSeed = O.RandomSeed;
   Out.Config.LogProofs = O.LogProofs;
-  // Auto resolves to OFF for cube workloads: measured on surface9 t=4,
-  // chrono inflates conflicts ~18% here — cube prefixes are short and a
-  // full backjump below the prefix lets the learnt clause assert early,
-  // which beats keeping the prefix trail alive. (Contrast the distance
-  // search, whose weight-bound prefixes are long: Auto is On there.)
-  Out.Config.Chrono = O.Chrono == smt::ChronoMode::On;
   if (Out.Encoded->TriviallyUnsat)
     return Out; // refuted during preprocessing: no cubes, no solver
   std::vector<Var> SplitVars;
@@ -309,10 +303,6 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
     ProblemRun *Run = RunPtr.get();
     size_t N = Run->Cubes.size();
     Run->Out.NumCubes = N;
-    if (Run->Run)
-      // Seed the lemma-retention view with the full cube set (all of it
-      // pending at dispatch); slot solvers refresh from it per cube.
-      Run->Run->setPendingCubes(Run->Cubes);
     Run->Remaining.store(N, std::memory_order_relaxed);
     Run->Clock = Timer();
     size_t NumRanges = std::min(N, NumWorkers * RangesPerWorker);

@@ -72,27 +72,6 @@ std::vector<std::vector<Lit>> CubeRun::drainOutboundCores() {
   return Out;
 }
 
-void CubeRun::setPendingCubes(std::span<const std::vector<Lit>> Cubes) {
-  // A cube assumes a handful of split variables; count, per variable,
-  // how many of the still-unsolved cubes mention it. Lemmas over
-  // high-count variables are shared structure across the pending work.
-  auto Counts = std::make_shared<std::vector<uint32_t>>();
-  for (const std::vector<Lit> &Cube : Cubes)
-    for (Lit L : Cube) {
-      size_t V = static_cast<size_t>(L.var());
-      if (V >= Counts->size())
-        Counts->resize(V + 1, 0);
-      ++(*Counts)[V];
-    }
-  std::lock_guard<std::mutex> Lock(RetentionMutex);
-  RetentionView = std::move(Counts);
-}
-
-std::shared_ptr<const std::vector<uint32_t>> CubeRun::retentionView() const {
-  std::lock_guard<std::mutex> Lock(RetentionMutex);
-  return RetentionView;
-}
-
 void CubeRun::accumulateStats(sat::SolverStats &Out) const {
   for (const std::unique_ptr<sat::Solver> &Slot : Slots)
     if (Slot)
@@ -160,7 +139,6 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
     // bound-independent).
     if (Cfg.HardenBudget)
       Problem.assertWeightBound(*Reused, Cfg.BudgetBound);
-    Reused->setChrono(Cfg.Chrono);
     Reused->setAbortFlag(&Cancel);
     if (Cfg.LogProofs)
       // Proof mode forgoes cross-slot lemma exchange: a pool-imported
@@ -174,7 +152,6 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
     if (Cfg.RandomSeed)
       Reused->setRandomSeed(Cfg.RandomSeed + static_cast<uint64_t>(Slot) + 1);
   }
-  Reused->setRetentionView(retentionView());
   SolveResult R = Reused->solve(Cube);
   // Publish this slot's conflict total at cube granularity: the only
   // mid-run stats channel, so heartbeat senders never race a solver.

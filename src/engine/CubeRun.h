@@ -45,10 +45,6 @@ struct CubeRunConfig {
   uint32_t BudgetBound = 0;
   uint64_t ConflictBudget = 0; ///< 0 = unlimited
   uint64_t RandomSeed = 0;     ///< 0 = deterministic branching
-  /// Chronological backtracking in every slot solver (the resolved form
-  /// of smt::ChronoMode; the cube workload's Auto default is on — long
-  /// assumption prefixes are exactly what it protects).
-  bool Chrono = false;
   /// Attach a proof::SlotProofLog to every slot solver and record a
   /// conclusion (q/c) per discharged cube. Disables the cross-slot
   /// learnt-clause pool: an imported lemma is justified by another
@@ -138,15 +134,6 @@ public:
   /// sibling pruning.
   std::vector<std::vector<sat::Lit>> drainOutboundCores();
 
-  /// Rebuilds the variable → pending-cube-count retention view from the
-  /// cube set about to be dispatched; slot solvers pick it up before
-  /// their next cube and bias reduceDB toward lemmas whose variables
-  /// many unsolved cubes assume. Call at batch boundaries (the
-  /// in-process engine once per dispatch, the distributed worker per
-  /// incoming batch); safe while slots run — they swap the fresh view in
-  /// at their next cube.
-  void setPendingCubes(std::span<const std::vector<sat::Lit>> Cubes);
-
   /// Sums the slot solvers' statistics into \p Out. Call only while the
   /// slots are quiescent (between batches / after the run).
   void accumulateStats(sat::SolverStats &Out) const;
@@ -163,7 +150,6 @@ public:
 
 private:
   void storeCore(const std::vector<sat::Lit> &Core, bool Outbound);
-  std::shared_ptr<const std::vector<uint32_t>> retentionView() const;
 
   const smt::VerificationProblem &Problem;
   CubeRunConfig Cfg;
@@ -212,11 +198,6 @@ private:
 
   std::mutex ModelMutex; // guards Model on the SAT path
   std::unordered_map<std::string, bool> Model;
-
-  /// Current variable → pending-cube-count view (see setPendingCubes);
-  /// swapped wholesale under the mutex, shared read-only with solvers.
-  mutable std::mutex RetentionMutex;
-  std::shared_ptr<const std::vector<uint32_t>> RetentionView;
 };
 
 } // namespace veriqec::engine

@@ -50,7 +50,6 @@ SolveOptions makeSolveOptions(const Scenario &S, const VerifyOptions &Opts) {
   SO.CardEnc = Opts.CardEnc;
   SO.Preprocess = Opts.Preprocess;
   SO.Xor = Opts.Xor;
-  SO.Chrono = Opts.Chrono;
   SO.ConflictBudget = Opts.ConflictBudget;
   SO.RandomSeed = Opts.RandomSeed;
   SO.LogProofs = Opts.LogProofs;

@@ -122,8 +122,11 @@ public:
               (Learned ? 1u : 0u); // size << SizeShift | LearnedBit
     Head[1] = 0;
     Head[2] = 0;
-    std::memcpy(Head + Clause::HeaderWords, Lits.data(),
-                Lits.size() * sizeof(Lit));
+    // An empty clause (an XOR conflict over root facts only) may come
+    // with a null data(); memcpy from null is undefined even for 0 bytes.
+    if (!Lits.empty())
+      std::memcpy(Head + Clause::HeaderWords, Lits.data(),
+                  Lits.size() * sizeof(Lit));
     return Ref;
   }
 

@@ -182,17 +182,7 @@ int32_t GaussEngine::processRow(Solver &S, const BitVector &Row) {
   // expand.
   if (S.corruptXorReasonClause() && Lits.size() > 2)
     Lits.pop_back(); // planted-bug seam: an under-justified reason
-  // Lazy reimplication under chronological backtracking: the implied
-  // literal's level is the highest level among its dependencies (0 when
-  // every dependency is a root fact), not wherever the search happens
-  // to sit — so a later backtrack above that level keeps it.
-  int32_t Lvl = -1;
-  if (S.Chrono) {
-    Lvl = 0;
-    for (size_t I = 1; I != Lits.size(); ++I)
-      Lvl = std::max(Lvl, S.Level[Lits[I].var()]);
-  }
-  S.enqueue(Implied, S.materializeXorClause(std::move(Lits)), Lvl);
+  S.enqueue(Implied, S.materializeXorClause(std::move(Lits)));
   return Solver::NoReason;
 }
 

@@ -199,18 +199,11 @@ void Solver::attachClause(ClauseRef Ref) {
   Watches[(~C[1]).Code].push_back({Ref, C[0]});
 }
 
-void Solver::enqueue(Lit L, ClauseRef From, int32_t AtLevel) {
+void Solver::enqueue(Lit L, ClauseRef From) {
   assert(valueOf(L) == LBool::Undef && "enqueueing an assigned literal");
-  int32_t Lvl = AtLevel < 0 ? decisionLevel() : AtLevel;
-  assert(Lvl <= decisionLevel() && "implication level above current");
-  if (Lvl < decisionLevel())
-    // Out-of-order assignment: the literal's true implication level is
-    // below where the search currently sits, so a later backtrack above
-    // Lvl must keep it (backtrack's survivor scan does).
-    ++Stats.OutOfOrderAssignments;
   Assigns[L.var()] = lboolOf(!L.negated());
   Reason[L.var()] = From;
-  Level[L.var()] = Lvl;
+  Level[L.var()] = decisionLevel();
   TrailPosOf[L.var()] = static_cast<uint32_t>(Trail.size());
   Trail.push_back(L);
 }
@@ -245,9 +238,7 @@ ClauseRef Solver::propagate() {
         if (C[0] != W.Blocker)
           std::swap(C[0], C[1]);
         ++Stats.BinPropagations;
-        // Lazy reimplication: the implied literal's level is its
-        // antecedent's (P may itself sit below the current level).
-        enqueue(W.Blocker, Real, Chrono ? Level[P.var()] : -1);
+        enqueue(W.Blocker, Real);
         continue;
       }
       Clause C = Arena[W.Ref];
@@ -285,28 +276,8 @@ ClauseRef Solver::propagate() {
         return W.Ref;
       }
       ++Stats.LongPropagations;
-      int32_t ImplLvl = -1;
-      if (Chrono) {
-        // Lazy reimplication: the unit's true level is the highest level
-        // among the clause's false literals, and THAT literal must be
-        // the one watched — the watch then unassigns exactly when the
-        // implied literal does, keeping the asserting-literal invariant
-        // that C[1] sits at the implied literal's level. If it is not
-        // already C[1], migrate the watch there.
-        size_t MaxIdx = 1;
-        for (size_t K = 2; K != C.size(); ++K)
-          if (Level[C[K].var()] > Level[C[MaxIdx].var()])
-            MaxIdx = K;
-        ImplLvl = Level[C[MaxIdx].var()];
-        if (MaxIdx != 1) {
-          std::swap(C[1], C[MaxIdx]);
-          Watches[(~C[1]).Code].push_back({W.Ref, C[0]});
-          enqueue(C[0], W.Ref, ImplLvl);
-          continue; // watcher moved off this list: drop W
-        }
-      }
       WatchList[KeepIdx++] = W;
-      enqueue(C[0], W.Ref, ImplLvl);
+      enqueue(C[0], W.Ref);
     }
     WatchList.resize(KeepIdx);
   }
@@ -364,15 +335,6 @@ void Solver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
       Lit Q = C[I];
       if (Seen[Q.var()] || Level[Q.var()] == 0)
         continue;
-      if (corruptOutOfOrderLevel() && Level[Q.var()] < decisionLevel() &&
-          TrailPosOf[Q.var()] >=
-              static_cast<uint32_t>(TrailLim[Level[Q.var()]]))
-        // Planted-bug seam: an out-of-order (reimplied) literal — one
-        // sitting on the trail above its own level's segment — has its
-        // level misread as 0 and silently falls out of the learnt
-        // clause, the way a buggy reimplication level computation goes
-        // wrong. The over-strong lemma is unsound from here on.
-        continue;
       Seen[Q.var()] = 1;
       bumpVar(Q.var());
       if (Level[Q.var()] >= decisionLevel())
@@ -380,14 +342,8 @@ void Solver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
       else
         Learnt.push_back(Q);
     }
-    // Walk back to the most recent seen conflict-level literal on the
-    // trail. Under chronological backtracking, out-of-order entries at
-    // lower levels interleave with conflict-level ones; a seen
-    // lower-level entry is a clause literal (collected above), not a
-    // resolution candidate — skip it, leaving its mark for the clearing
-    // pass at the end.
-    while (!Seen[Trail[TrailIdx - 1].var()] ||
-           Level[Trail[TrailIdx - 1].var()] < decisionLevel())
+    // Walk back to the most recent seen literal on the trail.
+    while (!Seen[Trail[TrailIdx - 1].var()])
       --TrailIdx;
     P = Trail[--TrailIdx];
     Confl = Reason[P.var()];
@@ -484,21 +440,8 @@ void Solver::backtrack(int32_t ToLevel) {
   if (decisionLevel() <= ToLevel)
     return;
   size_t Bound = static_cast<size_t>(TrailLim[ToLevel]);
-  // Trail saving: out-of-order entries above the cut whose level is at
-  // or below the target keep their assignment — the justification
-  // (reason clause over literals of level <= their own) survives the
-  // backtrack, so unassigning them only to re-propagate the identical
-  // implication is pure waste. Without chronological backtracking the
-  // segment above the cut is level-ordered and the scan saves nothing,
-  // degenerating to the classic full teardown.
-  SaveScratch.clear();
   for (size_t I = Trail.size(); I-- > Bound;) {
-    Lit L = Trail[I];
-    Var V = L.var();
-    if (Level[V] <= ToLevel) {
-      SaveScratch.push_back(L);
-      continue;
-    }
+    Var V = Trail[I].var();
     SavedPhase[V] = Assigns[V] == LBool::True;
     Assigns[V] = LBool::Undef;
     Reason[V] = NoReason;
@@ -507,22 +450,7 @@ void Solver::backtrack(int32_t ToLevel) {
   }
   Trail.resize(Bound);
   TrailLim.resize(ToLevel);
-  // The XOR mirror rolls back to the cut; the survivors re-appended
-  // below sit past TrailSeen again, so the next syncTrail re-applies
-  // them and the row counters net out exactly.
   Gauss.onBacktrack(Bound);
-  Stats.TrailSavedLits += SaveScratch.size();
-  // The scan above ran top-down, so the survivors are in reverse trail
-  // order; restore it — reason literals must keep preceding the
-  // literals they imply (the LRAT hint sorter relies on trail order).
-  std::reverse(SaveScratch.begin(), SaveScratch.end());
-  for (Lit L : SaveScratch) {
-    TrailPosOf[L.var()] = static_cast<uint32_t>(Trail.size());
-    Trail.push_back(L);
-  }
-  // Re-scan the survivors: implications they forced at levels above the
-  // target were torn down and must be re-derived (at their new, lower
-  // implication levels).
   PropagateHead = Bound;
 }
 
@@ -568,21 +496,11 @@ void Solver::reduceDB() {
     if (Reason[L.var()] != NoReason)
       Locked.insert(Reason[L.var()]);
 
-  // Retention order: primarily by how many unsolved cubes a clause's
-  // variables participate in (when the cube driver installed a view),
-  // then by VSIDS activity. A lemma over variables that many pending
-  // cubes assume is shared structure the solver would otherwise
-  // re-derive per cube.
-  const std::vector<uint32_t> *View = RetentionView.get();
+  // Retention order: VSIDS clause activity, least active first.
   struct Cand {
-    uint32_t CubeScore;
     float Act;
     ClauseRef Ref;
-    bool operator<(const Cand &O) const {
-      if (Act != O.Act)
-        return Act < O.Act;
-      return CubeScore < O.CubeScore;
-    }
+    bool operator<(const Cand &O) const { return Act < O.Act; }
   };
   std::vector<Cand> Candidates;
   Candidates.reserve(LearntClauses.size());
@@ -590,12 +508,7 @@ void Solver::reduceDB() {
     Clause C = Arena[R];
     if (C.deleted() || Locked.count(R))
       continue;
-    uint32_t Score = 0;
-    if (View)
-      for (Lit L : C.lits())
-        if (static_cast<size_t>(L.var()) < View->size())
-          Score = std::max(Score, (*View)[L.var()]);
-    Candidates.push_back({Score, C.activity(), R});
+    Candidates.push_back({C.activity(), R});
   }
 
   size_t NumVictims = Candidates.size() / 2;
@@ -832,12 +745,9 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
       {
         // The conflict clause may contain no literal of the current
         // decision level — which analyze() requires. XOR conflicts can
-        // surface lazily (cross-row eliminations run intermittently),
-        // and under chronological backtracking an out-of-order
-        // propagation can falsify a clause whose literals all sit at
-        // lower levels. Dropping to the clause's highest level first
-        // restores the invariant for every conflict source; for
-        // eagerly-detected CNF conflicts without chrono this is a no-op.
+        // surface lazily (cross-row eliminations run intermittently), so
+        // drop to the clause's highest level first; for eagerly-detected
+        // CNF conflicts this is a no-op.
         int32_t MaxLvl = 0;
         for (Lit L : Arena[Confl].lits())
           MaxLvl = std::max(MaxLvl, Level[L.var()]);
@@ -854,27 +764,10 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
       analyze(Confl, Learnt, BtLevel);
       if (SharedPool && Learnt.size() <= PoolMaxShareLen)
         SharedPool->publish(PoolOwnerId, Learnt);
-      // Backtrack policy. Chronological (Nadel & Ryvchin): when the
-      // non-chronological jump would cross the assumption prefix, step
-      // back a single level instead — the trail below stays in place,
-      // and the asserting literal is enqueued out of order at its true
-      // implication level (lazy reimplication). This deletes the
-      // per-conflict prefix re-decide + re-propagate on long-prefix
-      // workloads (the distance search's weight-bound assumptions).
-      // Without chrono, the classic full backjump to BtLevel (the PR 3
-      // prefix cap is gone: measured, full backjumps below the prefix
-      // beat capped ones on the cube path — the deep jump lets the
-      // learnt clause assert early and prunes the re-extended search).
-      int32_t Target = BtLevel;
-      if (Chrono && BtLevel < decisionLevel() - 1) {
-        int32_t Prefix = static_cast<int32_t>(
-            std::min(Assumptions.size(), TrailLim.size()));
-        if (BtLevel < Prefix) {
-          Target = decisionLevel() - 1;
-          ++Stats.ChronoBacktracks;
-        }
-      }
-      backtrack(Target);
+      // Classic backjump to BtLevel, uncapped by the assumption prefix:
+      // the deep jump lets the learnt clause assert early, and the
+      // search loop re-extends the prefix afterwards.
+      backtrack(BtLevel);
       if (static_cast<size_t>(decisionLevel()) <= Assumptions.size() &&
           declareUnsatOnPrefixBackjump())
         return SolveResult::Unsat; // the re-introducible PR 1 bug (seam)
@@ -882,9 +775,6 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
         // Unit learnts bypass learnClause (no clause object), but they
         // are derivations all the same — and the checker needs them as
         // root facts for every later clause's unit-propagation replay.
-        // Enqueued at level 0 (out of order when a chrono step kept
-        // higher levels alive): a root fact survives every future
-        // backtrack, so nothing above needs tearing down for it.
         if (ProofSink) {
           ProofSink->onDerive(Learnt, HintIds);
           ++DeriveCount;
@@ -894,13 +784,10 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
           return SolveResult::Unsat;
         }
         if (valueOf(Learnt[0]) == LBool::Undef)
-          enqueue(Learnt[0], NoReason, 0);
+          enqueue(Learnt[0], NoReason);
       } else {
-        // Asserting at BtLevel — the level of the watched second
-        // literal — regardless of where the chrono policy left the
-        // search; with a full backjump this IS the current level.
         ClauseRef Ref = learnClause(std::move(Learnt));
-        enqueue(Arena[Ref][0], Ref, BtLevel);
+        enqueue(Arena[Ref][0], Ref);
         Learnt = {};
       }
       decayActivities();

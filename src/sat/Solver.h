@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -129,16 +128,6 @@ struct SolverStats {
   uint64_t Conflicts = 0;
   uint64_t LearnedClauses = 0;
   uint64_t Restarts = 0;
-  /// Conflicts resolved by stepping back one level (keeping the rest of
-  /// the trail in place) instead of a full non-chronological backjump.
-  uint64_t ChronoBacktracks = 0;
-  /// Assignments enqueued at a level below the current decision level
-  /// (lazy reimplication under chronological backtracking).
-  uint64_t OutOfOrderAssignments = 0;
-  /// Trail literals preserved across backtracks because their level is
-  /// at or below the target (the chrono trail-saving win: each one is a
-  /// propagation the solver did not redo).
-  uint64_t TrailSavedLits = 0;
   /// Literals implied by the native XOR engine (sat/GaussEngine.h).
   uint64_t XorPropagations = 0;
   /// Conflicts the XOR engine detected before CNF propagation could.
@@ -170,9 +159,6 @@ struct SolverStats {
     Conflicts += O.Conflicts;
     LearnedClauses += O.LearnedClauses;
     Restarts += O.Restarts;
-    ChronoBacktracks += O.ChronoBacktracks;
-    OutOfOrderAssignments += O.OutOfOrderAssignments;
-    TrailSavedLits += O.TrailSavedLits;
     XorPropagations += O.XorPropagations;
     XorConflicts += O.XorConflicts;
     XorEliminations += O.XorEliminations;
@@ -190,9 +176,6 @@ struct SolverStats {
     D.Conflicts = Conflicts - O.Conflicts;
     D.LearnedClauses = LearnedClauses - O.LearnedClauses;
     D.Restarts = Restarts - O.Restarts;
-    D.ChronoBacktracks = ChronoBacktracks - O.ChronoBacktracks;
-    D.OutOfOrderAssignments = OutOfOrderAssignments - O.OutOfOrderAssignments;
-    D.TrailSavedLits = TrailSavedLits - O.TrailSavedLits;
     D.XorPropagations = XorPropagations - O.XorPropagations;
     D.XorConflicts = XorConflicts - O.XorConflicts;
     D.XorEliminations = XorEliminations - O.XorEliminations;
@@ -316,18 +299,6 @@ public:
 
   const SolverStats &stats() const { return Stats; }
 
-  /// Installs (or clears, with nullptr) a shared variable →
-  /// pending-cube-count view. While installed, reduceDB retains clauses
-  /// whose variables participate in many *unsolved* cubes in preference
-  /// to pure activity: those lemmas constrain search the solver has not
-  /// run yet, so dropping them means re-deriving them cube after cube.
-  /// The cube driver (engine/CubeRun.h) refreshes the view at batch
-  /// boundaries; without one, retention is pure activity order.
-  void setRetentionView(
-      std::shared_ptr<const std::vector<uint32_t>> View) {
-    RetentionView = std::move(View);
-  }
-
   /// Arena-compaction trigger: collect when wasted words exceed this
   /// fraction of the arena (default 0.2, the minisat garbage_frac
   /// convention). 0 forces a compaction at every restart that has any
@@ -344,21 +315,6 @@ public:
   /// Learned-clause cap driving reduceDB (test knob; production default
   /// 8192).
   void setMaxLearned(size_t Max) { MaxLearned = Max; }
-
-  /// Enables chronological backtracking (Nadel & Ryvchin, SAT'18): a
-  /// conflict whose backjump would cross the assumption prefix instead
-  /// steps back a single level, and the learnt clause's asserting
-  /// literal is enqueued out of order at its true implication level
-  /// (lazy reimplication, Möhle & Biere SAT'19).
-  /// Backtracks additionally save every trail literal whose level is at
-  /// or below the target, so sibling-cube solve() calls reuse surviving
-  /// segments beyond the longest-common-prefix logic. Off (the default)
-  /// restores classic non-chronological backjumping. Verdicts and models
-  /// are unaffected either way — only the search path changes.
-  void setChrono(bool Enable) { Chrono = Enable; }
-
-  /// Whether chronological backtracking is enabled.
-  bool chrono() const { return Chrono; }
 
   /// Compact the arena unconditionally — even with zero waste, so a
   /// caller can force a full relocation pass between solve() calls.
@@ -396,18 +352,6 @@ protected:
   /// to UNSAT). The production solver never corrupts; harness tests
   /// override this to prove the differential oracles catch the bug.
   virtual bool corruptXorReasonClause() const { return false; }
-
-  /// Test seam for the fuzzing harness: when true, conflict analysis
-  /// misreads the level of every out-of-order assignment (lazy
-  /// reimplication under chronological backtracking) as root level, so
-  /// the literal silently falls out of the learnt clause — the
-  /// characteristic way a buggy reimplication level computation goes
-  /// wrong. The over-strong lemmas unsoundly prune satisfiable cubes
-  /// and their derivations are non-RUP, so both the differential layer
-  /// and the proof checker have something to catch. The production
-  /// solver never corrupts; harness tests override this to prove both
-  /// oracles do.
-  virtual bool corruptOutOfOrderLevel() const { return false; }
 
 private:
   friend class GaussEngine;
@@ -468,13 +412,6 @@ private:
 
   bool RandomizeBranching = false;
   Rng TieRng;
-
-  /// Chronological backtracking (setChrono). Off by default: the smt /
-  /// engine layers resolve ChronoMode::Auto per workload.
-  bool Chrono = false;
-  /// Scratch for backtrack(): out-of-order literals at or below the
-  /// target level, re-appended after the teardown.
-  std::vector<Lit> SaveScratch;
 
   bool OkState = true;
   uint64_t ConflictBudget = 0;
@@ -563,10 +500,6 @@ private:
   /// prefixes).
   std::vector<Lit> PrevAssumptions;
 
-  /// Variable → pending-cube participation counts for reduceDB retention
-  /// (see setRetentionView); shared read-only with the cube driver.
-  std::shared_ptr<const std::vector<uint32_t>> RetentionView;
-
   // -- Core algorithms -----------------------------------------------------
   LBool valueOf(Lit L) const {
     LBool V = Assigns[L.var()];
@@ -576,12 +509,8 @@ private:
     return static_cast<int32_t>(TrailLim.size());
   }
 
-  /// Assigns \p L with reason \p From at \p AtLevel (the default -1
-  /// means the current decision level). A level below the current one is
-  /// an out-of-order assignment — lazy reimplication under chronological
-  /// backtracking; backtrack() then preserves the literal across
-  /// teardowns above its level.
-  void enqueue(Lit L, ClauseRef From, int32_t AtLevel = -1);
+  /// Assigns \p L with reason \p From at the current decision level.
+  void enqueue(Lit L, ClauseRef From);
   ClauseRef propagate();
   /// CNF propagation and XOR propagation to their joint fixpoint.
   ClauseRef propagateFixpoint();

@@ -230,9 +230,6 @@ SolveOutcome veriqec::smt::solveExpr(const BoolContext &Ctx, ExprRef Root,
   }
 
   sat::Solver S = Problem.makeSolver();
-  // Auto resolves to OFF here: a one-shot sequential solve has no
-  // assumption prefix to keep alive, so chrono only perturbs the search.
-  S.setChrono(Opts.Chrono == ChronoMode::On);
   proof::SlotProofLog Log;
   if (Opts.LogProofs)
     S.setProofSink(&Log);

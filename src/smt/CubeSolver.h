@@ -84,17 +84,6 @@ struct SolveOutcome {
 /// fewer conflicts on surface7 t=3) — resolves to Off.
 enum class XorMode { Auto, On, Off };
 
-/// Chronological-backtracking policy (sat::Solver::setChrono). On keeps
-/// the trail in place across prefix-crossing backjumps (lazy
-/// reimplication + trail saving); Off restores classic
-/// non-chronological backjumping. Auto lets the workload decide by
-/// measurement: the distance search — hundreds of weight-bound
-/// assumption literals re-propagated after every prefix-crossing
-/// conflict — resolves to On (~20% faster on the tanner codes), while
-/// cube verification (short prefixes, where the deep backjump's early
-/// asserting literal wins) and sequential solves resolve to Off.
-enum class ChronoMode { Auto, On, Off };
-
 /// Options shared by the sequential and parallel drivers.
 struct SolveOptions {
   CardinalityEncoding CardEnc = CardinalityEncoding::SequentialCounter;
@@ -105,10 +94,6 @@ struct SolveOptions {
   /// better). Only effective with Preprocess on (without the lift there
   /// are no rows to keep native).
   XorMode Xor = XorMode::Auto;
-  /// Chronological-backtracking policy; Auto resolves to Off both for
-  /// the sequential driver (no assumption prefix to keep alive) and for
-  /// the cube engine's slot solvers (measured negative there).
-  ChronoMode Chrono = ChronoMode::Auto;
   uint64_t ConflictBudget = 0; ///< 0 = unlimited
   /// Nonzero seeds the solver's random branching tie-breaks (each engine
   /// worker derives its own stream from this), making runs reproducible

@@ -132,14 +132,6 @@ ConfigVerdict runDirectReuse(const FuzzCase &C, const VerifyOptions &VO,
   std::unique_ptr<sat::Solver> Reused =
       O.SolverFactory ? O.SolverFactory() : std::make_unique<sat::Solver>();
   Enc.loadInto(*Reused);
-  // Chronological backtracking stays ON for the direct walk: the
-  // reused solver then takes prefix-crossing conflicts through the
-  // chrono path (out-of-order assignments, trail saving) under the
-  // exact assumption-reuse pattern — the configuration through which a
-  // corrupted reimplication level (the corruptOutOfOrderLevel seam)
-  // must be caught — while every other configuration cross-checks it
-  // with chrono resolved off.
-  Reused->setChrono(true);
   if (O.RandomSeed)
     Reused->setRandomSeed(O.RandomSeed);
   if (O.CheckProofs)
@@ -253,18 +245,6 @@ CaseReport veriqec::testing::runDifferential(const FuzzCase &C,
     VO.Threads = 1;
     VO.Preprocess = false;
     Configs.push_back({"cube-j1-noprep", VO});
-  }
-  {
-    // Chronological backtracking on (cube workloads resolve
-    // ChronoMode::Auto to off, so this is the explicit A/B side): the
-    // chrono machinery — out-of-order assignments, survivor-preserving
-    // backtracks, reimplication levels — is cross-checked against the
-    // classic-backjumping pipeline on every case.
-    VerifyOptions VO = Base;
-    VO.Parallel = true;
-    VO.Threads = 1;
-    VO.Chrono = smt::ChronoMode::On;
-    Configs.push_back({"cube-j1-chrono", VO});
   }
   if (O.Jobs > 1) {
     VerifyOptions VO = Base;

@@ -8,9 +8,8 @@
 /// Runs one fuzz case through every engine configuration (sequential,
 /// cube-and-conquer at several widths and split depths, both cardinality
 /// encodings, the GF(2)-preprocessed pipeline against the legacy
-/// unpreprocessed one, chronological backtracking against classic
-/// backjumping, and a direct solver-reuse cube loop) and demands a
-/// single verdict. Every SAT verdict's model is validated twice — against the
+/// unpreprocessed one, and a direct solver-reuse cube loop) and demands
+/// a single verdict. Every SAT verdict's model is validated twice — against the
 /// BoolExpr by the independent evaluator, and against the tableau
 /// semantics by the reference executor — and the consensus verdict is
 /// cross-checked against the brute-force oracle (small instances) and a

@@ -144,7 +144,6 @@ DetectionResult veriqec::verifyDetection(const StabilizerCode &Code,
   SO.CardEnc = Opts.CardEnc;
   SO.Preprocess = Opts.Preprocess;
   SO.Xor = Opts.Xor;
-  SO.Chrono = Opts.Chrono;
   SO.ConflictBudget = Opts.ConflictBudget;
   SO.RandomSeed = Opts.RandomSeed;
   SO.LogProofs = Opts.LogProofs;
@@ -233,14 +232,9 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
     Cfg.ConflictBudget = Opts.ConflictBudget;
     Cfg.RandomSeed = Opts.RandomSeed;
     Cfg.LogProofs = Opts.LogProofs;
-    // Auto resolves to ON for distance: every probe re-solves the same
-    // encoding under a long weight-assumption prefix, which is exactly
-    // the trail chronological backtracking keeps alive.
-    Cfg.Chrono = Opts.Chrono != ChronoMode::Off;
     Handle = Remote->openProblem(Shipped, Cfg);
   } else {
     Local.emplace(Problem.makeSolver());
-    Local->setChrono(Opts.Chrono != ChronoMode::Off);
     if (Opts.LogProofs)
       Local->setProofSink(&DistLog);
     if (Opts.ConflictBudget)

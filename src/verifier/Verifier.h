@@ -50,12 +50,6 @@ struct VerifyOptions {
   /// LDPC rows), Off for scenario verification and detection (measured
   /// neutral-to-negative there). No effect without Preprocess.
   smt::XorMode Xor = smt::XorMode::Auto;
-  /// Chronological backtracking in the solvers (sat::Solver::setChrono).
-  /// Auto resolves per workload — On for the distance search (long
-  /// weight-bound assumption prefixes, ~20% faster on the tanner
-  /// codes), Off for scenario verification and detection (measured
-  /// negative there: short cube prefixes favor the deep backjump).
-  smt::ChronoMode Chrono = smt::ChronoMode::Auto;
   uint64_t ConflictBudget = 0;
   /// Nonzero seeds the solvers' random branching tie-breaks so a run (in
   /// particular a fuzz failure) is exactly reproducible; 0 keeps the

@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <variant>
 
 using namespace veriqec;
 using namespace veriqec::dist;
@@ -142,9 +143,7 @@ TEST(DistCodec, RoundTripsBatchResultsModelsAndCores) {
   R.Stats.BinPropagations = 12345678901234ull;
   R.Stats.LongPropagations = 98765432109876ull;
   R.Stats.XorEliminations = 5;
-  R.Stats.ChronoBacktracks = 21;
-  R.Stats.OutOfOrderAssignments = 404;
-  R.Stats.TrailSavedLits = 777;
+  R.Stats.Compactions = 21;
   R.Solved = 41;
   R.PrunedGf2 = 4;
   R.PrunedCore = 2;
@@ -162,9 +161,7 @@ TEST(DistCodec, RoundTripsBatchResultsModelsAndCores) {
   EXPECT_EQ(D->Stats.BinPropagations, 12345678901234ull);
   EXPECT_EQ(D->Stats.LongPropagations, 98765432109876ull);
   EXPECT_EQ(D->Stats.XorEliminations, 5u);
-  EXPECT_EQ(D->Stats.ChronoBacktracks, 21u);
-  EXPECT_EQ(D->Stats.OutOfOrderAssignments, 404u);
-  EXPECT_EQ(D->Stats.TrailSavedLits, 777u);
+  EXPECT_EQ(D->Stats.Compactions, 21u);
   EXPECT_EQ(D->Solved, 41u);
   EXPECT_EQ(D->PrunedGf2, 4u);
   EXPECT_EQ(D->PrunedCore, 2u);
@@ -233,6 +230,85 @@ TEST(DistCodec, RejectsTruncatedFrames) {
   EXPECT_FALSE(decodeMessage(Frame, M));
 }
 
+TEST(DistCodec, DecoderFailureIsStickyAndClosed) {
+  // A corrupt bool (2) followed by a count claiming ~2 GB: once the bool
+  // fails, the decoder sits at end-of-input and every count reads 0, so
+  // no later field can announce an allocation.
+  std::vector<uint8_t> Bytes = {2, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3};
+  Decoder D(Bytes);
+  (void)D.boolean();
+  EXPECT_FALSE(D.ok());
+  EXPECT_TRUE(D.atEnd());
+  EXPECT_EQ(D.count(1), 0u);
+  EXPECT_EQ(D.u32(), 0u);
+  EXPECT_TRUE(D.str().empty());
+  EXPECT_TRUE(D.litVecs().empty());
+  EXPECT_FALSE(D.ok());
+
+  // An explicit fail() (the problem codec's range checks) is closed too.
+  Decoder E(Bytes);
+  E.fail();
+  EXPECT_TRUE(E.atEnd());
+  EXPECT_EQ(E.count(1), 0u);
+}
+
+namespace {
+
+/// One well-formed frame of every message kind, the problem frame built
+/// over \p P.
+std::vector<std::vector<uint8_t>>
+oneFramePerKind(const smt::VerificationProblem &P) {
+  BatchResultMsg R;
+  R.ProblemId = 3;
+  R.BatchId = 4;
+  R.Status = BatchStatus::Sat;
+  R.Model = {{"e0", true}, {"e1", false}};
+  R.Stats.Conflicts = 17;
+  R.NewCores = {{sat::mkLit(3), ~sat::mkLit(7)}};
+  R.ProofChunks = {{0, "a 1 -2 0\n"}};
+  StealReplyMsg SR;
+  SR.Batches = {{1, 2}, {3, 4}};
+  HeartbeatMsg HB;
+  HB.BatchesInFlight = 2;
+  HB.CubesDelta = 5;
+  HB.ConflictsDelta = 6;
+  CoresMsg Cores;
+  Cores.ProblemId = 1;
+  Cores.Cores = {{sat::mkLit(1)}, {~sat::mkLit(2), sat::mkLit(5)}};
+  CubeBatchMsg B;
+  B.ProblemId = 1;
+  B.BatchId = 2;
+  B.Cubes = {{sat::mkLit(0), ~sat::mkLit(1)}, {sat::mkLit(2)}};
+  HelloAckMsg Ack;
+  Ack.Accepted = false;
+  Ack.Reason = "version skew";
+  std::vector<Message> All;
+  All.push_back(HelloMsg{});
+  All.push_back(Ack);
+  All.push_back(ProblemMsg{}); // encoded by problemFrame() below
+  All.push_back(B);
+  All.push_back(R);
+  All.push_back(Cores);
+  All.push_back(CancelMsg{7});
+  All.push_back(StealRequestMsg{3});
+  All.push_back(SR);
+  All.push_back(ShutdownMsg{});
+  All.push_back(HB);
+  All.push_back(EvictedMsg{"silence timeout"});
+  EXPECT_EQ(All.size(), std::variant_size_v<Message>)
+      << "one sample per message kind";
+  std::vector<std::vector<uint8_t>> Frames;
+  for (size_t I = 0; I != All.size(); ++I) {
+    EXPECT_EQ(All[I].index(), I) << "samples follow MsgKind order";
+    Frames.push_back(std::holds_alternative<ProblemMsg>(All[I])
+                         ? problemFrame(P)
+                         : encodeMessage(All[I]));
+  }
+  return Frames;
+}
+
+} // namespace
+
 TEST(DistCodec, SurvivesCorruptedFramesWithoutCrashing) {
   StabilizerCode Code = makeFiveQubitCode();
   Scenario S = makeMemoryScenario(Code, PauliKind::Y, LogicalBasis::Z, 1);
@@ -240,39 +316,40 @@ TEST(DistCodec, SurvivesCorruptedFramesWithoutCrashing) {
   BuiltVc Vc = engine::buildScenarioVc(Ctx, S);
   ASSERT_TRUE(Vc.Ok);
   smt::VerificationProblem P(Ctx, Vc.NegatedVc, {});
-  std::vector<uint8_t> Frame = problemFrame(P);
-  // Bit flips must never crash or hang the decoder (the ASan CI job
-  // gives this teeth); most corruptions are rejected outright. Sampled
-  // positions — a dense sweep of full problem decodes is minutes under
-  // ASan; the CubeBatch sweep below covers every offset of a frame.
-  size_t Stride = std::max<size_t>(1, Frame.size() / 64);
-  for (size_t Pos = 0; Pos < Frame.size(); Pos += Stride) {
-    std::vector<uint8_t> Bad = Frame;
-    Bad[Pos] ^= 0xff;
+  // One frame of every message kind is truncated at every length and
+  // bit-flipped at every offset (sampled for the problem frame — a dense
+  // sweep of full problem decodes is minutes under ASan). No mutation
+  // may crash, hang or throw (the ASan CI job gives this teeth), every
+  // truncation and trailing byte is rejected, and most flips are too.
+  for (const std::vector<uint8_t> &Frame : oneFramePerKind(P)) {
     Message M;
-    (void)decodeMessage(Bad, M);
-  }
-  {
-    CubeBatchMsg B;
-    B.ProblemId = 1;
-    B.BatchId = 2;
-    B.Cubes = {{sat::mkLit(0), ~sat::mkLit(1)}, {sat::mkLit(2)}};
-    std::vector<uint8_t> Small = encodeMessage(B);
-    for (size_t Pos = 0; Pos != Small.size(); ++Pos)
+    ASSERT_TRUE(decodeMessage(Frame, M)) << "kind " << int(Frame[0]);
+    size_t Stride = Frame.size() > 256 ? Frame.size() / 64 : 1;
+    for (size_t Len = 0; Len < Frame.size(); Len += Stride)
+      EXPECT_FALSE(decodeMessage({Frame.data(), Len}, M))
+          << "kind " << int(Frame[0]) << " prefix " << Len;
+    std::vector<uint8_t> Longer = Frame;
+    Longer.push_back(0);
+    EXPECT_FALSE(decodeMessage(Longer, M)) << "kind " << int(Frame[0]);
+    for (size_t Pos = 0; Pos < Frame.size(); Pos += Stride)
       for (uint8_t Flip : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xff}}) {
-        std::vector<uint8_t> Bad = Small;
+        std::vector<uint8_t> Bad = Frame;
         Bad[Pos] ^= Flip;
-        Message M;
         (void)decodeMessage(Bad, M);
       }
   }
   // A count field blown up to claim gigabytes must be rejected, not
-  // allocated: the kind byte + problem id + config precede the clause
-  // count (u64 NumVars is next); corrupt the clause-count field.
-  std::vector<uint8_t> Bad = Frame;
-  size_t ClauseCountAt = 1 + 4 + (1 + 4 + 8 + 8) + 8;
-  for (int I = 0; I != 4; ++I)
+  // allocated: the kind byte, problem id, config (HardenBudget,
+  // BudgetBound, ConflictBudget, RandomSeed, LogProofs), the Persistent
+  // flag and the u64 NumVars precede the clause count.
+  std::vector<uint8_t> Bad = problemFrame(P);
+  size_t ClauseCountAt = 1 + 4 + (1 + 4 + 8 + 8 + 1) + 1 + 8;
+  uint32_t ClauseCount = 0;
+  for (int I = 0; I != 4; ++I) {
+    ClauseCount |= uint32_t{Bad[ClauseCountAt + I]} << (8 * I);
     Bad[ClauseCountAt + I] = 0xff;
+  }
+  ASSERT_EQ(ClauseCount, P.Cnf.Clauses.size()) << "offset drifted";
   Message M;
   EXPECT_FALSE(decodeMessage(Bad, M));
 }

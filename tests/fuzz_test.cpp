@@ -200,18 +200,6 @@ protected:
   bool corruptXorReasonClause() const override { return true; }
 };
 
-/// An unsound chronological-backtracking implementation, re-introduced
-/// through the solver's reimplication test seam: conflict analysis
-/// misreads every out-of-order assignment's level as root level, so
-/// reimplied literals silently fall out of learnt clauses — the
-/// characteristic way a buggy lazy-reimplication level computation
-/// goes wrong. The over-strong lemmas flip satisfiable cubes to UNSAT
-/// and are non-RUP.
-class BuggyChronoLevelSolver : public sat::Solver {
-protected:
-  bool corruptOutOfOrderLevel() const override { return true; }
-};
-
 } // namespace
 
 TEST(DifferentialHarness, CatchesReintroducedAssumptionPrefixBug) {
@@ -259,41 +247,6 @@ TEST(DifferentialHarness, CatchesPlantedXorReasonCorruption) {
       << "the harness failed to expose the planted XOR reason corruption";
   EXPECT_TRUE(CaughtByProof)
       << "the proof oracle never rejected an under-justified XOR reason";
-}
-
-TEST(DifferentialHarness, CatchesPlantedChronoReimplicationBug) {
-  // The direct-reuse walk runs its injectable solver with chronological
-  // backtracking on, so prefix-crossing conflicts produce out-of-order
-  // assignments for the seam to corrupt. Two independent oracles must
-  // notice: the differential layer (a flipped cube verdict against the
-  // fresh-solver recheck or the chrono-off consensus), and the proof
-  // oracle (the over-strong learnt clauses are not RUP, so the
-  // checker's unit-propagation replay refuses their derivations).
-  FuzzerOptions FO;
-  FO.MaxQubits = 9;
-  HarnessOptions HO;
-  HO.Jobs = 2;
-  HO.SamplingTrials = 0; // isolate the solver-level oracles
-  HO.BruteBudget = 50000;
-  HO.CheckProofs = true;
-  HO.SolverFactory = [] {
-    return std::make_unique<BuggyChronoLevelSolver>();
-  };
-  bool Caught = false, CaughtByProof = false;
-  for (uint64_t Seed = 1; Seed <= 40 && !(Caught && CaughtByProof);
-       ++Seed) {
-    FuzzCase C = generateFuzzCase(Seed, FO);
-    HO.RandomSeed = Seed;
-    CaseReport R = runDifferential(C, HO);
-    Caught |= !R.clean();
-    for (const std::string &D : R.Discrepancies)
-      CaughtByProof |= D.find("proof rejected") != std::string::npos;
-  }
-  EXPECT_TRUE(Caught)
-      << "the harness failed to expose the planted reimplication bug";
-  EXPECT_TRUE(CaughtByProof)
-      << "the proof oracle never rejected a certificate built over "
-         "under-leveled out-of-order assignments";
 }
 
 TEST(DifferentialHarness, XorReasonCorruptionStillCaughtUnderForcedGc) {

@@ -67,7 +67,12 @@ TEST(ProofEmission, ParallelRunEmitsCheckingProof) {
   ASSERT_FALSE(R.Proof.empty());
   CheckResult CR = checkProof(R.Proof);
   EXPECT_TRUE(CR.Ok) << CR.Error;
-  EXPECT_TRUE(CR.GlobalUnsat);
+  // How the run ends depends on thread scheduling: a slot may refute a
+  // cube with an empty core (the whole problem, cancelling its sibling)
+  // or every cube may conclude on its own. Either way the accepted
+  // certificate must cover the whole cube space.
+  EXPECT_TRUE(CR.GlobalUnsat || CR.Conclusions == R.NumCubes)
+      << CR.Conclusions << " of " << R.NumCubes << " cubes concluded";
 }
 
 TEST(ProofEmission, DistanceSearchEmitsCheckingProof) {

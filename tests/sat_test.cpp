@@ -39,6 +39,51 @@ bool bruteForceSat(size_t NumVars,
   return false;
 }
 
+/// Pigeonhole PHP(Pigeons, Holes): UNSAT when Pigeons > Holes, and hard
+/// enough for CDCL to restart and reduce — the workload the arena
+/// battery needs. Variable P * Holes + H means "pigeon P sits in hole H".
+std::vector<std::vector<Lit>> pigeonholeClauses(size_t Pigeons, size_t Holes,
+                                                size_t &NumVars) {
+  NumVars = Pigeons * Holes;
+  auto VarOf = [Holes](size_t P, size_t H) {
+    return static_cast<Var>(P * Holes + H);
+  };
+  std::vector<std::vector<Lit>> Clauses;
+  for (size_t P = 0; P != Pigeons; ++P) {
+    std::vector<Lit> C;
+    for (size_t H = 0; H != Holes; ++H)
+      C.push_back(mkLit(VarOf(P, H)));
+    Clauses.push_back(std::move(C));
+  }
+  for (size_t H = 0; H != Holes; ++H)
+    for (size_t P = 0; P != Pigeons; ++P)
+      for (size_t Q = P + 1; Q != Pigeons; ++Q)
+        Clauses.push_back({~mkLit(VarOf(P, H)), ~mkLit(VarOf(Q, H))});
+  return Clauses;
+}
+
+Solver loadedSolver(size_t NumVars,
+                    const std::vector<std::vector<Lit>> &Clauses) {
+  Solver S;
+  for (size_t V = 0; V != NumVars; ++V)
+    S.newVar();
+  for (const auto &C : Clauses)
+    EXPECT_TRUE(S.addClause(C));
+  return S;
+}
+
+bool modelSatisfies(const Solver &S,
+                    const std::vector<std::vector<Lit>> &Clauses) {
+  for (const auto &C : Clauses) {
+    bool SatC = false;
+    for (Lit L : C)
+      SatC |= S.modelValue(L.var()) != L.negated();
+    if (!SatC)
+      return false;
+  }
+  return true;
+}
+
 } // namespace
 
 TEST(LubySequence, FirstValues) {
@@ -247,14 +292,42 @@ TEST(Solver, ReuseAcrossAssumptionSetsStaysSound) {
       SolveResult A = Reused.solve(Assumptions);
       SolveResult B = Fresh.solve(Assumptions);
       ASSERT_EQ(A, B) << "trial " << Trial << " cube " << Cube;
-      if (A == SolveResult::Sat)
-        for (const auto &C : Clauses) {
-          bool SatC = false;
-          for (Lit L : C)
-            SatC |= Reused.modelValue(L.var()) != L.negated();
-          EXPECT_TRUE(SatC) << "trial " << Trial << " cube " << Cube;
-        }
+      if (A == SolveResult::Sat) {
+        EXPECT_TRUE(modelSatisfies(Reused, Clauses))
+            << "trial " << Trial << " cube " << Cube;
+      }
     }
+  }
+
+  // The cube engine's reuse pattern on a conflict-dense instance: one
+  // solver walks every hole pair of the first two pigeons of PHP(7, 6),
+  // where backjumps cross the assumption prefix under almost any cube.
+  // Each verdict must match a fresh solver and each failed-assumption
+  // core must stay inside its cube.
+  size_t NumVars = 0;
+  std::vector<std::vector<Lit>> Php = pigeonholeClauses(7, 6, NumVars);
+  Solver Walker = loadedSolver(NumVars, Php);
+  for (size_t H0 = 0; H0 != 6; ++H0)
+    for (size_t H1 = 0; H1 != 6; ++H1) {
+      std::vector<Lit> Cube = {mkLit(static_cast<Var>(H0)),
+                               mkLit(static_cast<Var>(6 + H1))};
+      SolveResult Verdict = Walker.solve(Cube);
+      EXPECT_EQ(Verdict, SolveResult::Unsat) << "cube " << H0 << "," << H1;
+      for (Lit L : Walker.conflictCore())
+        EXPECT_TRUE(L == Cube[0] || L == Cube[1]);
+      Solver Fresh = loadedSolver(NumVars, Php);
+      EXPECT_EQ(Fresh.solve(Cube), Verdict) << "cube " << H0 << "," << H1;
+    }
+  // Satisfiable side: PHP(6, 6) stays SAT under reuse on every cube, with
+  // a model that satisfies every clause and honours the assumption.
+  std::vector<std::vector<Lit>> SatPhp = pigeonholeClauses(6, 6, NumVars);
+  Solver SatWalker = loadedSolver(NumVars, SatPhp);
+  for (size_t H0 = 0; H0 != 6; ++H0) {
+    ASSERT_EQ(SatWalker.solve({mkLit(static_cast<Var>(H0))}),
+              SolveResult::Sat)
+        << "hole " << H0;
+    EXPECT_TRUE(modelSatisfies(SatWalker, SatPhp)) << "hole " << H0;
+    EXPECT_TRUE(SatWalker.modelValue(static_cast<Var>(H0)));
   }
 }
 
@@ -263,33 +336,6 @@ TEST(Solver, ReuseAcrossAssumptionSetsStaysSound) {
 #include "proof/ProofCheck.h"
 #include "proof/ProofLog.h"
 #include "smt/CubeSolver.h"
-
-namespace {
-
-/// Pigeonhole PHP(Pigeons, Holes): UNSAT when Pigeons > Holes, and hard
-/// enough for CDCL to restart and reduce — the workload the arena
-/// battery needs.
-std::vector<std::vector<Lit>> pigeonholeClauses(size_t Pigeons, size_t Holes,
-                                                size_t &NumVars) {
-  NumVars = Pigeons * Holes;
-  auto VarOf = [Holes](size_t P, size_t H) {
-    return static_cast<Var>(P * Holes + H);
-  };
-  std::vector<std::vector<Lit>> Clauses;
-  for (size_t P = 0; P != Pigeons; ++P) {
-    std::vector<Lit> C;
-    for (size_t H = 0; H != Holes; ++H)
-      C.push_back(mkLit(VarOf(P, H)));
-    Clauses.push_back(std::move(C));
-  }
-  for (size_t H = 0; H != Holes; ++H)
-    for (size_t P = 0; P != Pigeons; ++P)
-      for (size_t Q = P + 1; Q != Pigeons; ++Q)
-        Clauses.push_back({~mkLit(VarOf(P, H)), ~mkLit(VarOf(Q, H))});
-  return Clauses;
-}
-
-} // namespace
 
 TEST(ReduceDB, LearntDbStaysPinnedAndArenaIsCompacted) {
   // Regression test for the reduceDB accounting bug: the trigger used to
@@ -392,36 +438,62 @@ TEST(ProofRoundTrip, CertificateSurvivesRepeatedCompaction) {
   // Proof identities live inside clause memory now; this drives enough
   // reductions and compactions through an UNSAT run that any proof-id
   // word lost or scrambled by relocation produces a certificate the
-  // checker rejects (dangling d-record, wrong a-record serial).
+  // checker rejects (dangling d-record, wrong a-record serial). The run
+  // is made twice: as one assumption-free solve, and as a cube walk over
+  // one reused solver whose every conclusion carries the LRAT-style
+  // conflictCoreHints — hints ordered by trail position, which the
+  // checker replays across prefix-reusing solve() calls.
   size_t NumVars = 0;
   std::vector<std::vector<Lit>> Clauses = pigeonholeClauses(8, 7, NumVars);
-  Solver S;
-  proof::SlotProofLog Log;
-  S.setProofSink(&Log);
-  S.setMaxLearned(32);
-  S.setGarbageFraction(0.0);
-  for (size_t V = 0; V != NumVars; ++V)
-    S.newVar();
-  for (const auto &C : Clauses)
-    ASSERT_TRUE(S.addClause(C));
-  EXPECT_EQ(S.solve(), SolveResult::Unsat);
-  ASSERT_GE(S.stats().Compactions, 3u)
-      << "battery must exercise at least three relocation passes";
-  Log.logConclusion({}, {});
-
-  std::string Proof = "p veriqec proof 1\nv " + std::to_string(NumVars) + "\n";
-  for (const auto &C : Clauses) {
-    Proof += 'o';
-    for (Lit L : C) {
-      Proof += ' ';
-      Proof += std::to_string(L.negated() ? -(L.var() + 1) : (L.var() + 1));
+  for (bool CubeWalk : {false, true}) {
+    Solver S;
+    proof::SlotProofLog Log;
+    S.setProofSink(&Log);
+    S.setMaxLearned(32);
+    S.setGarbageFraction(0.0);
+    for (size_t V = 0; V != NumVars; ++V)
+      S.newVar();
+    for (const auto &C : Clauses)
+      ASSERT_TRUE(S.addClause(C));
+    uint64_t Concluded = 0;
+    if (CubeWalk) {
+      bool GlobalUnsat = false;
+      for (size_t H0 = 0; H0 != 7 && !GlobalUnsat; ++H0)
+        for (size_t H1 = 0; H1 != 7 && !GlobalUnsat; ++H1) {
+          std::vector<Lit> Cube = {mkLit(static_cast<Var>(H0)),
+                                   mkLit(static_cast<Var>(7 + H1))};
+          ASSERT_EQ(S.solve(Cube), SolveResult::Unsat);
+          Log.logConclusion(S.conflictCore(), Cube, S.conflictCoreHints());
+          ++Concluded;
+          // Once the empty clause is derived, later cubes add nothing.
+          GlobalUnsat = S.conflictCore().empty();
+        }
+    } else {
+      EXPECT_EQ(S.solve(), SolveResult::Unsat);
+      Log.logConclusion({}, {});
+      Concluded = 1;
     }
-    Proof += " 0\n";
+    ASSERT_GE(S.stats().Compactions, 3u)
+        << "battery must exercise at least three relocation passes";
+
+    std::string Proof =
+        "p veriqec proof 1\nv " + std::to_string(NumVars) + "\n";
+    for (const auto &C : Clauses) {
+      Proof += 'o';
+      for (Lit L : C) {
+        Proof += ' ';
+        Proof += std::to_string(L.negated() ? -(L.var() + 1) : (L.var() + 1));
+      }
+      Proof += " 0\n";
+    }
+    Proof += "s 0\n";
+    Proof += Log.drain();
+    proof::CheckResult CR = proof::checkProof(Proof);
+    EXPECT_TRUE(CR.Ok) << "cube walk " << CubeWalk << ": " << CR.Error;
+    EXPECT_EQ(CR.Conclusions, Concluded) << "cube walk " << CubeWalk;
+    if (!CubeWalk) {
+      EXPECT_TRUE(CR.GlobalUnsat);
+    }
+    EXPECT_GT(CR.Deletions, 0u) << "cube walk " << CubeWalk;
   }
-  Proof += "s 0\n";
-  Proof += Log.drain();
-  proof::CheckResult CR = proof::checkProof(Proof);
-  EXPECT_TRUE(CR.Ok) << CR.Error;
-  EXPECT_TRUE(CR.GlobalUnsat);
-  EXPECT_GT(CR.Deletions, 0u);
 }

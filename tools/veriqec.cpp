@@ -64,7 +64,6 @@ struct CliOptions {
   bool Sequential = false;
   bool NoPreprocess = false;
   smt::XorMode Xor = smt::XorMode::Auto;
-  smt::ChronoMode Chrono = smt::ChronoMode::Auto;
   uint32_t SplitThreshold = 0;
   smt::CardinalityEncoding CardEnc =
       smt::CardinalityEncoding::SequentialCounter;
@@ -140,10 +139,6 @@ void printUsage(std::FILE *To) {
       "                        the solver; the default picks per workload\n"
       "                        (on for distance, off elsewhere). on/off\n"
       "                        force either side of the A/B\n"
-      "  --chrono on|off|auto  chronological backtracking + trail saving\n"
-      "                        in the solvers; the default picks per\n"
-      "                        workload (on for distance, off elsewhere).\n"
-      "                        on/off force either side of the A/B\n"
       "  --split-threshold T   ET threshold (default: number of qubits)\n"
       "  --card-enc seq|pairwise   cardinality encoding (default seq)\n"
       "  --budget N            conflict budget per solver (default none)\n"
@@ -520,7 +515,6 @@ bool writeBenchOut(const CliOptions &Cli, const std::vector<RunRecord> &Records,
                 "\"command\": \"verify\", \"jobs\": %zu, \"workers\": %zu, "
                 "\"dist\": \"%s\", "
                 "\"sequential\": %s, \"preprocess\": %s, \"xor\": %s, "
-                "\"chrono\": %s, "
                 "\"split_threshold\": %u, \"card_enc\": \"%s\", "
                 "\"conflict_budget\": %llu, \"seed\": %llu",
                 Cli.Jobs, Workers,
@@ -534,9 +528,6 @@ bool writeBenchOut(const CliOptions &Cli, const std::vector<RunRecord> &Records,
                 // record what the run actually measured.
                 Cli.Xor == smt::XorMode::On && !Cli.NoPreprocess ? "true"
                                                                  : "false",
-                // The resolved chrono policy: verification resolves
-                // Auto to off (measured negative on the cube path).
-                Cli.Chrono == smt::ChronoMode::On ? "true" : "false",
                 Cli.SplitThreshold,
                 Cli.CardEnc == smt::CardinalityEncoding::SequentialCounter
                     ? "seq"
@@ -563,8 +554,6 @@ bool writeBenchOut(const CliOptions &Cli, const std::vector<RunRecord> &Records,
           "\"propagations\": %llu, \"bin_propagations\": %llu, "
           "\"long_propagations\": %llu, "
           "\"learned\": %llu, \"restarts\": %llu, "
-          "\"chrono_backtracks\": %llu, \"out_of_order\": %llu, "
-          "\"trail_saved_lits\": %llu, "
           "\"xor_propagations\": %llu, \"xor_conflicts\": %llu, "
           "\"xor_eliminations\": %llu, "
           "\"arena_bytes\": %llu, \"wasted_bytes\": %llu, "
@@ -584,9 +573,6 @@ bool writeBenchOut(const CliOptions &Cli, const std::vector<RunRecord> &Records,
           static_cast<unsigned long long>(V.Stats.LongPropagations),
           static_cast<unsigned long long>(V.Stats.LearnedClauses),
           static_cast<unsigned long long>(V.Stats.Restarts),
-          static_cast<unsigned long long>(V.Stats.ChronoBacktracks),
-          static_cast<unsigned long long>(V.Stats.OutOfOrderAssignments),
-          static_cast<unsigned long long>(V.Stats.TrailSavedLits),
           static_cast<unsigned long long>(V.Stats.XorPropagations),
           static_cast<unsigned long long>(V.Stats.XorConflicts),
           static_cast<unsigned long long>(V.Stats.XorEliminations),
@@ -637,7 +623,6 @@ bool writeDistanceBenchOut(const CliOptions &Cli,
   Out << "{\n  \"config\": {";
   std::snprintf(Buf, sizeof(Buf),
                 "\"command\": \"distance\", \"preprocess\": %s, \"xor\": %s, "
-                "\"chrono\": %s, "
                 "\"conflict_budget\": %llu, \"seed\": %llu",
                 Cli.NoPreprocess ? "false" : "true",
                 // As in writeBenchOut: --no-preprocess leaves no rows
@@ -645,8 +630,6 @@ bool writeDistanceBenchOut(const CliOptions &Cli,
                 Cli.Xor != smt::XorMode::Off && !Cli.NoPreprocess
                     ? "true"
                     : "false",
-                // Distance resolves Auto to on (assumption-heavy probes).
-                Cli.Chrono != smt::ChronoMode::Off ? "true" : "false",
                 static_cast<unsigned long long>(Cli.ConflictBudget),
                 static_cast<unsigned long long>(Cli.Seed));
   Out << Buf << "},\n  \"results\": [\n";
@@ -661,8 +644,6 @@ bool writeDistanceBenchOut(const CliOptions &Cli,
         "\"seconds\": %.6f, \"solver_calls\": %llu, \"conflicts\": %llu, "
         "\"decisions\": %llu, \"propagations\": %llu, "
         "\"bin_propagations\": %llu, \"long_propagations\": %llu, "
-        "\"chrono_backtracks\": %llu, \"out_of_order\": %llu, "
-        "\"trail_saved_lits\": %llu, "
         "\"xor_propagations\": %llu, \"xor_conflicts\": %llu, "
         "\"xor_eliminations\": %llu, \"xor_rows\": %zu, "
         "\"arena_bytes\": %llu, \"wasted_bytes\": %llu, "
@@ -675,9 +656,6 @@ bool writeDistanceBenchOut(const CliOptions &Cli,
         static_cast<unsigned long long>(D.Stats.propagations()),
         static_cast<unsigned long long>(D.Stats.BinPropagations),
         static_cast<unsigned long long>(D.Stats.LongPropagations),
-        static_cast<unsigned long long>(D.Stats.ChronoBacktracks),
-        static_cast<unsigned long long>(D.Stats.OutOfOrderAssignments),
-        static_cast<unsigned long long>(D.Stats.TrailSavedLits),
         static_cast<unsigned long long>(D.Stats.XorPropagations),
         static_cast<unsigned long long>(D.Stats.XorConflicts),
         static_cast<unsigned long long>(D.Stats.XorEliminations), D.XorRows,
@@ -807,7 +785,6 @@ int runVerify(const CliOptions &Cli) {
   VO.CardEnc = Cli.CardEnc;
   VO.Preprocess = !Cli.NoPreprocess;
   VO.Xor = Cli.Xor;
-  VO.Chrono = Cli.Chrono;
   VO.ConflictBudget = Cli.ConflictBudget;
   VO.RandomSeed = Cli.Seed;
   VO.LogProofs = Cli.CheckProofs || !Cli.ProofDir.empty();
@@ -833,11 +810,7 @@ int runVerify(const CliOptions &Cli) {
     AnyAborted |= R.Result.StructuralOk && R.Result.Aborted;
     AnyFailed |= R.Result.StructuralOk && !R.Result.Verified &&
                  !R.Result.Aborted;
-    Total.Conflicts += R.Result.Stats.Conflicts;
-    Total.Decisions += R.Result.Stats.Decisions;
-    Total.BinPropagations += R.Result.Stats.BinPropagations;
-    Total.LongPropagations += R.Result.Stats.LongPropagations;
-    Total.XorPropagations += R.Result.Stats.XorPropagations;
+    Total += R.Result.Stats;
     TotalSeconds += R.Result.Seconds;
   }
 
@@ -940,7 +913,6 @@ int runDistance(const CliOptions &Cli) {
     VerifyOptions VO;
     VO.Preprocess = !Cli.NoPreprocess;
     VO.Xor = Cli.Xor;
-    VO.Chrono = Cli.Chrono;
     VO.ConflictBudget = Cli.ConflictBudget;
     VO.RandomSeed = Cli.Seed;
     VO.LogProofs = Cli.CheckProofs || !Cli.ProofDir.empty();
@@ -1054,7 +1026,6 @@ int runDetect(const CliOptions &Cli) {
     VO.CardEnc = Cli.CardEnc;
     VO.Preprocess = !Cli.NoPreprocess;
     VO.Xor = Cli.Xor;
-    VO.Chrono = Cli.Chrono;
     VO.ConflictBudget = Cli.ConflictBudget;
     VO.RandomSeed = Cli.Seed;
     DetectionResult R = verifyDetection(*Code, MaxWeight, VO);
@@ -1165,19 +1136,6 @@ int main(int Argc, char **Argv) {
         Cli.Xor = smt::XorMode::Off;
       else {
         std::fprintf(stderr, "veriqec: --xor must be on or off\n");
-        return 2;
-      }
-    } else if (A == "--chrono") {
-      if (!(V = needValue(I)))
-        return 2;
-      if (*V == "on")
-        Cli.Chrono = smt::ChronoMode::On;
-      else if (*V == "off")
-        Cli.Chrono = smt::ChronoMode::Off;
-      else if (*V == "auto")
-        Cli.Chrono = smt::ChronoMode::Auto;
-      else {
-        std::fprintf(stderr, "veriqec: --chrono must be on, off or auto\n");
         return 2;
       }
     } else if (A == "--bench-out") {
