@@ -11,7 +11,6 @@
 #include "support/Assert.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 using namespace veriqec;
 using namespace veriqec::sat;
@@ -58,6 +57,8 @@ Var Solver::newVar() {
   Seen.push_back(0);
   Watches.emplace_back();
   Watches.emplace_back();
+  Smudged.push_back(0);
+  Smudged.push_back(0);
   HeapPos.push_back(-1);
   heapInsert(V);
   return V;
@@ -355,7 +356,7 @@ void Solver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
   // Clause minimization: drop literals implied by the rest of the clause.
   // Remember every marked literal so the marks can be cleared even for
   // literals that minimization removes from the clause.
-  std::vector<Lit> Marked(Learnt.begin() + 1, Learnt.end());
+  Marked.assign(Learnt.begin() + 1, Learnt.end());
   uint32_t AbstractLevels = 0;
   for (size_t I = 1; I != Learnt.size(); ++I)
     AbstractLevels |= 1u << (Level[Learnt[I].var()] & 31);
@@ -403,11 +404,11 @@ bool Solver::litRedundant(Lit L, uint32_t AbstractLevels) {
   // DFS over the implication graph: L is redundant if every path to a
   // decision passes through already-seen literals.
   RedundantSteps.clear();
-  std::vector<Lit> Stack = {L};
-  std::vector<Var> ToClear;
-  while (!Stack.empty()) {
-    Lit Cur = Stack.back();
-    Stack.pop_back();
+  RedundantStack.assign(1, L);
+  RedundantToClear.clear();
+  while (!RedundantStack.empty()) {
+    Lit Cur = RedundantStack.back();
+    RedundantStack.pop_back();
     assert(Reason[Cur.var()] != NoReason);
     if (ProofSink)
       RedundantSteps.emplace_back(TrailPosOf[Cur.var()], Reason[Cur.var()]);
@@ -418,20 +419,20 @@ bool Solver::litRedundant(Lit L, uint32_t AbstractLevels) {
         continue;
       if (Reason[Q.var()] == NoReason ||
           ((1u << (Level[Q.var()] & 31)) & AbstractLevels) == 0) {
-        for (Var V : ToClear)
+        for (Var V : RedundantToClear)
           Seen[V] = 0;
         return false;
       }
       Seen[Q.var()] = 1;
-      ToClear.push_back(Q.var());
-      Stack.push_back(Q);
+      RedundantToClear.push_back(Q.var());
+      RedundantStack.push_back(Q);
     }
   }
   // Keep the marks: they stand for "known redundant" during this analyze()
   // call and are cleared with the learnt clause's marks... except these
   // variables are not in the clause, so clear them here but remember the
   // redundancy result.
-  for (Var V : ToClear)
+  for (Var V : RedundantToClear)
     Seen[V] = 0;
   return true;
 }
@@ -486,17 +487,21 @@ ClauseRef Solver::learnClause(std::vector<Lit> Lits) {
   return Ref;
 }
 
+bool Solver::locked(ClauseRef Ref) const {
+  // Every reason clause keeps its implied literal at index 0 (binary
+  // propagation swaps it there, long propagation normalizes it there,
+  // the XOR engine and learnClause build it there), so a clause is a
+  // reason iff it is the reason of its own first literal.
+  Lit First = Arena[Ref][0];
+  return Reason[First.var()] == Ref && valueOf(First) == LBool::True;
+}
+
 void Solver::reduceDB() {
   obs::TraceSpan Span("reduce_db", {{"learnts", LearntClauses.size()}});
   // Collect learned, non-reason clauses and drop the less retained half.
   // The caller has already checked the live-learnt trigger (locked
-  // clauses included — see NumLiveLearnts).
-  std::unordered_set<ClauseRef> Locked;
-  for (Lit L : Trail)
-    if (Reason[L.var()] != NoReason)
-      Locked.insert(Reason[L.var()]);
-
-  // Retention order: VSIDS clause activity, least active first.
+  // clauses included — see NumLiveLearnts). Retention order: VSIDS
+  // clause activity, least active first.
   struct Cand {
     float Act;
     ClauseRef Ref;
@@ -506,7 +511,7 @@ void Solver::reduceDB() {
   Candidates.reserve(LearntClauses.size());
   for (ClauseRef R : LearntClauses) {
     Clause C = Arena[R];
-    if (C.deleted() || Locked.count(R))
+    if (C.deleted() || locked(R))
       continue;
     Candidates.push_back({C.activity(), R});
   }
@@ -520,6 +525,10 @@ void Solver::reduceDB() {
     Clause C = Arena[Victim];
     if (ProofSink && C.proofId() > 0)
       ProofSink->onRetire(static_cast<uint64_t>(C.proofId()));
+    // A watched clause sits on the lists of its first two literals only
+    // (never-watched XOR justifications smudge two lists harmlessly).
+    Smudged[(~C[0]).Code] = 1;
+    Smudged[(~C[1]).Code] = 1;
     Arena.markDeleted(Victim);
     --NumLiveLearnts;
   }
@@ -530,33 +539,36 @@ void Solver::reduceDB() {
                      [&](ClauseRef R) { return Arena[R].deleted(); }),
       LearntClauses.end());
 
-  // ... and unlink only them from the watch lists: one erase-remove
-  // sweep, keeping every survivor's watch positions and blockers (the
-  // pre-arena full rebuild reset all watches to the first two literals
-  // and re-propagated the whole trail from scratch on every reduction).
-  for (auto &WL : Watches) {
-    size_t Keep = 0;
-    for (Watcher W : WL) {
-      ClauseRef R = isBinaryMark(W.Ref) ? fromBinaryMark(W.Ref) : W.Ref;
-      if (!Arena[R].deleted())
-        WL[Keep++] = W;
+  // ... and unlink only them from the watch lists, keeping every
+  // survivor's watch positions and blockers. Only a smudged list can
+  // hold a deleted clause: reduceDB is the one place that deletes a
+  // watched clause, and it leaves no stale watcher behind.
+  auto WatchOrder = [](Watcher A, Watcher B) {
+    bool BinA = isBinaryMark(A.Ref), BinB = isBinaryMark(B.Ref);
+    if (BinA != BinB)
+      return BinA;
+    ClauseRef RA = BinA ? fromBinaryMark(A.Ref) : A.Ref;
+    ClauseRef RB = BinB ? fromBinaryMark(B.Ref) : B.Ref;
+    return RA < RB;
+  };
+  for (size_t Code = 0; Code != Watches.size(); ++Code) {
+    std::vector<Watcher> &WL = Watches[Code];
+    if (Smudged[Code]) {
+      Smudged[Code] = 0;
+      std::erase_if(WL, [&](Watcher W) {
+        ClauseRef R = isBinaryMark(W.Ref) ? fromBinaryMark(W.Ref) : W.Ref;
+        return Arena[R].deleted();
+      });
     }
-    WL.resize(Keep);
-    // Re-normalize the surviving watcher order: binary watchers first
+    // Re-normalize every list's watcher order: binary watchers first
     // (they resolve without touching clause memory), then arena-offset
     // order, so problem clauses and older lemmas are tried as reasons
-    // before younger ones. The full rebuild this sweep replaces got
-    // that ordering for free by re-attaching in clause order; dropping
-    // it silently leaves watchers in drifted insertion order, which
-    // costs ~30% extra conflicts on surface9 t=4.
-    std::stable_sort(WL.begin(), WL.end(), [](Watcher A, Watcher B) {
-      bool BinA = isBinaryMark(A.Ref), BinB = isBinaryMark(B.Ref);
-      if (BinA != BinB)
-        return BinA;
-      ClauseRef RA = BinA ? fromBinaryMark(A.Ref) : A.Ref;
-      ClauseRef RB = BinB ? fromBinaryMark(B.Ref) : B.Ref;
-      return RA < RB;
-    });
+    // before younger ones. Drifted insertion order costs ~30% extra
+    // conflicts on surface9 t=4. No clause is watched twice on one
+    // list, so the keys are unique and an in-place sort yields the
+    // order a stable one would.
+    if (!std::is_sorted(WL.begin(), WL.end(), WatchOrder))
+      std::sort(WL.begin(), WL.end(), WatchOrder);
   }
 }
 

@@ -484,8 +484,19 @@ private:
     }
   }
 
-  // Scratch used by conflict analysis.
+  // Scratch used by conflict analysis, kept across conflicts so the hot
+  // path never allocates: per-variable marks, the learnt literals whose
+  // marks analyze() must clear (minimized-away ones included), and
+  // litRedundant()'s DFS stack and the marks it set.
   std::vector<uint8_t> Seen;
+  std::vector<Lit> Marked;
+  std::vector<Lit> RedundantStack;
+  std::vector<Var> RedundantToClear;
+
+  /// Per-literal flag (indexed by Lit.Code): the watch list lost a
+  /// watcher to a reduceDB victim and must be swept. reduceDB sets and
+  /// clears them within one call.
+  std::vector<uint8_t> Smudged;
 
   std::vector<Lit> ConflictCore;
 
@@ -515,8 +526,8 @@ private:
   /// CNF propagation and XOR propagation to their joint fixpoint.
   ClauseRef propagateFixpoint();
   /// Registers a clause implied by the XOR system as a reason/conflict
-  /// justification for conflict analysis. Never watched at creation
-  /// (sizes < 2 are tombstoned so the reduceDB watch rebuild skips them).
+  /// justification for conflict analysis. Never watched (sizes < 2 are
+  /// tombstoned at birth, so reduceDB never picks them as victims).
   ClauseRef materializeXorClause(std::vector<Lit> Lits);
   void analyze(ClauseRef Confl, std::vector<Lit> &Learnt, int32_t &BtLevel);
   void analyzeFinal(Lit Failed);
@@ -525,6 +536,9 @@ private:
   Lit pickBranchLit();
   void attachClause(ClauseRef Ref);
   ClauseRef learnClause(std::vector<Lit> Lits);
+  /// True iff \p Ref is the reason of an assigned literal (MiniSat's
+  /// locked()). O(1): reasons keep their implied literal at index 0.
+  bool locked(ClauseRef Ref) const;
   void reduceDB();
 
   /// Allocates into the arena and keeps the peak-footprint stat current.

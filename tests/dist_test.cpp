@@ -321,7 +321,8 @@ TEST(DistCodec, SurvivesCorruptedFramesWithoutCrashing) {
   // sweep of full problem decodes is minutes under ASan). No mutation
   // may crash, hang or throw (the ASan CI job gives this teeth), every
   // truncation and trailing byte is rejected, and most flips are too.
-  for (const std::vector<uint8_t> &Frame : oneFramePerKind(P)) {
+  std::vector<std::vector<uint8_t>> Frames = oneFramePerKind(P);
+  for (const std::vector<uint8_t> &Frame : Frames) {
     Message M;
     ASSERT_TRUE(decodeMessage(Frame, M)) << "kind " << int(Frame[0]);
     size_t Stride = Frame.size() > 256 ? Frame.size() / 64 : 1;
@@ -338,6 +339,45 @@ TEST(DistCodec, SurvivesCorruptedFramesWithoutCrashing) {
         (void)decodeMessage(Bad, M);
       }
   }
+  // Splices: a mutated frame either fails closed or is a canonical
+  // encoding of what it decoded to (re-encoding gives the same bytes).
+  auto FailsClosedOrRoundTrips = [](const std::vector<uint8_t> &Bytes) {
+    Message M;
+    return !decodeMessage(Bytes, M) || encodeMessage(M) == Bytes;
+  };
+  // About 16 splice points per frame keeps the problem frame's share of
+  // full decodes small.
+  auto Stride = [](const std::vector<uint8_t> &F) {
+    return std::max<size_t>(1, F.size() / 16);
+  };
+  // The head of one kind's frame joined to the tail of another's.
+  for (const std::vector<uint8_t> &Head : Frames)
+    for (const std::vector<uint8_t> &Tail : Frames)
+      for (size_t Cut = 1; Cut < Head.size(); Cut += Stride(Head))
+        for (size_t From = 1; From < Tail.size(); From += Stride(Tail)) {
+          std::vector<uint8_t> Spliced(Head.begin(), Head.begin() + Cut);
+          Spliced.insert(Spliced.end(), Tail.begin() + From, Tail.end());
+          EXPECT_TRUE(FailsClosedOrRoundTrips(Spliced))
+              << "head kind " << int(Head[0]) << " cut " << Cut
+              << ", tail kind " << int(Tail[0]) << " from " << From;
+        }
+  // An interior byte range deleted, or duplicated in place.
+  for (const std::vector<uint8_t> &Frame : Frames)
+    for (size_t Pos = 1; Pos < Frame.size(); Pos += Stride(Frame))
+      for (size_t Len : {1u, 2u, 4u, 8u}) {
+        if (Pos + Len > Frame.size())
+          break;
+        std::vector<uint8_t> Deleted = Frame;
+        Deleted.erase(Deleted.begin() + Pos, Deleted.begin() + Pos + Len);
+        EXPECT_TRUE(FailsClosedOrRoundTrips(Deleted))
+            << "kind " << int(Frame[0]) << " deleted " << Len << " at " << Pos;
+        std::vector<uint8_t> Duplicated = Frame;
+        Duplicated.insert(Duplicated.begin() + Pos + Len, Frame.begin() + Pos,
+                          Frame.begin() + Pos + Len);
+        EXPECT_TRUE(FailsClosedOrRoundTrips(Duplicated))
+            << "kind " << int(Frame[0]) << " duplicated " << Len << " at "
+            << Pos;
+      }
   // A count field blown up to claim gigabytes must be rejected, not
   // allocated: the kind byte, problem id, config (HardenBudget,
   // BudgetBound, ConflictBudget, RandomSeed, LogProofs), the Persistent

@@ -91,6 +91,20 @@ TEST(Distance, LdpcRegistryRowsMatchDocumentedDistances) {
   expectDistance(makeTannerIFull(), 4);
 }
 
+TEST(Distance, Tanner1SeedZeroCountersArePinned) {
+  // tanner1 at solver seed 0 runs a dozen learnt-clause reductions and
+  // three arena compactions on one incremental solver in about a second.
+  // The exact counters pin the search: a reduceDB that keeps different
+  // clauses, or leaves a different watch order behind, moves them.
+  DistanceResult R = computeDistance(makeTannerISubstitute());
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Distance, 4u);
+  EXPECT_EQ(R.Stats.Conflicts, 4315u);
+  EXPECT_EQ(R.Stats.propagations(), 2782282u);
+  EXPECT_EQ(R.SolverCalls, 4u);
+  EXPECT_EQ(R.Stats.Compactions, 3u);
+}
+
 TEST(Distance, AgreesWithTheLegacyPerWeightEstimator) {
   for (const StabilizerCode &Code :
        {makeSteaneCode(), makeGottesmanCode(3), makeCube832()}) {

@@ -364,6 +364,13 @@ TEST(ReduceDB, LearntDbStaysPinnedAndArenaIsCompacted) {
   EXPECT_GE(S.stats().Compactions, 1u);
   EXPECT_GT(S.stats().WastedBytes, 0u);
   EXPECT_LT(S.arenaBytes(), S.stats().ArenaBytes);
+  // Exact search counters: reduceDB's retention and the watch order it
+  // leaves behind drive the whole search, so any drift in either moves
+  // these. Release builds compile asserts out; the counters still bite.
+  EXPECT_EQ(S.stats().Conflicts, 33848u);
+  EXPECT_EQ(S.stats().propagations(), 468354u);
+  EXPECT_EQ(S.stats().Compactions, 124u);
+  EXPECT_EQ(S.stats().WastedBytes, 3181808u);
 }
 
 TEST(ClauseArena, RelocationPreservesVerdictsAndModelCounts) {
@@ -475,6 +482,15 @@ TEST(ProofRoundTrip, CertificateSurvivesRepeatedCompaction) {
     }
     ASSERT_GE(S.stats().Compactions, 3u)
         << "battery must exercise at least three relocation passes";
+    if (CubeWalk) {
+      // Exact counters of the prefix-reusing walk: reduceDB runs with
+      // live assumption-level reasons here, so a wrong locked() verdict
+      // or a changed watch order shows up as drift.
+      EXPECT_EQ(S.stats().Conflicts, 4355u);
+      EXPECT_EQ(S.stats().propagations(), 62447u);
+      EXPECT_EQ(S.stats().Compactions, 25u);
+      EXPECT_EQ(S.stats().WastedBytes, 303276u);
+    }
 
     std::string Proof =
         "p veriqec proof 1\nv " + std::to_string(NumVars) + "\n";
