@@ -55,6 +55,29 @@ bool symplecticProduct(const BitVector &A, const BitVector &B) {
   return A.dotParity(swapHalves(B));
 }
 
+/// Incremental GF(2) independence test: the rows kept so far, each
+/// reduced against the ones before it and keyed by its lowest set bit (a
+/// column no earlier kept row has set). A candidate reduced against them
+/// in order is zero iff it lies in their span — the verdict of a full
+/// rank() on the grown matrix, at the cost of one pass over the basis.
+class EchelonBasis {
+public:
+  /// Keeps \p Row iff it is independent of every row kept so far.
+  bool addIfIndependent(BitVector Row) {
+    for (const auto &[Pivot, Kept] : Rows)
+      if (Row.get(Pivot))
+        Row ^= Kept;
+    size_t Pivot = Row.findFirst();
+    if (Pivot == Row.size())
+      return false;
+    Rows.emplace_back(Pivot, std::move(Row));
+    return true;
+  }
+
+private:
+  std::vector<std::pair<size_t, BitVector>> Rows;
+};
+
 } // namespace
 
 StabilizerCode StabilizerCode::fromGenerators(std::string Name,
@@ -66,18 +89,14 @@ StabilizerCode StabilizerCode::fromGenerators(std::string Name,
   Code.NumQubits = Generators.front().numQubits();
   Code.Distance = Distance;
 
-  // Drop dependent generators (keep a maximal independent prefix).
-  BitMatrix Accumulated;
+  // Drop dependent generators (keep each one independent of those kept
+  // before it).
+  EchelonBasis Kept;
   for (Pauli &G : Generators) {
     assert(G.numQubits() == Code.NumQubits && "generator size mismatch");
     assert(G.isHermitian() && "generators must be Hermitian");
-    BitVector Row = symplecticRow(G);
-    BitMatrix Test = Accumulated;
-    Test.appendRow(Row);
-    if (Test.rank() == Test.numRows()) {
-      Accumulated = std::move(Test);
+    if (Kept.addIfIndependent(symplecticRow(G)))
       Code.Generators.push_back(G.abs());
-    }
   }
   assert(Code.Generators.size() <= Code.NumQubits &&
          "too many independent generators");
@@ -172,13 +191,14 @@ void StabilizerCode::deriveLogicals() {
 
   // Quotient by the stabilizer row space: keep vectors independent of the
   // generators and of previously kept vectors.
-  BitMatrix Span = symplecticMatrix();
+  EchelonBasis Span;
+  for (const Pauli &G : Generators) {
+    [[maybe_unused]] bool Independent = Span.addIfIndependent(symplecticRow(G));
+    assert(Independent && "generators are dependent");
+  }
   std::vector<BitVector> Quotient;
   for (const BitVector &V : Normalizer) {
-    BitMatrix Test = Span;
-    Test.appendRow(V);
-    if (Test.rank() == Test.numRows()) {
-      Span = std::move(Test);
+    if (Span.addIfIndependent(V)) {
       Quotient.push_back(V);
       if (Quotient.size() == 2 * K)
         break;

@@ -128,7 +128,7 @@ int32_t GaussEngine::processRow(Solver &S, const BitVector &Row) {
   bool Parity = Row.get(NC);
   size_t NumUnknown = 0;
   for (size_t C = Row.findFirst(); C < NC; C = Row.findNext(C + 1)) {
-    LBool A = S.Assigns[VarOfCol[C]];
+    LBool A = S.varValue(VarOfCol[C]);
     if (A == LBool::Undef) {
       if (++NumUnknown > 1)
         return Solver::NoReason; // nothing to learn from this row yet
@@ -143,7 +143,8 @@ int32_t GaussEngine::processRow(Solver &S, const BitVector &Row) {
   // The reason/conflict clause: the implied literal (if any) plus the
   // negation of every assigned variable's current value. Root facts are
   // permanent in this solver, so level-0 dependencies are dropped.
-  std::vector<Lit> Lits;
+  std::vector<Lit> &Lits = ReasonLits;
+  Lits.clear();
   if (NumUnknown == 1)
     Lits.push_back(Lit(VarOfCol[UnknownCol], !Parity));
   for (size_t C = Row.findFirst(); C < NC; C = Row.findNext(C + 1)) {
@@ -151,14 +152,14 @@ int32_t GaussEngine::processRow(Solver &S, const BitVector &Row) {
       continue;
     Var V = VarOfCol[C];
     if (S.Level[V] > 0)
-      Lits.push_back(Lit(V, S.Assigns[V] == LBool::True));
+      Lits.push_back(Lit(V, S.varValue(V) == LBool::True));
   }
 
   if (NumUnknown == 0) {
     ++S.Stats.XorConflicts;
     if (S.corruptXorReasonClause() && Lits.size() > 1)
       Lits.pop_back(); // planted-bug seam: an under-justified conflict
-    return S.materializeXorClause(std::move(Lits));
+    return S.materializeXorClause(Lits);
   }
 
   ++S.Stats.XorPropagations;
@@ -182,7 +183,7 @@ int32_t GaussEngine::processRow(Solver &S, const BitVector &Row) {
   // expand.
   if (S.corruptXorReasonClause() && Lits.size() > 2)
     Lits.pop_back(); // planted-bug seam: an under-justified reason
-  S.enqueue(Implied, S.materializeXorClause(std::move(Lits)));
+  S.enqueue(Implied, S.materializeXorClause(Lits));
   return Solver::NoReason;
 }
 
@@ -195,33 +196,39 @@ int32_t GaussEngine::deepCheck(Solver &S) {
   // (rows that still have >= 2 unknowns), pivoting only on unassigned
   // columns. Rows keep their full width, so a combined row's assigned
   // support — the reason for whatever it implies — comes out for free.
-  std::vector<BitVector> M;
+  // The copies go into member scratch rows that keep their capacity.
+  size_t NumElim = 0;
   for (size_t R = 0; R != Rows.size(); ++R)
-    if (Unknowns[R] >= 2)
-      M.push_back(Rows[R]);
-  if (M.size() < 2)
+    if (Unknowns[R] >= 2) {
+      if (NumElim == Elim.size())
+        Elim.push_back(Rows[R]);
+      else
+        Elim[NumElim] = Rows[R];
+      ++NumElim;
+    }
+  if (NumElim < 2)
     return Solver::NoReason;
   ++S.Stats.XorEliminations;
 
-  for (size_t I = 0; I != M.size(); ++I) {
+  for (size_t I = 0; I != NumElim; ++I) {
     size_t P = NC;
-    for (size_t C = M[I].findFirst(); C < NC; C = M[I].findNext(C + 1))
-      if (S.Assigns[VarOfCol[C]] == LBool::Undef) {
+    for (size_t C = Elim[I].findFirst(); C < NC; C = Elim[I].findNext(C + 1))
+      if (S.varValue(VarOfCol[C]) == LBool::Undef) {
         P = C;
         break;
       }
     if (P == NC)
       continue; // fully assigned combination; judged below
-    for (size_t J = I + 1; J != M.size(); ++J)
-      if (M[J].get(P))
-        M[J] ^= M[I];
+    for (size_t J = I + 1; J != NumElim; ++J)
+      if (Elim[J].get(P))
+        Elim[J] ^= Elim[I];
   }
   // Inspect every eliminated row live: implied units enqueue right here
   // (later rows then see the new assignments), a violated combination
   // returns its conflict.
   size_t Before = S.Trail.size();
-  for (const BitVector &Row : M) {
-    int32_t Confl = processRow(S, Row);
+  for (size_t I = 0; I != NumElim; ++I) {
+    int32_t Confl = processRow(S, Elim[I]);
     if (Confl != Solver::NoReason) {
       DeepInterval = MinDeepInterval;
       return Confl;

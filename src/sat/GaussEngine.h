@@ -115,6 +115,12 @@ private:
 
   bool Dirty = false;
 
+  /// Scratch kept across calls so the search loop never allocates here:
+  /// deepCheck()'s residual rows (the first NumElim of a call are live)
+  /// and processRow()'s reason/conflict clause.
+  std::vector<BitVector> Elim;
+  std::vector<Lit> ReasonLits;
+
   int32_t processRow(Solver &S, const BitVector &Row);
   int32_t deepCheck(Solver &S);
   void syncTrail(Solver &S);

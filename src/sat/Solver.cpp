@@ -46,8 +46,9 @@ void Solver::setDefaultGarbageFraction(double Frac) {
 Solver::Solver() : GarbageFrac(DefaultGarbageFrac) {}
 
 Var Solver::newVar() {
-  Var V = static_cast<Var>(Assigns.size());
-  Assigns.push_back(LBool::Undef);
+  Var V = static_cast<Var>(numVars());
+  LitValue.push_back(LBool::Undef);
+  LitValue.push_back(LBool::Undef);
   Model.push_back(LBool::Undef);
   SavedPhase.push_back(false);
   Reason.push_back(NoReason);
@@ -145,7 +146,7 @@ bool Solver::addXorClause(const std::vector<Lit> &Lits, bool Odd) {
   return true;
 }
 
-ClauseRef Solver::materializeXorClause(std::vector<Lit> Lits) {
+ClauseRef Solver::materializeXorClause(std::span<const Lit> Lits) {
   ClauseRef Ref = allocClause(Lits, /*Learned=*/true);
   Arena[Ref].setActivity(static_cast<float>(ClauseInc));
   if (Lits.size() < 2)
@@ -202,7 +203,8 @@ void Solver::attachClause(ClauseRef Ref) {
 
 void Solver::enqueue(Lit L, ClauseRef From) {
   assert(valueOf(L) == LBool::Undef && "enqueueing an assigned literal");
-  Assigns[L.var()] = lboolOf(!L.negated());
+  LitValue[L.Code] = LBool::True;
+  LitValue[(~L).Code] = LBool::False;
   Reason[L.var()] = From;
   Level[L.var()] = decisionLevel();
   TrailPosOf[L.var()] = static_cast<uint32_t>(Trail.size());
@@ -210,56 +212,64 @@ void Solver::enqueue(Lit L, ClauseRef From) {
 }
 
 ClauseRef Solver::propagate() {
+  // MiniSat's pointer walk: I reads the watch list, J writes back the
+  // watchers that stay. No watcher is ever appended to the list being
+  // walked (see the new-watch search), so its storage never moves.
   while (PropagateHead < Trail.size()) {
     Lit P = Trail[PropagateHead++];
+    Lit NotP = ~P;
     std::vector<Watcher> &WatchList = Watches[P.Code];
-    size_t KeepIdx = 0;
-    for (size_t I = 0; I != WatchList.size(); ++I) {
-      Watcher W = WatchList[I];
+    Watcher *I = WatchList.data();
+    Watcher *J = I;
+    Watcher *const End = I + WatchList.size();
+    ClauseRef Confl = NoReason;
+    while (I != End) {
+      Watcher W = *I++;
       // Fast path: the blocker literal already satisfies the clause.
       if (valueOf(W.Blocker) == LBool::True) {
-        WatchList[KeepIdx++] = W;
+        *J++ = W;
         continue;
       }
       if (isBinaryMark(W.Ref)) {
         // Binary clause, resolved from the watcher alone (the clause
         // memory is only touched when it actually implies something).
-        WatchList[KeepIdx++] = W;
+        *J++ = W;
         ClauseRef Real = fromBinaryMark(W.Ref);
         if (valueOf(W.Blocker) == LBool::False) {
-          for (size_t J = I + 1; J != WatchList.size(); ++J)
-            WatchList[KeepIdx++] = WatchList[J];
-          WatchList.resize(KeepIdx);
-          PropagateHead = Trail.size();
-          return Real;
+          Confl = Real;
+          break;
         }
         // Reason clauses keep their implied literal at position 0
         // (analyze() and litRedundant() rely on it).
-        Clause C = Arena[Real];
-        if (C[0] != W.Blocker)
-          std::swap(C[0], C[1]);
+        Lit *Lits = Arena[Real].lits().data();
+        if (Lits[0] != W.Blocker)
+          std::swap(Lits[0], Lits[1]);
         ++Stats.BinPropagations;
         enqueue(W.Blocker, Real);
         continue;
       }
       Clause C = Arena[W.Ref];
       assert(!C.deleted() && "deleted clause left in a watch list");
+      Lit *Lits = C.lits().data();
+      const uint32_t Size = C.size();
       // Normalize so that the false literal ~P is at position 1.
-      Lit NotP = ~P;
-      if (C[0] == NotP)
-        std::swap(C[0], C[1]);
-      assert(C[1] == NotP && "watch invariant broken");
+      if (Lits[0] == NotP)
+        std::swap(Lits[0], Lits[1]);
+      assert(Lits[1] == NotP && "watch invariant broken");
       // If the other watched literal is true, keep watching.
-      if (valueOf(C[0]) == LBool::True) {
-        WatchList[KeepIdx++] = {W.Ref, C[0]};
+      if (valueOf(Lits[0]) == LBool::True) {
+        *J++ = {W.Ref, Lits[0]};
         continue;
       }
-      // Look for a new literal to watch.
+      // Look for a new literal to watch. It is not false, so it is never
+      // ~P (and clauses hold no duplicates): the watcher goes to another
+      // list than the one being walked.
       bool FoundWatch = false;
-      for (size_t K = 2; K != C.size(); ++K) {
-        if (valueOf(C[K]) != LBool::False) {
-          std::swap(C[1], C[K]);
-          Watches[(~C[1]).Code].push_back({W.Ref, C[0]});
+      for (uint32_t K = 2; K != Size; ++K) {
+        if (valueOf(Lits[K]) != LBool::False) {
+          std::swap(Lits[1], Lits[K]);
+          assert(Lits[1] != NotP && "new watch on the list being walked");
+          Watches[(~Lits[1]).Code].push_back({W.Ref, Lits[0]});
           FoundWatch = true;
           break;
         }
@@ -267,20 +277,23 @@ ClauseRef Solver::propagate() {
       if (FoundWatch)
         continue;
       // Clause is unit or conflicting.
-      if (valueOf(C[0]) == LBool::False) {
-        // Conflict: restore the remaining watchers and report.
-        WatchList[KeepIdx++] = W;
-        for (size_t J = I + 1; J != WatchList.size(); ++J)
-          WatchList[KeepIdx++] = WatchList[J];
-        WatchList.resize(KeepIdx);
-        PropagateHead = Trail.size();
-        return W.Ref;
+      *J++ = W;
+      if (valueOf(Lits[0]) == LBool::False) {
+        Confl = W.Ref;
+        break;
       }
       ++Stats.LongPropagations;
-      WatchList[KeepIdx++] = W;
-      enqueue(C[0], W.Ref);
+      enqueue(Lits[0], W.Ref);
     }
-    WatchList.resize(KeepIdx);
+    if (Confl != NoReason) {
+      // Conflict: keep the unvisited watchers and report.
+      while (I != End)
+        *J++ = *I++;
+      WatchList.resize(static_cast<size_t>(J - WatchList.data()));
+      PropagateHead = Trail.size();
+      return Confl;
+    }
+    WatchList.resize(static_cast<size_t>(J - WatchList.data()));
   }
   return NoReason;
 }
@@ -312,8 +325,7 @@ void Solver::decayActivities() {
   ClauseInc /= ClauseDecay;
 }
 
-void Solver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
-                     int32_t &BtLevel) {
+void Solver::analyze(ClauseRef Confl, int32_t &BtLevel) {
   Learnt.clear();
   Learnt.push_back(Lit::undef()); // slot for the asserting literal
   HintSteps.clear();
@@ -336,7 +348,7 @@ void Solver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
       Lit Q = C[I];
       if (Seen[Q.var()] || Level[Q.var()] == 0)
         continue;
-      Seen[Q.var()] = 1;
+      Seen[Q.var()] = SeenSource;
       bumpVar(Q.var());
       if (Level[Q.var()] >= decisionLevel())
         ++PathCount;
@@ -355,23 +367,23 @@ void Solver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
 
   // Clause minimization: drop literals implied by the rest of the clause.
   // Remember every marked literal so the marks can be cleared even for
-  // literals that minimization removes from the clause.
+  // literals that minimization removes from the clause. The removed ones
+  // seed the hint post-pass.
   Marked.assign(Learnt.begin() + 1, Learnt.end());
   uint32_t AbstractLevels = 0;
   for (size_t I = 1; I != Learnt.size(); ++I)
     AbstractLevels |= 1u << (Level[Learnt[I].var()] & 31);
+  ConeStack.clear();
   size_t KeepIdx = 1;
   for (size_t I = 1; I != Learnt.size(); ++I)
     if (Reason[Learnt[I].var()] == NoReason ||
         !litRedundant(Learnt[I], AbstractLevels))
       Learnt[KeepIdx++] = Learnt[I];
     else if (ProofSink)
-      // The removed literal's whole justification cone joins the
-      // antecedents: a checker replaying the clause never assigns the
-      // literal, so it must re-derive it from the cone's reasons.
-      HintSteps.insert(HintSteps.end(), RedundantSteps.begin(),
-                       RedundantSteps.end());
+      ConeStack.push_back(Learnt[I]);
   Learnt.resize(KeepIdx);
+  if (ProofSink)
+    collectRemovedCones();
 
   // Finalize the proof hints: antecedents ordered by the trail position
   // of the literal they implied make every hint unit (then conflicting)
@@ -394,47 +406,94 @@ void Solver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
     BtLevel = Level[Learnt[1].var()];
   }
 
-  // Clear the seen marks we still own (including minimized-away ones).
+  // Clear the seen marks we still own (including minimized-away ones)
+  // and minimization's memo.
   Seen[Learnt[0].var()] = 0;
   for (Lit L : Marked)
     Seen[L.var()] = 0;
+  for (Var V : RedundantToClear)
+    Seen[V] = 0;
+  RedundantToClear.clear();
 }
 
 bool Solver::litRedundant(Lit L, uint32_t AbstractLevels) {
-  // DFS over the implication graph: L is redundant if every path to a
-  // decision passes through already-seen literals.
-  RedundantSteps.clear();
-  RedundantStack.assign(1, L);
-  RedundantToClear.clear();
-  while (!RedundantStack.empty()) {
-    Lit Cur = RedundantStack.back();
-    RedundantStack.pop_back();
-    assert(Reason[Cur.var()] != NoReason);
-    if (ProofSink)
-      RedundantSteps.emplace_back(TrailPosOf[Cur.var()], Reason[Cur.var()]);
-    const Clause C = Arena[Reason[Cur.var()]];
-    for (size_t I = 1; I != C.size(); ++I) {
+  // Path DFS over the implication graph (MiniSat's, after Sorensson and
+  // Biere, "Minimizing Learned Clauses"): L is redundant iff every path
+  // from it to a decision passes through a source literal (one of the
+  // clause) or the root level. Redundancy is a property of the literal
+  // alone — the sources stay fixed during minimization, removed ones
+  // included — so verdicts are memoized for the rest of this conflict:
+  // a literal whose reason cone checks out becomes SeenRemovable, and a
+  // failure poisons the failing literal and the whole path above it
+  // with SeenFailed. Each cone is walked at most once per conflict.
+  assert(Seen[L.var()] == SeenSource && Reason[L.var()] != NoReason);
+  RedundantStack.clear();
+  Lit Cur = L;
+  Clause C = Arena[Reason[Cur.var()]];
+  for (uint32_t I = 1;; ++I) {
+    if (I < C.size()) {
       Lit Q = C[I];
-      if (Seen[Q.var()] || Level[Q.var()] == 0)
+      Var QV = Q.var();
+      uint8_t Mark = Seen[QV];
+      if (Level[QV] == 0 || Mark == SeenSource || Mark == SeenRemovable)
         continue;
-      if (Reason[Q.var()] == NoReason ||
-          ((1u << (Level[Q.var()] & 31)) & AbstractLevels) == 0) {
-        for (Var V : RedundantToClear)
-          Seen[V] = 0;
+      // A decision, a literal of a level no clause literal has (the
+      // abstract-level filter), or a literal already proven irremovable.
+      if (Mark == SeenFailed || Reason[QV] == NoReason ||
+          ((1u << (Level[QV] & 31)) & AbstractLevels) == 0) {
+        if (Mark == 0) {
+          Seen[QV] = SeenFailed;
+          RedundantToClear.push_back(QV);
+        }
+        RedundantStack.push_back({0, Cur});
+        for (const RedundantFrame &F : RedundantStack)
+          if (Seen[F.L.var()] == 0) {
+            Seen[F.L.var()] = SeenFailed;
+            RedundantToClear.push_back(F.L.var());
+          }
         return false;
       }
-      Seen[Q.var()] = 1;
-      RedundantToClear.push_back(Q.var());
-      RedundantStack.push_back(Q);
+      // Descend into Q's reason.
+      RedundantStack.push_back({I, Cur});
+      I = 0;
+      Cur = Q;
+      C = Arena[Reason[QV]];
+    } else {
+      // Every antecedent of Cur checked out.
+      if (Seen[Cur.var()] == 0) {
+        Seen[Cur.var()] = SeenRemovable;
+        RedundantToClear.push_back(Cur.var());
+      }
+      if (RedundantStack.empty())
+        return true;
+      I = RedundantStack.back().Next;
+      Cur = RedundantStack.back().L;
+      C = Arena[Reason[Cur.var()]];
+      RedundantStack.pop_back();
     }
   }
-  // Keep the marks: they stand for "known redundant" during this analyze()
-  // call and are cleared with the learnt clause's marks... except these
-  // variables are not in the clause, so clear them here but remember the
-  // redundancy result.
-  for (Var V : RedundantToClear)
-    Seen[V] = 0;
-  return true;
+}
+
+void Solver::collectRemovedCones() {
+  // A checker replaying the learnt clause never assigns a removed
+  // literal, so it must re-derive it: the removed literal's whole
+  // justification cone joins the antecedents. That is its reason and,
+  // below it, every literal of its cone short of the sources and the
+  // root level — all memoized removable by the redundancy check, which
+  // stopped exactly there. A visited literal's memo mark is consumed so
+  // shared sub-cones are walked once; finalizeHintIds() sorts and dedups
+  // the steps.
+  while (!ConeStack.empty()) {
+    Var V = ConeStack.back().var();
+    ConeStack.pop_back();
+    HintSteps.emplace_back(TrailPosOf[V], Reason[V]);
+    const Clause C = Arena[Reason[V]];
+    for (size_t I = 1; I != C.size(); ++I)
+      if (Seen[C[I].var()] == SeenRemovable) {
+        Seen[C[I].var()] = 0;
+        ConeStack.push_back(C[I]);
+      }
+  }
 }
 
 void Solver::backtrack(int32_t ToLevel) {
@@ -442,9 +501,11 @@ void Solver::backtrack(int32_t ToLevel) {
     return;
   size_t Bound = static_cast<size_t>(TrailLim[ToLevel]);
   for (size_t I = Trail.size(); I-- > Bound;) {
-    Var V = Trail[I].var();
-    SavedPhase[V] = Assigns[V] == LBool::True;
-    Assigns[V] = LBool::Undef;
+    Lit L = Trail[I];
+    Var V = L.var();
+    SavedPhase[V] = varValue(V) == LBool::True;
+    LitValue[L.Code] = LBool::Undef;
+    LitValue[(~L).Code] = LBool::Undef;
     Reason[V] = NoReason;
     if (HeapPos[V] < 0)
       heapInsert(V);
@@ -461,18 +522,18 @@ Lit Solver::pickBranchLit() {
   // later pop sees it assigned and skips it.
   if (RandomizeBranching && !Heap.empty() && TieRng.nextBelow(50) == 0) {
     Var V = Heap[TieRng.nextBelow(Heap.size())];
-    if (Assigns[V] == LBool::Undef)
+    if (varValue(V) == LBool::Undef)
       return Lit(V, TieRng.nextBool());
   }
   while (!Heap.empty()) {
     Var V = heapPop();
-    if (Assigns[V] == LBool::Undef)
+    if (varValue(V) == LBool::Undef)
       return Lit(V, !SavedPhase[V]);
   }
   return Lit::undef();
 }
 
-ClauseRef Solver::learnClause(std::vector<Lit> Lits) {
+ClauseRef Solver::learnClause(std::span<const Lit> Lits) {
   if (Lits.size() == 1)
     return NoReason; // handled by caller via enqueue at level 0
   ClauseRef Ref = allocClause(Lits, /*Learned=*/true);
@@ -745,7 +806,6 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
   uint64_t RestartIdx = 1;
   uint64_t ConflictsUntilRestart = 100 * lubySequence(RestartIdx);
   uint64_t ConflictsAtStart = Stats.Conflicts;
-  std::vector<Lit> Learnt;
 
   while (true) {
     if (AbortFlag && AbortFlag->load(std::memory_order_relaxed))
@@ -773,7 +833,7 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
         return SolveResult::Unsat;
       }
       int32_t BtLevel = 0;
-      analyze(Confl, Learnt, BtLevel);
+      analyze(Confl, BtLevel);
       if (SharedPool && Learnt.size() <= PoolMaxShareLen)
         SharedPool->publish(PoolOwnerId, Learnt);
       // Classic backjump to BtLevel, uncapped by the assumption prefix:
@@ -798,9 +858,8 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
         if (valueOf(Learnt[0]) == LBool::Undef)
           enqueue(Learnt[0], NoReason);
       } else {
-        ClauseRef Ref = learnClause(std::move(Learnt));
+        ClauseRef Ref = learnClause(Learnt);
         enqueue(Arena[Ref][0], Ref);
-        Learnt = {};
       }
       decayActivities();
 
@@ -840,7 +899,9 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
     Lit Next = pickBranchLit();
     if (Next.isUndef()) {
       // Full model found.
-      Model = Assigns;
+      Model.resize(numVars());
+      for (size_t V = 0; V != Model.size(); ++V)
+        Model[V] = varValue(static_cast<Var>(V));
       backtrack(0);
       return SolveResult::Sat;
     }

@@ -208,7 +208,7 @@ public:
   Var newVar();
 
   /// Number of variables created so far.
-  size_t numVars() const { return Assigns.size(); }
+  size_t numVars() const { return Level.size(); }
 
   /// Adds a clause. Returns false if the formula became trivially
   /// unsatisfiable (empty clause after simplification at level 0).
@@ -387,7 +387,9 @@ private:
   size_t NumLiveLearnts = 0;
   double GarbageFrac;
   std::vector<std::vector<Watcher>> Watches; // indexed by Lit.Code
-  std::vector<LBool> Assigns;                // indexed by Var
+  /// Truth value of every literal, indexed by Lit.Code: valueOf() is one
+  /// load. A variable's value is the entry of its positive literal.
+  std::vector<LBool> LitValue;
   std::vector<LBool> Model;
   std::vector<bool> SavedPhase;
   std::vector<ClauseRef> Reason;
@@ -439,7 +441,6 @@ private:
   /// (the conflicting clause itself implies nothing and sorts last), and
   /// the hint ids they map to. Only filled while a sink is attached.
   std::vector<std::pair<uint32_t, ClauseRef>> HintSteps;
-  std::vector<std::pair<uint32_t, ClauseRef>> RedundantSteps;
   std::vector<int64_t> HintIds;
   std::vector<int64_t> ConflictCoreHints;
 
@@ -485,13 +486,27 @@ private:
   }
 
   // Scratch used by conflict analysis, kept across conflicts so the hot
-  // path never allocates: per-variable marks, the learnt literals whose
-  // marks analyze() must clear (minimized-away ones included), and
-  // litRedundant()'s DFS stack and the marks it set.
+  // path never allocates: the learnt clause, per-variable marks, the
+  // learnt literals whose marks analyze() must clear (minimized-away ones
+  // included), and litRedundant()'s DFS path and the memo marks it set.
+  // Seen values during minimization (MiniSat's seen_* scheme; all cleared
+  // when analyze() returns):
+  static constexpr uint8_t SeenSource = 1;    ///< literal of the learnt clause
+  static constexpr uint8_t SeenRemovable = 2; ///< proven implied by sources
+  static constexpr uint8_t SeenFailed = 3;    ///< proven not removable
+  std::vector<Lit> Learnt;
   std::vector<uint8_t> Seen;
   std::vector<Lit> Marked;
-  std::vector<Lit> RedundantStack;
+  /// One DFS frame: the literal whose reason is being scanned and the
+  /// index of the next reason literal to look at.
+  struct RedundantFrame {
+    uint32_t Next;
+    Lit L;
+  };
+  std::vector<RedundantFrame> RedundantStack;
   std::vector<Var> RedundantToClear;
+  /// Scratch of the hint post-pass (removed literals' reason cones).
+  std::vector<Lit> ConeStack;
 
   /// Per-literal flag (indexed by Lit.Code): the watch list lost a
   /// watcher to a reduceDB victim and must be swept. reduceDB sets and
@@ -512,10 +527,10 @@ private:
   std::vector<Lit> PrevAssumptions;
 
   // -- Core algorithms -----------------------------------------------------
-  LBool valueOf(Lit L) const {
-    LBool V = Assigns[L.var()];
-    return L.negated() ? negate(V) : V;
-  }
+  LBool valueOf(Lit L) const { return LitValue[L.Code]; }
+  /// The one accessor for a variable's value (the XOR engine, branching,
+  /// phase saving and the model all read it here).
+  LBool varValue(Var V) const { return LitValue[mkLit(V).Code]; }
   int32_t decisionLevel() const {
     return static_cast<int32_t>(TrailLim.size());
   }
@@ -528,14 +543,19 @@ private:
   /// Registers a clause implied by the XOR system as a reason/conflict
   /// justification for conflict analysis. Never watched (sizes < 2 are
   /// tombstoned at birth, so reduceDB never picks them as victims).
-  ClauseRef materializeXorClause(std::vector<Lit> Lits);
-  void analyze(ClauseRef Confl, std::vector<Lit> &Learnt, int32_t &BtLevel);
+  ClauseRef materializeXorClause(std::span<const Lit> Lits);
+  /// First-UIP analysis of \p Confl into the Learnt scratch (asserting
+  /// literal first, minimized) and the backjump level.
+  void analyze(ClauseRef Confl, int32_t &BtLevel);
   void analyzeFinal(Lit Failed);
   bool litRedundant(Lit L, uint32_t AbstractLevels);
+  /// Proof hints of minimization: the reason cone of every literal
+  /// minimization removed, down to the clause's own literals.
+  void collectRemovedCones();
   void backtrack(int32_t ToLevel);
   Lit pickBranchLit();
   void attachClause(ClauseRef Ref);
-  ClauseRef learnClause(std::vector<Lit> Lits);
+  ClauseRef learnClause(std::span<const Lit> Lits);
   /// True iff \p Ref is the reason of an assigned literal (MiniSat's
   /// locked()). O(1): reasons keep their implied literal at index 0.
   bool locked(ClauseRef Ref) const;

@@ -166,6 +166,142 @@ TEST(StabilizerCode, InStabilizerGroupAndLogicalQueries) {
   EXPECT_FALSE(Code.isLogicalOperator(Pauli::single(7, 0, PauliKind::X)));
 }
 
+namespace {
+
+BitVector symplecticRowOf(const Pauli &P, bool SwapHalves = false) {
+  size_t N = P.numQubits();
+  BitVector Row(2 * N);
+  for (size_t Q = 0; Q != N; ++Q) {
+    if (P.xBits().get(Q))
+      Row.set(SwapHalves ? N + Q : Q);
+    if (P.zBits().get(Q))
+      Row.set(SwapHalves ? Q : N + Q);
+  }
+  return Row;
+}
+
+Pauli pauliOfRow(const BitVector &Row) {
+  size_t N = Row.size() / 2;
+  Pauli P(N);
+  for (size_t Q = 0; Q != N; ++Q) {
+    bool X = Row.get(Q), Z = Row.get(N + Q);
+    if (X || Z)
+      P.setKind(Q, X && Z ? PauliKind::Y : X ? PauliKind::X : PauliKind::Z);
+  }
+  return P.abs();
+}
+
+/// Indices of the candidates a full rank() test keeps: each one that
+/// raises the rank of \p Span grown by the ones kept before it (at most
+/// \p Limit of them).
+std::vector<size_t> rankSelection(BitMatrix Span,
+                                  const std::vector<BitVector> &Candidates,
+                                  size_t Limit) {
+  std::vector<size_t> Kept;
+  for (size_t I = 0; I != Candidates.size() && Kept.size() != Limit; ++I) {
+    BitMatrix Test = Span;
+    Test.appendRow(Candidates[I]);
+    if (Test.rank() == Test.numRows()) {
+      Span = std::move(Test);
+      Kept.push_back(I);
+    }
+  }
+  return Kept;
+}
+
+/// The logicals StabilizerCode derives from \p Gens, with the quotient
+/// basis chosen by rank(): the normalizer's nullspace basis filtered by
+/// rankSelection, paired by symplectic Gram-Schmidt, pure-type pairs
+/// oriented X-first.
+void referenceLogicals(const std::vector<Pauli> &Gens, size_t K,
+                       std::vector<Pauli> &LogicalX,
+                       std::vector<Pauli> &LogicalZ) {
+  size_t N = Gens.front().numQubits();
+  BitMatrix Swapped(0, 2 * N), Span(0, 2 * N);
+  for (const Pauli &G : Gens) {
+    Swapped.appendRow(symplecticRowOf(G, /*SwapHalves=*/true));
+    Span.appendRow(symplecticRowOf(G));
+  }
+  std::vector<BitVector> Normalizer = Swapped.nullspaceBasis();
+  std::vector<BitVector> Pool;
+  for (size_t I : rankSelection(Span, Normalizer, 2 * K))
+    Pool.push_back(Normalizer[I]);
+  auto Anticommute = [](const BitVector &A, const BitVector &B) {
+    return !pauliOfRow(A).commutesWith(pauliOfRow(B));
+  };
+  while (!Pool.empty()) {
+    BitVector U = Pool.front();
+    Pool.erase(Pool.begin());
+    size_t Partner = 0;
+    while (Partner != Pool.size() && !Anticommute(U, Pool[Partner]))
+      ++Partner;
+    if (Partner == Pool.size())
+      return; // unpaired: the caller's comparison fails
+    BitVector V = Pool[Partner];
+    Pool.erase(Pool.begin() + Partner);
+    for (BitVector &W : Pool) {
+      if (Anticommute(W, V))
+        W ^= U;
+      if (Anticommute(W, U))
+        W ^= V;
+    }
+    LogicalX.push_back(pauliOfRow(U));
+    LogicalZ.push_back(pauliOfRow(V));
+  }
+  for (size_t I = 0; I != K; ++I)
+    if (LogicalX[I].xBits().none() && LogicalZ[I].zBits().none())
+      std::swap(LogicalX[I], LogicalZ[I]);
+}
+
+} // namespace
+
+TEST(StabilizerCode, IndependenceTestsMatchRankSelection) {
+  // Code build keeps a generator, and a normalizer vector for the
+  // logicals, iff it is independent of the rows kept before it; it
+  // decides that on an incremental echelon basis. For every code the CLI
+  // registry lists, fed with dependent rows mixed in, the kept generators
+  // and the derived logicals must be those of a full rank() test on the
+  // grown matrix.
+  std::vector<StabilizerCode> Registry = {
+      makeRepetitionCode(3),        makeRepetitionCode(5),
+      makeSteaneCode(),             makeFiveQubitCode(),
+      makeSixQubitCode(),           makeRotatedSurfaceCode(3),
+      makeRotatedSurfaceCode(5),    makeXzzxSurfaceCode(3, 3),
+      makeReedMullerCode(3),        makeGottesmanCode(3),
+      makeDodecacodeSubstitute(),   makeHoneycombSubstitute(),
+      makeHgp98(),                  makeTannerISubstitute(),
+      makeTannerIFull(),            makeTannerIISubstitute(),
+      makeCube832(),                makeCarbonSubstitute(),
+      makeTriorthogonalSubstitute(2), makeCampbellHowardSubstitute(2)};
+  for (const StabilizerCode &Code : Registry) {
+    // Each generator followed by its product with the previous one (a
+    // dependent row), and the first generator once more at the end.
+    std::vector<Pauli> Raw;
+    for (size_t I = 0; I != Code.Generators.size(); ++I) {
+      Raw.push_back(Code.Generators[I]);
+      if (I != 0)
+        Raw.push_back((Code.Generators[I] * Code.Generators[I - 1]).abs());
+    }
+    Raw.push_back(Code.Generators.front());
+    std::vector<BitVector> RawRows;
+    for (const Pauli &P : Raw)
+      RawRows.push_back(symplecticRowOf(P));
+    std::vector<Pauli> WantGens;
+    for (size_t I :
+         rankSelection(BitMatrix(0, 2 * Code.NumQubits), RawRows, Raw.size()))
+      WantGens.push_back(Raw[I]);
+
+    StabilizerCode Built =
+        StabilizerCode::fromGenerators(Code.Name, Raw, Code.Distance);
+    EXPECT_EQ(Built.Generators, WantGens) << Code.Name;
+    EXPECT_EQ(Built.Generators, Code.Generators) << Code.Name;
+    std::vector<Pauli> WantX, WantZ;
+    referenceLogicals(WantGens, Code.NumLogical, WantX, WantZ);
+    EXPECT_EQ(Built.LogicalX, WantX) << Code.Name;
+    EXPECT_EQ(Built.LogicalZ, WantZ) << Code.Name;
+  }
+}
+
 TEST(BenchmarkSuite, AllEntriesValidate) {
   for (const BenchmarkCodeEntry &Entry : makeBenchmarkSuite(true)) {
     std::optional<std::string> Err = Entry.Code.validate();

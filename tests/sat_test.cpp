@@ -441,6 +441,85 @@ TEST(ClauseArena, RelocationPreservesVerdictsAndModelCounts) {
   }
 }
 
+namespace {
+
+/// A proof sink that keeps only an FNV-1a hash of the derivation stream:
+/// every derived clause's literals and hints, every retired serial. Two
+/// solvers that learn the same clauses with the same hints in the same
+/// order, and retire the same ones, hash the same.
+class HashingProofSink : public ClauseProofSink {
+public:
+  void onDerive(std::span<const Lit> Lits,
+                std::span<const int64_t> Hints) override {
+    mix('d');
+    for (Lit L : Lits)
+      mix(static_cast<uint64_t>(L.Code));
+    mix('h');
+    for (int64_t H : Hints)
+      mix(static_cast<uint64_t>(H));
+    ++Derived;
+  }
+  void onRetire(uint64_t Serial) override {
+    mix('r');
+    mix(Serial);
+  }
+
+  uint64_t Hash = 14695981039346656037ull;
+  uint64_t Derived = 0;
+
+private:
+  void mix(uint64_t Word) {
+    for (int B = 0; B != 8; ++B) {
+      Hash ^= (Word >> (8 * B)) & 0xff;
+      Hash *= 1099511628211ull;
+    }
+  }
+};
+
+} // namespace
+
+TEST(Minimization, LearntStreamIsPinned) {
+  // The learnt clauses, their proof hints and the retirements of a
+  // reused-solver cube walk, hashed and pinned. Clause minimization
+  // removes literals here, so this pins what it removes and the hints it
+  // records for them (each removed literal's reason cone): a memoization
+  // that marks a literal removable when it is not, or that loses part of
+  // a cone, changes the stream; a faster kernel with the same decisions
+  // does not. Random 3-SAT near the threshold, cubes over four variables.
+  Rng R(14);
+  const size_t NumVars = 120;
+  std::vector<std::vector<Lit>> Clauses;
+  for (size_t C = 0; C != 500; ++C) {
+    std::vector<Lit> Clause;
+    for (size_t L = 0; L != 3; ++L)
+      Clause.push_back(
+          Lit(static_cast<Var>(R.nextBelow(NumVars)), R.nextBool()));
+    Clauses.push_back(std::move(Clause));
+  }
+  Solver S;
+  HashingProofSink Sink;
+  S.setProofSink(&Sink);
+  S.setMaxLearned(200);
+  for (size_t V = 0; V != NumVars; ++V)
+    S.newVar();
+  for (const auto &C : Clauses)
+    S.addClause(C);
+  std::string Verdicts;
+  for (int Cube = 0; Cube != 16; ++Cube) {
+    std::vector<Lit> Assumptions;
+    for (int B = 0; B != 4; ++B)
+      Assumptions.push_back(Lit(static_cast<Var>(B), (Cube >> B) & 1));
+    SolveResult Res = S.solve(Assumptions);
+    ASSERT_NE(Res, SolveResult::Aborted);
+    Verdicts += Res == SolveResult::Sat ? 'S' : 'U';
+  }
+  EXPECT_EQ(Verdicts, "UUSSUUSSSUSSSUSS");
+  EXPECT_EQ(S.stats().Conflicts, 737u);
+  EXPECT_EQ(S.stats().propagations(), 26425u);
+  EXPECT_EQ(Sink.Derived, 737u);
+  EXPECT_EQ(Sink.Hash, 5136668534207010062ull);
+}
+
 TEST(ProofRoundTrip, CertificateSurvivesRepeatedCompaction) {
   // Proof identities live inside clause memory now; this drives enough
   // reductions and compactions through an UNSAT run that any proof-id
@@ -511,5 +590,13 @@ TEST(ProofRoundTrip, CertificateSurvivesRepeatedCompaction) {
       EXPECT_TRUE(CR.GlobalUnsat);
     }
     EXPECT_GT(CR.Deletions, 0u) << "cube walk " << CubeWalk;
+    // The certificate itself, pinned: its size moves with every learnt
+    // literal and every minimization hint, and a lost hint does not
+    // change the checker's verdict (hints only accelerate it; it falls
+    // back to full propagation).
+    EXPECT_EQ(CR.Additions, CubeWalk ? 4354u : 6859u);
+    EXPECT_EQ(CR.Deletions, CubeWalk ? 4093u : 5860u);
+    EXPECT_EQ(CR.Conclusions, CubeWalk ? 48u : 1u);
+    EXPECT_EQ(Proof.size(), CubeWalk ? 442600u : 754253u);
   }
 }
