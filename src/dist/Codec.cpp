@@ -21,37 +21,14 @@ namespace {
 // -- Shared sub-codecs -------------------------------------------------------
 
 void encodeStats(Encoder &E, const sat::SolverStats &S) {
-  E.u64(S.Decisions);
-  // WireVersion 4: the one Propagations counter became the binary/long
-  // split.
-  E.u64(S.BinPropagations);
-  E.u64(S.LongPropagations);
-  E.u64(S.Conflicts);
-  E.u64(S.LearnedClauses);
-  E.u64(S.Restarts);
-  E.u64(S.XorPropagations);
-  E.u64(S.XorConflicts);
-  E.u64(S.XorEliminations);
-  // WireVersion 3: arena telemetry.
-  E.u64(S.ArenaBytes);
-  E.u64(S.WastedBytes);
-  E.u64(S.Compactions);
+  for (const auto &F : sat::SolverStats::Fields)
+    E.u64(S.*F.Member);
 }
 
 sat::SolverStats decodeStats(Decoder &D) {
   sat::SolverStats S;
-  S.Decisions = D.u64();
-  S.BinPropagations = D.u64();
-  S.LongPropagations = D.u64();
-  S.Conflicts = D.u64();
-  S.LearnedClauses = D.u64();
-  S.Restarts = D.u64();
-  S.XorPropagations = D.u64();
-  S.XorConflicts = D.u64();
-  S.XorEliminations = D.u64();
-  S.ArenaBytes = D.u64();
-  S.WastedBytes = D.u64();
-  S.Compactions = D.u64();
+  for (const auto &F : sat::SolverStats::Fields)
+    S.*F.Member = D.u64();
   return S;
 }
 
@@ -227,13 +204,8 @@ void ProblemCodec::encode(Encoder &E, const smt::VerificationProblem &P) {
     E.boolean(Rhs);
   }
   E.boolean(P.TriviallyUnsat);
-  E.u64(P.Prep.LinearConjuncts);
-  E.u64(P.Prep.LinearVars);
-  E.u64(P.Prep.RowsKept);
-  E.u64(P.Prep.UnitsFixed);
-  E.u64(P.Prep.VarsEliminated);
-  E.u64(P.Prep.EquivAliased);
-  E.u64(P.Prep.ResidueConjuncts);
+  for (const auto &F : smt::PreprocessStats::Fields)
+    E.u64(P.Prep.*F.Member);
   E.boolean(P.Prep.TriviallyUnsat);
   E.u32(static_cast<uint32_t>(P.VarNames.size()));
   for (const std::string &Name : P.VarNames)
@@ -316,13 +288,8 @@ std::shared_ptr<smt::VerificationProblem> ProblemCodec::decode(Decoder &D) {
     P->XorRows.emplace_back(std::move(Vars), Rhs);
   }
   P->TriviallyUnsat = D.boolean();
-  P->Prep.LinearConjuncts = D.u64();
-  P->Prep.LinearVars = D.u64();
-  P->Prep.RowsKept = D.u64();
-  P->Prep.UnitsFixed = D.u64();
-  P->Prep.VarsEliminated = D.u64();
-  P->Prep.EquivAliased = D.u64();
-  P->Prep.ResidueConjuncts = D.u64();
+  for (const auto &F : smt::PreprocessStats::Fields)
+    P->Prep.*F.Member = D.u64();
   P->Prep.TriviallyUnsat = D.boolean();
   uint32_t NumNames = D.count(4);
   P->VarNames.reserve(NumNames);

@@ -39,6 +39,7 @@
 #include "engine/CubeEngine.h"
 
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -72,7 +73,23 @@ struct CoordinatorStats {
   uint64_t BatchesStolen = 0;
   uint64_t CoreBroadcasts = 0;
   uint64_t HeartbeatsReceived = 0;
+
+  /// The counters above, named by their metric names.
+  struct Field {
+    const char *Name;
+    uint64_t CoordinatorStats::*Member;
+  };
+  static constexpr Field Fields[] = {
+      {"dist.workers_dropped", &CoordinatorStats::WorkersDropped},
+      {"dist.batches_requeued", &CoordinatorStats::BatchesRequeued},
+      {"dist.batches_stolen", &CoordinatorStats::BatchesStolen},
+      {"dist.core_broadcasts", &CoordinatorStats::CoreBroadcasts},
+      {"dist.heartbeats", &CoordinatorStats::HeartbeatsReceived},
+  };
 };
+static_assert(sizeof(CoordinatorStats) ==
+                  std::size(CoordinatorStats::Fields) * sizeof(uint64_t),
+              "every CoordinatorStats counter needs a Fields entry");
 
 class Coordinator : public engine::CubeBackend {
 public:

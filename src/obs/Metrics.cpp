@@ -67,55 +67,44 @@ Histogram &Registry::histogram(const std::string &Name) {
 
 std::string Registry::snapshotJson() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  std::string Out = "{";
-  bool First = true;
+  JsonObject Out;
   for (const auto &[Name, E] : Entries) {
-    if (!First)
-      Out += ',';
-    First = false;
-    Out += '"';
-    Out += jsonEscape(Name);
-    Out += "\":";
     switch (E.K) {
     case Kind::Counter:
-      Out += std::to_string(E.C->value());
+      Out.count(Name, E.C->value());
       break;
     case Kind::Gauge:
-      Out += std::to_string(E.G->value());
+      Out.count(Name, E.G->value());
       break;
     case Kind::Histogram: {
       const Histogram &H = *E.H;
       uint64_t N = H.count();
-      Out += "{\"count\":" + std::to_string(N);
-      Out += ",\"sum\":" + std::to_string(H.sum());
-      Out += ",\"mean\":" +
-             jsonNumber(N ? static_cast<double>(H.sum()) /
-                                static_cast<double>(N)
-                          : 0.0);
-      Out += ",\"max\":" + std::to_string(H.max());
-      Out += ",\"buckets\":{";
-      bool FirstB = true;
+      double Mean =
+          N ? static_cast<double>(H.sum()) / static_cast<double>(N) : 0.0;
+      JsonObject Buckets;
       for (size_t B = 0; B != Histogram::NumBuckets; ++B) {
         uint64_t C = H.bucket(B);
         if (!C)
           continue;
-        if (!FirstB)
-          Out += ',';
-        FirstB = false;
         // Bucket label = exclusive upper bound of the sample range
         // ([2^B, 2^(B+1)); the last bucket has no finite bound).
-        Out += B + 1 == Histogram::NumBuckets
-                   ? std::string("\"rest\"")
-                   : "\"lt_" + std::to_string(uint64_t{1} << (B + 1)) + "\"";
-        Out += ":" + std::to_string(C);
+        std::string Label = "rest";
+        if (B + 1 != Histogram::NumBuckets)
+          Label = "lt_" + std::to_string(uint64_t{1} << (B + 1));
+        Buckets.count(Label, C);
       }
-      Out += "}}";
+      JsonObject Hist;
+      Hist.count("count", N)
+          .count("sum", H.sum())
+          .num("mean", Mean)
+          .count("max", H.max())
+          .raw("buckets", Buckets.text());
+      Out.raw(Name, Hist.text());
       break;
     }
     }
   }
-  Out += '}';
-  return Out;
+  return Out.text();
 }
 
 void Registry::reset() {

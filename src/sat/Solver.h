@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -148,43 +149,46 @@ struct SolverStats {
     return BinPropagations + LongPropagations + XorPropagations;
   }
 
-  /// Aggregation and delta are needed in one place per layer (engine
-  /// slot totals, wire-format deltas, coordinator merging, distance
-  /// probes); keeping them here means a new counter cannot be summed in
-  /// one consumer and silently dropped in another.
+  /// The one list of the counters above, in wire order (dist/Codec.cpp
+  /// encodes them in this order); the names are the --bench-out keys
+  /// and, prefixed with "solver.", the metric names. Aggregation, delta,
+  /// the codec and every JSON record loop over it, so a new counter
+  /// cannot be summed in one consumer and silently dropped in another.
+  struct Field {
+    const char *Name;
+    uint64_t SolverStats::*Member;
+  };
+  static constexpr Field Fields[] = {
+      {"decisions", &SolverStats::Decisions},
+      {"bin_propagations", &SolverStats::BinPropagations},
+      {"long_propagations", &SolverStats::LongPropagations},
+      {"conflicts", &SolverStats::Conflicts},
+      {"learned", &SolverStats::LearnedClauses},
+      {"restarts", &SolverStats::Restarts},
+      {"xor_propagations", &SolverStats::XorPropagations},
+      {"xor_conflicts", &SolverStats::XorConflicts},
+      {"xor_eliminations", &SolverStats::XorEliminations},
+      {"arena_bytes", &SolverStats::ArenaBytes},
+      {"wasted_bytes", &SolverStats::WastedBytes},
+      {"compactions", &SolverStats::Compactions},
+  };
+
   SolverStats &operator+=(const SolverStats &O) {
-    Decisions += O.Decisions;
-    BinPropagations += O.BinPropagations;
-    LongPropagations += O.LongPropagations;
-    Conflicts += O.Conflicts;
-    LearnedClauses += O.LearnedClauses;
-    Restarts += O.Restarts;
-    XorPropagations += O.XorPropagations;
-    XorConflicts += O.XorConflicts;
-    XorEliminations += O.XorEliminations;
-    ArenaBytes += O.ArenaBytes;
-    WastedBytes += O.WastedBytes;
-    Compactions += O.Compactions;
+    for (const auto &F : Fields)
+      this->*F.Member += O.*F.Member;
     return *this;
   }
   /// Counter-wise delta (all counters are monotone).
   SolverStats operator-(const SolverStats &O) const {
     SolverStats D;
-    D.Decisions = Decisions - O.Decisions;
-    D.BinPropagations = BinPropagations - O.BinPropagations;
-    D.LongPropagations = LongPropagations - O.LongPropagations;
-    D.Conflicts = Conflicts - O.Conflicts;
-    D.LearnedClauses = LearnedClauses - O.LearnedClauses;
-    D.Restarts = Restarts - O.Restarts;
-    D.XorPropagations = XorPropagations - O.XorPropagations;
-    D.XorConflicts = XorConflicts - O.XorConflicts;
-    D.XorEliminations = XorEliminations - O.XorEliminations;
-    D.ArenaBytes = ArenaBytes - O.ArenaBytes;
-    D.WastedBytes = WastedBytes - O.WastedBytes;
-    D.Compactions = Compactions - O.Compactions;
+    for (const auto &F : Fields)
+      D.*F.Member = this->*F.Member - O.*F.Member;
     return D;
   }
 };
+static_assert(sizeof(SolverStats) ==
+                  std::size(SolverStats::Fields) * sizeof(uint64_t),
+              "every SolverStats counter needs a Fields entry");
 
 /// CDCL SAT solver. Typical usage:
 /// \code

@@ -25,6 +25,7 @@
 #include "smt/BoolExpr.h"
 
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -67,7 +68,27 @@ struct PreprocessStats {
   /// Conjuncts the linear lift could not absorb.
   size_t ResidueConjuncts = 0;
   bool TriviallyUnsat = false;
+
+  /// The count fields above, in wire order, named by their --bench-out
+  /// "prep" keys; TriviallyUnsat is the one flag and is handled apart.
+  struct Field {
+    const char *Name;
+    size_t PreprocessStats::*Member;
+  };
+  static constexpr Field Fields[] = {
+      {"linear_conjuncts", &PreprocessStats::LinearConjuncts},
+      {"linear_vars", &PreprocessStats::LinearVars},
+      {"rows_kept", &PreprocessStats::RowsKept},
+      {"units_fixed", &PreprocessStats::UnitsFixed},
+      {"vars_eliminated", &PreprocessStats::VarsEliminated},
+      {"equiv_aliased", &PreprocessStats::EquivAliased},
+      {"residue_conjuncts", &PreprocessStats::ResidueConjuncts},
+  };
 };
+// The trailing flag pads to one more size_t.
+static_assert(sizeof(PreprocessStats) ==
+                  (std::size(PreprocessStats::Fields) + 1) * sizeof(size_t),
+              "every PreprocessStats count needs a Fields entry");
 
 /// A 2-literal equivalence distilled from a kept parity row u ^ v = c:
 /// VarId (= v) is eliminated from the encoding entirely; every occurrence

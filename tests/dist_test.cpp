@@ -139,11 +139,10 @@ TEST(DistCodec, RoundTripsBatchResultsModelsAndCores) {
   R.BatchId = 11;
   R.Status = BatchStatus::Sat;
   R.Model = {{"e0", true}, {"e1", false}, {"m__3", true}};
-  R.Stats.Conflicts = 17;
-  R.Stats.BinPropagations = 12345678901234ull;
-  R.Stats.LongPropagations = 98765432109876ull;
-  R.Stats.XorEliminations = 5;
-  R.Stats.Compactions = 21;
+  // Every counter gets a distinct large value through the field table.
+  uint64_t I = 0;
+  for (const auto &F : sat::SolverStats::Fields)
+    R.Stats.*F.Member = 0x0102030405060708ull * ++I;
   R.Solved = 41;
   R.PrunedGf2 = 4;
   R.PrunedCore = 2;
@@ -157,15 +156,74 @@ TEST(DistCodec, RoundTripsBatchResultsModelsAndCores) {
   EXPECT_EQ(D->BatchId, 11u);
   EXPECT_EQ(D->Status, BatchStatus::Sat);
   EXPECT_EQ(D->Model, R.Model);
-  EXPECT_EQ(D->Stats.Conflicts, 17u);
-  EXPECT_EQ(D->Stats.BinPropagations, 12345678901234ull);
-  EXPECT_EQ(D->Stats.LongPropagations, 98765432109876ull);
-  EXPECT_EQ(D->Stats.XorEliminations, 5u);
-  EXPECT_EQ(D->Stats.Compactions, 21u);
+  for (const auto &F : sat::SolverStats::Fields)
+    EXPECT_EQ(D->Stats.*F.Member, R.Stats.*F.Member) << F.Name;
   EXPECT_EQ(D->Solved, 41u);
   EXPECT_EQ(D->PrunedGf2, 4u);
   EXPECT_EQ(D->PrunedCore, 2u);
   EXPECT_EQ(D->NewCores, R.NewCores);
+}
+
+TEST(DistCodec, BatchResultFrameBytesArePinned) {
+  // The counters are set by member name, not through the field table,
+  // so a reordered table changes these bytes. The FNV-1a hash is of the
+  // frame the by-name stats codec of wire version 6 encoded.
+  const uint64_t K = 0x0102030405060708ull;
+  BatchResultMsg R;
+  R.ProblemId = 3;
+  R.BatchId = 11;
+  R.Status = BatchStatus::Sat;
+  R.Model = {{"e0", true}, {"e1", false}, {"m__3", true}};
+  R.Stats.Decisions = K * 1;
+  R.Stats.BinPropagations = K * 2;
+  R.Stats.LongPropagations = K * 3;
+  R.Stats.Conflicts = K * 4;
+  R.Stats.LearnedClauses = K * 5;
+  R.Stats.Restarts = K * 6;
+  R.Stats.XorPropagations = K * 7;
+  R.Stats.XorConflicts = K * 8;
+  R.Stats.XorEliminations = K * 9;
+  R.Stats.ArenaBytes = K * 10;
+  R.Stats.WastedBytes = K * 11;
+  R.Stats.Compactions = K * 12;
+  R.Solved = 41;
+  R.PrunedGf2 = 4;
+  R.PrunedCore = 2;
+  R.NewCores = {{sat::mkLit(3), ~sat::mkLit(7)}, {~sat::mkLit(1)}};
+  std::vector<uint8_t> Frame = encodeMessage(R);
+  uint64_t Hash = 14695981039346656037ull;
+  for (uint8_t Byte : Frame) {
+    Hash ^= Byte;
+    Hash *= 1099511628211ull;
+  }
+  EXPECT_EQ(Frame.size(), 185u);
+  EXPECT_EQ(Hash, 10543648505038178415ull);
+}
+
+TEST(DistCodec, RoundTripsEveryPreprocessStatsField) {
+  vt::FuzzCase C = vt::generateFuzzCase(1, vt::FuzzerOptions{});
+  smt::BoolContext Ctx;
+  BuiltVc Vc = engine::buildScenarioVc(Ctx, C.Scn);
+  ASSERT_TRUE(Vc.Ok);
+  smt::VerificationProblem P(Ctx, Vc.NegatedVc);
+  // The table order is the wire order.
+  std::string Names;
+  for (const auto &F : smt::PreprocessStats::Fields)
+    Names += std::string(F.Name) + " ";
+  EXPECT_EQ(Names, "linear_conjuncts linear_vars rows_kept units_fixed "
+                   "vars_eliminated equiv_aliased residue_conjuncts ");
+  size_t I = 0;
+  for (const auto &F : smt::PreprocessStats::Fields)
+    P.Prep.*F.Member = 0x0102030405060708ull * ++I;
+  P.Prep.TriviallyUnsat = true;
+
+  Message M;
+  ASSERT_TRUE(decodeMessage(problemFrame(P), M));
+  ProblemMsg *PM = std::get_if<ProblemMsg>(&M);
+  ASSERT_NE(PM, nullptr);
+  for (const auto &F : smt::PreprocessStats::Fields)
+    EXPECT_EQ(PM->Problem->Prep.*F.Member, P.Prep.*F.Member) << F.Name;
+  EXPECT_TRUE(PM->Problem->Prep.TriviallyUnsat);
 }
 
 TEST(DistCodec, RoundTripsHeartbeatAndEvictedFrames) {

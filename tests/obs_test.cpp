@@ -236,14 +236,14 @@ TEST(Metrics, RegistrySnapshotRendersEveryKind) {
 
   std::string Json = R.snapshotJson();
   EXPECT_TRUE(balancedJson(Json));
-  EXPECT_NE(Json.find("\"test.snapshot.ctr\":5"), std::string::npos);
-  EXPECT_NE(Json.find("\"test.snapshot.gauge\":12"), std::string::npos);
-  EXPECT_NE(Json.find("\"test.snapshot.hist\":{\"count\":2,\"sum\":701"),
+  EXPECT_NE(Json.find("\"test.snapshot.ctr\": 5"), std::string::npos);
+  EXPECT_NE(Json.find("\"test.snapshot.gauge\": 12"), std::string::npos);
+  EXPECT_NE(Json.find("\"test.snapshot.hist\": {\"count\": 2, \"sum\": 701"),
             std::string::npos);
-  EXPECT_NE(Json.find("\"max\":700"), std::string::npos);
+  EXPECT_NE(Json.find("\"max\": 700"), std::string::npos);
   // Bucket labels are exclusive upper bounds: 1 -> lt_2, 700 -> lt_1024.
-  EXPECT_NE(Json.find("\"lt_2\":1"), std::string::npos);
-  EXPECT_NE(Json.find("\"lt_1024\":1"), std::string::npos);
+  EXPECT_NE(Json.find("\"lt_2\": 1"), std::string::npos);
+  EXPECT_NE(Json.find("\"lt_1024\": 1"), std::string::npos);
 }
 
 TEST(Metrics, ResetZeroesValuesButKeepsCachedReferencesValid) {
@@ -259,6 +259,6 @@ TEST(Metrics, ResetZeroesValuesButKeepsCachedReferencesValid) {
   obs::setMetricsEnabled(false);
   EXPECT_EQ(C.value(), 2u);
   EXPECT_EQ(&R.counter("test.reset.ctr"), &C);
-  EXPECT_NE(R.snapshotJson().find("\"test.reset.ctr\":2"),
+  EXPECT_NE(R.snapshotJson().find("\"test.reset.ctr\": 2"),
             std::string::npos);
 }

@@ -93,6 +93,37 @@ TEST(LubySequence, FirstValues) {
     EXPECT_EQ(lubySequence(I + 1), Expected[I]) << "index " << I + 1;
 }
 
+TEST(SolverStats, FieldTableDrivesSumAndDelta) {
+  // The table's names are the --bench-out keys, in wire order.
+  std::string Names;
+  for (const auto &F : SolverStats::Fields)
+    Names += std::string(F.Name) + " ";
+  EXPECT_EQ(Names, "decisions bin_propagations long_propagations conflicts "
+                   "learned restarts xor_propagations xor_conflicts "
+                   "xor_eliminations arena_bytes wasted_bytes compactions ");
+
+  // Distinct large values per field, so a loop that reads or writes the
+  // wrong member shows up in exactly that field.
+  SolverStats A, B;
+  uint64_t I = 0;
+  for (const auto &F : SolverStats::Fields) {
+    ++I;
+    A.*F.Member = 0x0102030405060708ull * I;
+    B.*F.Member = I;
+  }
+  SolverStats Sum = A;
+  Sum += B;
+  SolverStats Delta = A - B;
+  I = 0;
+  for (const auto &F : SolverStats::Fields) {
+    ++I;
+    EXPECT_EQ(Sum.*F.Member, 0x0102030405060708ull * I + I) << F.Name;
+    EXPECT_EQ(Delta.*F.Member, 0x0102030405060708ull * I - I) << F.Name;
+  }
+  EXPECT_EQ(B.propagations(),
+            B.BinPropagations + B.LongPropagations + B.XorPropagations);
+}
+
 TEST(Solver, EmptyFormulaIsSat) {
   Solver S;
   EXPECT_EQ(S.solve(), SolveResult::Sat);

@@ -222,3 +222,24 @@ TEST(Json, NumbersRenderFiniteValuesAndNullOtherwise) {
   EXPECT_EQ(jsonNumber(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(jsonNumber(-std::numeric_limits<double>::infinity()), "null");
 }
+
+TEST(Json, ObjectEscapesKeysAndValuesAndNests) {
+  EXPECT_EQ(JsonObject().text(), "{}");
+  JsonObject Inner;
+  Inner.count("n", 3).flag("ok", false);
+  JsonObject J;
+  J.str("k\"ey", "va\\l\nue")
+      .count("big", 18446744073709551615ull)
+      .num("half", 0.5)
+      .num("nan", std::nan(""))
+      .num("inf", std::numeric_limits<double>::infinity())
+      .flag("yes", true)
+      .raw("inner", Inner.text())
+      .raw("empty", JsonObject().text());
+  EXPECT_EQ(J.text(), "{\"k\\\"ey\": \"va\\\\l\\nue\", "
+                      "\"big\": 18446744073709551615, \"half\": 0.5, "
+                      "\"nan\": null, \"inf\": null, \"yes\": true, "
+                      "\"inner\": {\"n\": 3, \"ok\": false}, \"empty\": {}}");
+  EXPECT_EQ(jsonArray({}), "[]");
+  EXPECT_EQ(jsonArray({"1", jsonString("a\"b")}), "[\n  1,\n  \"a\\\"b\"\n]");
+}

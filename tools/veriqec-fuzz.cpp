@@ -170,10 +170,8 @@ int main(int Argc, char **Argv) {
   uint64_t BruteRuns = 0, SamplingRuns = 0, ProofsChecked = 0;
   double Seconds = 0;
   std::vector<uint64_t> FailingSeeds;
+  std::vector<std::string> Cases;
 
-  if (Cli.Json)
-    std::printf("{\"base_seed\": %llu, \"cases\": [\n",
-                static_cast<unsigned long long>(Cli.BaseSeed));
   for (uint64_t I = 0; I != Cli.Seeds; ++I) {
     uint64_t Seed = Cli.BaseSeed + I;
     FuzzCase Case = generateFuzzCase(Seed, FO);
@@ -205,19 +203,18 @@ int main(int Argc, char **Argv) {
     }
 
     if (Cli.Json) {
-      std::printf("  {\"seed\": %llu, \"case\": \"%s\", "
-                  "\"consensus\": \"%c\", \"clean\": %s",
-                  static_cast<unsigned long long>(Seed),
-                  jsonEscape(Report.Description).c_str(), Report.Consensus,
-                  Report.clean() ? "true" : "false");
+      JsonObject J;
+      J.count("seed", Seed)
+          .str("case", Report.Description)
+          .str("consensus", std::string(1, Report.Consensus))
+          .flag("clean", Report.clean());
       if (!Report.clean()) {
-        std::printf(", \"discrepancies\": [");
-        for (size_t D = 0; D != Report.Discrepancies.size(); ++D)
-          std::printf("%s\"%s\"", D ? ", " : "",
-                      jsonEscape(Report.Discrepancies[D]).c_str());
-        std::printf("]");
+        std::vector<std::string> Discrepancies;
+        for (const std::string &D : Report.Discrepancies)
+          Discrepancies.push_back(jsonString(D));
+        J.raw("discrepancies", jsonArray(Discrepancies));
       }
-      std::printf("}%s\n", I + 1 == Cli.Seeds ? "" : ",");
+      Cases.push_back(J.text());
     } else if (Cli.Verbose || !Report.clean()) {
       std::printf("%s %s consensus=%c%s\n",
                   Report.clean() ? "ok  " : "FAIL",
@@ -229,9 +226,12 @@ int main(int Argc, char **Argv) {
   }
 
   if (Cli.Json) {
-    std::printf("], \"clean\": %llu, \"discrepant\": %llu}\n",
-                static_cast<unsigned long long>(Clean),
-                static_cast<unsigned long long>(Cli.Seeds - Clean));
+    JsonObject J;
+    J.count("base_seed", Cli.BaseSeed)
+        .raw("cases", jsonArray(Cases))
+        .count("clean", Clean)
+        .count("discrepant", Cli.Seeds - Clean);
+    std::puts(J.text().c_str());
   } else {
     std::printf("fuzz: %llu cases (%llu verified, %llu refuted, %llu "
                 "other), %llu clean, %llu discrepant; oracle coverage: "

@@ -324,6 +324,17 @@ bool setupDist(const CliOptions &Cli, DistContext &Ctx) {
 
 // -- Proof handling ----------------------------------------------------------
 
+/// Writes \p Text to \p Path. The stream is flushed before it is
+/// checked, so a full disk is reported instead of losing the data.
+bool writeFile(const std::string &Path, const std::string &Text) {
+  std::ofstream Out(Path, std::ios::binary);
+  if (!(Out << Text) || !Out.flush()) {
+    std::fprintf(stderr, "veriqec: cannot write %s\n", Path.c_str());
+    return false;
+  }
+  return true;
+}
+
 /// Post-run proof handling for one UNSAT verdict (--check-proofs /
 /// --proof-dir): dumps the proof when a directory was given and replays
 /// it in-process when checking was requested. Returns 0 on success, 2
@@ -343,12 +354,8 @@ int handleProof(const CliOptions &Cli, const std::string &Name,
   if (!Cli.ProofDir.empty()) {
     std::error_code Ec;
     std::filesystem::create_directories(Cli.ProofDir, Ec);
-    std::string Path = Cli.ProofDir + "/" + Name + ".proof";
-    std::ofstream Out(Path, std::ios::binary);
-    if (!(Out << Proof) || !Out.flush()) {
-      std::fprintf(stderr, "veriqec: cannot write %s\n", Path.c_str());
+    if (!writeFile(Cli.ProofDir + "/" + Name + ".proof", Proof))
       return 2;
-    }
   }
   if (!Cli.CheckProofs)
     return 0;
@@ -461,213 +468,114 @@ void printRecordText(const RunRecord &R) {
   }
 }
 
-void printRecordJson(const RunRecord &R, bool Last) {
-  std::printf("  {\"code\": \"%s\", \"scenario\": \"%s\", \"basis\": \"%s\", "
-              "\"qubits\": %zu, ",
-              jsonEscape(R.Code).c_str(), jsonEscape(R.Scenario).c_str(),
-              R.Basis.c_str(), R.NumQubits);
-  if (!R.Result.StructuralOk) {
-    std::printf("\"error\": \"%s\"}%s\n", jsonEscape(R.Result.Error).c_str(),
-                Last ? "" : ",");
-    return;
+/// The solver counters every record carries: the propagation total plus
+/// one key per SolverStats field.
+void putSolverStats(JsonObject &J, const sat::SolverStats &S) {
+  J.count("propagations", S.propagations());
+  for (const auto &F : sat::SolverStats::Fields)
+    J.count(F.Name, S.*F.Member);
+}
+
+std::string prepJson(const smt::PreprocessStats &P) {
+  JsonObject J;
+  for (const auto &F : smt::PreprocessStats::Fields)
+    J.count(F.Name, P.*F.Member);
+  return J.flag("trivially_unsat", P.TriviallyUnsat).text();
+}
+
+/// Publishes a run's solver totals as the solver.<name> metrics.
+void publishSolverStats(const sat::SolverStats &S) {
+  obs::Registry &Reg = obs::Registry::global();
+  Reg.counter("solver.propagations").set(S.propagations());
+  for (const auto &F : sat::SolverStats::Fields)
+    Reg.counter(std::string("solver.") + F.Name).set(S.*F.Member);
+}
+
+/// One scenario's record, shared by --json and --bench-out: wall-clock,
+/// solver, cube and encoder/preprocessor statistics.
+std::string recordJson(const RunRecord &R) {
+  const VerificationResult &V = R.Result;
+  JsonObject J;
+  J.str("code", R.Code)
+      .str("scenario", R.Scenario)
+      .str("basis", R.Basis)
+      .count("qubits", R.NumQubits);
+  if (!V.StructuralOk)
+    return J.str("error", V.Error).text();
+  J.flag("verified", V.Verified)
+      .flag("aborted", V.Aborted)
+      .num("seconds", V.Seconds)
+      .count("goals", V.NumGoals)
+      .count("cubes", V.NumCubes)
+      .count("cubes_solved", V.CubesSolved)
+      .count("cubes_pruned", V.CubesPruned)
+      .count("cubes_pruned_gf2", V.CubesPrunedGf2)
+      .count("cubes_pruned_core", V.CubesPrunedCore)
+      .count("split_threshold_used", V.SplitThresholdUsed);
+  putSolverStats(J, V.Stats);
+  J.count("cnf_vars", V.CnfVars)
+      .count("cnf_clauses", V.CnfClauses)
+      .raw("prep", prepJson(V.Prep));
+  if (!V.Verified && !V.CounterExample.empty()) {
+    JsonObject Cex;
+    for (const auto &[Name, Value] : V.CounterExample)
+      if (Value)
+        Cex.flag(Name, true);
+    J.raw("counterexample", Cex.text());
   }
-  std::printf("\"verified\": %s, \"aborted\": %s, \"seconds\": %.6f, "
-              "\"goals\": %zu, "
-              "\"cubes\": %llu, \"cubes_solved\": %llu, \"conflicts\": %llu, "
-              "\"decisions\": %llu, \"propagations\": %llu",
-              R.Result.Verified ? "true" : "false",
-              R.Result.Aborted ? "true" : "false", R.Result.Seconds,
-              R.Result.NumGoals,
-              static_cast<unsigned long long>(R.Result.NumCubes),
-              static_cast<unsigned long long>(R.Result.CubesSolved),
-              static_cast<unsigned long long>(R.Result.Stats.Conflicts),
-              static_cast<unsigned long long>(R.Result.Stats.Decisions),
-              static_cast<unsigned long long>(R.Result.Stats.propagations()));
-  if (!R.Result.Verified && !R.Result.CounterExample.empty()) {
-    std::printf(", \"counterexample\": {");
-    bool First = true;
-    for (const auto &[Name, Value] : R.Result.CounterExample) {
-      if (!Value)
-        continue;
-      std::printf("%s\"%s\": true", First ? "" : ", ",
-                  jsonEscape(Name).c_str());
-      First = false;
-    }
-    std::printf("}");
-  }
-  std::printf("}%s\n", Last ? "" : ",");
+  return J.text();
 }
 
 /// Writes the machine-readable benchmark trajectory file (--bench-out):
-/// one record per scenario with wall-clock, solver, cube and
-/// encoder/preprocessor statistics, plus the engine configuration that
-/// produced them.
-bool writeBenchOut(const CliOptions &Cli, const std::vector<RunRecord> &Records,
-                   size_t Workers) {
-  std::ofstream Out(Cli.BenchOut);
-  if (!Out) {
-    std::fprintf(stderr, "veriqec: cannot write %s\n", Cli.BenchOut.c_str());
-    return false;
-  }
-  char Buf[2048];
-  Out << "{\n  \"config\": {";
-  std::snprintf(Buf, sizeof(Buf),
-                "\"command\": \"verify\", \"jobs\": %zu, \"workers\": %zu, "
-                "\"dist\": \"%s\", "
-                "\"sequential\": %s, \"preprocess\": %s, \"xor\": %s, "
-                "\"split_threshold\": %u, \"card_enc\": \"%s\", "
-                "\"conflict_budget\": %llu, \"seed\": %llu",
-                Cli.Jobs, Workers,
-                Cli.Command == "serve" ? "serve"
-                : Cli.Dist.empty()     ? "local"
-                                       : jsonEscape(Cli.Dist).c_str(),
-                Cli.Sequential ? "true" : "false",
-                Cli.NoPreprocess ? "false" : "true",
-                // Without preprocessing there are no parity rows to keep
-                // native, so the engine is inert regardless of --xor;
-                // record what the run actually measured.
-                Cli.Xor == smt::XorMode::On && !Cli.NoPreprocess ? "true"
-                                                                 : "false",
-                Cli.SplitThreshold,
-                Cli.CardEnc == smt::CardinalityEncoding::SequentialCounter
-                    ? "seq"
-                    : "pairwise",
-                static_cast<unsigned long long>(Cli.ConflictBudget),
-                static_cast<unsigned long long>(Cli.Seed));
-  Out << Buf << "},\n  \"results\": [\n";
-  for (size_t I = 0; I != Records.size(); ++I) {
-    const RunRecord &R = Records[I];
-    Out << "    {\"code\": \"" << jsonEscape(R.Code) << "\", \"scenario\": \""
-        << jsonEscape(R.Scenario) << "\", \"basis\": \"" << R.Basis
-        << "\", \"qubits\": " << R.NumQubits;
-    if (!R.Result.StructuralOk) {
-      Out << ", \"error\": \"" << jsonEscape(R.Result.Error) << "\"}";
-    } else {
-      const VerificationResult &V = R.Result;
-      std::snprintf(
-          Buf, sizeof(Buf),
-          ", \"verified\": %s, \"aborted\": %s, \"seconds\": %.6f, "
-          "\"goals\": %zu, \"cubes\": %llu, \"cubes_solved\": %llu, "
-          "\"cubes_pruned\": %llu, \"cubes_pruned_gf2\": %llu, "
-          "\"cubes_pruned_core\": %llu, \"split_threshold_used\": %u, "
-          "\"conflicts\": %llu, \"decisions\": %llu, "
-          "\"propagations\": %llu, \"bin_propagations\": %llu, "
-          "\"long_propagations\": %llu, "
-          "\"learned\": %llu, \"restarts\": %llu, "
-          "\"xor_propagations\": %llu, \"xor_conflicts\": %llu, "
-          "\"xor_eliminations\": %llu, "
-          "\"arena_bytes\": %llu, \"wasted_bytes\": %llu, "
-          "\"compactions\": %llu, "
-          "\"cnf_vars\": %zu, \"cnf_clauses\": %zu",
-          V.Verified ? "true" : "false", V.Aborted ? "true" : "false",
-          V.Seconds, V.NumGoals, static_cast<unsigned long long>(V.NumCubes),
-          static_cast<unsigned long long>(V.CubesSolved),
-          static_cast<unsigned long long>(V.CubesPruned),
-          static_cast<unsigned long long>(V.CubesPrunedGf2),
-          static_cast<unsigned long long>(V.CubesPrunedCore),
-          V.SplitThresholdUsed,
-          static_cast<unsigned long long>(V.Stats.Conflicts),
-          static_cast<unsigned long long>(V.Stats.Decisions),
-          static_cast<unsigned long long>(V.Stats.propagations()),
-          static_cast<unsigned long long>(V.Stats.BinPropagations),
-          static_cast<unsigned long long>(V.Stats.LongPropagations),
-          static_cast<unsigned long long>(V.Stats.LearnedClauses),
-          static_cast<unsigned long long>(V.Stats.Restarts),
-          static_cast<unsigned long long>(V.Stats.XorPropagations),
-          static_cast<unsigned long long>(V.Stats.XorConflicts),
-          static_cast<unsigned long long>(V.Stats.XorEliminations),
-          static_cast<unsigned long long>(V.Stats.ArenaBytes),
-          static_cast<unsigned long long>(V.Stats.WastedBytes),
-          static_cast<unsigned long long>(V.Stats.Compactions),
-          V.CnfVars, V.CnfClauses);
-      Out << Buf;
-      std::snprintf(
-          Buf, sizeof(Buf),
-          ", \"prep\": {\"linear_conjuncts\": %zu, \"linear_vars\": %zu, "
-          "\"rows_kept\": %zu, \"units_fixed\": %zu, "
-          "\"vars_eliminated\": %zu, \"equiv_aliased\": %zu, "
-          "\"residue_conjuncts\": %zu, "
-          "\"trivially_unsat\": %s}}",
-          V.Prep.LinearConjuncts, V.Prep.LinearVars, V.Prep.RowsKept,
-          V.Prep.UnitsFixed, V.Prep.VarsEliminated, V.Prep.EquivAliased,
-          V.Prep.ResidueConjuncts,
-          V.Prep.TriviallyUnsat ? "true" : "false");
-      Out << Buf;
-    }
-    Out << (I + 1 == Records.size() ? "\n" : ",\n");
-  }
-  Out << "  ],\n  \"metrics\": " << obs::Registry::global().snapshotJson()
-      << "\n}\n";
-  return static_cast<bool>(Out);
+/// the configuration that produced the run, one record per result, and
+/// the metrics snapshot.
+bool writeBenchOut(const std::string &Path, const JsonObject &Config,
+                   const std::vector<std::string> &Results) {
+  JsonObject J;
+  J.raw("config", Config.text())
+      .raw("results", jsonArray(Results))
+      .raw("metrics", obs::Registry::global().snapshotJson());
+  return writeFile(Path, J.text() + "\n");
 }
 
-/// One distance-search record for the distance command's --bench-out.
-struct DistanceRecord {
-  std::string Code;
-  size_t NumQubits = 0;
-  DistanceResult Result;
-};
+/// One distance-search record, shared by the distance command's --json
+/// and --bench-out: per-code wall-clock, solver-call and solver counts
+/// plus the XOR-engine and preprocessing statistics. \p Matches says
+/// whether the search agrees with the registry distance, \p Family
+/// names the restricted family ("x"/"z") that attains it when the
+/// unrestricted search does not.
+std::string distanceRecordJson(const std::string &Name,
+                               const StabilizerCode &Code, bool Matches,
+                               const std::string &Family,
+                               const DistanceResult &D) {
+  JsonObject J;
+  J.str("code", Name)
+      .count("qubits", Code.NumQubits)
+      .flag("ok", D.Ok)
+      .flag("aborted", D.Aborted)
+      .count("distance", D.Distance)
+      .count("documented", Code.Distance)
+      .flag("matches", Matches)
+      .num("seconds", D.Seconds)
+      .count("solver_calls", D.SolverCalls);
+  putSolverStats(J, D.Stats);
+  J.count("xor_rows", D.XorRows)
+      .count("cnf_vars", D.CnfVars)
+      .count("cnf_clauses", D.CnfClauses)
+      .raw("prep", prepJson(D.Prep));
+  if (!Family.empty())
+    J.str("documented_family", Family);
+  if (D.Witness)
+    J.str("witness", D.Witness->toString());
+  return J.text();
+}
 
-/// Benchmark trajectory file of a distance run: per-code wall-clock,
-/// solver-call and conflict counts plus the XOR-engine statistics, with
-/// the configuration (in particular `xor` on/off) that produced them —
-/// the machine-readable half of the `--xor` A/B comparison.
-bool writeDistanceBenchOut(const CliOptions &Cli,
-                           const std::vector<DistanceRecord> &Records) {
-  std::ofstream Out(Cli.BenchOut);
-  if (!Out) {
-    std::fprintf(stderr, "veriqec: cannot write %s\n", Cli.BenchOut.c_str());
-    return false;
-  }
-  char Buf[2048];
-  Out << "{\n  \"config\": {";
-  std::snprintf(Buf, sizeof(Buf),
-                "\"command\": \"distance\", \"preprocess\": %s, \"xor\": %s, "
-                "\"conflict_budget\": %llu, \"seed\": %llu",
-                Cli.NoPreprocess ? "false" : "true",
-                // As in writeBenchOut: --no-preprocess leaves no rows
-                // for the XOR engine, so the run is effectively xor-off.
-                Cli.Xor != smt::XorMode::Off && !Cli.NoPreprocess
-                    ? "true"
-                    : "false",
-                static_cast<unsigned long long>(Cli.ConflictBudget),
-                static_cast<unsigned long long>(Cli.Seed));
-  Out << Buf << "},\n  \"results\": [\n";
-  for (size_t I = 0; I != Records.size(); ++I) {
-    const DistanceRecord &R = Records[I];
-    const DistanceResult &D = R.Result;
-    Out << "    {\"code\": \"" << jsonEscape(R.Code)
-        << "\", \"qubits\": " << R.NumQubits;
-    std::snprintf(
-        Buf, sizeof(Buf),
-        ", \"ok\": %s, \"aborted\": %s, \"distance\": %zu, "
-        "\"seconds\": %.6f, \"solver_calls\": %llu, \"conflicts\": %llu, "
-        "\"decisions\": %llu, \"propagations\": %llu, "
-        "\"bin_propagations\": %llu, \"long_propagations\": %llu, "
-        "\"xor_propagations\": %llu, \"xor_conflicts\": %llu, "
-        "\"xor_eliminations\": %llu, \"xor_rows\": %zu, "
-        "\"arena_bytes\": %llu, \"wasted_bytes\": %llu, "
-        "\"compactions\": %llu, "
-        "\"cnf_vars\": %zu, \"cnf_clauses\": %zu}",
-        D.Ok ? "true" : "false", D.Aborted ? "true" : "false", D.Distance,
-        D.Seconds, static_cast<unsigned long long>(D.SolverCalls),
-        static_cast<unsigned long long>(D.Stats.Conflicts),
-        static_cast<unsigned long long>(D.Stats.Decisions),
-        static_cast<unsigned long long>(D.Stats.propagations()),
-        static_cast<unsigned long long>(D.Stats.BinPropagations),
-        static_cast<unsigned long long>(D.Stats.LongPropagations),
-        static_cast<unsigned long long>(D.Stats.XorPropagations),
-        static_cast<unsigned long long>(D.Stats.XorConflicts),
-        static_cast<unsigned long long>(D.Stats.XorEliminations), D.XorRows,
-        static_cast<unsigned long long>(D.Stats.ArenaBytes),
-        static_cast<unsigned long long>(D.Stats.WastedBytes),
-        static_cast<unsigned long long>(D.Stats.Compactions),
-        D.CnfVars, D.CnfClauses);
-    Out << Buf << (I + 1 == Records.size() ? "\n" : ",\n");
-  }
-  Out << "  ],\n  \"metrics\": " << obs::Registry::global().snapshotJson()
-      << "\n}\n";
-  return static_cast<bool>(Out);
+/// Prints a command's --json document: the seed and its records.
+void printResultsJson(const CliOptions &Cli,
+                      const std::vector<std::string> &Results) {
+  JsonObject J;
+  J.count("seed", Cli.Seed).raw("results", jsonArray(Results));
+  std::puts(J.text().c_str());
 }
 
 // -- Commands ----------------------------------------------------------------
@@ -820,9 +728,7 @@ int runVerify(const CliOptions &Cli) {
   // histograms.
   if (obs::metricsEnabled()) {
     obs::Registry &Reg = obs::Registry::global();
-    Reg.counter("solver.conflicts").set(Total.Conflicts);
-    Reg.counter("solver.decisions").set(Total.Decisions);
-    Reg.counter("solver.propagations").set(Total.propagations());
+    publishSolverStats(Total);
     uint64_t Cubes = 0, Solved = 0, Pruned = 0;
     for (const RunRecord &R : Records) {
       Cubes += R.Result.NumCubes;
@@ -834,23 +740,17 @@ int runVerify(const CliOptions &Cli) {
     Reg.counter("engine.cubes_pruned").set(Pruned);
     Reg.gauge("run.wall_ms").set(
         static_cast<uint64_t>(TotalSeconds * 1e3));
-    if (DC.Coord) {
-      const dist::CoordinatorStats &DS = DC.Coord->stats();
-      Reg.counter("dist.batches_stolen").set(DS.BatchesStolen);
-      Reg.counter("dist.batches_requeued").set(DS.BatchesRequeued);
-      Reg.counter("dist.workers_dropped").set(DS.WorkersDropped);
-      Reg.counter("dist.core_broadcasts").set(DS.CoreBroadcasts);
-      Reg.counter("dist.heartbeats").set(DS.HeartbeatsReceived);
-    }
+    if (DC.Coord)
+      for (const auto &F : dist::CoordinatorStats::Fields)
+        Reg.counter(F.Name).set(DC.Coord->stats().*F.Member);
   }
 
   size_t Workers = DC.Coord ? DC.Coord->numSlots() : Engine.numWorkers();
+  std::vector<std::string> Json;
+  for (const RunRecord &R : Records)
+    Json.push_back(recordJson(R));
   if (Cli.Json) {
-    std::printf("{\"seed\": %llu, \"results\": [\n",
-                static_cast<unsigned long long>(Cli.Seed));
-    for (size_t I = 0; I != Records.size(); ++I)
-      printRecordJson(Records[I], I + 1 == Records.size());
-    std::printf("]}\n");
+    printResultsJson(Cli, Json);
   } else {
     for (const RunRecord &R : Records)
       printRecordText(R);
@@ -873,8 +773,31 @@ int runVerify(const CliOptions &Cli) {
                   static_cast<unsigned long long>(DS.HeartbeatsReceived));
     }
   }
-  if (!Cli.BenchOut.empty() && !writeBenchOut(Cli, Records, Workers))
-    return 2;
+  if (!Cli.BenchOut.empty()) {
+    std::string Dist = Cli.Dist.empty() ? "local" : Cli.Dist;
+    if (Cli.Command == "serve")
+      Dist = "serve";
+    // Without preprocessing there are no parity rows to keep native, so
+    // the engine is inert regardless of --xor; record what the run
+    // actually measured.
+    bool Xor = Cli.Xor == smt::XorMode::On && !Cli.NoPreprocess;
+    bool SeqCounter =
+        Cli.CardEnc == smt::CardinalityEncoding::SequentialCounter;
+    JsonObject J;
+    J.str("command", "verify")
+        .count("jobs", Cli.Jobs)
+        .count("workers", Workers)
+        .str("dist", Dist)
+        .flag("sequential", Cli.Sequential)
+        .flag("preprocess", !Cli.NoPreprocess)
+        .flag("xor", Xor)
+        .count("split_threshold", Cli.SplitThreshold)
+        .str("card_enc", SeqCounter ? "seq" : "pairwise")
+        .count("conflict_budget", Cli.ConflictBudget)
+        .count("seed", Cli.Seed);
+    if (!writeBenchOut(Cli.BenchOut, J, Json))
+      return 2;
+  }
 
   if (Cli.CheckProofs || !Cli.ProofDir.empty()) {
     size_t Checked = 0;
@@ -899,12 +822,9 @@ int runDistance(const CliOptions &Cli) {
   if (!setupDist(Cli, DC))
     return 2;
   dist::Coordinator *Remote = DC.Coord.get();
-  std::vector<DistanceRecord> Records;
-  if (Cli.Json)
-    std::printf("{\"seed\": %llu, \"results\": [\n",
-                static_cast<unsigned long long>(Cli.Seed));
-  for (size_t I = 0; I != Cli.Codes.size(); ++I) {
-    const std::string &CodeName = Cli.Codes[I];
+  std::vector<std::string> Json;
+  sat::SolverStats Total;
+  for (const std::string &CodeName : Cli.Codes) {
     std::optional<StabilizerCode> Code = makeCodeByName(CodeName);
     if (!Code) {
       std::fprintf(stderr, "veriqec: unknown code '%s'\n", CodeName.c_str());
@@ -917,7 +837,7 @@ int runDistance(const CliOptions &Cli) {
     VO.RandomSeed = Cli.Seed;
     VO.LogProofs = Cli.CheckProofs || !Cli.ProofDir.empty();
     DistanceResult R = computeDistance(*Code, VO, PauliFamily::Any, Remote);
-    Records.push_back({CodeName, Code->NumQubits, R});
+    Total += R.Stats;
     AnyAborted |= R.Aborted;
     AnyError |= !R.Ok && !R.Aborted;
     // A registry distance flagged as an estimate is not binding: report
@@ -943,26 +863,12 @@ int runDistance(const CliOptions &Cli) {
       }
     }
     AnyMismatch |= Mismatch;
-    if (Cli.Json) {
-      std::printf(
-          "%s  {\"code\": \"%s\", \"ok\": %s, \"aborted\": %s, "
-          "\"distance\": %zu, \"documented\": %zu, \"matches\": %s, "
-          "\"solver_calls\": %llu, \"conflicts\": %llu, \"seconds\": %.6f",
-          I ? ",\n" : "", jsonEscape(CodeName).c_str(), R.Ok ? "true" : "false",
-          R.Aborted ? "true" : "false", R.Distance, Code->Distance,
-          // A failed or aborted search agrees with nothing.
-          R.Ok && !Mismatch ? "true" : "false",
-          static_cast<unsigned long long>(R.SolverCalls),
-          static_cast<unsigned long long>(R.Stats.Conflicts), R.Seconds);
-      if (!FamilyMatch.empty())
-        std::printf(", \"documented_family\": \"%s\"", FamilyMatch.c_str());
-      if (R.Witness)
-        std::printf(", \"witness\": \"%s\"",
-                    jsonEscape(R.Witness->toString()).c_str());
-      std::printf("}");
-    } else if (!R.Ok && !R.Aborted) {
+    // A failed or aborted search agrees with nothing.
+    bool Agrees = R.Ok && !Mismatch;
+    Json.push_back(distanceRecordJson(CodeName, *Code, Agrees, FamilyMatch, R));
+    if (!Cli.Json && !R.Ok && !R.Aborted) {
       std::printf("%-20s ERROR: %s\n", CodeName.c_str(), R.Error.c_str());
-    } else {
+    } else if (!Cli.Json) {
       // When the documented number belongs to a restricted family, say
       // so: "distance 1 (documented 5)" with a silent success would
       // read as a contradiction.
@@ -991,10 +897,23 @@ int runDistance(const CliOptions &Cli) {
         AnyProofFailed |= handleProof(Cli, CodeName + "-distance", R.Proof) != 0;
     }
   }
+  if (obs::metricsEnabled())
+    publishSolverStats(Total);
   if (Cli.Json)
-    std::printf("\n]}\n");
-  if (!Cli.BenchOut.empty() && !writeDistanceBenchOut(Cli, Records))
-    return 2;
+    printResultsJson(Cli, Json);
+  if (!Cli.BenchOut.empty()) {
+    // As for verify: --no-preprocess leaves no rows for the XOR engine,
+    // so the run is effectively xor-off.
+    bool Xor = Cli.Xor != smt::XorMode::Off && !Cli.NoPreprocess;
+    JsonObject J;
+    J.str("command", "distance")
+        .flag("preprocess", !Cli.NoPreprocess)
+        .flag("xor", Xor)
+        .count("conflict_budget", Cli.ConflictBudget)
+        .count("seed", Cli.Seed);
+    if (!writeBenchOut(Cli.BenchOut, J, Json))
+      return 2;
+  }
   if (Cli.CheckProofs && !Cli.Json && !AnyProofFailed)
     std::printf("proofs: all distance certificates check\n");
   return AnyError || AnyProofFailed ? 2
@@ -1005,12 +924,9 @@ int runDistance(const CliOptions &Cli) {
 
 int runDetect(const CliOptions &Cli) {
   bool AnyMisses = false, AnyAborted = false;
-  bool First = true;
-  if (Cli.Json)
-    std::printf("{\"seed\": %llu, \"results\": [\n",
-                static_cast<unsigned long long>(Cli.Seed));
-  for (size_t I = 0; I != Cli.Codes.size(); ++I) {
-    const std::string &CodeName = Cli.Codes[I];
+  std::vector<std::string> Json;
+  sat::SolverStats Total;
+  for (const std::string &CodeName : Cli.Codes) {
     std::optional<StabilizerCode> Code = makeCodeByName(CodeName);
     if (!Code) {
       std::fprintf(stderr, "veriqec: unknown code '%s'\n", CodeName.c_str());
@@ -1031,32 +947,33 @@ int runDetect(const CliOptions &Cli) {
     DetectionResult R = verifyDetection(*Code, MaxWeight, VO);
     AnyAborted |= R.Aborted;
     AnyMisses |= !R.Detects && !R.Aborted;
-    if (Cli.Json) {
-      std::printf("%s  {\"code\": \"%s\", \"max_weight\": %zu, "
-                  "\"detects\": %s, \"aborted\": %s, \"seconds\": %.6f%s}",
-                  First ? "" : ",\n", jsonEscape(CodeName).c_str(), MaxWeight,
-                  R.Detects ? "true" : "false", R.Aborted ? "true" : "false",
-                  R.Seconds,
-                  R.CounterExample
-                      ? (", \"counterexample\": \"" +
-                         jsonEscape(R.CounterExample->toString()) + "\"")
-                            .c_str()
-                      : "");
-      First = false;
-    } else {
-      std::printf("%-20s weight<=%zu  %s  (%.1f ms)\n", CodeName.c_str(),
-                  MaxWeight,
-                  R.Aborted   ? "ABORTED"
-                  : R.Detects ? "DETECTS"
-                              : "MISSES",
-                  R.Seconds * 1e3);
-      if (R.CounterExample)
-        std::printf("  undetected logical operator: %s\n",
-                    R.CounterExample->toString().c_str());
-    }
+    Total += R.Stats;
+    JsonObject J;
+    J.str("code", CodeName)
+        .count("max_weight", MaxWeight)
+        .flag("detects", R.Detects)
+        .flag("aborted", R.Aborted)
+        .num("seconds", R.Seconds);
+    putSolverStats(J, R.Stats);
+    if (R.CounterExample)
+      J.str("counterexample", R.CounterExample->toString());
+    Json.push_back(J.text());
+    if (Cli.Json)
+      continue;
+    std::printf("%-20s weight<=%zu  %s  (%.1f ms)\n", CodeName.c_str(),
+                MaxWeight,
+                R.Aborted   ? "ABORTED"
+                : R.Detects ? "DETECTS"
+                            : "MISSES",
+                R.Seconds * 1e3);
+    if (R.CounterExample)
+      std::printf("  undetected logical operator: %s\n",
+                  R.CounterExample->toString().c_str());
   }
+  if (obs::metricsEnabled())
+    publishSolverStats(Total);
   if (Cli.Json)
-    std::printf("\n]}\n");
+    printResultsJson(Cli, Json);
   return AnyMisses ? 1 : AnyAborted ? 3 : 0;
 }
 
@@ -1367,14 +1284,9 @@ int main(int Argc, char **Argv) {
       Code = Code ? Code : 2;
     }
   }
-  if (!Cli.MetricsOut.empty()) {
-    std::ofstream MOut(Cli.MetricsOut);
-    MOut << obs::Registry::global().snapshotJson() << "\n";
-    if (!MOut) {
-      std::fprintf(stderr, "veriqec: cannot write %s\n",
-                   Cli.MetricsOut.c_str());
-      Code = Code ? Code : 2;
-    }
-  }
+  if (!Cli.MetricsOut.empty() &&
+      !writeFile(Cli.MetricsOut,
+                 obs::Registry::global().snapshotJson() + "\n"))
+    Code = 2;
   return Code;
 }
