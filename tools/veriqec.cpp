@@ -8,9 +8,10 @@
 /// One binary for every workload in bench/ and examples/: select codes and
 /// scenarios by name, verify a single triple or a whole batch over the
 /// work-stealing engine, check the precise-detection property, or parse a
-/// program file from the paper's concrete syntax. Supports --jobs,
-/// --split-threshold, --card-enc, --seed and --json; exit code 0 =
-/// everything verified, 1 = a counterexample was found, 2 = usage or
+/// program file from the paper's concrete syntax. Every command runs one
+/// solver configuration (cube-and-conquer with the library's automatic
+/// split threshold, cardinality encoding and preprocessing); exit code
+/// 0 = everything verified, 1 = a counterexample was found, 2 = usage or
 /// structural error, 3 = inconclusive (a conflict budget was exhausted
 /// before a verdict).
 ///
@@ -30,9 +31,9 @@
 #include "support/Rng.h"
 #include "verifier/Verifier.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -49,6 +50,11 @@ namespace {
 
 // -- Option parsing ----------------------------------------------------------
 
+/// Cap on --jobs and --expect-workers: the largest fleet the engine's
+/// automatic split threshold is sized for (8 cubes per slot reach its
+/// 8192-cube floor at 1024 slots).
+constexpr uint64_t MaxFleetSlots = 1024;
+
 struct CliOptions {
   std::string Command;
   std::vector<std::string> Codes;
@@ -61,12 +67,7 @@ struct CliOptions {
   size_t Cycles = 2;
   size_t MaxWeight = 0; // detect: 0 = distance - 1
   size_t Jobs = 0;
-  bool Sequential = false;
-  bool NoPreprocess = false;
   smt::XorMode Xor = smt::XorMode::Auto;
-  uint32_t SplitThreshold = 0;
-  smt::CardinalityEncoding CardEnc =
-      smt::CardinalityEncoding::SequentialCounter;
   uint64_t ConflictBudget = 0;
   uint64_t Seed = 0;
   bool Json = false;
@@ -131,16 +132,12 @@ void printUsage(std::FILE *To) {
       "  --program FILE        replace the generated program with FILE\n"
       "\n"
       "engine:\n"
-      "  --jobs N              worker threads (default: hardware)\n"
-      "  --sequential          disable cube-and-conquer splitting\n"
-      "  --no-preprocess       disable GF(2)/XOR preprocessing (legacy\n"
-      "                        monolithic Tseitin pipeline)\n"
+      "  --jobs N              worker threads, at most 1024 (default:\n"
+      "                        hardware)\n"
       "  --xor on|off          native Gauss-in-the-loop XOR reasoning in\n"
       "                        the solver; the default picks per workload\n"
       "                        (on for distance, off elsewhere). on/off\n"
       "                        force either side of the A/B\n"
-      "  --split-threshold T   ET threshold (default: number of qubits)\n"
-      "  --card-enc seq|pairwise   cardinality encoding (default seq)\n"
       "  --budget N            conflict budget per solver (default none)\n"
       "  --seed N              seed solver tie-breaking and shuffle the\n"
       "                        batch order (0 = deterministic default)\n"
@@ -161,9 +158,10 @@ void printUsage(std::FILE *To) {
       "\n"
       "output:\n"
       "  --json                machine-readable results on stdout\n"
-      "  --bench-out FILE      write per-scenario benchmark records\n"
-      "                        (wall-clock, conflicts, cubes, encoder and\n"
-      "                        preprocessor stats) as JSON to FILE\n"
+      "  --bench-out FILE      verify/serve/distance: write per-scenario\n"
+      "                        benchmark records (wall-clock, conflicts,\n"
+      "                        cubes, encoder and preprocessor stats) as\n"
+      "                        JSON to FILE\n"
       "  --trace FILE          record phase spans (encode, preprocess,\n"
       "                        per-cube solve, GC, wire codec) and write\n"
       "                        Chrome trace-event JSON to FILE — open in\n"
@@ -173,7 +171,7 @@ void printUsage(std::FILE *To) {
       "  --progress            live one-line status on stderr while\n"
       "                        cubes are in flight\n"
       "\n"
-      "proofs (verify and distance):\n"
+      "proofs (verify, serve and distance):\n"
       "  --check-proofs        log machine-checkable clause proofs and\n"
       "                        replay every UNSAT verdict's proof after\n"
       "                        the run (exit 2 if any proof is rejected\n"
@@ -193,17 +191,35 @@ bool splitList(const std::string &Arg, std::vector<std::string> &Out) {
   return !Out.empty();
 }
 
+/// Parses the value of a numeric flag into Out: decimal digits only, no
+/// overflow, within [Min, Max]. Anything else is reported and leaves Out
+/// alone, so "-1", "abc" or a wrapped value never reaches the run.
+template <typename T>
+bool parseNumber(const std::string &Flag, const std::string &Text,
+                 uint64_t Min, uint64_t Max, T &Out) {
+  uint64_t V = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, V);
+  if (Ec != std::errc() || Ptr != End || V < Min || V > Max) {
+    std::fprintf(stderr, "veriqec: %s expects an integer in [%llu, %llu], "
+                         "got '%s'\n",
+                 Flag.c_str(), static_cast<unsigned long long>(Min),
+                 static_cast<unsigned long long>(Max), Text.c_str());
+    return false;
+  }
+  Out = static_cast<T>(V);
+  return true;
+}
+
 /// Parses "<stem><number>" (e.g. "surface5") into its parts.
 bool splitStemNumber(const std::string &Name, const std::string &Stem,
                      size_t &Number) {
   if (Name.size() <= Stem.size() || Name.compare(0, Stem.size(), Stem) != 0)
     return false;
-  char *End = nullptr;
-  unsigned long V = std::strtoul(Name.c_str() + Stem.size(), &End, 10);
-  if (*End != '\0' || V == 0)
-    return false;
-  Number = V;
-  return true;
+  // Digits only: "surface-1" must not wrap to a huge size.
+  const char *End = Name.data() + Name.size();
+  auto [Ptr, Ec] = std::from_chars(Name.data() + Stem.size(), End, Number);
+  return Ec == std::errc() && Ptr == End && Number != 0;
 }
 
 std::optional<StabilizerCode> makeCodeByName(const std::string &Name) {
@@ -293,23 +309,15 @@ bool setupDist(const CliOptions &Cli, DistContext &Ctx) {
   }
   if (Cli.Dist.empty())
     return true;
-  constexpr size_t MaxLoopbackWorkers = 256;
-  size_t N = 0;
-  if (Cli.Dist.rfind("loopback:", 0) == 0) {
-    const char *Num = Cli.Dist.c_str() + 9;
-    char *End = nullptr;
-    // strtoul accepts "-1" (wraps to ULONG_MAX): digits only.
-    if (Num[0] >= '0' && Num[0] <= '9')
-      N = std::strtoul(Num, &End, 10);
-    if (End == nullptr || *End != '\0')
-      N = 0; // trailing garbage: reject the whole value
-  }
-  if (N == 0 || N > MaxLoopbackWorkers) {
-    std::fprintf(stderr,
-                 "veriqec: --dist expects loopback:N (1 <= N <= %zu)\n",
-                 MaxLoopbackWorkers);
+  if (Cli.Dist.rfind("loopback:", 0) != 0) {
+    std::fprintf(stderr, "veriqec: --dist expects loopback:N\n");
     return false;
   }
+  constexpr uint64_t MaxLoopbackWorkers = 256;
+  size_t N = 0;
+  if (!parseNumber("--dist loopback:N", Cli.Dist.substr(9), 1,
+                   MaxLoopbackWorkers, N))
+    return false;
   Ctx.Coord = std::make_unique<dist::Coordinator>();
   dist::WorkerOptions WO;
   WO.Jobs = Cli.Jobs ? Cli.Jobs : 1;
@@ -369,6 +377,23 @@ int handleProof(const CliOptions &Cli, const std::string &Name,
     return 2;
   }
   return 0;
+}
+
+// -- Solver configuration ----------------------------------------------------
+
+/// The one solver configuration every command runs: cube-and-conquer on
+/// --jobs threads. The split threshold, cardinality encoding and
+/// preprocessing keep the library's defaults, which won the recorded
+/// A/Bs on the tracked workloads.
+VerifyOptions makeVerifyOptions(const CliOptions &Cli) {
+  VerifyOptions VO;
+  VO.Parallel = true;
+  VO.Threads = Cli.Jobs;
+  VO.Xor = Cli.Xor;
+  VO.ConflictBudget = Cli.ConflictBudget;
+  VO.RandomSeed = Cli.Seed;
+  VO.LogProofs = Cli.CheckProofs || !Cli.ProofDir.empty();
+  return VO;
 }
 
 // -- Scenario construction ---------------------------------------------------
@@ -636,6 +661,10 @@ std::optional<StmtPtr> loadProgramFile(const std::string &Path) {
 }
 
 int runVerify(const CliOptions &Cli) {
+  std::optional<StmtPtr> Program;
+  if (!Cli.ProgramFile.empty() &&
+      !(Program = loadProgramFile(Cli.ProgramFile)))
+    return 2;
   std::vector<RunRecord> Records;
   std::vector<Scenario> Scenarios;
   for (const std::string &CodeName : Cli.Codes) {
@@ -653,11 +682,8 @@ int runVerify(const CliOptions &Cli) {
                        ScenarioName.c_str());
           return 2;
         }
-        if (!Cli.ProgramFile.empty()) {
-          std::optional<StmtPtr> Prog = loadProgramFile(Cli.ProgramFile);
-          if (!Prog)
-            return 2;
-          S->Program = *Prog;
+        if (Program) {
+          S->Program = *Program;
           S->Name += "+" + Cli.ProgramFile;
         }
         RunRecord R;
@@ -686,17 +712,7 @@ int runVerify(const CliOptions &Cli) {
     }
   }
 
-  VerifyOptions VO;
-  VO.Parallel = !Cli.Sequential;
-  VO.Threads = Cli.Jobs;
-  VO.SplitThreshold = Cli.SplitThreshold;
-  VO.CardEnc = Cli.CardEnc;
-  VO.Preprocess = !Cli.NoPreprocess;
-  VO.Xor = Cli.Xor;
-  VO.ConflictBudget = Cli.ConflictBudget;
-  VO.RandomSeed = Cli.Seed;
-  VO.LogProofs = Cli.CheckProofs || !Cli.ProofDir.empty();
-
+  VerifyOptions VO = makeVerifyOptions(Cli);
   DistContext DC;
   if (!setupDist(Cli, DC))
     return 2;
@@ -777,29 +793,19 @@ int runVerify(const CliOptions &Cli) {
     std::string Dist = Cli.Dist.empty() ? "local" : Cli.Dist;
     if (Cli.Command == "serve")
       Dist = "serve";
-    // Without preprocessing there are no parity rows to keep native, so
-    // the engine is inert regardless of --xor; record what the run
-    // actually measured.
-    bool Xor = Cli.Xor == smt::XorMode::On && !Cli.NoPreprocess;
-    bool SeqCounter =
-        Cli.CardEnc == smt::CardinalityEncoding::SequentialCounter;
     JsonObject J;
     J.str("command", "verify")
         .count("jobs", Cli.Jobs)
         .count("workers", Workers)
         .str("dist", Dist)
-        .flag("sequential", Cli.Sequential)
-        .flag("preprocess", !Cli.NoPreprocess)
-        .flag("xor", Xor)
-        .count("split_threshold", Cli.SplitThreshold)
-        .str("card_enc", SeqCounter ? "seq" : "pairwise")
+        .flag("xor", Cli.Xor == smt::XorMode::On)
         .count("conflict_budget", Cli.ConflictBudget)
         .count("seed", Cli.Seed);
     if (!writeBenchOut(Cli.BenchOut, J, Json))
       return 2;
   }
 
-  if (Cli.CheckProofs || !Cli.ProofDir.empty()) {
+  if (VO.LogProofs) {
     size_t Checked = 0;
     for (const RunRecord &R : Records) {
       if (!R.Result.StructuralOk || !R.Result.Verified)
@@ -822,6 +828,7 @@ int runDistance(const CliOptions &Cli) {
   if (!setupDist(Cli, DC))
     return 2;
   dist::Coordinator *Remote = DC.Coord.get();
+  VerifyOptions VO = makeVerifyOptions(Cli);
   std::vector<std::string> Json;
   sat::SolverStats Total;
   for (const std::string &CodeName : Cli.Codes) {
@@ -830,12 +837,6 @@ int runDistance(const CliOptions &Cli) {
       std::fprintf(stderr, "veriqec: unknown code '%s'\n", CodeName.c_str());
       return 2;
     }
-    VerifyOptions VO;
-    VO.Preprocess = !Cli.NoPreprocess;
-    VO.Xor = Cli.Xor;
-    VO.ConflictBudget = Cli.ConflictBudget;
-    VO.RandomSeed = Cli.Seed;
-    VO.LogProofs = Cli.CheckProofs || !Cli.ProofDir.empty();
     DistanceResult R = computeDistance(*Code, VO, PauliFamily::Any, Remote);
     Total += R.Stats;
     AnyAborted |= R.Aborted;
@@ -889,7 +890,7 @@ int runDistance(const CliOptions &Cli) {
         std::printf("  minimal logical operator: %s\n",
                     R.Witness->toString().c_str());
     }
-    if ((Cli.CheckProofs || !Cli.ProofDir.empty()) && R.Ok) {
+    if (VO.LogProofs && R.Ok) {
       // A distance-1 search can conclude from SAT probes alone (no UNSAT
       // probe, hence legitimately no proof); any deeper verdict must
       // prove every weight below the distance impossible.
@@ -902,13 +903,9 @@ int runDistance(const CliOptions &Cli) {
   if (Cli.Json)
     printResultsJson(Cli, Json);
   if (!Cli.BenchOut.empty()) {
-    // As for verify: --no-preprocess leaves no rows for the XOR engine,
-    // so the run is effectively xor-off.
-    bool Xor = Cli.Xor != smt::XorMode::Off && !Cli.NoPreprocess;
     JsonObject J;
     J.str("command", "distance")
-        .flag("preprocess", !Cli.NoPreprocess)
-        .flag("xor", Xor)
+        .flag("xor", Cli.Xor != smt::XorMode::Off)
         .count("conflict_budget", Cli.ConflictBudget)
         .count("seed", Cli.Seed);
     if (!writeBenchOut(Cli.BenchOut, J, Json))
@@ -924,6 +921,7 @@ int runDistance(const CliOptions &Cli) {
 
 int runDetect(const CliOptions &Cli) {
   bool AnyMisses = false, AnyAborted = false;
+  VerifyOptions VO = makeVerifyOptions(Cli);
   std::vector<std::string> Json;
   sat::SolverStats Total;
   for (const std::string &CodeName : Cli.Codes) {
@@ -935,15 +933,6 @@ int runDetect(const CliOptions &Cli) {
     size_t MaxWeight =
         Cli.MaxWeight ? Cli.MaxWeight
                       : (Code->Distance >= 2 ? Code->Distance - 1 : 1);
-    VerifyOptions VO;
-    VO.Parallel = !Cli.Sequential;
-    VO.Threads = Cli.Jobs;
-    VO.SplitThreshold = Cli.SplitThreshold;
-    VO.CardEnc = Cli.CardEnc;
-    VO.Preprocess = !Cli.NoPreprocess;
-    VO.Xor = Cli.Xor;
-    VO.ConflictBudget = Cli.ConflictBudget;
-    VO.RandomSeed = Cli.Seed;
     DetectionResult R = verifyDetection(*Code, MaxWeight, VO);
     AnyAborted |= R.Aborted;
     AnyMisses |= !R.Detects && !R.Aborted;
@@ -1025,6 +1014,10 @@ int main(int Argc, char **Argv) {
     printUsage(stderr);
     return 2;
   }
+  if (Args[0] == "--help" || Args[0] == "-h") {
+    printUsage(stdout);
+    return 0;
+  }
   Cli.Command = Args[0];
 
   auto needValue = [&](size_t &I) -> const std::string * {
@@ -1034,16 +1027,20 @@ int main(int Argc, char **Argv) {
     }
     return &Args[++I];
   };
+  // Reads the value of numeric flag Args[I] into Out, checked against
+  // [Min, Max]; false (after reporting) on a missing or bad value.
+  auto numberValue = [&](size_t &I, uint64_t Min, uint64_t Max, auto &Out) {
+    const std::string &Flag = Args[I];
+    const std::string *V = needValue(I);
+    return V && parseNumber(Flag, *V, Min, Max, Out);
+  };
+  constexpr uint64_t U32Max = ~uint32_t{0}, U64Max = ~uint64_t{0};
 
   for (size_t I = 1; I < Args.size(); ++I) {
     const std::string &A = Args[I];
     const std::string *V = nullptr;
     if (A == "--json") {
       Cli.Json = true;
-    } else if (A == "--sequential") {
-      Cli.Sequential = true;
-    } else if (A == "--no-preprocess") {
-      Cli.NoPreprocess = true;
     } else if (A == "--xor") {
       if (!(V = needValue(I)))
         return 2;
@@ -1078,26 +1075,15 @@ int main(int Argc, char **Argv) {
         return 2;
       Cli.Connect = *V;
     } else if (A == "--expect-workers") {
-      if (!(V = needValue(I)))
+      if (!numberValue(I, 1, MaxFleetSlots, Cli.ExpectWorkers))
         return 2;
-      Cli.ExpectWorkers = std::strtoul(V->c_str(), nullptr, 10);
-      if (Cli.ExpectWorkers == 0) {
-        std::fprintf(stderr, "veriqec: --expect-workers must be >= 1\n");
-        return 2;
-      }
     } else if (A == "--max-batches") {
-      if (!(V = needValue(I)))
+      if (!numberValue(I, 0, U64Max, Cli.MaxBatches))
         return 2;
-      Cli.MaxBatches = std::strtoull(V->c_str(), nullptr, 10);
     } else if (A == "--heartbeat-ms") {
-      if (!(V = needValue(I)))
+      // Up to an hour: a longer period is indistinguishable from off.
+      if (!numberValue(I, 0, 3600000, Cli.HeartbeatMs))
         return 2;
-      Cli.HeartbeatMs =
-          static_cast<int>(std::strtol(V->c_str(), nullptr, 10));
-      if (Cli.HeartbeatMs < 0) {
-        std::fprintf(stderr, "veriqec: --heartbeat-ms must be >= 0\n");
-        return 2;
-      }
     } else if (A == "--trace") {
       if (!(V = needValue(I)))
         return 2;
@@ -1152,46 +1138,25 @@ int main(int Argc, char **Argv) {
       }
       Cli.Basis = *V;
     } else if (A == "--max-errors") {
-      if (!(V = needValue(I)))
+      // The all-ones value is the library's "no budget" sentinel.
+      if (!numberValue(I, 0, U32Max - 1, Cli.MaxErrors.emplace()))
         return 2;
-      Cli.MaxErrors =
-          static_cast<uint32_t>(std::strtoul(V->c_str(), nullptr, 10));
     } else if (A == "--cycles") {
-      if (!(V = needValue(I)))
+      // Each cycle adds a full error sweep and syndrome round.
+      if (!numberValue(I, 1, 1000, Cli.Cycles))
         return 2;
-      Cli.Cycles = std::strtoul(V->c_str(), nullptr, 10);
     } else if (A == "--max-weight") {
-      if (!(V = needValue(I)))
+      if (!numberValue(I, 0, U32Max - 1, Cli.MaxWeight))
         return 2;
-      Cli.MaxWeight = std::strtoul(V->c_str(), nullptr, 10);
     } else if (A == "--jobs") {
-      if (!(V = needValue(I)))
+      if (!numberValue(I, 0, MaxFleetSlots, Cli.Jobs))
         return 2;
-      Cli.Jobs = std::strtoul(V->c_str(), nullptr, 10);
-    } else if (A == "--split-threshold") {
-      if (!(V = needValue(I)))
-        return 2;
-      Cli.SplitThreshold =
-          static_cast<uint32_t>(std::strtoul(V->c_str(), nullptr, 10));
     } else if (A == "--budget") {
-      if (!(V = needValue(I)))
+      if (!numberValue(I, 0, U64Max, Cli.ConflictBudget))
         return 2;
-      Cli.ConflictBudget = std::strtoull(V->c_str(), nullptr, 10);
     } else if (A == "--seed") {
-      if (!(V = needValue(I)))
+      if (!numberValue(I, 0, U64Max, Cli.Seed))
         return 2;
-      Cli.Seed = std::strtoull(V->c_str(), nullptr, 10);
-    } else if (A == "--card-enc") {
-      if (!(V = needValue(I)))
-        return 2;
-      if (*V == "seq")
-        Cli.CardEnc = smt::CardinalityEncoding::SequentialCounter;
-      else if (*V == "pairwise")
-        Cli.CardEnc = smt::CardinalityEncoding::PairwiseNaive;
-      else {
-        std::fprintf(stderr, "veriqec: --card-enc must be seq or pairwise\n");
-        return 2;
-      }
     } else if (A == "--help" || A == "-h") {
       printUsage(stdout);
       return 0;
@@ -1210,20 +1175,16 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  if (!Cli.BenchOut.empty() && Cli.Command != "verify" &&
-      Cli.Command != "distance") {
-    // Refuse rather than silently not writing the file a CI step will
-    // try to parse.
-    std::fprintf(stderr, "veriqec: --bench-out is only supported by the "
-                         "verify and distance commands\n");
-    return 2;
-  }
-  if ((Cli.CheckProofs || !Cli.ProofDir.empty()) && Cli.Command != "verify" &&
-      Cli.Command != "distance" && Cli.Command != "serve") {
-    // Same policy: a CI proof gate that silently never checked anything
-    // would be worse than an error.
-    std::fprintf(stderr, "veriqec: --check-proofs/--proof-dir are only "
-                         "supported by the verify and distance commands\n");
+  // Records and proofs come from verification runs only. Refuse them
+  // elsewhere rather than silently not writing a file a CI step will
+  // parse, or passing a proof gate that never checked anything.
+  bool Verifies = Cli.Command == "verify" || Cli.Command == "serve" ||
+                  Cli.Command == "distance";
+  if (!Verifies &&
+      (!Cli.BenchOut.empty() || Cli.CheckProofs || !Cli.ProofDir.empty())) {
+    std::fprintf(stderr, "veriqec: --bench-out, --check-proofs and "
+                         "--proof-dir are only supported by the verify, "
+                         "serve and distance commands\n");
     return 2;
   }
 
