@@ -81,12 +81,12 @@ public:
   void assertParity(const std::vector<sat::Lit> &Lits, bool Odd);
 
   /// Two-sided unary counter over \p Inputs: result[j-1] <=> (sum >= j)
-  /// for j = 1..min(MaxJ, Inputs.size()) (MaxJ = 0 means full depth).
-  /// Shares the counter cache with cardinality atoms over the same
-  /// inputs. This is the substrate of the assumption-activated weight
-  /// layers: one encoding serves every bound up to its depth, because
-  /// assuming ~result[K] enforces sum <= K and result[K-1] enforces
-  /// sum >= K at solve time.
+  /// for j = 1..min(MaxJ, Inputs.size()) (MaxJ = 0 means full depth),
+  /// in n*min(MaxJ, n) registers. Shares the counter cache with
+  /// cardinality atoms over the same inputs. This is the substrate of
+  /// the assumption-activated weight layers: one encoding serves every
+  /// bound below its depth, because assuming ~result[K] enforces
+  /// sum <= K and result[K-1] enforces sum >= K at solve time.
   const std::vector<sat::Lit> &counterOver(const std::vector<sat::Lit> &Inputs,
                                            size_t MaxJ = 0) {
     return unaryCounter(Inputs, MaxJ ? MaxJ : Inputs.size());
@@ -99,7 +99,8 @@ public:
   /// comparison thresholds up to Cap — the threshold-Cap implication
   /// pins the left sum below Cap, making every higher threshold vacuous
   /// — which keeps the unary counters shallow (O(n*Cap) instead of
-  /// O(n^2) auxiliaries on the verification hot path).
+  /// O(n^2) auxiliaries). Only those atoms read the cap: the depth of a
+  /// counterOver() layer is its caller's MaxJ.
   void setBudgetTruncation(size_t Cap,
                            const std::vector<ExprRef> &BudgetTerms) {
     CounterCap = Cap;

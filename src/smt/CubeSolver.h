@@ -153,10 +153,13 @@ struct ProblemOptions {
   /// per-qubit support x_q | z_q for the distance search).
   std::vector<ExprRef> BudgetTerms;
   /// Nonzero caps every counter touching the budget at this depth
-  /// (CnfEncoder::setBudgetTruncation): valid when the solve enforces
-  /// sum(BudgetTerms) < CounterCap at the root (assertWeightBound), which
-  /// shrinks the cardinality machinery from O(n^2) to O(n*Cap). Leave 0
-  /// for searches that probe many bounds (distance mode).
+  /// (CnfEncoder::setBudgetTruncation), which shrinks the cardinality
+  /// machinery from O(n^2) to O(n*Cap). The budget layer itself then
+  /// answers bounds MaxW < Cap (appendWeightAssumptions); SumLeqSum atoms
+  /// over the budget are truncated too, which is exact only when the
+  /// solve enforces sum(BudgetTerms) < CounterCap at the root
+  /// (assertWeightBound). The distance search, whose VC has no such
+  /// atoms, sizes it by its first witness's weight. 0 = full depth.
   size_t CounterCap = 0;
   /// Capture the data proof emission needs (the preprocessor's original
   /// parity rows, VerificationProblem::OriginalRows). The resolved form

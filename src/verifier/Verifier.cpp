@@ -190,11 +190,18 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
 
   UndetectableLogicalVc D;
   buildUndetectableLogicalVc(Code, D, Family);
+  ExprRef Root = D.Ctx.mkAnd(D.Constraints);
 
-  // Encode once: the parity system plus the logical-action residue, with
-  // the per-qubit supports feeding the assumption-activated weight layer.
-  // Every probe of the search is then a pure assumption change on one
-  // solver, which keeps all learnt clauses live across bounds.
+  // The parity system plus the logical-action residue, with the
+  // per-qubit supports feeding an assumption-activated weight layer: a
+  // two-sided unary counter, so every probe of the search is a pure
+  // assumption change on one solver. A counter of depth k answers every
+  // bound below k with n*k registers (Sinz, CP'05), and no bound above
+  // the first witness's weight W is ever probed, so the problem is
+  // encoded with depth 1 for the existence probe (a nontrivial logical
+  // has weight >= 1) and then with depth W for the binary search. The
+  // distance VC has no SumLeqSum atoms, so CounterCap truncates this
+  // layer and nothing else.
   ProblemOptions PO;
   PO.CardEnc = CardinalityEncoding::SequentialCounter;
   PO.Preprocess = Opts.Preprocess;
@@ -203,77 +210,48 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
   // the registry are intractable without it — see BENCH_table3.json).
   PO.NativeXor = Opts.Xor != XorMode::Off;
   PO.BudgetTerms = D.Support;
-  PO.CaptureProofData = Opts.LogProofs;
-  VerificationProblem Problem(D.Ctx, D.Ctx.mkAnd(D.Constraints), PO);
-  Result.Prep = Problem.Prep;
-  Result.CnfVars = Problem.Cnf.NumVars;
-  Result.CnfClauses = Problem.Cnf.Clauses.size();
-  Result.XorRows = Problem.XorRows.size();
-  if (Problem.TriviallyUnsat) {
-    Result.Error = "undetectable-logical system is inconsistent";
-    Result.Seconds = Clock.seconds();
-    return Result;
-  }
-
-  // One probe = one solve under "1 <= weight <= MaxW" assumptions, on a
-  // persistent solver: locally the reused sat::Solver, remotely the
-  // fleet's slot solver behind an open problem handle (the assumptions
-  // ride inside a one-cube batch). Either way learnt clauses survive
-  // across bounds.
-  proof::SlotProofLog DistLog; // declared before Local: the solver keeps
-                               // a raw pointer to it until destruction
-  uint64_t UnsatProbes = 0;
-  std::optional<sat::Solver> Local;
-  std::shared_ptr<smt::VerificationProblem> Shipped;
-  uint32_t Handle = 0;
-  if (Remote) {
-    Shipped = std::make_shared<smt::VerificationProblem>(std::move(Problem));
-    engine::CubeRunConfig Cfg;
-    Cfg.ConflictBudget = Opts.ConflictBudget;
-    Cfg.RandomSeed = Opts.RandomSeed;
-    Cfg.LogProofs = Opts.LogProofs;
-    Handle = Remote->openProblem(Shipped, Cfg);
-  } else {
-    Local.emplace(Problem.makeSolver());
-    if (Opts.LogProofs)
-      Local->setProofSink(&DistLog);
+  // The searched problem's figures overwrite the existence probe's.
+  auto encode = [&](size_t Depth) {
+    PO.CounterCap = Depth;
+    VerificationProblem P(D.Ctx, Root, PO);
+    Result.LayerDepth = Depth;
+    Result.Prep = P.Prep;
+    Result.CnfVars = P.Cnf.NumVars;
+    Result.CnfClauses = P.Cnf.Clauses.size();
+    Result.XorRows = P.XorRows.size();
+    return P;
+  };
+  auto makeSolver = [&](const VerificationProblem &P) {
+    sat::Solver S = P.makeSolver();
     if (Opts.ConflictBudget)
-      Local->setConflictBudget(Opts.ConflictBudget);
+      S.setConflictBudget(Opts.ConflictBudget);
     if (Opts.RandomSeed)
-      Local->setRandomSeed(Opts.RandomSeed);
-  }
-  const smt::VerificationProblem &Prob = Remote ? *Shipped : Problem;
-  auto probe = [&](size_t MaxW,
-                   std::unordered_map<std::string, bool> &Model) {
-    std::vector<sat::Lit> Assumptions;
-    Prob.appendWeightAssumptions(static_cast<uint32_t>(MaxW), Assumptions,
-                                 1);
-    ++Result.SolverCalls;
-    if (Remote) {
-      smt::SolveOutcome O =
-          Remote->solveCubes(Handle, {std::move(Assumptions)});
-      // Per-call statistics deltas accumulate into the search total.
-      Result.Stats += O.Stats;
-      if (O.Result == sat::SolveResult::Unsat && !O.Proof.empty())
-        // Streams are cumulative across probes (the remote slot solvers
-        // persist), so the LAST UNSAT probe's certificate covers every
-        // earlier one too.
-        Result.Proof = std::move(O.Proof);
-      if (O.Result == sat::SolveResult::Sat)
-        Model = std::move(O.Model);
-      return O.Result;
-    }
-    sat::SolveResult R = Local->solve(Assumptions);
-    if (R == sat::SolveResult::Unsat && Opts.LogProofs) {
-      DistLog.logConclusion(Local->conflictCore(), Assumptions,
-                            Local->conflictCoreHints());
-      ++UnsatProbes;
-    }
-    if (R == sat::SolveResult::Sat)
-      Prob.readModel(*Local, Model);
-    return R;
+      S.setRandomSeed(Opts.RandomSeed);
+    return S;
   };
 
+  // One probe = one solve under "1 <= weight <= MaxW" assumptions; its
+  // counters add into the result.
+  std::vector<sat::Lit> Assumptions;
+  auto record = [&](size_t MaxW, sat::SolveResult R,
+                    const sat::SolverStats &Delta, double Seconds) {
+    Result.Stats += Delta;
+    ++Result.SolverCalls;
+    Result.Probes.push_back({MaxW, R, Delta.Conflicts, Seconds});
+  };
+  auto solveLocally = [&](const VerificationProblem &P, sat::Solver &S,
+                          size_t MaxW,
+                          std::unordered_map<std::string, bool> &Model) {
+    Assumptions.clear();
+    P.appendWeightAssumptions(static_cast<uint32_t>(MaxW), Assumptions, 1);
+    Timer ProbeClock;
+    sat::SolverStats Before = S.stats();
+    sat::SolveResult R = S.solve(Assumptions);
+    record(MaxW, R, S.stats() - Before, ProbeClock.seconds());
+    if (R == sat::SolveResult::Sat)
+      P.readModel(S, Model);
+    return R;
+  };
   auto modelWeight = [&](const std::unordered_map<std::string, bool> &M) {
     size_t W = 0;
     for (size_t Q = 0; Q != N; ++Q)
@@ -281,36 +259,90 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
            modelBit(M, "z" + std::to_string(Q));
     return W;
   };
-  auto finish = [&](sat::SolveResult R) {
-    if (!Remote) {
-      Result.Stats = Local->stats();
-      if (Opts.LogProofs) {
-        // One persistent solver = one stream; every UNSAT probe's
-        // assumption set is a distinct concluded cube (distinct bounds
-        // select distinct counter literals).
-        const std::string Streams[] = {DistLog.drain()};
-        Result.Proof = proof::assembleProof(
-            proof::buildProofHeader(Prob, /*HardenBudget=*/false, 0),
-            Streams, UnsatProbes);
-      }
-    } else {
-      Remote->closeProblem(Handle);
-    }
-    Result.Aborted = R == sat::SolveResult::Aborted;
-    Result.Seconds = Clock.seconds();
-  };
 
-  // Existence probe (weight >= 1, unbounded above): every code with a
-  // logical qubit has an undetectable logical operator of weight <= n.
+  // Existence probe (weight >= 1, unbounded above), always local: every
+  // code with a logical qubit has an undetectable logical operator.
   std::unordered_map<std::string, bool> Best;
-  sat::SolveResult R = probe(N, Best);
+  sat::SolveResult R;
+  {
+    VerificationProblem Exist = encode(1);
+    if (Exist.TriviallyUnsat) {
+      Result.Error = "undetectable-logical system is inconsistent";
+      Result.Seconds = Clock.seconds();
+      return Result;
+    }
+    sat::Solver S = makeSolver(Exist);
+    R = solveLocally(Exist, S, N, Best);
+  }
   if (R != sat::SolveResult::Sat) {
-    finish(R);
+    Result.Aborted = R == sat::SolveResult::Aborted;
     if (!Result.Aborted)
       Result.Error = "no undetectable logical operator exists";
+    Result.Seconds = Clock.seconds();
     return Result;
   }
   size_t Lo = 1, Hi = modelWeight(Best);
+  auto succeed = [&] {
+    Result.Distance = Lo;
+    Result.Witness = pauliFromModel(Best, N);
+    Result.Ok = true;
+    Result.Seconds = Clock.seconds();
+  };
+  if (Hi == 1) { // a weight-1 witness is minimal: nothing left to search
+    succeed();
+    return Result;
+  }
+
+  // The search runs on one persistent solver over the problem sized by
+  // the witness: locally the reused sat::Solver, remotely the fleet's
+  // slot solver behind an open problem handle (the assumptions ride
+  // inside a one-cube batch). Either way learnt clauses survive across
+  // bounds.
+  PO.CaptureProofData = Opts.LogProofs;
+  auto Sized = std::make_shared<const VerificationProblem>(encode(Hi));
+  proof::SlotProofLog DistLog; // declared before Local: the solver keeps
+                               // a raw pointer to it until destruction
+  uint64_t UnsatProbes = 0;
+  std::optional<sat::Solver> Local;
+  uint32_t Handle = 0;
+  if (Remote) {
+    engine::CubeRunConfig Cfg;
+    Cfg.ConflictBudget = Opts.ConflictBudget;
+    Cfg.RandomSeed = Opts.RandomSeed;
+    Cfg.LogProofs = Opts.LogProofs;
+    Handle = Remote->openProblem(Sized, Cfg);
+  } else {
+    Local.emplace(makeSolver(*Sized));
+    if (Opts.LogProofs)
+      Local->setProofSink(&DistLog);
+  }
+  auto probe = [&](size_t MaxW,
+                   std::unordered_map<std::string, bool> &Model) {
+    if (!Remote) {
+      sat::SolveResult LR = solveLocally(*Sized, *Local, MaxW, Model);
+      if (LR == sat::SolveResult::Unsat && Opts.LogProofs) {
+        DistLog.logConclusion(Local->conflictCore(), Assumptions,
+                              Local->conflictCoreHints());
+        ++UnsatProbes;
+      }
+      return LR;
+    }
+    Assumptions.clear();
+    Sized->appendWeightAssumptions(static_cast<uint32_t>(MaxW), Assumptions,
+                                   1);
+    Timer ProbeClock;
+    smt::SolveOutcome O = Remote->solveCubes(Handle, {Assumptions});
+    // Per-call statistics are deltas, like the local ones.
+    record(MaxW, O.Result, O.Stats, ProbeClock.seconds());
+    if (O.Result == sat::SolveResult::Unsat && !O.Proof.empty())
+      // Streams are cumulative across probes (the remote slot solvers
+      // persist), so the LAST UNSAT probe's certificate covers every
+      // earlier one too.
+      Result.Proof = std::move(O.Proof);
+    if (O.Result == sat::SolveResult::Sat)
+      Model = std::move(O.Model);
+    return O.Result;
+  };
 
   // Binary search for the least satisfiable weight bound; a SAT probe
   // tightens Hi to the witness's actual weight, not just the bound.
@@ -318,10 +350,8 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
     size_t Mid = Lo + (Hi - Lo) / 2;
     std::unordered_map<std::string, bool> M;
     R = probe(Mid, M);
-    if (R == sat::SolveResult::Aborted) {
-      finish(R);
-      return Result;
-    }
+    if (R == sat::SolveResult::Aborted)
+      break;
     if (R == sat::SolveResult::Sat) {
       Hi = modelWeight(M);
       Best = std::move(M);
@@ -329,10 +359,22 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
       Lo = Mid + 1;
     }
   }
-
-  Result.Distance = Lo;
-  Result.Witness = pauliFromModel(Best, N);
-  Result.Ok = true;
-  finish(R);
+  if (Remote)
+    Remote->closeProblem(Handle);
+  if (R == sat::SolveResult::Aborted) {
+    Result.Aborted = true;
+    Result.Seconds = Clock.seconds();
+    return Result;
+  }
+  if (!Remote && Opts.LogProofs) {
+    // One persistent solver = one stream; every UNSAT probe's assumption
+    // set is a distinct concluded cube (distinct bounds select distinct
+    // counter literals).
+    const std::string Streams[] = {DistLog.drain()};
+    Result.Proof = proof::assembleProof(
+        proof::buildProofHeader(*Sized, /*HardenBudget=*/false, 0), Streams,
+        UnsatProbes);
+  }
+  succeed();
   return Result;
 }

@@ -146,11 +146,27 @@ struct DistanceResult {
   size_t Distance = 0;
   /// A logical operator attaining the minimum.
   std::optional<Pauli> Witness;
+  /// Summed over every probe: the existence probe's solver and the
+  /// search's.
   sat::SolverStats Stats;
-  /// Incremental SAT calls the binary search issued (all on one solver).
+  /// SAT calls the search issued: the existence probe on its own solver,
+  /// then the binary search's, all on one incremental solver.
   uint64_t SolverCalls = 0;
+  /// One SAT call of the search, in order: the bound it ran under
+  /// (1 <= weight <= MaxWeight; the first probe's is n), its verdict,
+  /// and its share of the conflicts and wall time.
+  struct Probe {
+    size_t MaxWeight = 0;
+    sat::SolveResult Result = sat::SolveResult::Aborted;
+    uint64_t Conflicts = 0;
+    double Seconds = 0;
+  };
+  std::vector<Probe> Probes;
+  /// Depth of the searched problem's weight counter: the existence
+  /// probe's witness weight (1 if that probe did not find one).
+  size_t LayerDepth = 0;
   smt::PreprocessStats Prep;
-  /// CNF size of the encode-once problem (XOR rows excluded when native).
+  /// CNF size of the searched problem (XOR rows excluded when native).
   size_t CnfVars = 0;
   size_t CnfClauses = 0;
   /// Parity rows the solver carries natively (0 with --xor off).
@@ -164,18 +180,22 @@ struct DistanceResult {
 };
 
 /// Computes the code distance by incremental binary search over the
-/// weight bound: the undetectable-logical constraint system is
-/// preprocessed and encoded ONCE, with a two-sided unary counter over the
-/// per-qubit supports; each probe activates "1 <= weight <= W" purely by
-/// assumptions, so a single solver (and its learnt clauses) serves the
-/// whole search. Contrast qec/StabilizerCode.h's estimateDistance, which
-/// re-encodes from scratch at every weight.
+/// weight bound. The undetectable-logical constraint system is
+/// preprocessed and encoded with a one-register weight layer for the
+/// existence probe (weight >= 1); that probe's witness weight W bounds
+/// the distance, so the system is encoded once more, with a two-sided
+/// unary counter of depth W over the per-qubit supports (n*W registers,
+/// not n^2), and each probe of the search activates "1 <= weight <= K"
+/// (K < W) purely by assumptions, so a single solver (and its learnt
+/// clauses) serves the whole search. Contrast qec/StabilizerCode.h's
+/// estimateDistance, which re-encodes from scratch at every weight.
 ///
-/// With \p Remote set, the search runs distributed: the encoded problem
-/// ships to the fleet once (dist::Coordinator::openProblem) and every
-/// probe travels as a one-cube batch carrying the weight-bound
-/// assumption literals, so the remote slot solver keeps its learnt
-/// clauses across bounds exactly like the local loop.
+/// With \p Remote set, the binary search runs distributed: the existence
+/// probe stays local, the sized problem ships to the fleet once
+/// (dist::Coordinator::openProblem) and every later probe travels as a
+/// one-cube batch carrying the weight-bound assumption literals, so the
+/// remote slot solver keeps its learnt clauses across bounds exactly
+/// like the local loop.
 DistanceResult computeDistance(const StabilizerCode &Code,
                                const VerifyOptions &Opts = {},
                                PauliFamily Family = PauliFamily::Any,

@@ -671,9 +671,13 @@ TEST(DistLoopback, SilentGrinderIsEvictedAndItsBatchesRequeued) {
 }
 
 TEST(DistLoopback, DistanceHandleApiMatchesLocalSearch) {
+  // The existence probe runs locally; the fleet receives the problem
+  // re-encoded with a weight layer as deep as its witness, so both runs
+  // search the same CNF (tanner1: a depth-8 layer over 210 supports).
   Fleet F(2, 1);
   for (const StabilizerCode &Code :
-       {makeSteaneCode(), makeFiveQubitCode(), makeRotatedSurfaceCode(3)}) {
+       {makeSteaneCode(), makeFiveQubitCode(), makeRotatedSurfaceCode(3),
+        makeTannerISubstitute()}) {
     VerifyOptions VO;
     DistanceResult Local = computeDistance(Code, VO);
     DistanceResult Remote =
@@ -682,6 +686,14 @@ TEST(DistLoopback, DistanceHandleApiMatchesLocalSearch) {
     ASSERT_TRUE(Remote.Ok) << Code.Name;
     EXPECT_EQ(Local.Distance, Remote.Distance) << Code.Name;
     EXPECT_EQ(Local.SolverCalls, Remote.SolverCalls) << Code.Name;
+    EXPECT_EQ(Local.LayerDepth, Remote.LayerDepth) << Code.Name;
+    EXPECT_EQ(Local.CnfVars, Remote.CnfVars) << Code.Name;
+    EXPECT_EQ(Local.CnfClauses, Remote.CnfClauses) << Code.Name;
+    ASSERT_EQ(Remote.Probes.size(), Remote.SolverCalls) << Code.Name;
+    uint64_t Conflicts = 0;
+    for (const DistanceResult::Probe &P : Remote.Probes)
+      Conflicts += P.Conflicts;
+    EXPECT_EQ(Conflicts, Remote.Stats.Conflicts) << Code.Name;
     ASSERT_TRUE(Remote.Witness.has_value());
     EXPECT_EQ(Remote.Witness->weight(), Remote.Distance) << Code.Name;
   }

@@ -8,16 +8,21 @@
 /// The `veriqec distance` workload: computeDistance() must return the
 /// documented distance for every registry code up to surface7 (the
 /// bit-flip codes document their X-family distance), the witness must be
-/// a genuine minimal undetectable logical operator, the whole search must
-/// run on one incremental solver (O(log n) calls), and the verdict must
+/// a genuine minimal undetectable logical operator, the search must take
+/// O(log n) calls (an existence probe, then a binary search on one
+/// incremental solver over a weight layer sized by its witness), its
+/// per-probe breakdown must add up to its totals, and the verdict must
 /// agree with the legacy per-weight estimator.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "obs/Trace.h"
 #include "qec/Codes.h"
 #include "verifier/Verifier.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace veriqec;
 
@@ -45,6 +50,29 @@ void expectDistance(const StabilizerCode &Code, size_t Documented,
   // Binary search over an incremental solver: a handful of calls, not
   // one per weight.
   EXPECT_LE(R.SolverCalls, 12u) << Code.Name;
+  // The per-probe breakdown accounts for every call and conflict. The
+  // existence probe runs unbounded above and its witness sizes the
+  // weight layer; every later bound lies below that depth.
+  ASSERT_EQ(R.Probes.size(), R.SolverCalls) << Code.Name;
+  uint64_t Conflicts = 0;
+  for (const DistanceResult::Probe &P : R.Probes)
+    Conflicts += P.Conflicts;
+  EXPECT_EQ(Conflicts, R.Stats.Conflicts) << Code.Name;
+  EXPECT_EQ(R.Probes.front().MaxWeight, Code.NumQubits) << Code.Name;
+  EXPECT_EQ(R.Probes.front().Result, sat::SolveResult::Sat) << Code.Name;
+  EXPECT_GE(R.LayerDepth, R.Distance) << Code.Name;
+  for (size_t I = 1; I != R.Probes.size(); ++I)
+    EXPECT_LT(R.Probes[I].MaxWeight, R.LayerDepth) << Code.Name;
+}
+
+/// Occurrences of span \p Name in a rendered trace.
+size_t countEvents(const std::string &Trace, const std::string &Name) {
+  std::string Key = "{\"name\":\"" + Name + "\"";
+  size_t Count = 0;
+  for (size_t At = Trace.find(Key); At != std::string::npos;
+       At = Trace.find(Key, At + 1))
+    ++Count;
+  return Count;
 }
 
 } // namespace
@@ -73,7 +101,12 @@ TEST(Distance, RepetitionCodesDocumentTheBitFlipFamily) {
     DistanceResult Any = computeDistance(Rep);
     ASSERT_TRUE(Any.Ok);
     EXPECT_EQ(Any.Distance, 1u);
+    // A weight-1 witness is minimal: the existence probe ends the
+    // search, and nothing is encoded a second time.
+    EXPECT_EQ(Any.SolverCalls, 1u);
+    EXPECT_EQ(Any.LayerDepth, 1u);
     expectDistance(Rep, N, PauliFamily::XOnly);
+    expectDistance(Rep, 1, PauliFamily::ZOnly);
   }
 }
 
@@ -92,17 +125,40 @@ TEST(Distance, LdpcRegistryRowsMatchDocumentedDistances) {
 }
 
 TEST(Distance, Tanner1SeedZeroCountersArePinned) {
-  // tanner1 at solver seed 0 runs a dozen learnt-clause reductions and
-  // three arena compactions on one incremental solver in about a second.
-  // The exact counters pin the search: a reduceDB that keeps different
-  // clauses, or leaves a different watch order behind, moves them.
+  // tanner1 at solver seed 0: the existence probe finds a weight-8
+  // logical, and the search on the problem sized by it runs a handful of
+  // learnt-clause reductions and about a dozen arena compactions in a
+  // fraction of a second. The exact counters pin the search: a reduceDB
+  // that keeps different clauses, a different watch order, or a weight
+  // layer of another depth moves them.
+  obs::beginTrace();
   DistanceResult R = computeDistance(makeTannerISubstitute());
+  obs::stopTrace();
+  std::string Trace = obs::renderTraceJson();
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Distance, 4u);
-  EXPECT_EQ(R.Stats.Conflicts, 4315u);
-  EXPECT_EQ(R.Stats.propagations(), 2782282u);
+  EXPECT_EQ(R.Stats.Conflicts, 3461u);
+  EXPECT_EQ(R.Stats.propagations(), 1874756u);
   EXPECT_EQ(R.SolverCalls, 4u);
-  EXPECT_EQ(R.Stats.Compactions, 3u);
+  EXPECT_EQ(R.Stats.Compactions, 11u);
+  EXPECT_EQ(R.LayerDepth, 8u);
+  EXPECT_EQ(R.CnfVars, 4102u);
+  EXPECT_EQ(R.CnfClauses, 11475u);
+  // What the pin exists to exercise: reduceDB and compaction on an
+  // incremental solver.
+  EXPECT_GE(countEvents(Trace, "reduce_db"), 1u);
+  EXPECT_GE(countEvents(Trace, "arena_gc"), 1u);
+}
+
+TEST(Distance, CssFamiliesMatchTheDocumentedDistance) {
+  // Symmetric CSS codes: the lightest pure-X and pure-Z logicals both
+  // attain the documented distance.
+  for (const StabilizerCode &Code :
+       {makeSteaneCode(), makeRotatedSurfaceCode(3),
+        makeRotatedSurfaceCode(5)}) {
+    expectDistance(Code, Code.Distance, PauliFamily::XOnly);
+    expectDistance(Code, Code.Distance, PauliFamily::ZOnly);
+  }
 }
 
 TEST(Distance, AgreesWithTheLegacyPerWeightEstimator) {
@@ -133,4 +189,36 @@ TEST(Distance, ExhaustedConflictBudgetReportsAborted) {
   DistanceResult R = computeDistance(makeRotatedSurfaceCode(5), VO);
   EXPECT_FALSE(R.Ok);
   EXPECT_TRUE(R.Aborted);
+
+  // The budget is per solve call. Exactly the existence probe's own
+  // conflict count stops that probe; one more lets it through, and an
+  // UNSAT probe of the search on the sized problem then runs out.
+  StabilizerCode Code = makeHgp98();
+  DistanceResult Free = computeDistance(Code);
+  ASSERT_TRUE(Free.Ok) << Free.Error;
+  uint64_t ExistConflicts = Free.Probes.front().Conflicts;
+  ASSERT_GE(ExistConflicts, 1u);
+  uint64_t SearchMax = 0;
+  for (size_t I = 1; I != Free.Probes.size(); ++I)
+    SearchMax = std::max(SearchMax, Free.Probes[I].Conflicts);
+  ASSERT_GT(SearchMax, ExistConflicts + 1);
+
+  VerifyOptions InExistence;
+  InExistence.ConflictBudget = ExistConflicts;
+  DistanceResult A = computeDistance(Code, InExistence);
+  EXPECT_FALSE(A.Ok);
+  EXPECT_TRUE(A.Aborted);
+  EXPECT_TRUE(A.Error.empty()) << A.Error;
+  ASSERT_EQ(A.Probes.size(), 1u);
+  EXPECT_EQ(A.Probes[0].Result, sat::SolveResult::Aborted);
+
+  VerifyOptions InSearch;
+  InSearch.ConflictBudget = ExistConflicts + 1;
+  DistanceResult B = computeDistance(Code, InSearch);
+  EXPECT_FALSE(B.Ok);
+  EXPECT_TRUE(B.Aborted);
+  ASSERT_GE(B.Probes.size(), 2u);
+  EXPECT_EQ(B.Probes.front().Result, sat::SolveResult::Sat);
+  EXPECT_EQ(B.Probes.back().Result, sat::SolveResult::Aborted);
+  EXPECT_EQ(B.LayerDepth, Free.LayerDepth);
 }

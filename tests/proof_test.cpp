@@ -89,6 +89,30 @@ TEST(ProofEmission, DistanceSearchEmitsCheckingProof) {
   EXPECT_GE(CR.Conclusions, 1u);
 }
 
+TEST(ProofEmission, SizedDistanceSearchCertificateDescribesTheSizedProblem) {
+  // tanner1's search runs on the problem re-encoded with a weight layer
+  // as deep as the existence probe's witness; the certificate's header
+  // must be that problem, clause for clause.
+  VerifyOptions O;
+  O.LogProofs = true;
+  DistanceResult R = computeDistance(makeTannerISubstitute(), O);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Distance, 4u);
+  EXPECT_LT(R.LayerDepth, makeTannerISubstitute().NumQubits);
+  ASSERT_FALSE(R.Proof.empty());
+  CheckResult CR = checkProof(R.Proof);
+  EXPECT_TRUE(CR.Ok) << CR.Error;
+  EXPECT_GE(CR.Conclusions, 2u); // the UNSAT probes at bounds 2 and 3
+  size_t Vars = R.Proof.find("\nv ");
+  ASSERT_NE(Vars, std::string::npos);
+  EXPECT_EQ(std::stoull(R.Proof.substr(Vars + 3)), R.CnfVars);
+  size_t Originals = 0;
+  for (size_t At = R.Proof.find("\no "); At != std::string::npos;
+       At = R.Proof.find("\no ", At + 1))
+    ++Originals;
+  EXPECT_EQ(Originals, R.CnfClauses);
+}
+
 TEST(ProofCheck, HandCraftedGlobalUnsatAccepted) {
   CheckResult CR = checkProof("p veriqec proof 1\n"
                               "v 2\n"

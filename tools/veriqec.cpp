@@ -563,12 +563,30 @@ bool writeBenchOut(const std::string &Path, const JsonObject &Config,
   return writeFile(Path, J.text() + "\n");
 }
 
+/// The probes of a distance search, in order: each one's weight bound,
+/// verdict, conflicts and wall time.
+std::string probesJson(const std::vector<DistanceResult::Probe> &Probes) {
+  std::vector<std::string> Items;
+  for (const DistanceResult::Probe &P : Probes) {
+    const char *Verdict = P.Result == sat::SolveResult::Sat     ? "sat"
+                          : P.Result == sat::SolveResult::Unsat ? "unsat"
+                                                                : "aborted";
+    JsonObject J;
+    J.count("max_weight", P.MaxWeight)
+        .str("result", Verdict)
+        .count("conflicts", P.Conflicts)
+        .num("seconds", P.Seconds);
+    Items.push_back(J.text());
+  }
+  return jsonArray(Items);
+}
+
 /// One distance-search record, shared by the distance command's --json
-/// and --bench-out: per-code wall-clock, solver-call and solver counts
-/// plus the XOR-engine and preprocessing statistics. \p Matches says
-/// whether the search agrees with the registry distance, \p Family
-/// names the restricted family ("x"/"z") that attains it when the
-/// unrestricted search does not.
+/// and --bench-out: per-code wall-clock, solver-call and solver counts,
+/// the per-probe breakdown, plus the XOR-engine and preprocessing
+/// statistics. \p Matches says whether the search agrees with the
+/// registry distance, \p Family names the restricted family ("x"/"z")
+/// that attains it when the unrestricted search does not.
 std::string distanceRecordJson(const std::string &Name,
                                const StabilizerCode &Code, bool Matches,
                                const std::string &Family,
@@ -587,6 +605,8 @@ std::string distanceRecordJson(const std::string &Name,
   J.count("xor_rows", D.XorRows)
       .count("cnf_vars", D.CnfVars)
       .count("cnf_clauses", D.CnfClauses)
+      .count("layer_depth", D.LayerDepth)
+      .raw("probes", probesJson(D.Probes))
       .raw("prep", prepJson(D.Prep));
   if (!Family.empty())
     J.str("documented_family", Family);
