@@ -7,7 +7,6 @@
 #include "dist/Coordinator.h"
 
 #include "obs/Progress.h"
-#include "proof/ProofLog.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -67,6 +66,9 @@ struct Coordinator::ActiveProblem {
   bool Finished = false;
   /// Open-handle problems persist worker-side between solveCubes calls.
   bool Persistent = false;
+  /// Cubes concluded by this problem's UNSAT cube sets so far (the
+  /// certificate's `n` record).
+  uint64_t Concluded = 0;
   smt::SolveOutcome Outcome;
   std::vector<std::vector<Lit>> Cores; ///< broadcast cache for joiners
   /// With Config.LogProofs: proof text per (worker serial, slot),
@@ -339,7 +341,16 @@ void Coordinator::shardCubes(uint32_t ProblemId, ActiveProblem &AP,
   // Contiguous batches — a few per fleet slot so stealing can rebalance
   // — queued eagerly (the grant loop spreads them across the registered
   // workers). Each cube set gets a FRESH wire-id range so stragglers
-  // from a persistent problem's previous set fall outside indexOf().
+  // from a persistent problem's previous set fall outside indexOf(), and
+  // fresh verdict state; worker-side solvers persist.
+  AP.DoneCount = 0;
+  AP.Decided = false;
+  AP.AnyAborted = false;
+  AP.Finished = false;
+  AP.Outcome = smt::SolveOutcome();
+  AP.Outcome.NumCubes = Cubes.size();
+  AP.Outcome.CubesSolved = 0;
+  engine::describeProblem(*AP.Problem, AP.Outcome);
   AP.BatchCubes.clear();
   size_t TargetBatches = std::min(
       Cubes.size(), std::max<size_t>(1, numSlots() * Opts.BatchesPerSlot));
@@ -376,17 +387,11 @@ void Coordinator::finishProblem(ActiveProblem &AP) {
     Streams.reserve(AP.ProofStreams.size());
     for (const auto &[Key, Text] : AP.ProofStreams)
       Streams.push_back(Text);
-    // The cube-coverage count is enforced only for a one-shot problem
-    // that ran to completion: a global refutation cancels siblings
-    // unconcluded, and a persistent problem's cumulative streams
-    // conclude cubes of every epoch so far.
-    AP.Outcome.Proof = proof::assembleProof(
-        proof::buildProofHeader(*AP.Problem, AP.Config.HardenBudget,
-                                AP.Config.BudgetBound),
-        Streams,
-        (AP.Decided || AP.Persistent)
-            ? std::nullopt
-            : std::optional<uint64_t>(AP.Outcome.NumCubes));
+    // An UNSAT problem decided early was refuted globally.
+    if (!AP.Decided)
+      AP.Concluded += AP.Outcome.NumCubes;
+    AP.Outcome.Proof = engine::assembleCertificate(
+        *AP.Problem, AP.Config, Streams, AP.Decided, AP.Concluded);
   }
 }
 
@@ -615,28 +620,16 @@ Coordinator::solveAll(std::span<const engine::CubeProblem> CubeProblems) {
     // engine runs — only the slot count (the fleet's) differs.
     engine::PreparedProblem P =
         engine::prepareCubeProblem(CubeProblems[I], Slots);
-    smt::SolveOutcome Seed;
-    Seed.Prep = P.Encoded->Prep;
-    Seed.CnfVars = P.Encoded->Cnf.NumVars;
-    Seed.CnfClauses = P.Encoded->Cnf.Clauses.size();
     if (P.Encoded->TriviallyUnsat) {
-      Seed.Result = sat::SolveResult::Unsat;
-      Seed.NumCubes = 0;
-      Seed.CubesSolved = 0;
-      if (P.Config.LogProofs)
-        Seed.Proof = proof::buildTrivialProof(*P.Encoded);
-      Local[I] = std::move(Seed);
+      Local[I] =
+          engine::triviallyUnsatOutcome(*P.Encoded, P.Config.LogProofs);
       continue;
     }
-    std::vector<std::vector<Lit>> Cubes = std::move(P.Cubes);
-    Seed.SplitThresholdUsed = P.SplitThresholdUsed;
-    Seed.NumCubes = Cubes.size();
-    Seed.CubesSolved = 0;
     uint32_t Id = openProblem(std::move(P.Encoded), P.Config);
     ActiveProblem &AP = *Problems.at(Id);
     AP.Persistent = false;
-    AP.Outcome = std::move(Seed);
-    shardCubes(Id, AP, std::move(Cubes));
+    shardCubes(Id, AP, std::move(P.Cubes));
+    AP.Outcome.SplitThresholdUsed = P.SplitThresholdUsed;
     Ids[I] = Id;
     LiveIds.push_back(Id);
     // Encoding is serial on this thread, but the fleet need not wait
@@ -682,19 +675,6 @@ smt::SolveOutcome
 Coordinator::solveCubes(uint32_t Handle,
                         std::vector<std::vector<Lit>> Cubes) {
   ActiveProblem &AP = *Problems.at(Handle);
-  // Fresh per-call verdict state; worker-side solvers persist.
-  AP.BatchCubes.clear();
-  AP.BatchDone.clear();
-  AP.DoneCount = 0;
-  AP.Decided = false;
-  AP.AnyAborted = false;
-  AP.Finished = false;
-  AP.Outcome = smt::SolveOutcome();
-  AP.Outcome.NumCubes = Cubes.size();
-  AP.Outcome.CubesSolved = 0;
-  AP.Outcome.Prep = AP.Problem->Prep;
-  AP.Outcome.CnfVars = AP.Problem->Cnf.NumVars;
-  AP.Outcome.CnfClauses = AP.Problem->Cnf.Clauses.size();
   shardCubes(Handle, AP, std::move(Cubes));
   runUntilDone({Handle});
   return std::move(AP.Outcome);

@@ -115,21 +115,15 @@ public:
   std::vector<smt::SolveOutcome>
   solveAll(std::span<const engine::CubeProblem> Problems) override;
 
-  /// Incremental API: registers an encoded problem without solving.
-  /// The problem ships lazily to each worker that receives one of its
-  /// batches, exactly once; worker-side slot solvers persist until
-  /// closeProblem().
+  /// engine::CubeBackend's handle API. The problem ships lazily to each
+  /// worker that receives one of its batches, exactly once; worker-side
+  /// slot solvers persist until closeProblem(), which frees them.
   uint32_t openProblem(std::shared_ptr<const smt::VerificationProblem> P,
-                       const engine::CubeRunConfig &Config);
-
-  /// Solves one cube set against an open problem (blocking). Cubes may
-  /// be assumption sets of any origin — the distance search sends its
-  /// weight-bound literals as a single cube per probe.
-  smt::SolveOutcome solveCubes(uint32_t Handle,
-                               std::vector<std::vector<sat::Lit>> Cubes);
-
-  /// Frees worker-side state of an open problem.
-  void closeProblem(uint32_t Handle);
+                       const engine::CubeRunConfig &Config) override;
+  smt::SolveOutcome
+  solveCubes(uint32_t Handle,
+             std::vector<std::vector<sat::Lit>> Cubes) override;
+  void closeProblem(uint32_t Handle) override;
 
   /// Sends Shutdown to every live worker (they exit their loops).
   void shutdownWorkers();
@@ -153,9 +147,9 @@ private:
   void requeueOutstanding(WorkerState &W);
   void cancelRemaining(ActiveProblem &AP, uint32_t ProblemId);
   void finishProblem(ActiveProblem &AP);
-  /// Shards one cube set into batches with a FRESH wire-id epoch and
-  /// queues them (shared by solveAll and solveCubes so the epoch
-  /// bookkeeping that rejects stragglers cannot diverge).
+  /// Starts one cube set: fresh verdict state, batches with a FRESH
+  /// wire-id epoch, queued (shared by solveAll and solveCubes so the
+  /// epoch bookkeeping that rejects stragglers cannot diverge).
   void shardCubes(uint32_t ProblemId, ActiveProblem &AP,
                   std::vector<std::vector<sat::Lit>> &&Cubes);
   /// Runs the event loop until every listed problem finished. Problems

@@ -7,6 +7,7 @@
 #include "engine/CubeEngine.h"
 
 #include "engine/CubeRun.h"
+#include "engine/VerificationEngine.h"
 #include "obs/Progress.h"
 #include "obs/Trace.h"
 #include "proof/ProofLog.h"
@@ -53,16 +54,80 @@ void enumerateCubesRec(const std::vector<Var> &SplitVars, uint32_t Distance,
   }
 }
 
-/// Shared state of one problem while its cubes are in flight. The
+} // namespace
+
+/// One problem's discharge across its cube sets: the CubeRun, the
+/// counters already reported, and the certificate state (a persistent
+/// slot solver's later derivations resolve against earlier ones, so the
+/// streams only check whole).
+struct veriqec::engine::Discharge {
+  Discharge(std::shared_ptr<const smt::VerificationProblem> P,
+            const CubeRunConfig &Cfg, size_t NumSlots)
+      : Problem(std::move(P)), Run(*Problem, Cfg, NumSlots),
+        Streams(NumSlots) {}
+
+  /// Closes a quiesced cube set into \p Out, whose NumCubes the caller
+  /// set: counters since the previous set, verdict, certificate.
+  void finish(SolveOutcome &Out) {
+    if (Problem->TriviallyUnsat) {
+      Out = triviallyUnsatOutcome(*Problem, Run.config().LogProofs);
+      return;
+    }
+    sat::SolverStats Now;
+    Run.accumulateStats(Now);
+    Out.Stats = Now - Reported;
+    Reported = Now;
+    Out.CubesSolved = Run.solved() - Solved;
+    Out.CubesPrunedGf2 = Run.prunedGf2() - PrunedGf2;
+    Out.CubesPrunedCore = Run.prunedCore() - PrunedCore;
+    Out.CubesPruned = Out.CubesPrunedGf2 + Out.CubesPrunedCore;
+    Solved = Run.solved();
+    PrunedGf2 = Run.prunedGf2();
+    PrunedCore = Run.prunedCore();
+    describeProblem(*Problem, Out);
+    if (Run.satFound()) {
+      Out.Result = SolveResult::Sat;
+      Out.Model = Run.model();
+    } else {
+      // A core-certified global refutation outranks sibling aborts: the
+      // cubes cancelled mid-search were redundant, not inconclusive.
+      Out.Result = Run.globalUnsat()  ? SolveResult::Unsat
+                   : Run.anyAborted() ? SolveResult::Aborted
+                                      : SolveResult::Unsat;
+    }
+    if (!Run.config().LogProofs)
+      return;
+    for (size_t S = 0; S != Streams.size(); ++S)
+      if (Streams[S].empty()) // a move: certificates run to many MB
+        Streams[S] = Run.drainSlotProof(S);
+      else
+        Streams[S] += Run.drainSlotProof(S);
+    if (Out.Result != SolveResult::Unsat)
+      return;
+    if (!Run.globalUnsat())
+      Concluded += Out.NumCubes;
+    Out.Proof = assembleCertificate(*Problem, Run.config(), Streams,
+                                    Run.globalUnsat(), Concluded);
+  }
+
+  std::shared_ptr<const smt::VerificationProblem> Problem;
+  CubeRun Run;
+  sat::SolverStats Reported;
+  uint64_t Solved = 0, PrunedGf2 = 0, PrunedCore = 0;
+  std::vector<std::string> Streams; ///< per slot, everything so far
+  uint64_t Concluded = 0; ///< cubes of the UNSAT cube sets so far
+};
+
+namespace {
+
+/// One problem of a pool batch while its cubes are in flight: the
 /// per-cube discharge logic (slot solvers, pruning, cancellation) lives
 /// in CubeRun — shared with the distributed worker — and this wrapper
-/// keeps only what the in-process scheduler needs on top: the cube list,
-/// the outstanding-cube countdown and the assembled outcome.
+/// adds the cube list, the outstanding-cube countdown and the outcome.
 struct ProblemRun {
   const CubeProblem *Input = nullptr;
-  std::shared_ptr<smt::VerificationProblem> Encoded;
   std::vector<std::vector<Lit>> Cubes;
-  std::unique_ptr<CubeRun> Run;
+  std::unique_ptr<Discharge> D;
 
   std::atomic<uint64_t> Remaining{0};
   SolveOutcome Out;
@@ -73,7 +138,7 @@ void dischargeCube(ProblemRun &P, size_t CubeIdx) {
   int Worker = ThreadPool::currentWorkerIndex();
   if (Worker < 0)
     fatalError("cube task executed off the pool");
-  P.Run->runCube(static_cast<size_t>(Worker), P.Cubes[CubeIdx], CubeIdx);
+  P.D->Run.runCube(static_cast<size_t>(Worker), P.Cubes[CubeIdx], CubeIdx);
   if (P.Remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
     P.Out.SolveSeconds = P.Clock.seconds();
 }
@@ -163,6 +228,42 @@ uint32_t veriqec::engine::pickSplitThreshold(size_t NumSplitVars,
   return Chosen;
 }
 
+uint32_t veriqec::engine::autoSplitThreshold(size_t NumQubits,
+                                             uint32_t Distance,
+                                             uint32_t MaxOnes) {
+  return static_cast<uint32_t>(
+      std::min<uint64_t>(NumQubits, 2ull * Distance * MaxOnes + 4));
+}
+
+void veriqec::engine::describeProblem(const smt::VerificationProblem &P,
+                                      SolveOutcome &Out) {
+  Out.Prep = P.Prep;
+  Out.CnfVars = P.Cnf.NumVars;
+  Out.CnfClauses = P.Cnf.Clauses.size();
+}
+
+SolveOutcome
+veriqec::engine::triviallyUnsatOutcome(const smt::VerificationProblem &P,
+                                       bool LogProofs) {
+  SolveOutcome Out;
+  describeProblem(P, Out);
+  Out.Result = SolveResult::Unsat;
+  Out.NumCubes = 0;
+  Out.CubesSolved = 0;
+  if (LogProofs)
+    Out.Proof = proof::buildTrivialProof(P);
+  return Out;
+}
+
+std::string veriqec::engine::assembleCertificate(
+    const smt::VerificationProblem &P, const CubeRunConfig &Cfg,
+    std::span<const std::string> Streams, bool GlobalUnsat,
+    uint64_t Concluded) {
+  return proof::assembleProof(
+      proof::buildProofHeader(P, Cfg.HardenBudget, Cfg.BudgetBound), Streams,
+      GlobalUnsat ? std::nullopt : std::optional<uint64_t>(Concluded));
+}
+
 PreparedProblem veriqec::engine::prepareCubeProblem(const CubeProblem &P,
                                                     size_t TotalSlots) {
   const smt::SolveOptions &O = P.Opts;
@@ -242,18 +343,17 @@ ThreadPool &CubeEngine::pool() {
 
 std::vector<SolveOutcome>
 CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
-  // A lone unsplit problem has exactly one cube: solve it on the calling
-  // thread so purely sequential verification never spawns the pool.
-  if (Problems.size() == 1) {
-    const smt::SolveOptions &O = Problems[0].Opts;
-    if (O.SplitVars.empty() || O.SplitThreshold == 0) {
-      SolveOutcome Out =
-          smt::solveExpr(*Problems[0].Ctx, Problems[0].Root, O);
-      Out.CubesSolved = Out.Result == SolveResult::Aborted ? 0 : 1;
-      std::vector<SolveOutcome> Outcomes;
-      Outcomes.push_back(std::move(Out));
-      return Outcomes;
-    }
+  // A lone unsplit problem has exactly one open cube: discharge it
+  // through the handle API on the calling thread, so purely sequential
+  // verification never spawns the pool.
+  if (Problems.size() == 1 && (Problems[0].Opts.SplitVars.empty() ||
+                               Problems[0].Opts.SplitThreshold == 0)) {
+    PreparedProblem P = prepareCubeProblem(Problems[0], 1);
+    uint32_t Handle = openProblem(std::move(P.Encoded), P.Config);
+    std::vector<SolveOutcome> Outcomes;
+    Outcomes.push_back(solveCubes(Handle, std::move(P.Cubes)));
+    closeProblem(Handle);
+    return Outcomes;
   }
 
   ThreadPool &Workers = pool();
@@ -274,12 +374,10 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
     ProblemRun *Run = RunPtr.get();
     Workers.submit([Run, NumWorkers, &EncodeWg] {
       PreparedProblem P = prepareCubeProblem(*Run->Input, NumWorkers);
-      Run->Encoded = std::move(P.Encoded);
       Run->Cubes = std::move(P.Cubes);
       Run->Out.SplitThresholdUsed = P.SplitThresholdUsed;
-      if (!Run->Encoded->TriviallyUnsat)
-        Run->Run =
-            std::make_unique<CubeRun>(*Run->Encoded, P.Config, NumWorkers);
+      Run->D = std::make_unique<Discharge>(std::move(P.Encoded), P.Config,
+                                           NumWorkers);
       EncodeWg.done();
     });
   }
@@ -335,11 +433,10 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
       uint64_t Left = 0, Done = 0, Pruned = 0, Conflicts = 0;
       for (std::unique_ptr<ProblemRun> &RunPtr : Runs) {
         Left += RunPtr->Remaining.load(std::memory_order_relaxed);
-        if (RunPtr->Run) {
-          Done += RunPtr->Run->solved();
-          Pruned += RunPtr->Run->prunedGf2() + RunPtr->Run->prunedCore();
-          Conflicts += RunPtr->Run->conflictsObserved();
-        }
+        const CubeRun &R = RunPtr->D->Run;
+        Done += R.solved();
+        Pruned += R.prunedGf2() + R.prunedCore();
+        Conflicts += R.conflictsObserved();
       }
       obs::progressLine("cubes " + std::to_string(Done) + "/" +
                             std::to_string(Total) + "  pruned " +
@@ -354,81 +451,74 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
   }
   CubeWg.wait();
 
-  // Finalize: aggregate worker stats, derive the verdict.
   std::vector<SolveOutcome> Outcomes;
   Outcomes.reserve(Runs.size());
   for (std::unique_ptr<ProblemRun> &RunPtr : Runs) {
-    ProblemRun &Run = *RunPtr;
-    if (Run.Run) {
-      CubeRun &R = *Run.Run;
-      R.accumulateStats(Run.Out.Stats);
-      Run.Out.CubesSolved = R.solved();
-      Run.Out.CubesPrunedGf2 = R.prunedGf2();
-      Run.Out.CubesPrunedCore = R.prunedCore();
-      Run.Out.CubesPruned =
-          Run.Out.CubesPrunedGf2 + Run.Out.CubesPrunedCore;
-      if (R.satFound()) {
-        Run.Out.Result = SolveResult::Sat;
-        Run.Out.Model = R.model();
-      } else {
-        // A core-certified global refutation outranks sibling aborts:
-        // the cubes cancelled mid-search were redundant, not
-        // inconclusive.
-        Run.Out.Result = R.globalUnsat()  ? SolveResult::Unsat
-                         : R.anyAborted() ? SolveResult::Aborted
-                                          : SolveResult::Unsat;
-      }
-      if (Run.Input->Opts.LogProofs &&
-          Run.Out.Result == SolveResult::Unsat) {
-        std::vector<std::string> Streams;
-        Streams.reserve(R.numSlots());
-        for (size_t S = 0; S != R.numSlots(); ++S)
-          Streams.push_back(R.drainSlotProof(S));
-        // Under a global refutation the sibling cubes were cancelled
-        // without conclusions, so the cube count is not enforced.
-        Run.Out.Proof = proof::assembleProof(
-            proof::buildProofHeader(*Run.Encoded,
-                                    !Run.Input->Opts.BudgetVars.empty(),
-                                    Run.Input->Opts.BudgetBound),
-            Streams,
-            R.globalUnsat()
-                ? std::nullopt
-                : std::optional<uint64_t>(Run.Out.NumCubes));
-      }
-    } else {
-      // Trivially UNSAT during preprocessing.
-      Run.Out.NumCubes = 0;
-      Run.Out.CubesSolved = 0;
-      Run.Out.Result = SolveResult::Unsat;
-      if (Run.Input->Opts.LogProofs)
-        Run.Out.Proof = proof::buildTrivialProof(*Run.Encoded);
-    }
-    Run.Out.Prep = Run.Encoded->Prep;
-    Run.Out.CnfVars = Run.Encoded->Cnf.NumVars;
-    Run.Out.CnfClauses = Run.Encoded->Cnf.Clauses.size();
-    Outcomes.push_back(std::move(Run.Out));
+    RunPtr->D->finish(RunPtr->Out);
+    Outcomes.push_back(std::move(RunPtr->Out));
   }
   return Outcomes;
 }
 
-CubeEngine &CubeEngine::shared() {
-  static CubeEngine Engine;
-  return Engine;
+CubeEngine::CubeEngine(size_t NumThreads)
+    : Width(NumThreads ? NumThreads
+                       : std::max(1u, std::thread::hardware_concurrency())) {}
+
+CubeEngine::~CubeEngine() = default;
+
+uint32_t
+CubeEngine::openProblem(std::shared_ptr<const smt::VerificationProblem> P,
+                        const CubeRunConfig &Config) {
+  auto Entry = std::make_unique<Discharge>(std::move(P), Config, 1);
+  std::lock_guard<std::mutex> Lock(OpenMutex);
+  uint32_t Handle = NextHandle++;
+  Open.emplace(Handle, std::move(Entry));
+  return Handle;
 }
 
-// -- smt-layer facade --------------------------------------------------------
+SolveOutcome CubeEngine::solveCubes(uint32_t Handle,
+                                    std::vector<std::vector<Lit>> Cubes) {
+  Discharge *D = nullptr;
+  {
+    std::lock_guard<std::mutex> Lock(OpenMutex);
+    D = Open.at(Handle).get();
+  }
+  // The previous cube set's verdict flags go; the slot solver, its
+  // learnt clauses and the cumulative counters stay.
+  D->Run.reset();
+  SolveOutcome Out;
+  Out.NumCubes = Cubes.size();
+  Timer Clock;
+  for (size_t C = 0; C != Cubes.size() && !D->Run.cancelled(); ++C)
+    D->Run.runCube(0, Cubes[C], C);
+  Out.SolveSeconds = Clock.seconds();
+  D->finish(Out);
+  return Out;
+}
+
+void CubeEngine::closeProblem(uint32_t Handle) {
+  std::lock_guard<std::mutex> Lock(OpenMutex);
+  Open.erase(Handle);
+}
+
+// -- smt-layer facades --------------------------------------------------------
 //
 // Declared in smt/CubeSolver.h; defined here so the smt layer contains no
-// threading. A caller-specified thread count that differs from the shared
-// pool gets a private engine (the deterministic-concurrency tests sweep
-// 1/2/4/8 threads this way).
+// threading and no second solver set-up.
+
+smt::SolveOutcome veriqec::smt::solveExpr(const BoolContext &Ctx,
+                                          ExprRef Root,
+                                          const SolveOptions &Opts) {
+  SolveOptions OneCube = Opts;
+  OneCube.SplitThreshold = 0;
+  CubeEngine OneSlot(1);
+  return OneSlot.solve(Ctx, Root, OneCube);
+}
 
 smt::SolveOutcome veriqec::smt::solveExprParallel(const BoolContext &Ctx,
                                                   ExprRef Root,
                                                   const SolveOptions &Opts) {
-  if (Opts.NumThreads == 0 ||
-      Opts.NumThreads == CubeEngine::shared().numWorkers())
-    return CubeEngine::shared().solve(Ctx, Root, Opts);
-  CubeEngine Local(Opts.NumThreads);
-  return Local.solve(Ctx, Root, Opts);
+  return onEngine(Opts.NumThreads, [&](VerificationEngine &E) {
+    return E.cubes().solve(Ctx, Root, Opts);
+  });
 }

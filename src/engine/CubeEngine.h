@@ -15,7 +15,9 @@
 /// the CNF is never re-encoded per cube. The first SAT cube cancels all
 /// outstanding siblings of its problem. solveAll() multiplexes many
 /// independent problems over the same pool — the substrate of the batch
-/// verifyAll() path.
+/// verifyAll() path. The handle API runs an open problem's cube sets on
+/// one persistent slot on the calling thread (sequential solves, the
+/// local distance search).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +31,12 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <thread>
+#include <unordered_map>
 #include <vector>
 
 namespace veriqec::engine {
+
+struct Discharge; // one problem's discharge state (CubeEngine.cpp)
 
 /// Enumerates assumption cubes over \p SplitVars with the ET heuristic:
 /// a branch is extended while ET = 2*Distance*ones + bits stays within
@@ -67,6 +71,14 @@ uint32_t pickSplitThreshold(size_t NumSplitVars, uint32_t Distance,
                             size_t TotalSlots,
                             uint64_t *CubeCountOut = nullptr);
 
+/// The auto ET cap, min(\p NumQubits, 2*Distance*MaxOnes + 4). The paper
+/// cuts at n, but past 2d*MaxOnes every extension is a forced zero-tail
+/// that multiplies near-trivial cubes without narrowing the search
+/// (measured ~25% of cube-path wall-clock on surface9 t=4); the +4 slack
+/// keeps the cubes that just placed their last feasible one.
+uint32_t autoSplitThreshold(size_t NumQubits, uint32_t Distance,
+                            uint32_t MaxOnes);
+
 /// One satisfiability problem for the batch API.
 struct CubeProblem {
   const smt::BoolContext *Ctx = nullptr;
@@ -92,11 +104,27 @@ struct PreparedProblem {
 /// \p TotalSlots (the fleet-wide slot count), enumerate the cubes.
 PreparedProblem prepareCubeProblem(const CubeProblem &P, size_t TotalSlots);
 
-/// Where a batch of cube problems is discharged: in-process on the
-/// work-stealing pool (CubeEngine) or sharded across remote workers
-/// (dist::Coordinator). VerificationEngine::verifyAll is parameterized
-/// on this, so every scenario workload runs unchanged on either
-/// substrate.
+/// Copies \p P's preprocessing and CNF figures into \p Out.
+void describeProblem(const smt::VerificationProblem &P,
+                     smt::SolveOutcome &Out);
+
+/// Outcome of a problem the preprocessor refuted: no cubes, no solver.
+smt::SolveOutcome triviallyUnsatOutcome(const smt::VerificationProblem &P,
+                                        bool LogProofs);
+
+/// The certificate rule of every CubeBackend: header, \p Streams, and an
+/// `n` record of \p Concluded (the cubes of the problem's UNSAT cube sets
+/// so far), omitted only after a global refutation.
+std::string assembleCertificate(const smt::VerificationProblem &P,
+                                const CubeRunConfig &Cfg,
+                                std::span<const std::string> Streams,
+                                bool GlobalUnsat, uint64_t Concluded);
+
+/// Where cube problems are discharged: in-process (CubeEngine) or
+/// sharded across remote workers (dist::Coordinator). Scenario batches
+/// (VerificationEngine::verifyAll) and the distance search (through the
+/// handle API) run unchanged on either; certificates follow
+/// assembleCertificate().
 class CubeBackend {
 public:
   virtual ~CubeBackend() = default;
@@ -109,6 +137,20 @@ public:
   /// Total solver slots behind this backend (local threads x nodes);
   /// drives the cube-split sizing heuristic.
   virtual size_t numSlots() const = 0;
+
+  /// Registers an encoded problem (not TriviallyUnsat) without solving;
+  /// its slot solvers and learnt clauses persist until closeProblem().
+  virtual uint32_t
+  openProblem(std::shared_ptr<const smt::VerificationProblem> P,
+              const CubeRunConfig &Config) = 0;
+
+  /// Solves one cube set (assumption sets of any origin) against an open
+  /// problem, blocking; statistics and cube counts are this call's.
+  virtual smt::SolveOutcome
+  solveCubes(uint32_t Handle, std::vector<std::vector<sat::Lit>> Cubes) = 0;
+
+  /// Frees the state of an open problem.
+  virtual void closeProblem(uint32_t Handle) = 0;
 };
 
 class CubeEngine : public CubeBackend {
@@ -116,10 +158,8 @@ public:
   /// \p NumThreads = 0 picks the hardware concurrency. The pool itself
   /// is created on first use, so engines that only ever see
   /// single-cube (sequential) problems never spawn a thread.
-  explicit CubeEngine(size_t NumThreads = 0)
-      : Width(NumThreads ? NumThreads
-                         : std::max(1u, std::thread::hardware_concurrency())) {
-  }
+  explicit CubeEngine(size_t NumThreads = 0);
+  ~CubeEngine() override;
 
   size_t numWorkers() const { return Width; }
   size_t numSlots() const override { return Width; }
@@ -130,14 +170,20 @@ public:
 
   /// Solves many independent problems over the same pool: every cube of
   /// every problem is in flight together, a SAT cube cancels only its own
-  /// problem's siblings, and statistics are aggregated per problem.
+  /// problem's siblings, and statistics are aggregated per problem. A
+  /// lone unsplit problem runs through the handle API instead.
   std::vector<smt::SolveOutcome>
   solveAll(std::span<const CubeProblem> Problems) override;
 
-  /// Process-wide engine sized to the hardware, created on first use.
-  /// The solveExprParallel()/verifyScenario() facades run on it whenever
-  /// the caller does not request a specific thread count.
-  static CubeEngine &shared();
+  /// The handle API on one slot: an open problem's cubes run in order on
+  /// the calling thread, whatever the engine's width. Distinct handles
+  /// may be driven from distinct threads concurrently.
+  uint32_t openProblem(std::shared_ptr<const smt::VerificationProblem> P,
+                       const CubeRunConfig &Config) override;
+  smt::SolveOutcome
+  solveCubes(uint32_t Handle,
+             std::vector<std::vector<sat::Lit>> Cubes) override;
+  void closeProblem(uint32_t Handle) override;
 
 private:
   ThreadPool &pool();
@@ -145,6 +191,10 @@ private:
   size_t Width;
   std::mutex PoolMutex;
   std::unique_ptr<ThreadPool> Pool;
+
+  std::mutex OpenMutex; // guards Open and NextHandle
+  std::unordered_map<uint32_t, std::unique_ptr<Discharge>> Open;
+  uint32_t NextHandle = 1;
 };
 
 } // namespace veriqec::engine

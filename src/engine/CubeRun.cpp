@@ -145,7 +145,7 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
       // clause is justified by another slot's derivations, so it would
       // not replay as RUP inside this slot's stream.
       Reused->setProofSink(SlotLogs[Slot].get());
-    else
+    else if (Slots.size() > 1)
       Reused->attachSharedPool(&LearntPool, static_cast<int>(Slot));
     if (Cfg.ConflictBudget)
       Reused->setConflictBudget(Cfg.ConflictBudget);
@@ -184,12 +184,13 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
       // An empty core concludes the whole problem (GlobalUnsat below);
       // the checker treats it the same way.
       SlotLogs[Slot]->logConclusion(Core, Cube, Reused->conflictCoreHints());
-    if (Core.empty() && !Cube.empty()) {
-      // The refutation used no assumptions at all: the problem is UNSAT
-      // under its root clauses alone and the siblings are redundant.
+    if (Core.empty()) {
+      // The refutation used no assumptions (as every refutation of the
+      // open cube): the problem is UNSAT under its root clauses alone
+      // and the siblings are redundant.
       GlobalUnsat.store(true, std::memory_order_relaxed);
       Cancel.store(true, std::memory_order_relaxed);
-    } else if (!Core.empty() && Core.size() + 1 < Cube.size()) {
+    } else if (Core.size() + 1 < Cube.size()) {
       // A strict-subset core refutes every sibling cube containing it;
       // remember it so they are pruned without a solver — and queue it
       // for cross-node broadcast. (The +1 slack: a core one literal

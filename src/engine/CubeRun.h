@@ -139,6 +139,7 @@ public:
   void accumulateStats(sat::SolverStats &Out) const;
 
   size_t numSlots() const { return Slots.size(); }
+  const CubeRunConfig &config() const { return Cfg; }
 
   /// Moves out everything slot \p Slot's proof log has accumulated since
   /// the last drain (empty when not logging or nothing happened). Record
@@ -194,6 +195,8 @@ private:
 
   /// Clause exchange between the slots: lemmas learned on one slot's
   /// cubes are valid for every sibling cube and imported lazily.
+  /// Attached only with two or more slots (a lone slot has no one to
+  /// trade with).
   sat::SharedClausePool LearntPool;
 
   std::mutex ModelMutex; // guards Model on the SAT path

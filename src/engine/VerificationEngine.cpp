@@ -60,17 +60,11 @@ SolveOptions makeSolveOptions(const Scenario &S, const VerifyOptions &Opts) {
     SO.SplitVars = S.ErrorVars;
     SO.DistanceHint = std::max<uint32_t>(
         2, S.MaxErrors == ~uint32_t{0} ? 2 : 2 * S.MaxErrors + 1);
-    // Auto ET threshold: the paper uses n, but splitting only pays
-    // until the weight budget is exhausted — once ET passes
-    // 2d*MaxOnes, every extension is a forced zero-tail that multiplies
-    // near-trivial cubes without narrowing the search (measured ~25%
-    // of cube-path wall-clock on surface9 t=4). The +4 slack keeps the
-    // cubes that just placed their last feasible one.
-    uint32_t Auto = static_cast<uint32_t>(S.NumQubits);
-    if (S.MaxErrors != ~uint32_t{0})
-      Auto = static_cast<uint32_t>(std::min<uint64_t>(
-          Auto, 2ull * SO.DistanceHint * S.MaxErrors + 4));
-    SO.SplitThreshold = Opts.SplitThreshold ? Opts.SplitThreshold : Auto;
+    SO.SplitThreshold = Opts.SplitThreshold
+                            ? Opts.SplitThreshold
+                            : autoSplitThreshold(S.NumQubits,
+                                                 SO.DistanceHint,
+                                                 S.MaxErrors);
     SO.MaxOnes = S.MaxErrors;
   }
   return SO;

@@ -71,6 +71,18 @@ private:
   CubeEngine Cubes;
 };
 
+/// The facades' one engine rule: calls \p F on the process-wide engine
+/// unless \p Threads asks for another width, then on a private engine
+/// of that width for the call.
+template <typename Fn>
+auto onEngine(size_t Threads, Fn &&F) {
+  VerificationEngine &Shared = VerificationEngine::shared();
+  if (Threads == 0 || Threads == Shared.numWorkers())
+    return F(Shared);
+  VerificationEngine Private(Threads);
+  return F(Private);
+}
+
 } // namespace veriqec::engine
 
 #endif // VERIQEC_ENGINE_VERIFICATIONENGINE_H

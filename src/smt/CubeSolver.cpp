@@ -1,18 +1,16 @@
-//===- smt/CubeSolver.cpp - Sequential solving & problem encoding ----------===//
+//===- smt/CubeSolver.cpp - Problem encoding ------------------------------===//
 //
 // Part of the veriqec project.
 //
-// The parallel entry point solveExprParallel() lives in
-// engine/CubeEngine.cpp: all threading is owned by the engine layer.
+// The solving entry points solveExpr() and solveExprParallel() live in
+// engine/CubeEngine.cpp: every solve runs on the engine's CubeRun.
 //
 //===----------------------------------------------------------------------===//
 
 #include "smt/CubeSolver.h"
 
 #include "obs/Trace.h"
-#include "proof/ProofLog.h"
 #include "support/Assert.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <unordered_set>
@@ -20,7 +18,6 @@
 using namespace veriqec;
 using namespace veriqec::smt;
 using sat::Lit;
-using sat::SolveResult;
 using sat::Var;
 
 VerificationProblem::VerificationProblem(const BoolContext &Ctx_, ExprRef Root,
@@ -210,51 +207,4 @@ ProblemOptions veriqec::smt::makeProblemOptions(const BoolContext &Ctx,
     PO.CounterCap = static_cast<size_t>(Opts.BudgetBound) + 1;
   PO.CaptureProofData = Opts.LogProofs;
   return PO;
-}
-
-SolveOutcome veriqec::smt::solveExpr(const BoolContext &Ctx, ExprRef Root,
-                                     const SolveOptions &Opts) {
-  Timer Clock;
-  VerificationProblem Problem(Ctx, Root, makeProblemOptions(Ctx, Opts));
-
-  SolveOutcome Outcome;
-  Outcome.Prep = Problem.Prep;
-  Outcome.CnfVars = Problem.Cnf.NumVars;
-  Outcome.CnfClauses = Problem.Cnf.Clauses.size();
-  if (Problem.TriviallyUnsat) {
-    Outcome.Result = SolveResult::Unsat;
-    if (Opts.LogProofs)
-      Outcome.Proof = proof::buildTrivialProof(Problem);
-    Outcome.SolveSeconds = Clock.seconds();
-    return Outcome;
-  }
-
-  sat::Solver S = Problem.makeSolver();
-  proof::SlotProofLog Log;
-  if (Opts.LogProofs)
-    S.setProofSink(&Log);
-  // One bound per solver: harden it at the root (encode-once, activate
-  // per solver; the CnfFormula itself stays bound-independent).
-  if (!Opts.BudgetVars.empty())
-    Problem.assertWeightBound(S, Opts.BudgetBound);
-  if (Opts.ConflictBudget)
-    S.setConflictBudget(Opts.ConflictBudget);
-  if (Opts.RandomSeed)
-    S.setRandomSeed(Opts.RandomSeed);
-  Outcome.Result = S.solve();
-  Outcome.Stats = S.stats();
-  if (Outcome.Result == SolveResult::Sat)
-    Problem.readModel(S, Outcome.Model);
-  else if (Outcome.Result == SolveResult::Unsat && Opts.LogProofs) {
-    // No assumptions were used, so the clause database alone refutes
-    // the problem: one stream, one empty-core conclusion.
-    Log.logConclusion({}, {});
-    const std::string Streams[] = {Log.drain()};
-    Outcome.Proof = proof::assembleProof(
-        proof::buildProofHeader(Problem, !Opts.BudgetVars.empty(),
-                                Opts.BudgetBound),
-        Streams, std::nullopt);
-  }
-  Outcome.SolveSeconds = Clock.seconds();
-  return Outcome;
 }

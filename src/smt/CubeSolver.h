@@ -1,4 +1,4 @@
-//===- smt/CubeSolver.h - Sequential & parallel solving ---------*- C++ -*-===//
+//===- smt/CubeSolver.h - Problem encoding & solving facades ----*- C++ -*-===//
 //
 // Part of the veriqec project.
 //
@@ -10,9 +10,10 @@
 /// parallelization (Section 7.1 / Appendix D.4): selected error variables
 /// are enumerated until the heuristic ET = 2d*N(ones) + N(bits) exceeds a
 /// threshold; each resulting cube is an independent SAT call; a SAT cube
-/// aborts the siblings and surfaces its counterexample model.
+/// aborts the siblings and surfaces its counterexample model. Both entry
+/// points run on engine::CubeEngine (and are defined there).
 ///
-/// Both drivers run on VerificationProblem, the reusable middle of the
+/// Both run on VerificationProblem, the reusable middle of the
 /// pipeline: GF(2)/XOR preprocessing (smt/Preprocessor.h), then one CNF
 /// encoding shared read-only by every worker and cube, with the weight
 /// budget as an assumption-activated counter layer so different bounds
@@ -277,16 +278,16 @@ private:
   std::unordered_map<int32_t, uint32_t> BoolVarOfSat;
 };
 
-/// The one SolveOptions -> ProblemOptions translation shared by the
-/// sequential driver and the cube engine, so the two pipelines cannot
-/// desynchronize: split variables become protected, budget variables
-/// become counter terms, and — because both paths harden the bound at
-/// the root via assertWeightBound — the counters are truncated just
-/// past it.
+/// The one SolveOptions -> ProblemOptions translation (of
+/// engine::prepareCubeProblem): split variables become protected, budget
+/// variables become counter terms, and — because every slot solver
+/// hardens the bound at the root via assertWeightBound — the counters are
+/// truncated just past it.
 ProblemOptions makeProblemOptions(const BoolContext &Ctx,
                                   const SolveOptions &Opts);
 
-/// Solves \p Root (checking satisfiability) on one thread.
+/// Solves \p Root (checking satisfiability) as one open cube on one slot
+/// on the calling thread, ignoring the split options.
 SolveOutcome solveExpr(const BoolContext &Ctx, ExprRef Root,
                        const SolveOptions &Opts = {});
 

@@ -11,45 +11,26 @@
 
 #include "verifier/Verifier.h"
 
-#include "dist/Coordinator.h"
 #include "engine/VerificationEngine.h"
-#include "proof/ProofLog.h"
 #include "support/Timer.h"
-
-#include <algorithm>
-#include <optional>
 
 using namespace veriqec;
 using namespace veriqec::smt;
 
-namespace {
-
-/// Picks the engine for a call: the process-wide pool unless the caller
-/// asked for a specific different width.
-template <typename Fn> auto onEngine(const VerifyOptions &Opts, Fn &&F) {
-  engine::VerificationEngine &Shared = engine::VerificationEngine::shared();
-  if (!Opts.Parallel || Opts.Threads == 0 ||
-      Opts.Threads == Shared.numWorkers())
-    return F(Shared);
-  engine::VerificationEngine Local(Opts.Threads);
-  return F(Local);
-}
-
-} // namespace
-
 VerificationResult veriqec::verifyScenario(const Scenario &S,
                                            const VerifyOptions &Opts) {
-  return onEngine(Opts, [&](engine::VerificationEngine &E) {
-    return E.verify(S, Opts);
-  });
+  return engine::onEngine(
+      Opts.Parallel ? Opts.Threads : 0,
+      [&](engine::VerificationEngine &E) { return E.verify(S, Opts); });
 }
 
 std::vector<VerificationResult>
 veriqec::verifyAll(std::span<const Scenario> Scenarios,
                    const VerifyOptions &Opts) {
-  return onEngine(Opts, [&](engine::VerificationEngine &E) {
-    return E.verifyAll(Scenarios, Opts);
-  });
+  return engine::onEngine(Opts.Parallel ? Opts.Threads : 0,
+                         [&](engine::VerificationEngine &E) {
+                           return E.verifyAll(Scenarios, Opts);
+                         });
 }
 
 namespace {
@@ -147,24 +128,22 @@ DetectionResult veriqec::verifyDetection(const StabilizerCode &Code,
   SO.ConflictBudget = Opts.ConflictBudget;
   SO.RandomSeed = Opts.RandomSeed;
   SO.LogProofs = Opts.LogProofs;
-  SolveOutcome Outcome;
-  ExprRef Root = Ctx.mkAnd(std::move(Cs));
   if (Opts.Parallel) {
     SO.NumThreads = Opts.Threads;
     for (size_t Q = 0; Q != N; ++Q)
       SO.SplitVars.push_back("x" + std::to_string(Q));
     SO.DistanceHint = static_cast<uint32_t>(
         Code.Distance ? Code.Distance : MaxWeight + 1);
-    // Same budget-exhaustion cutoff as the engine's scenario path.
-    uint32_t Auto = static_cast<uint32_t>(std::min<uint64_t>(
-        N, 2ull * SO.DistanceHint * MaxWeight + 4));
-    SO.AutoSplitThreshold = Opts.SplitThreshold == 0;
-    SO.SplitThreshold = Opts.SplitThreshold ? Opts.SplitThreshold : Auto;
     SO.MaxOnes = static_cast<uint32_t>(MaxWeight);
-    Outcome = solveExprParallel(Ctx, Root, SO);
-  } else {
-    Outcome = solveExpr(Ctx, Root, SO);
+    SO.AutoSplitThreshold = Opts.SplitThreshold == 0;
+    SO.SplitThreshold =
+        Opts.SplitThreshold
+            ? Opts.SplitThreshold
+            : engine::autoSplitThreshold(N, SO.DistanceHint, SO.MaxOnes);
   }
+  // Unsplit (not Parallel), the engine discharges one open cube on the
+  // calling thread.
+  SolveOutcome Outcome = solveExprParallel(Ctx, Ctx.mkAnd(std::move(Cs)), SO);
 
   Result.Stats = Outcome.Stats;
   Result.Detects = Outcome.Result == sat::SolveResult::Unsat;
@@ -179,7 +158,7 @@ DetectionResult veriqec::verifyDetection(const StabilizerCode &Code,
 DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
                                         const VerifyOptions &Opts,
                                         PauliFamily Family,
-                                        dist::Coordinator *Remote) {
+                                        engine::CubeBackend *Backend) {
   DistanceResult Result;
   Timer Clock;
   size_t N = Code.NumQubits;
@@ -221,36 +200,25 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
     Result.XorRows = P.XorRows.size();
     return P;
   };
-  auto makeSolver = [&](const VerificationProblem &P) {
-    sat::Solver S = P.makeSolver();
-    if (Opts.ConflictBudget)
-      S.setConflictBudget(Opts.ConflictBudget);
-    if (Opts.RandomSeed)
-      S.setRandomSeed(Opts.RandomSeed);
-    return S;
-  };
-
-  // One probe = one solve under "1 <= weight <= MaxW" assumptions; its
-  // counters add into the result.
-  std::vector<sat::Lit> Assumptions;
-  auto record = [&](size_t MaxW, sat::SolveResult R,
-                    const sat::SolverStats &Delta, double Seconds) {
-    Result.Stats += Delta;
-    ++Result.SolverCalls;
-    Result.Probes.push_back({MaxW, R, Delta.Conflicts, Seconds});
-  };
-  auto solveLocally = [&](const VerificationProblem &P, sat::Solver &S,
-                          size_t MaxW,
-                          std::unordered_map<std::string, bool> &Model) {
-    Assumptions.clear();
-    P.appendWeightAssumptions(static_cast<uint32_t>(MaxW), Assumptions, 1);
+  // One probe = one cube carrying "1 <= weight <= MaxW" against an open
+  // handle; its counters add into the result. A handle's certificate is
+  // cumulative, so the last UNSAT probe's stands for the search.
+  auto probe = [&](engine::CubeBackend &B, uint32_t Handle,
+                   const VerificationProblem &P, size_t MaxW,
+                   std::unordered_map<std::string, bool> &Model) {
+    std::vector<sat::Lit> Cube;
+    P.appendWeightAssumptions(static_cast<uint32_t>(MaxW), Cube, 1);
     Timer ProbeClock;
-    sat::SolverStats Before = S.stats();
-    sat::SolveResult R = S.solve(Assumptions);
-    record(MaxW, R, S.stats() - Before, ProbeClock.seconds());
-    if (R == sat::SolveResult::Sat)
-      P.readModel(S, Model);
-    return R;
+    smt::SolveOutcome O = B.solveCubes(Handle, {std::move(Cube)});
+    Result.Stats += O.Stats;
+    ++Result.SolverCalls;
+    Result.Probes.push_back(
+        {MaxW, O.Result, O.Stats.Conflicts, ProbeClock.seconds()});
+    if (O.Result == sat::SolveResult::Unsat && !O.Proof.empty())
+      Result.Proof = std::move(O.Proof);
+    if (O.Result == sat::SolveResult::Sat)
+      Model = std::move(O.Model);
+    return O.Result;
   };
   auto modelWeight = [&](const std::unordered_map<std::string, bool> &M) {
     size_t W = 0;
@@ -260,19 +228,25 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
     return W;
   };
 
-  // Existence probe (weight >= 1, unbounded above), always local: every
-  // code with a logical qubit has an undetectable logical operator.
+  // Existence probe (weight >= 1, unbounded above), always local and
+  // unlogged: every code with a logical qubit has an undetectable logical
+  // operator, witnessed by its model.
+  engine::CubeEngine Local(1);
+  engine::CubeRunConfig Cfg;
+  Cfg.ConflictBudget = Opts.ConflictBudget;
+  Cfg.RandomSeed = Opts.RandomSeed;
   std::unordered_map<std::string, bool> Best;
   sat::SolveResult R;
   {
-    VerificationProblem Exist = encode(1);
-    if (Exist.TriviallyUnsat) {
+    auto Exist = std::make_shared<const VerificationProblem>(encode(1));
+    if (Exist->TriviallyUnsat) {
       Result.Error = "undetectable-logical system is inconsistent";
       Result.Seconds = Clock.seconds();
       return Result;
     }
-    sat::Solver S = makeSolver(Exist);
-    R = solveLocally(Exist, S, N, Best);
+    uint32_t Handle = Local.openProblem(Exist, Cfg);
+    R = probe(Local, Handle, *Exist, N, Best);
+    Local.closeProblem(Handle);
   }
   if (R != sat::SolveResult::Sat) {
     Result.Aborted = R == sat::SolveResult::Aborted;
@@ -293,63 +267,21 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
     return Result;
   }
 
-  // The search runs on one persistent solver over the problem sized by
-  // the witness: locally the reused sat::Solver, remotely the fleet's
-  // slot solver behind an open problem handle (the assumptions ride
-  // inside a one-cube batch). Either way learnt clauses survive across
-  // bounds.
+  // The search runs on one handle over the problem sized by the witness,
+  // on Backend (else locally): one persistent slot solver, so learnt
+  // clauses survive across bounds.
   PO.CaptureProofData = Opts.LogProofs;
+  Cfg.LogProofs = Opts.LogProofs;
+  engine::CubeBackend &Search = Backend ? *Backend : Local;
   auto Sized = std::make_shared<const VerificationProblem>(encode(Hi));
-  proof::SlotProofLog DistLog; // declared before Local: the solver keeps
-                               // a raw pointer to it until destruction
-  uint64_t UnsatProbes = 0;
-  std::optional<sat::Solver> Local;
-  uint32_t Handle = 0;
-  if (Remote) {
-    engine::CubeRunConfig Cfg;
-    Cfg.ConflictBudget = Opts.ConflictBudget;
-    Cfg.RandomSeed = Opts.RandomSeed;
-    Cfg.LogProofs = Opts.LogProofs;
-    Handle = Remote->openProblem(Sized, Cfg);
-  } else {
-    Local.emplace(makeSolver(*Sized));
-    if (Opts.LogProofs)
-      Local->setProofSink(&DistLog);
-  }
-  auto probe = [&](size_t MaxW,
-                   std::unordered_map<std::string, bool> &Model) {
-    if (!Remote) {
-      sat::SolveResult LR = solveLocally(*Sized, *Local, MaxW, Model);
-      if (LR == sat::SolveResult::Unsat && Opts.LogProofs) {
-        DistLog.logConclusion(Local->conflictCore(), Assumptions,
-                              Local->conflictCoreHints());
-        ++UnsatProbes;
-      }
-      return LR;
-    }
-    Assumptions.clear();
-    Sized->appendWeightAssumptions(static_cast<uint32_t>(MaxW), Assumptions,
-                                   1);
-    Timer ProbeClock;
-    smt::SolveOutcome O = Remote->solveCubes(Handle, {Assumptions});
-    // Per-call statistics are deltas, like the local ones.
-    record(MaxW, O.Result, O.Stats, ProbeClock.seconds());
-    if (O.Result == sat::SolveResult::Unsat && !O.Proof.empty())
-      // Streams are cumulative across probes (the remote slot solvers
-      // persist), so the LAST UNSAT probe's certificate covers every
-      // earlier one too.
-      Result.Proof = std::move(O.Proof);
-    if (O.Result == sat::SolveResult::Sat)
-      Model = std::move(O.Model);
-    return O.Result;
-  };
+  uint32_t Handle = Search.openProblem(Sized, Cfg);
 
   // Binary search for the least satisfiable weight bound; a SAT probe
   // tightens Hi to the witness's actual weight, not just the bound.
   while (Lo < Hi) {
     size_t Mid = Lo + (Hi - Lo) / 2;
     std::unordered_map<std::string, bool> M;
-    R = probe(Mid, M);
+    R = probe(Search, Handle, *Sized, Mid, M);
     if (R == sat::SolveResult::Aborted)
       break;
     if (R == sat::SolveResult::Sat) {
@@ -359,21 +291,11 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
       Lo = Mid + 1;
     }
   }
-  if (Remote)
-    Remote->closeProblem(Handle);
+  Search.closeProblem(Handle);
   if (R == sat::SolveResult::Aborted) {
     Result.Aborted = true;
     Result.Seconds = Clock.seconds();
     return Result;
-  }
-  if (!Remote && Opts.LogProofs) {
-    // One persistent solver = one stream; every UNSAT probe's assumption
-    // set is a distinct concluded cube (distinct bounds select distinct
-    // counter literals).
-    const std::string Streams[] = {DistLog.drain()};
-    Result.Proof = proof::assembleProof(
-        proof::buildProofHeader(*Sized, /*HardenBudget=*/false, 0), Streams,
-        UnsatProbes);
   }
   succeed();
   return Result;

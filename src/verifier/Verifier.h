@@ -26,9 +26,9 @@
 #include <unordered_map>
 #include <vector>
 
-namespace veriqec::dist {
-class Coordinator;
-} // namespace veriqec::dist
+namespace veriqec::engine {
+class CubeBackend;
+} // namespace veriqec::engine
 
 namespace veriqec {
 
@@ -190,16 +190,17 @@ struct DistanceResult {
 /// clauses) serves the whole search. Contrast qec/StabilizerCode.h's
 /// estimateDistance, which re-encodes from scratch at every weight.
 ///
-/// With \p Remote set, the binary search runs distributed: the existence
-/// probe stays local, the sized problem ships to the fleet once
-/// (dist::Coordinator::openProblem) and every later probe travels as a
-/// one-cube batch carrying the weight-bound assumption literals, so the
-/// remote slot solver keeps its learnt clauses across bounds exactly
-/// like the local loop.
+/// Every probe is a one-cube set on an engine::CubeBackend handle. The
+/// existence probe runs on a local one-slot engine::CubeEngine without a
+/// proof log; the search runs on \p Backend (null = a local one-slot
+/// engine; a dist::Coordinator ships the sized problem once), so local
+/// and fleet searches share slot set-up, seed stream and certificate
+/// rule: with one-slot workers, identical probes, conflicts and
+/// certificate bytes.
 DistanceResult computeDistance(const StabilizerCode &Code,
                                const VerifyOptions &Opts = {},
                                PauliFamily Family = PauliFamily::Any,
-                               dist::Coordinator *Remote = nullptr);
+                               engine::CubeBackend *Backend = nullptr);
 
 } // namespace veriqec
 

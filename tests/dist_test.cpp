@@ -19,6 +19,7 @@
 #include "dist/Worker.h"
 #include "engine/CubeEngine.h"
 #include "engine/VerificationEngine.h"
+#include "proof/ProofCheck.h"
 #include "qec/Codes.h"
 #include "testing/ModelChecker.h"
 #include "testing/ScenarioFuzzer.h"
@@ -674,28 +675,56 @@ TEST(DistLoopback, DistanceHandleApiMatchesLocalSearch) {
   // The existence probe runs locally; the fleet receives the problem
   // re-encoded with a weight layer as deep as its witness, so both runs
   // search the same CNF (tanner1: a depth-8 layer over 210 supports).
+  // Both searches run one slot solver under the same seed stream and
+  // certificate rule, so seeded runs agree conflict for conflict and
+  // certificates byte for byte.
   Fleet F(2, 1);
+  VerifyOptions Plain, Proofs, Seeded;
+  Proofs.LogProofs = true;
+  Seeded.RandomSeed = 2;
   for (const StabilizerCode &Code :
        {makeSteaneCode(), makeFiveQubitCode(), makeRotatedSurfaceCode(3),
         makeTannerISubstitute()}) {
-    VerifyOptions VO;
-    DistanceResult Local = computeDistance(Code, VO);
-    DistanceResult Remote =
-        computeDistance(Code, VO, PauliFamily::Any, &F.Coord);
-    ASSERT_TRUE(Local.Ok) << Code.Name;
-    ASSERT_TRUE(Remote.Ok) << Code.Name;
-    EXPECT_EQ(Local.Distance, Remote.Distance) << Code.Name;
-    EXPECT_EQ(Local.SolverCalls, Remote.SolverCalls) << Code.Name;
-    EXPECT_EQ(Local.LayerDepth, Remote.LayerDepth) << Code.Name;
-    EXPECT_EQ(Local.CnfVars, Remote.CnfVars) << Code.Name;
-    EXPECT_EQ(Local.CnfClauses, Remote.CnfClauses) << Code.Name;
-    ASSERT_EQ(Remote.Probes.size(), Remote.SolverCalls) << Code.Name;
-    uint64_t Conflicts = 0;
-    for (const DistanceResult::Probe &P : Remote.Probes)
-      Conflicts += P.Conflicts;
-    EXPECT_EQ(Conflicts, Remote.Stats.Conflicts) << Code.Name;
-    ASSERT_TRUE(Remote.Witness.has_value());
-    EXPECT_EQ(Remote.Witness->weight(), Remote.Distance) << Code.Name;
+    for (const VerifyOptions &VO : {Plain, Proofs, Seeded}) {
+      SCOPED_TRACE(Code.Name + (VO.LogProofs     ? " proofs"
+                                : VO.RandomSeed ? " seed 2"
+                                                : ""));
+      DistanceResult Local = computeDistance(Code, VO);
+      DistanceResult Remote =
+          computeDistance(Code, VO, PauliFamily::Any, &F.Coord);
+      ASSERT_TRUE(Local.Ok);
+      ASSERT_TRUE(Remote.Ok);
+      EXPECT_EQ(Local.Distance, Remote.Distance);
+      EXPECT_EQ(Local.SolverCalls, Remote.SolverCalls);
+      EXPECT_EQ(Local.Stats.Conflicts, Remote.Stats.Conflicts);
+      EXPECT_EQ(Local.LayerDepth, Remote.LayerDepth);
+      EXPECT_EQ(Local.CnfVars, Remote.CnfVars);
+      EXPECT_EQ(Local.CnfClauses, Remote.CnfClauses);
+      ASSERT_EQ(Remote.Probes.size(), Remote.SolverCalls);
+      uint64_t Conflicts = 0;
+      for (const DistanceResult::Probe &P : Remote.Probes)
+        Conflicts += P.Conflicts;
+      EXPECT_EQ(Conflicts, Remote.Stats.Conflicts);
+      ASSERT_TRUE(Remote.Witness.has_value());
+      EXPECT_EQ(Remote.Witness->weight(), Remote.Distance);
+      if (!VO.LogProofs)
+        continue;
+      ASSERT_FALSE(Local.Proof.empty());
+      // Compared as a bool: a failure would otherwise print megabytes.
+      EXPECT_TRUE(Local.Proof == Remote.Proof)
+          << Local.Proof.size() << " vs " << Remote.Proof.size() << " bytes";
+      proof::CheckResult LocalCheck = proof::checkProof(Local.Proof);
+      EXPECT_TRUE(LocalCheck.Ok) << LocalCheck.Error;
+      proof::CheckResult RemoteCheck = proof::checkProof(Remote.Proof);
+      EXPECT_TRUE(RemoteCheck.Ok) << RemoteCheck.Error;
+      // Every UNSAT probe is a counted cube: a certificate missing its
+      // last conclusion no longer covers the search.
+      size_t LastQ = Remote.Proof.rfind("\nq ");
+      ASSERT_NE(LastQ, std::string::npos);
+      std::string Dropped = Remote.Proof;
+      Dropped.erase(LastQ + 1, Dropped.find('\n', LastQ + 1) - LastQ);
+      EXPECT_FALSE(proof::checkProof(Dropped).Ok);
+    }
   }
 }
 
