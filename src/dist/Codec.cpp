@@ -172,6 +172,11 @@ void encodeBody(Encoder &E, const HeartbeatMsg &M) {
 
 void encodeBody(Encoder &E, const EvictedMsg &M) { E.str(M.Reason); }
 
+void encodeBody(Encoder &E, const LemmasMsg &M) {
+  E.u32(M.ProblemId);
+  E.litVecs(M.Lemmas);
+}
+
 } // namespace
 
 // -- ProblemCodec ------------------------------------------------------------
@@ -336,6 +341,15 @@ std::shared_ptr<smt::VerificationProblem> ProblemCodec::decode(Decoder &D) {
 
 // -- Top-level message codec -------------------------------------------------
 
+bool veriqec::dist::litsInRange(const smt::VerificationProblem &P,
+                                std::span<const std::vector<Lit>> Lits) {
+  for (const std::vector<Lit> &C : Lits)
+    for (Lit L : C)
+      if (L.var() < 0 || static_cast<uint64_t>(L.var()) >= P.Cnf.NumVars)
+        return false;
+  return true;
+}
+
 std::vector<uint8_t> veriqec::dist::encodeMessage(const Message &M) {
   obs::TraceSpan Span("wire_encode", {{"kind", M.index()}});
   Encoder E;
@@ -455,6 +469,24 @@ bool veriqec::dist::decodeMessage(std::span<const uint8_t> Payload,
   case MsgKind::Evicted: {
     EvictedMsg M;
     M.Reason = D.str();
+    Out = std::move(M);
+    break;
+  }
+  case MsgKind::Lemmas: {
+    LemmasMsg M;
+    M.ProblemId = D.u32();
+    uint32_t N = D.count(4);
+    if (N > sat::SharedClausePool::Capacity)
+      return false;
+    M.Lemmas.reserve(N);
+    for (uint32_t I = 0; I != N && D.ok(); ++I) {
+      std::vector<Lit> Lemma = D.lits();
+      // A learnt clause is never empty: an empty one would refute the
+      // problem outright, so it is a forgery, not a lemma.
+      if (Lemma.empty() || Lemma.size() > sat::SharedClausePool::MaxLemmaLits)
+        return false;
+      M.Lemmas.push_back(std::move(Lemma));
+    }
     Out = std::move(M);
     break;
   }

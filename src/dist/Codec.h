@@ -11,7 +11,8 @@
 /// smt::VerificationProblems (CNF clauses, native XOR rows, pruning rows,
 /// reconstruction records, budget-layer metadata), cube batches,
 /// per-batch results with counterexample models and solver statistics,
-/// and failed-assumption cores for cross-node subtree pruning. Framing
+/// failed-assumption cores for cross-node subtree pruning, and short
+/// learnt lemmas streamed between workers. Framing
 /// (the u32 length prefix) belongs to the transport (dist/Transport.h);
 /// this layer encodes and decodes frame payloads. Decoding is strict:
 /// any truncation, over-length count, unknown tag or trailing byte
@@ -46,8 +47,9 @@ constexpr uint32_t WireMagic = 0x43455156; // "VQEC" little-endian
 /// backtracking-policy flag in CubeRunConfig with three SolverStats
 /// counters. v5: progress Heartbeat (worker -> coordinator) and Evicted
 /// (coordinator -> worker) frames. v6: the v4 policy flag and its
-/// counters are gone again.
-constexpr uint32_t WireVersion = 6;
+/// counters are gone again. v7: Lemmas frames (worker -> coordinator ->
+/// the other workers).
+constexpr uint32_t WireVersion = 7;
 /// Upper bound on one frame payload (a surface-scale problem is a few
 /// MB; anything near this is a corrupt length prefix, not data).
 constexpr uint32_t MaxFrameBytes = 256u << 20;
@@ -226,6 +228,7 @@ enum class MsgKind : uint8_t {
   Shutdown,      ///< coordinator -> worker: exit cleanly
   Heartbeat,     ///< worker -> coordinator: periodic progress report
   Evicted,       ///< coordinator -> worker: dropped, stop grinding
+  Lemmas,        ///< worker <-> coordinator: learnt lemmas to share
 };
 
 struct HelloMsg {
@@ -340,10 +343,30 @@ struct EvictedMsg {
   std::string Reason; ///< human-readable cause (for the worker's stderr)
 };
 
+/// Short lemmas one worker's slots learnt on a problem, streamed while
+/// they solve: the worker sends one frame per problem and poll, the
+/// coordinator relays it unchanged to every other worker that knows the
+/// problem. Never sent for proof-logging problems (an imported lemma has
+/// no derivation in the importer's proof stream). The decoder enforces
+/// the pool's limits: at most SharedClausePool::Capacity lemmas of at
+/// most SharedClausePool::MaxLemmaLits literals each.
+struct LemmasMsg {
+  uint32_t ProblemId = 0;
+  std::vector<std::vector<sat::Lit>> Lemmas;
+};
+
 using Message =
     std::variant<HelloMsg, HelloAckMsg, ProblemMsg, CubeBatchMsg,
                  BatchResultMsg, CoresMsg, CancelMsg, StealRequestMsg,
-                 StealReplyMsg, ShutdownMsg, HeartbeatMsg, EvictedMsg>;
+                 StealReplyMsg, ShutdownMsg, HeartbeatMsg, EvictedMsg,
+                 LemmasMsg>;
+
+/// True iff every literal of \p Lits names a variable of \p P. Cube and
+/// lemma frames carry literals without their problem, so the decoder
+/// cannot range-check them; every receiver must, before a solver sees
+/// them (an out-of-range variable indexes its arrays out of bounds).
+bool litsInRange(const smt::VerificationProblem &P,
+                 std::span<const std::vector<sat::Lit>> Lits);
 
 /// Encodes one message into a frame payload (kind tag + body).
 std::vector<uint8_t> encodeMessage(const Message &M);

@@ -481,6 +481,28 @@ void Coordinator::handleResult(WorkerState &W, BatchResultMsg &&R) {
     finishProblem(AP);
 }
 
+void Coordinator::relayLemmas(WorkerState &From, const LemmasMsg &M,
+                              std::span<const uint8_t> Frame) {
+  auto It = Problems.find(M.ProblemId);
+  if (It == Problems.end())
+    return;
+  const ActiveProblem &AP = *It->second;
+  if (AP.Finished || AP.Config.LogProofs)
+    return;
+  // The workers check literals too; checking here keeps one corrupt
+  // sender from tripping every receiver.
+  if (!litsInRange(*AP.Problem, M.Lemmas))
+    return;
+  for (std::unique_ptr<WorkerState> &Other : Workers) {
+    if (Other.get() == &From || Other->Dead || !Other->Ready ||
+        !Other->KnowsProblem.count(M.ProblemId))
+      continue;
+    // Decoding is canonical, so the received bytes are the frame.
+    Other->L->send(Frame);
+    Stats.LemmasRelayed += M.Lemmas.size();
+  }
+}
+
 bool Coordinator::pumpLinks() {
   bool Any = false;
   for (std::unique_ptr<WorkerState> &W : Workers) {
@@ -490,12 +512,18 @@ bool Coordinator::pumpLinks() {
     while (W->L->receive(Frame, 0)) {
       Any = true;
       W->LastActivity = Clock::now();
-      W->StealPending = false;
       Message M;
       if (!decodeMessage(Frame, M)) {
         W->Dead = true; // unusable stream
         break;
       }
+      if (const LemmasMsg *LM = std::get_if<LemmasMsg>(&M)) {
+        // Streamed every poll: it must not count as the answer to a
+        // pending steal request below.
+        relayLemmas(*W, *LM, Frame);
+        continue;
+      }
+      W->StealPending = false;
       if (BatchResultMsg *R = std::get_if<BatchResultMsg>(&M))
         handleResult(*W, std::move(*R));
       else if (const StealReplyMsg *S = std::get_if<StealReplyMsg>(&M))

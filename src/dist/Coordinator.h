@@ -17,6 +17,9 @@
 ///   * strict-subset UNSAT cores reported by one worker are broadcast to
 ///     all others, so remote solvers prune sibling subtrees exactly like
 ///     the in-process core pruning of engine::CubeRun;
+///   * outside proof mode, the short learnt lemmas each worker streams
+///     are relayed (not stored) to every other worker that knows the
+///     problem, so remote slots share lemmas like in-process slots do;
 ///   * the first SAT cube cancels the whole problem fleet-wide (in-flight
 ///     solves abort mid-search through the cancel flag);
 ///   * batches assigned to a dropped or timed-out worker are requeued and
@@ -73,6 +76,8 @@ struct CoordinatorStats {
   uint64_t BatchesStolen = 0;
   uint64_t CoreBroadcasts = 0;
   uint64_t HeartbeatsReceived = 0;
+  /// Lemmas forwarded, counted once per receiving worker.
+  uint64_t LemmasRelayed = 0;
 
   /// The counters above, named by their metric names.
   struct Field {
@@ -85,6 +90,7 @@ struct CoordinatorStats {
       {"dist.batches_stolen", &CoordinatorStats::BatchesStolen},
       {"dist.core_broadcasts", &CoordinatorStats::CoreBroadcasts},
       {"dist.heartbeats", &CoordinatorStats::HeartbeatsReceived},
+      {"dist.lemmas_relayed", &CoordinatorStats::LemmasRelayed},
   };
 };
 static_assert(sizeof(CoordinatorStats) ==
@@ -141,6 +147,11 @@ private:
   bool pumpLinks();
   void handleResult(WorkerState &W, BatchResultMsg &&R);
   void handleStealReply(WorkerState &W, const StealReplyMsg &R);
+  /// Forwards \p Frame (which decoded to \p M) to the other workers that
+  /// know its problem; drops it for unknown, finished or proof-logging
+  /// problems and when a literal is out of the problem's range.
+  void relayLemmas(WorkerState &From, const LemmasMsg &M,
+                   std::span<const uint8_t> Frame);
   void grantWork();
   void stealForIdle();
   void dropDeadWorkers();

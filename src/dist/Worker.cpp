@@ -60,8 +60,9 @@ public:
       maybeStartBatch();
       if (StreamCorrupt) {
         // A well-framed but semantically invalid message (out-of-range
-        // cube literal): the stream cannot be trusted, same as a decode
-        // failure.
+        // cube or lemma literal): the stream cannot be trusted, same as a
+        // decode failure.
+        abandonAll();
         L->close();
         return 1;
       }
@@ -82,23 +83,18 @@ public:
         if (Evicted) {
           // The coordinator already requeued everything this worker
           // holds; grinding on would be wasted work. Cancel, drain the
-          // pool (the result send below no-ops on the closed link), and
-          // surface the eviction as a distinct exit code.
-          for (auto &KV : Problems)
-            KV.second.Run->cancel();
-          finishInflight(/*Block=*/true);
+          // pool, and surface the eviction as a distinct exit code.
+          abandonAll();
           L->close();
           return 3;
         }
       } else if (L->closed()) {
         // Abrupt closure (coordinator died): abort the in-flight batch
         // and drain it off the pool before tearing the state down.
-        if (Inflight) {
-          Inflight->State->Run->cancel();
-          finishInflight(/*Block=*/true);
-        }
+        abandonAll();
         return 1;
       }
+      shipLemmas();
       maybeHeartbeat();
       if (finishInflight(/*Block=*/false)) {
         ++BatchesDone;
@@ -149,14 +145,25 @@ private:
       ProblemState &S = Problems[P->ProblemId];
       S.Problem = P->Problem;
       S.Persistent = P->Persistent;
-      S.Run = std::make_unique<engine::CubeRun>(*S.Problem, P->Config,
-                                                Pool.numWorkers());
+      S.Run = std::make_unique<engine::CubeRun>(
+          *S.Problem, P->Config, Pool.numWorkers(), /*RemotePeers=*/true);
     } else if (const CubeBatchMsg *B = std::get_if<CubeBatchMsg>(&M)) {
       Pending.push_back(*B);
     } else if (const CoresMsg *C = std::get_if<CoresMsg>(&M)) {
       auto It = Problems.find(C->ProblemId);
       if (It != Problems.end())
         It->second.Run->addExternalCores(C->Cores);
+    } else if (const LemmasMsg *LM = std::get_if<LemmasMsg>(&M)) {
+      auto It = Problems.find(LM->ProblemId);
+      if (It == Problems.end())
+        return; // cancelled meanwhile: nothing to feed
+      // Lemma literals, like cube literals, reach the solvers unchecked
+      // by the codec.
+      if (!litsInRange(*It->second.Problem, LM->Lemmas)) {
+        StreamCorrupt = true;
+        return;
+      }
+      It->second.Run->addExternalLemmas(LM->Lemmas);
     } else if (const CancelMsg *C = std::get_if<CancelMsg>(&M)) {
       auto It = Problems.find(C->ProblemId);
       if (It != Problems.end())
@@ -189,6 +196,25 @@ private:
     }
     // Hello/HelloAck/BatchResult/StealReply are peer-direction messages;
     // ignore them.
+  }
+
+  /// Cancels every problem and drains the in-flight batch off the pool.
+  void abandonAll() {
+    for (auto &KV : Problems)
+      KV.second.Run->cancel();
+    finishInflight(/*Block=*/true);
+  }
+
+  /// Sends the lemmas each problem's slots learnt since the previous
+  /// poll, one frame per problem, for the coordinator to relay.
+  void shipLemmas() {
+    for (auto &[Id, S] : Problems) {
+      LemmasMsg LM;
+      LM.ProblemId = Id;
+      LM.Lemmas = S.Run->drainOutboundLemmas();
+      if (!LM.Lemmas.empty())
+        L->send(encodeMessage(LM));
+    }
   }
 
   /// Sends a HeartbeatMsg every Opts.HeartbeatMs while work is queued or
@@ -239,13 +265,10 @@ private:
     // literals arrive in separate frames with no problem context: check
     // them here, the one choke point before they reach a solver (an
     // out-of-range var would index the solver's arrays out of bounds).
-    for (const std::vector<sat::Lit> &Cube : Batch.Cubes)
-      for (sat::Lit L : Cube)
-        if (L.var() < 0 ||
-            static_cast<uint64_t>(L.var()) >= S.Problem->Cnf.NumVars) {
-          StreamCorrupt = true;
-          return;
-        }
+    if (!litsInRange(*S.Problem, Batch.Cubes)) {
+      StreamCorrupt = true;
+      return;
+    }
     if (S.Run->cancelled() && S.Persistent)
       // A persistent problem's previous cube set is decided; this batch
       // belongs to a FRESH set against the same solvers. One-shot

@@ -11,7 +11,9 @@
 /// engine::CubeRun machinery the in-process scheduler uses — per-slot
 /// reusable solvers, GF(2) cube refutation, sibling-core pruning (fed
 /// additionally by cross-node core broadcasts), budget hardening and
-/// native XOR all behave identically to a local run. The protocol loop
+/// native XOR all behave identically to a local run. Outside proof mode
+/// the slots also trade short learnt lemmas with the other workers' slots
+/// (shipped every poll, relayed by the coordinator). The protocol loop
 /// stays responsive while a batch is in flight, so cancellations (a
 /// sibling worker found SAT) abort in-flight solves mid-search and steal
 /// requests hand queued batches back for re-balancing.

@@ -32,8 +32,10 @@ bool coreSubsumesCube(const std::vector<Lit> &Core,
 } // namespace
 
 CubeRun::CubeRun(const smt::VerificationProblem &Problem,
-                 const CubeRunConfig &Cfg, size_t NumSlots)
-    : Problem(Problem), Cfg(Cfg) {
+                 const CubeRunConfig &Cfg, size_t NumSlots,
+                 bool RemotePeers)
+    : Problem(Problem), Cfg(Cfg),
+      ExchangeLemmas(!Cfg.LogProofs && (NumSlots > 1 || RemotePeers)) {
   Slots.resize(NumSlots);
   CoreSnapshots.resize(NumSlots);
   SlotConflictBase.resize(NumSlots, 0);
@@ -69,6 +71,20 @@ std::vector<std::vector<Lit>> CubeRun::drainOutboundCores() {
   std::lock_guard<std::mutex> Lock(CoreMutex);
   std::vector<std::vector<Lit>> Out;
   Out.swap(OutboundCores);
+  return Out;
+}
+
+void CubeRun::addExternalLemmas(std::span<const std::vector<Lit>> Lemmas) {
+  if (!ExchangeLemmas)
+    return;
+  for (const std::vector<Lit> &Lemma : Lemmas)
+    LearntPool.publish(ImportedOwner, Lemma);
+}
+
+std::vector<std::vector<Lit>> CubeRun::drainOutboundLemmas() {
+  std::vector<std::vector<Lit>> Out;
+  // Everything not published under ImportedOwner was learnt here.
+  LearntPool.fetch(ImportedOwner, OutboundLemmaCursor, Out);
   return Out;
 }
 
@@ -145,7 +161,7 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
       // clause is justified by another slot's derivations, so it would
       // not replay as RUP inside this slot's stream.
       Reused->setProofSink(SlotLogs[Slot].get());
-    else if (Slots.size() > 1)
+    else if (ExchangeLemmas)
       Reused->attachSharedPool(&LearntPool, static_cast<int>(Slot));
     if (Cfg.ConflictBudget)
       Reused->setConflictBudget(Cfg.ConflictBudget);

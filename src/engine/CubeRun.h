@@ -12,9 +12,9 @@
 /// subtree pruning, plus cross-slot learned-clause exchange. Extracted
 /// from CubeEngine so the in-process work-stealing scheduler and the
 /// distributed worker (dist/Worker.h) run the identical per-cube logic —
-/// the distributed layer additionally feeds cores in from other nodes
-/// (addExternalCores) and drains locally discovered ones for broadcast
-/// (drainOutboundCores).
+/// the distributed layer additionally feeds cores and lemmas in from
+/// other nodes (addExternalCores, addExternalLemmas) and drains locally
+/// discovered ones for relay (drainOutboundCores, drainOutboundLemmas).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,8 +46,8 @@ struct CubeRunConfig {
   uint64_t ConflictBudget = 0; ///< 0 = unlimited
   uint64_t RandomSeed = 0;     ///< 0 = deterministic branching
   /// Attach a proof::SlotProofLog to every slot solver and record a
-  /// conclusion (q/c) per discharged cube. Disables the cross-slot
-  /// learnt-clause pool: an imported lemma is justified by another
+  /// conclusion (q/c) per discharged cube. Disables lemma exchange
+  /// (local and remote): an imported lemma is justified by another
   /// slot's derivation chain and would not be RUP in this stream.
   bool LogProofs = false;
 };
@@ -66,8 +66,11 @@ public:
 
   /// \p Problem must outlive the run and is shared read-only across
   /// slots. \p NumSlots bounds the slot indices runCube() accepts.
+  /// \p RemotePeers: slots of other nodes work on the same problem (the
+  /// run belongs to a --dist worker), so lemmas are worth exchanging even
+  /// with a single local slot.
   CubeRun(const smt::VerificationProblem &Problem, const CubeRunConfig &Cfg,
-          size_t NumSlots);
+          size_t NumSlots, bool RemotePeers = false);
 
   /// Discharges one cube on slot \p Slot. Slots are exclusive: at most
   /// one thread may use a given slot at any time (the slot owns a
@@ -80,6 +83,10 @@ public:
 
   void cancel() { Cancel.store(true, std::memory_order_relaxed); }
   bool cancelled() const { return Cancel.load(std::memory_order_relaxed); }
+
+  /// Owner id of lemmas that came from other nodes in the learnt pool
+  /// (slots own ids 0..numSlots()-1).
+  static constexpr int ImportedOwner = -1;
 
   /// Clears the per-run verdict state (cancel/SAT/global-UNSAT/abort
   /// flags and the captured model) while keeping slot solvers, learnt
@@ -133,6 +140,18 @@ public:
   /// distributed worker ships these to the coordinator for cross-node
   /// sibling pruning.
   std::vector<std::vector<sat::Lit>> drainOutboundCores();
+
+  /// Feeds lemmas learnt on OTHER nodes into the learnt pool, where every
+  /// slot imports them at its next cube (they are not handed back by
+  /// drainOutboundLemmas). No-op when the run exchanges no lemmas (proof
+  /// logging, or a lone slot without remote peers). Thread-safe.
+  void addExternalLemmas(std::span<const std::vector<sat::Lit>> Lemmas);
+
+  /// Short lemmas the local slots learnt since the previous drain (at
+  /// most SharedClausePool::Capacity; a drain that fell further behind
+  /// skips the oldest). Empty when the run exchanges no lemmas. At most
+  /// one thread may drain at a time; safe while slots are mid-solve.
+  std::vector<std::vector<sat::Lit>> drainOutboundLemmas();
 
   /// Sums the slot solvers' statistics into \p Out. Call only while the
   /// slots are quiescent (between batches / after the run).
@@ -193,11 +212,15 @@ private:
   /// Per-slot last-published solver conflict totals (owner-only).
   std::vector<uint64_t> SlotConflictBase;
 
-  /// Clause exchange between the slots: lemmas learned on one slot's
-  /// cubes are valid for every sibling cube and imported lazily.
-  /// Attached only with two or more slots (a lone slot has no one to
-  /// trade with).
+  /// Clause exchange between the slots, local and remote: lemmas learned
+  /// on one slot's cubes are valid for every sibling cube and imported
+  /// lazily. Attached to every slot solver when ExchangeLemmas.
   sat::SharedClausePool LearntPool;
+  /// Proofs are off and some peer can use the lemmas: two or more local
+  /// slots, or remote ones.
+  bool ExchangeLemmas;
+  /// drainOutboundLemmas()' read position in LearntPool (drainer-only).
+  uint64_t OutboundLemmaCursor = 0;
 
   std::mutex ModelMutex; // guards Model on the SAT path
   std::unordered_map<std::string, bool> Model;

@@ -834,7 +834,7 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
       }
       int32_t BtLevel = 0;
       analyze(Confl, BtLevel);
-      if (SharedPool && Learnt.size() <= PoolMaxShareLen)
+      if (SharedPool && Learnt.size() <= SharedClausePool::MaxLemmaLits)
         SharedPool->publish(PoolOwnerId, Learnt);
       // Classic backjump to BtLevel, uncapped by the assumption prefix:
       // the deep jump lets the learnt clause assert early, and the

@@ -37,56 +37,80 @@ namespace veriqec::sat {
 enum class SolveResult { Sat, Unsat, Aborted };
 
 /// A thread-safe exchange of short learned clauses between the solvers
-/// attacking cubes of the same problem (the engine's workers). Learned
-/// clauses are derived by resolution from the shared clause database, so
-/// they are valid for every sibling regardless of its assumptions;
-/// sharing them collapses the duplicated learning that otherwise makes
-/// per-worker solvers re-derive the same lemmas. Entries are capped to
-/// bound memory and import cost.
+/// attacking cubes of the same problem (the engine's slots, and through
+/// engine::CubeRun the slots of other --dist workers). Learned clauses
+/// are derived by resolution from the shared clause database, so they
+/// are valid for every sibling regardless of its assumptions; sharing
+/// them collapses the duplicated learning that otherwise makes per-slot
+/// solvers re-derive the same lemmas.
+///
+/// The pool is a ring of the Capacity most recent lemmas: publishing
+/// past it evicts the oldest entry, so sharing never stops. Readers keep
+/// a cursor into the unbounded publish sequence; a cursor that fell more
+/// than Capacity entries behind resumes at the oldest live entry (the
+/// lemmas it missed are lost to that reader, which costs search, never
+/// soundness).
 class SharedClausePool {
 public:
-  explicit SharedClausePool(size_t MaxEntries = 4096)
-      : MaxEntries(MaxEntries) {}
+  /// Live entries kept; bounds memory and what one reader can miss.
+  static constexpr size_t Capacity = 4096;
+  /// Longest lemma worth sharing: short clauses prune the most search
+  /// per literal imported.
+  static constexpr size_t MaxLemmaLits = 8;
 
-  /// Publishes a learned clause on behalf of \p Owner (dropped once the
-  /// pool is full). The full flag is checked before locking so a
-  /// saturated pool costs one relaxed load on the conflict hot path.
-  void publish(int Owner, const std::vector<Lit> &Lits) {
-    if (Full.load(std::memory_order_relaxed))
-      return;
+  /// Publishes a learned clause on behalf of \p Owner, evicting the
+  /// oldest entry once Capacity entries are live.
+  void publish(int Owner, std::span<const Lit> Lits) {
     std::lock_guard<std::mutex> Lock(Mutex);
-    if (Entries.size() < MaxEntries)
-      Entries.emplace_back(Owner, Lits);
-    else
-      Full.store(true, std::memory_order_relaxed);
+    if (Ring.size() < Capacity)
+      Ring.emplace_back();
+    Entry &E = Ring[Published % Capacity];
+    E.Owner = Owner;
+    E.Lits.assign(Lits.begin(), Lits.end());
+    ++Published;
   }
 
-  /// Appends every clause published by *other* owners since \p Cursor to
-  /// \p Out and advances the cursor.
-  void fetch(int Owner, size_t &Cursor,
+  /// Appends every live clause published by *other* owners since
+  /// \p Cursor to \p Out and advances the cursor.
+  void fetch(int Owner, uint64_t &Cursor,
              std::vector<std::vector<Lit>> &Out) const {
     std::lock_guard<std::mutex> Lock(Mutex);
-    for (; Cursor < Entries.size(); ++Cursor)
-      if (Entries[Cursor].first != Owner)
-        Out.push_back(Entries[Cursor].second);
+    for (Cursor = oldestLive(Cursor); Cursor < Published; ++Cursor) {
+      const Entry &E = Ring[Cursor % Capacity];
+      if (E.Owner != Owner)
+        Out.push_back(E.Lits);
+    }
   }
 
   /// True iff fetch() would deliver anything; skips \p Cursor past the
   /// owner's own entries so repeated polling stays O(1) amortized. Lets
   /// a solver keep its assumption-prefix trail alive across solve()
   /// calls instead of unconditionally returning to the root to import.
-  bool hasNewsFor(int Owner, size_t &Cursor) const {
+  bool hasNewsFor(int Owner, uint64_t &Cursor) const {
     std::lock_guard<std::mutex> Lock(Mutex);
-    while (Cursor < Entries.size() && Entries[Cursor].first == Owner)
+    Cursor = oldestLive(Cursor);
+    while (Cursor < Published && Ring[Cursor % Capacity].Owner == Owner)
       ++Cursor;
-    return Cursor < Entries.size();
+    return Cursor < Published;
   }
 
 private:
-  const size_t MaxEntries;
-  std::atomic<bool> Full{false};
+  struct Entry {
+    int Owner = 0;
+    std::vector<Lit> Lits;
+  };
+
+  /// \p Cursor, or the oldest live sequence number if it fell behind.
+  uint64_t oldestLive(uint64_t Cursor) const {
+    return Published > Capacity ? std::max(Cursor, Published - Capacity)
+                                : Cursor;
+  }
+
   mutable std::mutex Mutex;
-  std::vector<std::pair<int, std::vector<Lit>>> Entries;
+  /// Entry of sequence number s lives at Ring[s % Capacity]; grows to
+  /// Capacity on demand, so an unused pool costs nothing.
+  std::vector<Entry> Ring;
+  uint64_t Published = 0; ///< sequence number of the next publish
 };
 
 /// Observer of the solver's clause derivations, the hook proof logging
@@ -253,14 +277,12 @@ public:
   void setAbortFlag(const std::atomic<bool> *Flag) { AbortFlag = Flag; }
 
   /// Connects this solver to a clause exchange: clauses it learns with at
-  /// most \p MaxShareLen literals are published under \p OwnerId, and
-  /// clauses published by siblings are imported at the start of every
-  /// solve() call.
-  void attachSharedPool(SharedClausePool *Pool, int OwnerId,
-                        uint32_t MaxShareLen = 8) {
+  /// most SharedClausePool::MaxLemmaLits literals are published under
+  /// \p OwnerId, and clauses published by other owners are imported at
+  /// the start of every solve() call.
+  void attachSharedPool(SharedClausePool *Pool, int OwnerId) {
     SharedPool = Pool;
     PoolOwnerId = OwnerId;
-    PoolMaxShareLen = MaxShareLen;
     PoolCursor = 0;
   }
 
@@ -424,8 +446,7 @@ private:
   const std::atomic<bool> *AbortFlag = nullptr;
   SharedClausePool *SharedPool = nullptr;
   int PoolOwnerId = -1;
-  uint32_t PoolMaxShareLen = 8;
-  size_t PoolCursor = 0;
+  uint64_t PoolCursor = 0;
   SolverStats Stats;
 
   /// Proof logging (null = off, the default: the hooks below then cost

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 #include <variant>
 
@@ -259,6 +260,55 @@ TEST(DistCodec, RoundTripsHeartbeatAndEvictedFrames) {
   EXPECT_FALSE(decodeMessage(HF, M));
 }
 
+TEST(DistCodec, LemmasFramesRoundTripAndFailClosed) {
+  LemmasMsg L;
+  L.ProblemId = 9;
+  L.Lemmas = {{sat::mkLit(3), ~sat::mkLit(7)}, {~sat::mkLit(1)}};
+  std::vector<uint8_t> Frame = encodeMessage(L);
+  Message M;
+  ASSERT_TRUE(decodeMessage(Frame, M));
+  LemmasMsg *D = std::get_if<LemmasMsg>(&M);
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->ProblemId, 9u);
+  EXPECT_EQ(D->Lemmas, L.Lemmas);
+
+  // Truncated at every length, or one trailing byte: rejected.
+  for (size_t Len = 0; Len != Frame.size(); ++Len)
+    EXPECT_FALSE(decodeMessage({Frame.data(), Len}, M)) << "prefix " << Len;
+  std::vector<uint8_t> Longer = Frame;
+  Longer.push_back(0);
+  EXPECT_FALSE(decodeMessage(Longer, M));
+
+  // A lemma count (after the kind byte and problem id) larger than the
+  // remaining bytes, though within the pool's capacity.
+  std::vector<uint8_t> Overcount = Frame;
+  Overcount[5] = 100;
+  EXPECT_FALSE(decodeMessage(Overcount, M));
+
+  auto Decodes = [&M](const LemmasMsg &Msg) {
+    return decodeMessage(encodeMessage(Msg), M);
+  };
+  // The pool's lemma length limit, and one literal past it.
+  const size_t MaxLits = sat::SharedClausePool::MaxLemmaLits;
+  LemmasMsg Long;
+  Long.Lemmas.emplace_back();
+  for (size_t I = 0; I != MaxLits; ++I)
+    Long.Lemmas.back().push_back(sat::mkLit(static_cast<sat::Var>(I)));
+  EXPECT_TRUE(Decodes(Long));
+  Long.Lemmas.back().push_back(sat::mkLit(static_cast<sat::Var>(MaxLits)));
+  EXPECT_FALSE(Decodes(Long));
+  // The pool's capacity in lemmas, and one lemma past it.
+  LemmasMsg Many;
+  Many.Lemmas.assign(sat::SharedClausePool::Capacity, {sat::mkLit(0)});
+  EXPECT_TRUE(Decodes(Many));
+  Many.Lemmas.push_back({sat::mkLit(0)});
+  EXPECT_FALSE(Decodes(Many));
+  // The empty clause is no lemma: it would refute the problem outright.
+  LemmasMsg Empty;
+  Empty.Lemmas = {{sat::mkLit(0)}, {}};
+  EXPECT_FALSE(Decodes(Empty));
+}
+
 TEST(DistCodec, RejectsTruncatedFrames) {
   // Every proper prefix of a small message must be rejected.
   CubeBatchMsg B;
@@ -354,6 +404,7 @@ oneFramePerKind(const smt::VerificationProblem &P) {
   All.push_back(ShutdownMsg{});
   All.push_back(HB);
   All.push_back(EvictedMsg{"silence timeout"});
+  All.push_back(LemmasMsg{1, {{sat::mkLit(4), ~sat::mkLit(6)}}});
   EXPECT_EQ(All.size(), std::variant_size_v<Message>)
       << "one sample per message kind";
   std::vector<std::vector<uint8_t>> Frames;
@@ -493,6 +544,92 @@ TEST(DistHandshake, CoordinatorRejectsVersionMismatchedWorker) {
   EXPECT_FALSE(Ack->Accepted);
   EXPECT_NE(Ack->Reason.find("version"), std::string::npos);
   EXPECT_EQ(Coord.numWorkers(), 0u);
+}
+
+namespace {
+
+/// The coordinator end of a scripted session with one loopback worker:
+/// the handshake is done and \p Problem shipped as problem 1.
+struct ScriptedWorker {
+  LoopbackPair Pair = makeLoopbackPair();
+  std::thread T;
+  int Exit = -1;
+
+  explicit ScriptedWorker(std::shared_ptr<smt::VerificationProblem> Problem) {
+    T = std::thread([this, End = std::move(Pair.B)]() mutable {
+      Exit = runWorker(std::move(End));
+    });
+    std::vector<uint8_t> Frame;
+    EXPECT_TRUE(Pair.A->receive(Frame, 5000)); // the Hello
+    HelloAckMsg Ack;
+    Ack.Accepted = true;
+    send(Ack);
+    ProblemMsg PM;
+    PM.ProblemId = 1;
+    PM.Problem = std::move(Problem);
+    send(PM);
+  }
+  ~ScriptedWorker() {
+    if (T.joinable()) {
+      send(ShutdownMsg{});
+      T.join();
+    }
+  }
+
+  /// Waits for the worker loop to end on its own; its exit code.
+  int exitCode() {
+    T.join();
+    return Exit;
+  }
+
+  void send(const Message &M) { Pair.A->send(encodeMessage(M)); }
+
+  /// The next frame of kind \p T (others, like streamed lemmas, are
+  /// skipped); nullopt when the worker hung up first.
+  template <typename Msg>
+  std::optional<Msg> next() {
+    std::vector<uint8_t> Frame;
+    while (Pair.A->receive(Frame, 5000)) {
+      Message M;
+      EXPECT_TRUE(decodeMessage(Frame, M));
+      if (Msg *Found = std::get_if<Msg>(&M))
+        return std::move(*Found);
+    }
+    return std::nullopt;
+  }
+};
+
+std::shared_ptr<smt::VerificationProblem>
+steaneProblem(smt::BoolContext &Ctx) {
+  Scenario S = makeMemoryScenario(makeSteaneCode(), PauliKind::Y,
+                                  LogicalBasis::Z, 1);
+  BuiltVc Vc = engine::buildScenarioVc(Ctx, S);
+  EXPECT_TRUE(Vc.Ok);
+  return std::make_shared<smt::VerificationProblem>(Ctx, Vc.NegatedVc);
+}
+
+} // namespace
+
+TEST(DistWorker, OutOfRangeLemmaLiteralCorruptsTheStream) {
+  // Lemma literals reach the slot solvers through the same choke point
+  // as cube literals: in range they are imported and the worker keeps
+  // serving; one variable past the problem's range closes the stream.
+  smt::BoolContext Ctx;
+  std::shared_ptr<smt::VerificationProblem> P = steaneProblem(Ctx);
+  sat::Var Past = static_cast<sat::Var>(P->Cnf.NumVars);
+  for (bool InCube : {false, true}) {
+    SCOPED_TRACE(InCube ? "cube literal" : "lemma literal");
+    ScriptedWorker W(P);
+    W.send(LemmasMsg{1, {{sat::mkLit(0), ~sat::mkLit(Past - 1)}}});
+    W.send(CubeBatchMsg{1, 0, {{sat::mkLit(1)}}});
+    ASSERT_TRUE(W.next<BatchResultMsg>().has_value());
+    if (InCube)
+      W.send(CubeBatchMsg{1, 1, {{sat::mkLit(Past)}}});
+    else
+      W.send(LemmasMsg{1, {{~sat::mkLit(Past)}}});
+    EXPECT_FALSE(W.next<BatchResultMsg>().has_value());
+    EXPECT_EQ(W.exitCode(), 1);
+  }
 }
 
 // -- End-to-end --------------------------------------------------------------
@@ -725,6 +862,99 @@ TEST(DistLoopback, DistanceHandleApiMatchesLocalSearch) {
       Dropped.erase(LastQ + 1, Dropped.find('\n', LastQ + 1) - LastQ);
       EXPECT_FALSE(proof::checkProof(Dropped).Ok);
     }
+  }
+}
+
+TEST(DistLoopback, CoordinatorRelaysLemmasAndDropsOutOfRangeOnes) {
+  // Two scripted workers of one slot each, one batch apiece. A streams a
+  // frame with an out-of-range literal and then a valid one; B must see
+  // only the valid frame, and A never gets its own lemmas back.
+  smt::BoolContext Ctx;
+  std::shared_ptr<smt::VerificationProblem> P = steaneProblem(Ctx);
+  sat::Var Past = static_cast<sat::Var>(P->Cnf.NumVars);
+  Coordinator Coord;
+  LoopbackPair A = makeLoopbackPair(), B = makeLoopbackPair();
+  Coord.addWorker(std::move(A.A));
+  Coord.addWorker(std::move(B.A));
+  for (Link *W : {A.B.get(), B.B.get()})
+    W->send(encodeMessage(HelloMsg{}));
+  ASSERT_TRUE(Coord.waitForWorkers(2, 5000));
+  uint32_t Handle = Coord.openProblem(P, engine::CubeRunConfig{});
+  smt::SolveOutcome Out;
+  std::thread Solve([&] {
+    Out = Coord.solveCubes(Handle, {{sat::mkLit(0)}, {~sat::mkLit(0)}});
+  });
+  // Reads \p W up to its cube batch; false when none arrives.
+  auto NextBatch = [](Link &W, CubeBatchMsg &Batch) {
+    std::vector<uint8_t> Frame;
+    while (W.receive(Frame, 5000)) {
+      Message M;
+      EXPECT_TRUE(decodeMessage(Frame, M));
+      if (CubeBatchMsg *CB = std::get_if<CubeBatchMsg>(&M)) {
+        Batch = std::move(*CB);
+        return true;
+      }
+    }
+    return false;
+  };
+  auto Result = [](const CubeBatchMsg &Batch) {
+    BatchResultMsg R;
+    R.ProblemId = Batch.ProblemId;
+    R.BatchId = Batch.BatchId;
+    R.Status = BatchStatus::AllUnsat;
+    R.Solved = Batch.Cubes.size();
+    return encodeMessage(R);
+  };
+  CubeBatchMsg BatchA, BatchB;
+  ASSERT_TRUE(NextBatch(*A.B, BatchA));
+  ASSERT_TRUE(NextBatch(*B.B, BatchB));
+  LemmasMsg Bad{Handle, {{sat::mkLit(2)}, {sat::mkLit(Past)}}};
+  LemmasMsg Good{Handle, {{sat::mkLit(1), ~sat::mkLit(2)}, {sat::mkLit(3)}}};
+  A.B->send(encodeMessage(Bad));
+  A.B->send(encodeMessage(Good));
+  A.B->send(Result(BatchA));
+  // B's first Lemmas frame is the valid one, byte for byte.
+  std::vector<uint8_t> Frame;
+  Message M;
+  do {
+    ASSERT_TRUE(B.B->receive(Frame, 5000));
+    ASSERT_TRUE(decodeMessage(Frame, M));
+  } while (!std::holds_alternative<LemmasMsg>(M));
+  EXPECT_EQ(Frame, encodeMessage(Good));
+  B.B->send(Result(BatchB));
+  Solve.join();
+  EXPECT_EQ(Out.Result, sat::SolveResult::Unsat);
+  EXPECT_EQ(Coord.stats().LemmasRelayed, Good.Lemmas.size());
+  while (A.B->receive(Frame, 0)) {
+    ASSERT_TRUE(decodeMessage(Frame, M));
+    EXPECT_FALSE(std::holds_alternative<LemmasMsg>(M));
+  }
+  Coord.closeProblem(Handle);
+}
+
+TEST(DistLoopback, ProofRunsExchangeNoLemmas) {
+  // Over two one-slot workers a plain run streams lemmas between them;
+  // a proof-logging run relays none (no worker exports any, and the
+  // coordinator would drop them), and its certificate checks.
+  Scenario S = makeMemoryScenario(makeRotatedSurfaceCode(5), PauliKind::Y,
+                                  LogicalBasis::Z, 2);
+  engine::VerificationEngine Engine(1);
+  for (bool Proofs : {false, true}) {
+    SCOPED_TRACE(Proofs ? "proofs" : "plain");
+    Fleet F(2, 1);
+    VerifyOptions VO;
+    VO.Parallel = true;
+    VO.LogProofs = Proofs;
+    std::vector<VerificationResult> R = Engine.verifyAll({&S, 1}, VO, F.Coord);
+    ASSERT_EQ(R.size(), 1u);
+    EXPECT_TRUE(R[0].Verified);
+    if (!Proofs) {
+      EXPECT_GT(F.Coord.stats().LemmasRelayed, 0u);
+      continue;
+    }
+    EXPECT_EQ(F.Coord.stats().LemmasRelayed, 0u);
+    proof::CheckResult CR = proof::checkProof(R[0].Proof);
+    EXPECT_TRUE(CR.Ok) << CR.Error;
   }
 }
 

@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/CubeEngine.h"
+#include "engine/CubeRun.h"
 #include "engine/VerificationEngine.h"
 #include "qec/Codes.h"
 #include "verifier/Verifier.h"
@@ -312,4 +313,59 @@ TEST(CubeEngine, EliminationPruningBeatsUnitPropagationOnSeededCase) {
       << "unit propagation alone cannot see the cross-row contradiction";
   // The split counters are what --bench-out reports; they must add up.
   EXPECT_EQ(On.CubesPruned, On.CubesPrunedGf2 + On.CubesPrunedCore);
+}
+
+TEST(CubeRun, ExchangesLemmasOnlyWithPeersAndNeverUnderProofs) {
+  // The open cube of surface5 t=2: one slot solves the whole problem.
+  smt::BoolContext Ctx;
+  Scenario S = makeMemoryScenario(makeRotatedSurfaceCode(5), PauliKind::Y,
+                                  LogicalBasis::Z, 2);
+  BuiltVc Vc = buildScenarioVc(Ctx, S);
+  ASSERT_TRUE(Vc.Ok);
+  smt::VerificationProblem P(Ctx, Vc.NegatedVc);
+  CubeRunConfig Plain, Proofs;
+  Proofs.LogProofs = true;
+  struct Solved {
+    std::vector<std::vector<sat::Lit>> Exported;
+    uint64_t Conflicts = 0;
+    std::string Proof;
+  };
+  auto Solve = [&P](const CubeRunConfig &Cfg, size_t Slots, bool Remote,
+                    const std::vector<std::vector<sat::Lit>> &Imports = {}) {
+    CubeRun Run(P, Cfg, Slots, Remote);
+    Run.addExternalLemmas(Imports);
+    EXPECT_EQ(Run.runCube(0, {}), CubeRun::CubeOutcome::Unsat);
+    Solved Out;
+    Out.Exported = Run.drainOutboundLemmas();
+    sat::SolverStats Stats;
+    Run.accumulateStats(Stats);
+    Out.Conflicts = Stats.Conflicts;
+    Out.Proof = Run.drainSlotProof(0);
+    return Out;
+  };
+  // A --dist worker's lone slot exports its short lemmas; a lone local
+  // slot has no one to trade with.
+  Solved Remote = Solve(Plain, 1, true);
+  ASSERT_GT(Remote.Conflicts, 0u);
+  ASSERT_FALSE(Remote.Exported.empty());
+  for (const std::vector<sat::Lit> &Lemma : Remote.Exported)
+    EXPECT_LE(Lemma.size(), sat::SharedClausePool::MaxLemmaLits);
+  EXPECT_TRUE(Solve(Plain, 1, false).Exported.empty());
+  EXPECT_FALSE(Solve(Plain, 2, false).Exported.empty());
+  // Imported lemmas reach the slot (the same search gets shorter), and
+  // are not exported again.
+  EXPECT_LT(Solve(Plain, 1, true, Remote.Exported).Conflicts,
+            Remote.Conflicts);
+  CubeRun Relay(P, Plain, 1, true);
+  Relay.addExternalLemmas(Remote.Exported);
+  EXPECT_TRUE(Relay.drainOutboundLemmas().empty());
+  // Proof mode exchanges nothing: no exports, and imports are ignored,
+  // so the proof stream is byte-identical with and without them.
+  Solved Logged = Solve(Proofs, 2, true);
+  EXPECT_TRUE(Logged.Exported.empty());
+  Solved LoggedPrimed = Solve(Proofs, 2, true, Remote.Exported);
+  EXPECT_TRUE(LoggedPrimed.Exported.empty());
+  EXPECT_EQ(LoggedPrimed.Conflicts, Logged.Conflicts);
+  EXPECT_FALSE(Logged.Proof.empty());
+  EXPECT_TRUE(LoggedPrimed.Proof == Logged.Proof);
 }

@@ -631,3 +631,87 @@ TEST(ProofRoundTrip, CertificateSurvivesRepeatedCompaction) {
     EXPECT_EQ(Proof.size(), CubeWalk ? 442600u : 754253u);
   }
 }
+
+// -- SharedClausePool ring --------------------------------------------------
+
+namespace {
+
+/// The I-th test lemma: one literal whose variable is I, so a fetched
+/// lemma names its publish index.
+std::vector<Lit> lemmaNo(size_t I) { return {mkLit(static_cast<Var>(I))}; }
+
+} // namespace
+
+TEST(SharedClausePool, ReaderKeepingUpSeesEveryPublishPastCapacity) {
+  // Sharing never stops: a reader that fetches between publishes gets
+  // every lemma, well past the ring's capacity.
+  const size_t N = 5000;
+  static_assert(5000 > SharedClausePool::Capacity);
+  SharedClausePool Pool;
+  uint64_t Cursor = 0;
+  std::vector<std::vector<Lit>> Seen;
+  for (size_t I = 0; I != N; ++I) {
+    Pool.publish(0, lemmaNo(I));
+    EXPECT_TRUE(Pool.hasNewsFor(1, Cursor)) << "publish " << I;
+    Pool.fetch(1, Cursor, Seen);
+    EXPECT_FALSE(Pool.hasNewsFor(1, Cursor)) << "publish " << I;
+  }
+  ASSERT_EQ(Seen.size(), N);
+  for (size_t I = 0; I != N; ++I)
+    EXPECT_EQ(Seen[I], lemmaNo(I)) << "lemma " << I;
+  EXPECT_EQ(Cursor, N);
+}
+
+TEST(SharedClausePool, StaleCursorResumesAtTheOldestLiveEntry) {
+  const size_t Cap = SharedClausePool::Capacity;
+  const size_t N = Cap + 1000;
+  SharedClausePool Pool;
+  for (size_t I = 0; I != N; ++I)
+    Pool.publish(0, lemmaNo(I));
+  // A cursor N entries behind: the first 1000 lemmas were evicted.
+  uint64_t Cursor = 0;
+  std::vector<std::vector<Lit>> Seen;
+  Pool.fetch(1, Cursor, Seen);
+  ASSERT_EQ(Seen.size(), Cap);
+  for (size_t I = 0; I != Cap; ++I)
+    EXPECT_EQ(Seen[I], lemmaNo(N - Cap + I)) << "entry " << I;
+  EXPECT_EQ(Cursor, N);
+  // hasNewsFor resumes the same way.
+  uint64_t Stale = 10;
+  EXPECT_TRUE(Pool.hasNewsFor(1, Stale));
+  EXPECT_EQ(Stale, N - Cap);
+  // A cursor exactly at the oldest live entry loses nothing.
+  Cursor = N - Cap;
+  Seen.clear();
+  Pool.fetch(1, Cursor, Seen);
+  EXPECT_EQ(Seen.size(), Cap);
+}
+
+TEST(SharedClausePool, FetchNeverReturnsTheCallersOwnEntries) {
+  // Three owners interleaved past the ring's capacity; each reader gets
+  // exactly the live entries of the other two, in publish order.
+  const size_t N = SharedClausePool::Capacity + 777;
+  auto OwnerOf = [](size_t I) { return static_cast<int>(I % 3); };
+  SharedClausePool Pool;
+  for (size_t I = 0; I != N; ++I)
+    Pool.publish(OwnerOf(I), lemmaNo(I));
+  for (int Reader = 0; Reader != 3; ++Reader) {
+    uint64_t Cursor = 0;
+    std::vector<std::vector<Lit>> Seen;
+    Pool.fetch(Reader, Cursor, Seen);
+    std::vector<std::vector<Lit>> Want;
+    for (size_t I = N - SharedClausePool::Capacity; I != N; ++I)
+      if (OwnerOf(I) != Reader)
+        Want.push_back(lemmaNo(I));
+    EXPECT_EQ(Seen, Want) << "reader " << Reader;
+  }
+  // Only the caller's own entries are new: no news, nothing fetched.
+  uint64_t Cursor = N;
+  Pool.publish(1, lemmaNo(N));
+  Pool.publish(1, lemmaNo(N + 1));
+  EXPECT_FALSE(Pool.hasNewsFor(1, Cursor));
+  std::vector<std::vector<Lit>> Seen;
+  Pool.fetch(1, Cursor, Seen);
+  EXPECT_TRUE(Seen.empty());
+  EXPECT_EQ(Cursor, N + 2);
+}

@@ -800,13 +800,14 @@ int runVerify(const CliOptions &Cli) {
       const dist::CoordinatorStats &DS = DC.Coord->stats();
       std::printf("dist: %zu workers, %zu slots, %llu stolen, %llu "
                   "requeued, %llu dropped, %llu core broadcasts, "
-                  "%llu heartbeats\n",
+                  "%llu heartbeats, %llu lemmas relayed\n",
                   DC.Coord->numWorkers(), DC.Coord->numSlots(),
                   static_cast<unsigned long long>(DS.BatchesStolen),
                   static_cast<unsigned long long>(DS.BatchesRequeued),
                   static_cast<unsigned long long>(DS.WorkersDropped),
                   static_cast<unsigned long long>(DS.CoreBroadcasts),
-                  static_cast<unsigned long long>(DS.HeartbeatsReceived));
+                  static_cast<unsigned long long>(DS.HeartbeatsReceived),
+                  static_cast<unsigned long long>(DS.LemmasRelayed));
     }
   }
   if (!Cli.BenchOut.empty()) {
