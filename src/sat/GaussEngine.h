@@ -28,9 +28,9 @@
 #define VERIQEC_SAT_GAUSSENGINE_H
 
 #include "sat/SatTypes.h"
-#include "support/BitVector.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace veriqec::sat {
@@ -48,7 +48,7 @@ public:
   void addRow(std::vector<Var> Vars, bool Rhs);
 
   bool hasRows() const { return !Original.empty(); }
-  size_t numRows() const { return Rows.size(); }
+  size_t numRows() const { return RowRhs.size(); }
   bool needsFinalize() const { return Dirty; }
 
   /// Rebuilds the basis (the registered rows verbatim, kept sparse) and
@@ -67,7 +67,7 @@ public:
   int32_t propagate(Solver &S);
 
   /// The solver trail shrank to \p NewTrailSize entries; rolls the
-  /// counter mirror back. The echelon basis itself never changes with
+  /// counter and column mirrors back. The registered basis itself never changes with
   /// the trail, so nothing else needs undoing.
   void onBacktrack(size_t NewTrailSize);
 
@@ -77,9 +77,12 @@ private:
     bool Rhs = false;
   };
 
-  /// Rows of the (sparse, as-registered) basis: bit i < NumCols is the
-  /// coefficient of VarOfCol[i]; bit NumCols is the right-hand side.
-  std::vector<BitVector> Rows;
+  /// The (sparse, as-registered) basis: row R is the equation
+  /// XOR(VarOfCol[C] for C in RowCols[RowBegin[R] .. RowBegin[R + 1]])
+  /// == RowRhs[R], its columns sorted ascending.
+  std::vector<uint32_t> RowBegin;
+  std::vector<uint32_t> RowCols;
+  std::vector<uint8_t> RowRhs;
   std::vector<OriginalRow> Original;
 
   std::vector<Var> VarOfCol;
@@ -88,14 +91,16 @@ private:
 
   /// Live mirror of the trail restricted to XOR variables.
   std::vector<uint32_t> Unknowns; ///< unassigned vars per row
-  std::vector<uint8_t> Residual;  ///< rhs ^ XOR of assigned values
   struct AppliedEntry {
     uint32_t TrailPos;
     uint32_t Col;
-    uint8_t Value;
   };
   std::vector<AppliedEntry> Applied;
   size_t TrailSeen = 0;
+  /// The same mirror per column, one bit each: unassigned columns, and
+  /// columns assigned true.
+  std::vector<uint64_t> ColFree;
+  std::vector<uint64_t> ColTrue;
 
   /// Rows whose unknown count dropped to <= 1 (deduplicated lazily: a
   /// stale entry is re-checked against the live counters when popped).
@@ -115,13 +120,47 @@ private:
 
   bool Dirty = false;
 
-  /// Scratch kept across calls so the search loop never allocates here:
-  /// deepCheck()'s residual rows (the first NumElim of a call are live)
-  /// and processRow()'s reason/conflict clause.
-  std::vector<BitVector> Elim;
+  /// Scratch kept across calls so the search loop never allocates here.
+  /// deepCheck() works on dense rows of RowWords words, bit C being
+  /// column C.
+  size_t RowWords = 0;
+  /// The residual rows of one elimination, flat: row K occupies words
+  /// [K * RowWords, (K + 1) * RowWords); the first NumElim rows are live.
+  std::vector<uint64_t> Elim;
+  /// Per residual row: the words [Lo, Hi) outside which it is zero, and
+  /// its right-hand side.
+  struct ElimRow {
+    uint32_t Lo = 0;
+    uint32_t Hi = 0;
+    bool Rhs = false;
+  };
+  std::vector<ElimRow> ElimRows;
+  /// ColFree/ColTrue as of the running elimination, including what its
+  /// inspect pass has implied so far.
+  std::vector<uint64_t> FreeMask;
+  std::vector<uint64_t> TrueMask;
+  /// Occurrence bitsets over the residual rows (one bit per row, so
+  /// (NumElim + 63) / 64 words each), one per column that was unassigned
+  /// when the elimination started: FreeSlot[C] is the index of column
+  /// C's bitset in Occ, and slot 0 is a sink for the assigned columns.
+  std::vector<uint32_t> FreeSlot;
+  std::vector<uint64_t> Occ;
+  /// The residual rows after the current pivot row that hold its pivot
+  /// column.
+  std::vector<uint64_t> Targets;
+  /// processRow()'s inputs and output for a combined row: its columns,
+  /// and the reason/conflict clause.
+  std::vector<uint32_t> ComboCols;
   std::vector<Lit> ReasonLits;
 
-  int32_t processRow(Solver &S, const BitVector &Row);
+  int32_t processRow(Solver &S, std::span<const uint32_t> Cols, bool Rhs);
+  /// One fresh forward elimination of the residual system (the rows with
+  /// >= 2 unknowns) over the unassigned columns, then a live inspect pass
+  /// over the combined rows. Word-parallel: a row's pivot is the first
+  /// set bit of row & FreeMask, the later rows it must clear come from
+  /// its pivot column's occurrence bitset, and the inspect pass judges
+  /// rows on the masks, calling processRow() only for units and
+  /// conflicts.
   int32_t deepCheck(Solver &S);
   void syncTrail(Solver &S);
 };

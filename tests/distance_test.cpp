@@ -150,6 +150,23 @@ TEST(Distance, Tanner1SeedZeroCountersArePinned) {
   EXPECT_GE(countEvents(Trace, "arena_gc"), 1u);
 }
 
+TEST(Distance, Tanner1FullSeedZeroCountersArePinned) {
+  // tanner1-full at solver seed 0, the benchmark's t1f_distance workload:
+  // its 404 parity rows keep the Gauss engine's periodic elimination
+  // busy. Every elimination makes the same pivots and the same row XORs,
+  // and inspects the combined rows against the live trail, so a kernel
+  // that derives one implication more or less, or in another order,
+  // moves these counters.
+  DistanceResult R = computeDistance(makeTannerIFull());
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Distance, 4u);
+  EXPECT_EQ(R.Stats.Conflicts, 6687u);
+  EXPECT_EQ(R.Stats.propagations(), 5811482u);
+  EXPECT_EQ(R.SolverCalls, 4u);
+  EXPECT_EQ(R.Stats.XorEliminations, 5206u);
+  EXPECT_EQ(R.Stats.XorPropagations, 147535u);
+}
+
 TEST(Distance, CssFamiliesMatchTheDocumentedDistance) {
   // Symmetric CSS codes: the lightest pure-X and pure-Z logicals both
   // attain the documented distance.

@@ -25,6 +25,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
 using namespace veriqec;
 using namespace veriqec::smt;
 using sat::Lit;
@@ -289,6 +292,160 @@ TEST(GaussEngine, UnsatCoreOverXorRowsIsGenuine) {
   Fresh.addXorClause({sat::mkLit(A), sat::mkLit(B)}, false);
   Fresh.addXorClause({sat::mkLit(B), sat::mkLit(C)}, false);
   EXPECT_EQ(Fresh.solve(Core), SolveResult::Unsat);
+}
+
+namespace {
+
+/// A random LDPC-like system: every row has 3 to 8 distinct variables.
+XorSystem randomLdpcSystem(Rng &R, size_t NumVars, size_t NumRows) {
+  XorSystem S;
+  S.NumVars = NumVars;
+  for (size_t I = 0; I != NumRows; ++I) {
+    size_t Weight = 3 + R.nextBelow(6);
+    std::vector<Lit> Row;
+    while (Row.size() != Weight) {
+      Var V = static_cast<Var>(R.nextBelow(NumVars));
+      if (std::none_of(Row.begin(), Row.end(),
+                       [V](Lit L) { return L.var() == V; }))
+        Row.push_back(sat::mkLit(V));
+    }
+    S.Rows.emplace_back(std::move(Row), R.nextBool());
+  }
+  return S;
+}
+
+/// The rows as plain CNF: one clause per wrong-parity assignment of a
+/// row's variables.
+void addRowsAsCnf(sat::Solver &S, const XorSystem &Sys) {
+  for (const auto &[Row, Odd] : Sys.Rows)
+    for (uint32_t M = 0; M != (uint32_t{1} << Row.size()); ++M) {
+      if ((std::popcount(M) & 1) == Odd)
+        continue; // M itself satisfies the row
+      std::vector<Lit> Clause;
+      for (size_t J = 0; J != Row.size(); ++J)
+        Clause.push_back(((M >> J) & 1) ? ~Row[J] : Row[J]);
+      ASSERT_TRUE(S.addClause(std::move(Clause)));
+    }
+}
+
+bool rowHolds(const sat::Solver &S, const std::vector<Lit> &Row, bool Odd) {
+  bool Parity = false;
+  for (Lit L : Row)
+    Parity ^= S.modelValue(L.var()) != L.negated();
+  return Parity == Odd;
+}
+
+} // namespace
+
+TEST(GaussEngine, WideLdpcSystemsMatchCnfUnderAssumptionCubes) {
+  // Systems wide enough that the elimination's dense rows (>= 200
+  // columns) and its occurrence bitsets (>= 130 rows) span several
+  // 64-bit words. One reused XOR solver per seed walks random assumption
+  // cubes; a plain-CNF solver over the same rows is the reference.
+  Rng R(20261017);
+  uint64_t Eliminations = 0, SatCubes = 0, UnsatCubes = 0;
+  for (int Case = 0; Case != 8; ++Case) {
+    XorSystem Sys =
+        randomLdpcSystem(R, 200 + R.nextBelow(60), 130 + R.nextBelow(30));
+    sat::Solver Cnf;
+    for (size_t I = 0; I != Sys.NumVars; ++I)
+      Cnf.newVar();
+    addRowsAsCnf(Cnf, Sys);
+    std::vector<std::vector<Lit>> Cubes;
+    for (int C = 0; C != 6; ++C) {
+      std::vector<Lit> Cube;
+      for (size_t V = 0; V != Sys.NumVars; ++V)
+        if (R.nextBelow(100) < 15 + 10 * static_cast<uint64_t>(C % 3))
+          Cube.push_back(Lit(static_cast<Var>(V), R.nextBool()));
+      Cubes.push_back(std::move(Cube));
+    }
+    std::vector<SolveResult> Want;
+    for (const std::vector<Lit> &Cube : Cubes)
+      Want.push_back(Cnf.solve(Cube));
+    for (uint64_t Seed : {0u, 1u, 2u}) {
+      sat::Solver Xor;
+      for (size_t I = 0; I != Sys.NumVars; ++I)
+        Xor.newVar();
+      for (const auto &[Row, Odd] : Sys.Rows)
+        ASSERT_TRUE(Xor.addXorClause(Row, Odd));
+      Xor.setRandomSeed(Seed);
+      for (size_t C = 0; C != Cubes.size(); ++C) {
+        SolveResult Got = Xor.solve(Cubes[C]);
+        ASSERT_EQ(Got, Want[C]) << "case " << Case << " seed " << Seed
+                                << " cube " << C;
+        if (Got == SolveResult::Sat) {
+          ++SatCubes;
+          for (Lit L : Cubes[C])
+            EXPECT_NE(Xor.modelValue(L.var()), L.negated());
+          for (const auto &[Row, Odd] : Sys.Rows)
+            EXPECT_TRUE(rowHolds(Xor, Row, Odd));
+        } else {
+          ++UnsatCubes;
+        }
+      }
+      Eliminations += Xor.stats().XorEliminations;
+    }
+  }
+  // The battery must reach both verdicts and the cross-row eliminations.
+  EXPECT_GT(SatCubes, 0u);
+  EXPECT_GT(UnsatCubes, 0u);
+  EXPECT_GT(Eliminations, 0u);
+}
+
+TEST(GaussEngine, OneEliminationImpliesThenDerivesALaterUnitOrConflict) {
+  // Four rows that no single row decides once the padding p1..p8 is
+  // assumed (each keeps >= 2 unknowns), so only the cross-row
+  // elimination that the eighth assignment triggers can. Columns number
+  // in order of first appearance, so it pivots on a, c, d:
+  //   R1 = a ^ b ^ p1 ^ p2            = 0
+  //   R2 = a ^ b ^ c ^ p3 ^ p4        = 1  ->  c ^ p1..p4      = 1
+  //   R3 = c ^ d ^ e ^ p5             = 0  ->  d ^ e ^ p1..p5  = 1
+  //   R4 = d ^ e [^ f] ^ p6 ^ p7 ^ p8 = 0  ->  [f ^] p1..p8    = 1
+  // The inspect pass implies c from R2's combination and then, from
+  // R4's, either implies f or (without f) reads 0 = 1 when p1..p8 has
+  // even parity.
+  for (bool WithF : {true, false}) {
+    for (uint32_t Padding : {0x00u, 0x01u, 0x5au, 0xffu}) {
+      sat::Solver S;
+      Var A = S.newVar(), B = S.newVar(), C = S.newVar(), D = S.newVar(),
+          E = S.newVar(), F = S.newVar();
+      std::vector<Var> P;
+      for (int I = 0; I != 8; ++I)
+        P.push_back(S.newVar());
+      auto L = [](Var V) { return sat::mkLit(V); };
+      std::vector<std::pair<std::vector<Lit>, bool>> Rows = {
+          {{L(A), L(B), L(P[0]), L(P[1])}, false},
+          {{L(A), L(B), L(C), L(P[2]), L(P[3])}, true},
+          {{L(C), L(D), L(E), L(P[4])}, false},
+          {{L(D), L(E), L(P[5]), L(P[6]), L(P[7])}, false}};
+      if (WithF)
+        Rows[3].first.push_back(L(F));
+      for (const auto &[Row, Odd] : Rows)
+        ASSERT_TRUE(S.addXorClause(Row, Odd));
+      std::vector<Lit> Cube;
+      for (int I = 0; I != 8; ++I)
+        Cube.push_back(Lit(P[I], ((Padding >> I) & 1) == 0));
+      bool Low = std::popcount(Padding & 0x0fu) & 1;
+      bool All = std::popcount(Padding) & 1;
+      SolveResult Got = S.solve(Cube);
+      EXPECT_GE(S.stats().XorEliminations, 1u);
+      if (!WithF && !All) {
+        // p1..p8 even: R4's combination reads 0 = 1.
+        EXPECT_EQ(Got, SolveResult::Unsat) << "padding " << Padding;
+        EXPECT_GE(S.stats().XorConflicts, 1u);
+        continue;
+      }
+      ASSERT_EQ(Got, SolveResult::Sat) << "padding " << Padding;
+      EXPECT_EQ(S.modelValue(C), !Low);
+      if (WithF) {
+        EXPECT_EQ(S.modelValue(F), !All);
+      }
+      for (const auto &[Row, Odd] : Rows)
+        EXPECT_TRUE(rowHolds(S, Row, Odd));
+      // c (and f) come from the elimination, not from a decision.
+      EXPECT_GE(S.stats().XorPropagations, WithF ? 2u : 1u);
+    }
+  }
 }
 
 // -- Pipeline equisatisfiability --------------------------------------------
