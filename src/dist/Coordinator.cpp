@@ -66,9 +66,8 @@ struct Coordinator::ActiveProblem {
   bool Finished = false;
   /// Open-handle problems persist worker-side between solveCubes calls.
   bool Persistent = false;
-  /// Cubes concluded by this problem's UNSAT cube sets so far (the
-  /// certificate's `n` record).
-  uint64_t Concluded = 0;
+  /// The current cube set's bound (solveCubes), led by every cube.
+  std::vector<Lit> Bound;
   smt::SolveOutcome Outcome;
   std::vector<std::vector<Lit>> Cores; ///< broadcast cache for joiners
   /// With Config.LogProofs: proof text per (worker serial, slot),
@@ -387,11 +386,13 @@ void Coordinator::finishProblem(ActiveProblem &AP) {
     Streams.reserve(AP.ProofStreams.size());
     for (const auto &[Key, Text] : AP.ProofStreams)
       Streams.push_back(Text);
-    // An UNSAT problem decided early was refuted globally.
+    // An UNSAT problem decided early was refuted globally: no trailer.
+    std::vector<std::vector<Lit>> Cubes;
     if (!AP.Decided)
-      AP.Concluded += AP.Outcome.NumCubes;
+      for (const std::vector<std::vector<Lit>> &Batch : AP.BatchCubes)
+        Cubes.insert(Cubes.end(), Batch.begin(), Batch.end());
     AP.Outcome.Proof = engine::assembleCertificate(
-        *AP.Problem, AP.Config, Streams, AP.Decided, AP.Concluded);
+        *AP.Problem, AP.Config, AP.Bound, Streams, Cubes);
   }
 }
 
@@ -701,8 +702,12 @@ Coordinator::openProblem(std::shared_ptr<const smt::VerificationProblem> P,
 
 smt::SolveOutcome
 Coordinator::solveCubes(uint32_t Handle,
-                        std::vector<std::vector<Lit>> Cubes) {
+                        std::vector<std::vector<Lit>> Cubes,
+                        std::span<const Lit> Bound) {
   ActiveProblem &AP = *Problems.at(Handle);
+  AP.Bound.assign(Bound.begin(), Bound.end());
+  for (std::vector<Lit> &Cube : Cubes)
+    Cube.insert(Cube.begin(), Bound.begin(), Bound.end());
   shardCubes(Handle, AP, std::move(Cubes));
   runUntilDone({Handle});
   return std::move(AP.Outcome);

@@ -126,9 +126,9 @@ public:
   /// slot solvers persist until closeProblem(), which frees them.
   uint32_t openProblem(std::shared_ptr<const smt::VerificationProblem> P,
                        const engine::CubeRunConfig &Config) override;
-  smt::SolveOutcome
-  solveCubes(uint32_t Handle,
-             std::vector<std::vector<sat::Lit>> Cubes) override;
+  smt::SolveOutcome solveCubes(uint32_t Handle,
+                               std::vector<std::vector<sat::Lit>> Cubes,
+                               std::span<const sat::Lit> Bound) override;
   void closeProblem(uint32_t Handle) override;
 
   /// Sends Shutdown to every live worker (they exit their loops).

@@ -66,9 +66,11 @@ struct veriqec::engine::Discharge {
       : Problem(std::move(P)), Run(*Problem, Cfg, NumSlots),
         Streams(NumSlots) {}
 
-  /// Closes a quiesced cube set into \p Out, whose NumCubes the caller
-  /// set: counters since the previous set, verdict, certificate.
-  void finish(SolveOutcome &Out) {
+  /// Closes the quiesced cube set \p Cubes (each led by \p Bound) into
+  /// \p Out, whose NumCubes the caller set: counters since the previous
+  /// set, verdict, certificate.
+  void finish(SolveOutcome &Out, std::span<const std::vector<Lit>> Cubes,
+              std::span<const Lit> Bound) {
     if (Problem->TriviallyUnsat) {
       Out = triviallyUnsatOutcome(*Problem, Run.config().LogProofs);
       return;
@@ -104,10 +106,10 @@ struct veriqec::engine::Discharge {
         Streams[S] += Run.drainSlotProof(S);
     if (Out.Result != SolveResult::Unsat)
       return;
-    if (!Run.globalUnsat())
-      Concluded += Out.NumCubes;
-    Out.Proof = assembleCertificate(*Problem, Run.config(), Streams,
-                                    Run.globalUnsat(), Concluded);
+    if (Run.globalUnsat())
+      Cubes = {};
+    Out.Proof =
+        assembleCertificate(*Problem, Run.config(), Bound, Streams, Cubes);
   }
 
   std::shared_ptr<const smt::VerificationProblem> Problem;
@@ -115,7 +117,6 @@ struct veriqec::engine::Discharge {
   sat::SolverStats Reported;
   uint64_t Solved = 0, PrunedGf2 = 0, PrunedCore = 0;
   std::vector<std::string> Streams; ///< per slot, everything so far
-  uint64_t Concluded = 0; ///< cubes of the UNSAT cube sets so far
 };
 
 namespace {
@@ -257,11 +258,14 @@ veriqec::engine::triviallyUnsatOutcome(const smt::VerificationProblem &P,
 
 std::string veriqec::engine::assembleCertificate(
     const smt::VerificationProblem &P, const CubeRunConfig &Cfg,
-    std::span<const std::string> Streams, bool GlobalUnsat,
-    uint64_t Concluded) {
-  return proof::assembleProof(
-      proof::buildProofHeader(P, Cfg.HardenBudget, Cfg.BudgetBound), Streams,
-      GlobalUnsat ? std::nullopt : std::optional<uint64_t>(Concluded));
+    std::span<const Lit> Bound, std::span<const std::string> Streams,
+    std::span<const std::vector<Lit>> Cubes) {
+  std::vector<Lit> Units;
+  if (Cfg.HardenBudget)
+    P.appendWeightAssumptions(Cfg.BudgetBound, Units);
+  Units.insert(Units.end(), Bound.begin(), Bound.end());
+  return proof::assembleProof(proof::buildProofHeader(P, Units), Streams,
+                              Cubes, Bound.size());
 }
 
 PreparedProblem veriqec::engine::prepareCubeProblem(const CubeProblem &P,
@@ -351,7 +355,7 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
     PreparedProblem P = prepareCubeProblem(Problems[0], 1);
     uint32_t Handle = openProblem(std::move(P.Encoded), P.Config);
     std::vector<SolveOutcome> Outcomes;
-    Outcomes.push_back(solveCubes(Handle, std::move(P.Cubes)));
+    Outcomes.push_back(solveCubes(Handle, std::move(P.Cubes), {}));
     closeProblem(Handle);
     return Outcomes;
   }
@@ -454,7 +458,7 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
   std::vector<SolveOutcome> Outcomes;
   Outcomes.reserve(Runs.size());
   for (std::unique_ptr<ProblemRun> &RunPtr : Runs) {
-    RunPtr->D->finish(RunPtr->Out);
+    RunPtr->D->finish(RunPtr->Out, RunPtr->Cubes, {});
     Outcomes.push_back(std::move(RunPtr->Out));
   }
   return Outcomes;
@@ -477,7 +481,8 @@ CubeEngine::openProblem(std::shared_ptr<const smt::VerificationProblem> P,
 }
 
 SolveOutcome CubeEngine::solveCubes(uint32_t Handle,
-                                    std::vector<std::vector<Lit>> Cubes) {
+                                    std::vector<std::vector<Lit>> Cubes,
+                                    std::span<const Lit> Bound) {
   Discharge *D = nullptr;
   {
     std::lock_guard<std::mutex> Lock(OpenMutex);
@@ -489,10 +494,12 @@ SolveOutcome CubeEngine::solveCubes(uint32_t Handle,
   SolveOutcome Out;
   Out.NumCubes = Cubes.size();
   Timer Clock;
+  for (std::vector<Lit> &Cube : Cubes)
+    Cube.insert(Cube.begin(), Bound.begin(), Bound.end());
   for (size_t C = 0; C != Cubes.size() && !D->Run.cancelled(); ++C)
     D->Run.runCube(0, Cubes[C], C);
   Out.SolveSeconds = Clock.seconds();
-  D->finish(Out);
+  D->finish(Out, Cubes, Bound);
   return Out;
 }
 

@@ -112,13 +112,15 @@ void describeProblem(const smt::VerificationProblem &P,
 smt::SolveOutcome triviallyUnsatOutcome(const smt::VerificationProblem &P,
                                         bool LogProofs);
 
-/// The certificate rule of every CubeBackend: header, \p Streams, and an
-/// `n` record of \p Concluded (the cubes of the problem's UNSAT cube sets
-/// so far), omitted only after a global refutation.
+/// The certificate rule of every CubeBackend: a header asserting
+/// \p Bound (plus a hardened budget) as `b` units, \p Streams, and the
+/// trailer of the cube tree \p Cubes span past their \p Bound prefix.
+/// Pass no cubes when an empty core already refuted the problem.
 std::string assembleCertificate(const smt::VerificationProblem &P,
                                 const CubeRunConfig &Cfg,
+                                std::span<const sat::Lit> Bound,
                                 std::span<const std::string> Streams,
-                                bool GlobalUnsat, uint64_t Concluded);
+                                std::span<const std::vector<sat::Lit>> Cubes);
 
 /// Where cube problems are discharged: in-process (CubeEngine) or
 /// sharded across remote workers (dist::Coordinator). Scenario batches
@@ -144,10 +146,14 @@ public:
   openProblem(std::shared_ptr<const smt::VerificationProblem> P,
               const CubeRunConfig &Config) = 0;
 
-  /// Solves one cube set (assumption sets of any origin) against an open
-  /// problem, blocking; statistics and cube counts are this call's.
+  /// Solves one cube set against an open problem, blocking; statistics
+  /// and cube counts are this call's. \p Bound is assumed ahead of every
+  /// cube and asserted by the certificate's header (the distance
+  /// search's weight bound), so the cubes must cover the problem under
+  /// it as a cube tree.
   virtual smt::SolveOutcome
-  solveCubes(uint32_t Handle, std::vector<std::vector<sat::Lit>> Cubes) = 0;
+  solveCubes(uint32_t Handle, std::vector<std::vector<sat::Lit>> Cubes,
+             std::span<const sat::Lit> Bound) = 0;
 
   /// Frees the state of an open problem.
   virtual void closeProblem(uint32_t Handle) = 0;
@@ -180,9 +186,9 @@ public:
   /// may be driven from distinct threads concurrently.
   uint32_t openProblem(std::shared_ptr<const smt::VerificationProblem> P,
                        const CubeRunConfig &Config) override;
-  smt::SolveOutcome
-  solveCubes(uint32_t Handle,
-             std::vector<std::vector<sat::Lit>> Cubes) override;
+  smt::SolveOutcome solveCubes(uint32_t Handle,
+                               std::vector<std::vector<sat::Lit>> Cubes,
+                               std::span<const sat::Lit> Bound) override;
   void closeProblem(uint32_t Handle) override;
 
 private:

@@ -102,7 +102,6 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
   assert(Slot < Slots.size() && "slot index out of range");
 
   bool Subsumed = false;
-  const std::vector<Lit> *MatchedCore = nullptr;
   if (CoreCount.load(std::memory_order_acquire) != 0) {
     std::vector<std::vector<Lit>> &Snapshot = CoreSnapshots[Slot];
     if (Snapshot.size() < CoreCount.load(std::memory_order_acquire)) {
@@ -114,7 +113,6 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
     for (const std::vector<Lit> &Core : Snapshot)
       if (coreSubsumesCube(Core, CubeSorted)) {
         Subsumed = true;
-        MatchedCore = &Core;
         break;
       }
   }
@@ -126,18 +124,13 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
     Solved.fetch_add(1, std::memory_order_relaxed);
     (Subsumed ? PrunedCore : PrunedGf2)
         .fetch_add(1, std::memory_order_relaxed);
-    if (Cfg.LogProofs) {
-      if (Subsumed)
-        // The cited core's own q record may live in another slot's
-        // stream (or another node's); the checker validates prunes
-        // against all streams in a second pass.
-        SlotLogs[Slot]->logCorePrune(*MatchedCore, Cube);
-      else
-        // GF(2)-refuted: the whole cube is the core; the checker
-        // re-derives the contradiction by eliminating the header's
-        // x-rows (or unit-propagating the parity CNF) under the cube.
-        SlotLogs[Slot]->logConclusion(Cube, Cube);
-    }
+    // A subsumed cube needs no record: the q record of its core (in
+    // any slot's or node's stream) already put ¬core in the checker's
+    // table, which refutes the cube. GF(2)-refuted: the whole cube is
+    // the core; the checker re-derives the contradiction by eliminating
+    // the header's x-rows (or unit-propagating the parity CNF) under it.
+    if (Cfg.LogProofs && !Subsumed)
+      SlotLogs[Slot]->logConclusion(Cube, Cube);
     return Subsumed ? CubeOutcome::PrunedCore : CubeOutcome::PrunedGf2;
   }
 
@@ -197,8 +190,8 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
   if (R == SolveResult::Unsat) {
     const std::vector<Lit> &Core = Reused->conflictCore();
     if (Cfg.LogProofs)
-      // An empty core concludes the whole problem (GlobalUnsat below);
-      // the checker treats it the same way.
+      // An empty core concludes the whole problem (GlobalUnsat below):
+      // the checker's table then holds the empty clause.
       SlotLogs[Slot]->logConclusion(Core, Cube, Reused->conflictCoreHints());
     if (Core.empty()) {
       // The refutation used no assumptions (as every refutation of the

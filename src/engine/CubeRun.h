@@ -45,8 +45,9 @@ struct CubeRunConfig {
   uint32_t BudgetBound = 0;
   uint64_t ConflictBudget = 0; ///< 0 = unlimited
   uint64_t RandomSeed = 0;     ///< 0 = deterministic branching
-  /// Attach a proof::SlotProofLog to every slot solver and record a
-  /// conclusion (q/c) per discharged cube. Disables lemma exchange
+  /// Attach a proof::SlotProofLog to every slot solver and record a q
+  /// conclusion per solved or GF(2)-refuted cube (a cube a stored core
+  /// subsumes is covered by that core's q). Disables lemma exchange
   /// (local and remote): an imported lemma is justified by another
   /// slot's derivation chain and would not be RUP in this stream.
   bool LogProofs = false;
@@ -203,9 +204,10 @@ private:
   /// thread at a time, so no locking.
   std::vector<std::unique_ptr<sat::Solver>> Slots;
   /// One proof stream per slot (owner-only, like Slots); allocated
-  /// eagerly in the constructor when Cfg.LogProofs so pruned cubes have
-  /// somewhere to conclude before the slot solver exists. unique_ptr for
-  /// address stability — the slot solver keeps a raw sink pointer.
+  /// eagerly in the constructor when Cfg.LogProofs so GF(2)-refuted
+  /// cubes have somewhere to conclude before the slot solver exists.
+  /// unique_ptr for address stability — the slot solver keeps a raw sink
+  /// pointer.
   std::vector<std::unique_ptr<proof::SlotProofLog>> SlotLogs;
   /// Per-slot snapshots of RefutedCores (owner-only, like Slots).
   std::vector<std::vector<std::vector<sat::Lit>>> CoreSnapshots;

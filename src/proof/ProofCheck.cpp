@@ -8,9 +8,10 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
 #include <map>
-#include <set>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -144,15 +145,22 @@ public:
         !Hints.empty() && refutesByHints(Lits, /*Negate=*/true, Hints);
     if (!Entailed)
       Entailed = refutes(Lits, /*Negate=*/true);
-    if (Entailed) {
-      installClause(Lits);
-      if (!DbUnsat && propagate() != NoClause)
-        DbUnsat = true;
-    }
+    if (Entailed)
+      addImplied(Lits);
     Additions.push_back(Entailed && !Clauses.empty()
                             ? static_cast<int32_t>(Clauses.size() - 1)
                             : NoClause);
     return Entailed;
+  }
+
+  /// Installs a clause whose check happened elsewhere (the negation of
+  /// a core some stream refuted) and propagates it at the root.
+  void addImplied(std::vector<uint32_t> Lits) {
+    if (DbUnsat)
+      return;
+    installClause(std::move(Lits));
+    if (!DbUnsat && propagate() != NoClause)
+      DbUnsat = true;
   }
 
   /// Deletes the stream's \p Serial-th addition (1-based).
@@ -314,8 +322,8 @@ private:
     int32_t Idx = NoClause;
     if (Hint > 0 && static_cast<uint64_t>(Hint) <= Additions.size())
       Idx = Additions[static_cast<size_t>(Hint) - 1];
-    else if (Hint < 0 && static_cast<uint64_t>(-Hint) <= NumHeaderClauses)
-      Idx = static_cast<int32_t>(-Hint) - 1;
+    else if (Hint < 0 && Hint >= -static_cast<int64_t>(NumHeaderClauses))
+      Idx = static_cast<int32_t>(-Hint - 1);
     if (Idx != NoClause && Deleted[Idx])
       return NoClause;
     return Idx;
@@ -349,15 +357,20 @@ private:
       }
       uint32_t Unit = 0;
       int NumUndef = 0;
+      bool Satisfied = false;
       for (uint32_t L : Clauses[Idx]) {
         int8_t V = litValue(L);
-        if (V == 1 || (V < 0 && ++NumUndef > 1)) {
-          NumUndef = 2; // satisfied or not unit: the hint is useless
+        Satisfied = V == 1;
+        if (Satisfied || (V < 0 && ++NumUndef > 1))
           break;
-        }
         if (V < 0)
           Unit = L;
       }
+      // A satisfied hint asserts nothing: its implied literal already
+      // holds (root units a header bound adds satisfy many). Skipping it
+      // asserts nothing either, so the check stays unit propagation.
+      if (Satisfied)
+        continue;
       if (NumUndef > 1) {
         unwindTo(Mark);
         return false;
@@ -460,15 +473,14 @@ private:
   bool SpanChecked = false;
   RowBasis OriginalBasis;
 
-  std::vector<Replay> Pristine; // size 1 once built: the header state
-  std::vector<Replay> Current;  // size 1 while inside a stream
-  /// Cores proven unsatisfiable by q records (sorted literal codes).
-  std::set<std::vector<uint32_t>> RefutedCores;
-  std::set<std::vector<uint32_t>> ConcludedCubes;
-  /// c records awaiting second-pass validation: (line, core).
-  std::vector<std::pair<size_t, std::vector<uint32_t>>> PendingPrunes;
-  uint64_t ExpectedConclusions = 0;
-  bool SawExpected = false;
+  /// Built when the streams begin. Every stream replays from Pristine,
+  /// the header alone. Table is the header plus the clause ¬core of every
+  /// checked q; the trailer's additions extend it, and the proof stands
+  /// only once it derives the empty clause.
+  std::optional<Replay> Pristine, Table, Stream;
+  /// Where a, d and q records replay: the open stream, or the table once
+  /// the trailer began.
+  Replay *Current = nullptr;
 
   bool fail(size_t LineNo, const std::string &What) {
     Result.Ok = false;
@@ -508,9 +520,11 @@ private:
   }
 
   /// Parses DIMACS literals from Toks[From..] up to a 0 terminator;
-  /// advances From past the terminator. Codes are range-checked.
+  /// advances From past the terminator. Codes are range-checked before
+  /// any arithmetic, so no token can overflow them.
   bool parseLits(const std::vector<std::string_view> &Toks, size_t &From,
                  std::vector<uint32_t> &Out, size_t LineNo) {
+    const int64_t Max = static_cast<int64_t>(NumVars);
     for (; From < Toks.size(); ++From) {
       int64_t L;
       if (!parseInt(Toks[From], L))
@@ -519,18 +533,39 @@ private:
         ++From;
         return true;
       }
-      uint64_t V = static_cast<uint64_t>(L < 0 ? -L : L) - 1;
-      if (V >= NumVars)
+      if (L < -Max || L > Max)
         return fail(LineNo, "literal over undeclared variable");
-      Out.push_back(codeOf(static_cast<uint32_t>(V), L < 0));
+      uint32_t V = static_cast<uint32_t>((L < 0 ? -L : L) - 1);
+      Out.push_back(codeOf(V, L < 0));
+    }
+    return fail(LineNo, "missing 0 terminator");
+  }
+
+  /// Parses the optional 0-terminated hint list at Toks[From..] into
+  /// HintScratch (left empty when the record ends first).
+  bool parseHints(const std::vector<std::string_view> &Toks, size_t From,
+                  size_t LineNo) {
+    HintScratch.clear();
+    if (From == Toks.size())
+      return true;
+    for (; From < Toks.size(); ++From) {
+      int64_t H;
+      if (!parseInt(Toks[From], H))
+        return fail(LineNo, "bad hint token");
+      if (H == 0)
+        return true;
+      if (H == std::numeric_limits<int64_t>::min())
+        return fail(LineNo, "hint out of range");
+      HintScratch.push_back(H);
     }
     return fail(LineNo, "missing 0 terminator");
   }
 
   /// Parses "rhs var..var 0" into a sorted parity row over \p Space
-  /// variables (1-based in the text).
+  /// variables (1-based in the text); Space 0 admits any 32-bit variable.
   bool parseRow(const std::vector<std::string_view> &Toks, size_t From,
                 size_t Space, SparseRow &Out, size_t LineNo) {
+    const uint64_t Max = Space ? Space : uint64_t{UINT32_MAX} + 1;
     int64_t Rhs;
     if (From >= Toks.size() || !parseInt(Toks[From], Rhs) ||
         (Rhs != 0 && Rhs != 1))
@@ -544,21 +579,28 @@ private:
         canonicalize(Out.Vars);
         return true;
       }
-      if (V < 1 || (Space && static_cast<uint64_t>(V) > Space))
+      if (V < 1 || static_cast<uint64_t>(V) > Max)
         return fail(LineNo, "parity variable out of range");
       Out.Vars.push_back(static_cast<uint32_t>(V - 1));
     }
     return fail(LineNo, "missing 0 terminator");
   }
 
-  bool ensureSpanChecks(size_t LineNo) {
+  void ensureSpanChecks() {
     if (SpanChecked)
-      return true;
+      return;
     SpanChecked = true;
     for (const SparseRow &R : OriginalRows)
       OriginalBasis.insert(R); // contradictions recorded, judged by 't'
-    (void)LineNo;
-    return true;
+  }
+
+  /// Closes the header: builds the stream base and the table.
+  void beginStreams() {
+    if (State != Phase::Header)
+      return;
+    State = Phase::Streams;
+    Pristine.emplace(NumVars, HeaderClauses, XorSystem);
+    Table.emplace(*Pristine);
   }
 
   bool handleLine(std::string_view Line, size_t LineNo) {
@@ -576,9 +618,10 @@ private:
     }
 
     if (Tag == "v") {
+      // Literal codes are 2*var+sign in 32 bits.
       int64_t N;
       if (State != Phase::Header || Toks.size() != 2 ||
-          !parseInt(Toks[1], N) || N < 0)
+          !parseInt(Toks[1], N) || N < 0 || N > INT32_MAX)
         return fail(LineNo, "bad variable-count record");
       NumVars = static_cast<size_t>(N);
       Result.NumVars = NumVars;
@@ -605,102 +648,74 @@ private:
       ++Result.XorRows;
       return true;
     }
-    if (Tag == "pr" || Tag == "pk") {
+    if (Tag == "pr" || Tag == "pk" || Tag == "pe") {
       if (State != Phase::Header)
         return fail(LineNo, "replay record after streams began");
+      // pe <var> <rhs> <deps..> 0: var == XOR(deps) ^ rhs, i.e. the row
+      // {var, deps} == rhs must be spanned by the original system.
+      int64_t V = 0;
+      bool Pe = Tag == "pe";
+      if (Pe && (Toks.size() < 2 || !parseInt(Toks[1], V) || V < 1 ||
+                 V > int64_t{UINT32_MAX} + 1))
+        return fail(LineNo, "bad elimination record");
       SparseRow Row;
-      if (!parseRow(Toks, 1, 0, Row, LineNo))
+      if (!parseRow(Toks, Pe ? 2 : 1, 0, Row, LineNo))
         return false;
       ++Result.ReplayRecords;
       if (Tag == "pr") {
         OriginalRows.push_back(std::move(Row));
         return true;
       }
-      ensureSpanChecks(LineNo);
-      if (!OriginalBasis.inSpan(Row))
-        return fail(LineNo, "kept row outside the original row span");
-      return true;
-    }
-    if (Tag == "pe") {
-      // pe <var> <rhs> <deps..> 0: var == XOR(deps) ^ rhs, i.e. the row
-      // {var, deps} == rhs must be spanned by the original system.
-      if (State != Phase::Header)
-        return fail(LineNo, "replay record after streams began");
-      int64_t V, Rhs;
-      if (Toks.size() < 4 || !parseInt(Toks[1], V) || V < 1 ||
-          !parseInt(Toks[2], Rhs) || (Rhs != 0 && Rhs != 1))
-        return fail(LineNo, "bad elimination record");
-      SparseRow Row;
-      Row.Vars.push_back(static_cast<uint32_t>(V - 1));
-      for (size_t I = 3; I < Toks.size(); ++I) {
-        int64_t D;
-        if (!parseInt(Toks[I], D))
-          return fail(LineNo, "bad elimination dependency");
-        if (D == 0)
-          break;
-        if (D < 1)
-          return fail(LineNo, "bad elimination dependency");
-        Row.Vars.push_back(static_cast<uint32_t>(D - 1));
+      if (Pe) {
+        Row.Vars.push_back(static_cast<uint32_t>(V - 1));
+        canonicalize(Row.Vars);
       }
-      Row.Rhs = static_cast<uint8_t>(Rhs);
-      canonicalize(Row.Vars);
-      ++Result.ReplayRecords;
-      ensureSpanChecks(LineNo);
+      ensureSpanChecks();
       if (!OriginalBasis.inSpan(Row))
-        return fail(LineNo, "elimination outside the original row span");
+        return fail(LineNo, std::string(Pe ? "elimination" : "kept row") +
+                                " outside the original row span");
       return true;
     }
     if (Tag == "t") {
       if (State != Phase::Header)
         return fail(LineNo, "trivial-unsat record after streams began");
-      ensureSpanChecks(LineNo);
+      ensureSpanChecks();
       if (!OriginalBasis.contradictory())
         return fail(LineNo, "trivial-unsat claim but original rows are "
                             "consistent");
       SawTrivial = true;
-      Result.GlobalUnsat = true;
       return true;
     }
     if (Tag == "s") {
       int64_t Slot;
       if (Toks.size() != 2 || !parseInt(Toks[1], Slot) || Slot < 0)
         return fail(LineNo, "bad stream record");
-      ensureSpanChecks(LineNo);
-      if (State == Phase::Header) {
-        State = Phase::Streams;
-        Pristine.emplace_back(NumVars, HeaderClauses, XorSystem);
-      }
-      Current.clear();
-      Current.push_back(Pristine.front());
+      beginStreams();
+      Stream.emplace(*Pristine);
+      Current = &*Stream;
       ++Result.Streams;
       return true;
     }
-    if (Tag == "a" || Tag == "d" || Tag == "q" || Tag == "c") {
-      if (State != Phase::Streams || Current.empty())
+    if (Tag == "r") {
+      if (Toks.size() != 1)
+        return fail(LineNo, "bad trailer record");
+      beginStreams();
+      Current = &*Table;
+      return true;
+    }
+    if (Tag == "a" || Tag == "d" || Tag == "q") {
+      if (!Current)
         return fail(LineNo, "stream record outside a stream");
-      Replay &R = Current.front();
       if (Tag == "a") {
-        LitScratch.clear();
-        size_t From = 1;
-        if (!parseLits(Toks, From, LitScratch, LineNo))
-          return false;
         // Optional second 0-terminated list: antecedent hints, positive
         // for an addition serial, negative for a header clause record.
-        HintScratch.clear();
-        if (From < Toks.size()) {
-          for (; From < Toks.size(); ++From) {
-            int64_t H;
-            if (!parseInt(Toks[From], H))
-              return fail(LineNo, "bad hint token");
-            if (H == 0)
-              break;
-            HintScratch.push_back(H);
-          }
-          if (From >= Toks.size())
-            return fail(LineNo, "missing 0 terminator");
-        }
+        LitScratch.clear();
+        size_t From = 1;
+        if (!parseLits(Toks, From, LitScratch, LineNo) ||
+            !parseHints(Toks, From, LineNo))
+          return false;
         ++Result.Additions;
-        if (!R.addDerived(LitScratch, HintScratch))
+        if (!Current->addDerived(LitScratch, HintScratch))
           return fail(LineNo, "derived clause is not RUP and not "
                               "GF(2)-implied");
         return true;
@@ -710,52 +725,27 @@ private:
         if (Toks.size() != 2 || !parseInt(Toks[1], Serial) || Serial < 1)
           return fail(LineNo, "bad deletion record");
         ++Result.Deletions;
-        if (!R.deleteDerived(static_cast<uint64_t>(Serial)))
+        if (!Current->deleteDerived(static_cast<uint64_t>(Serial)))
           return fail(LineNo, "deletion of an unknown derived clause");
         return true;
       }
-      // q/c: "<core lits> 0 <cube lits> 0"; q may append a hint list.
+      // q: "<core lits> 0 <cube lits> 0 [hints 0]".
       std::vector<uint32_t> Core, Cube;
       size_t From = 1;
       if (!parseLits(Toks, From, Core, LineNo) ||
-          !parseLits(Toks, From, Cube, LineNo))
+          !parseLits(Toks, From, Cube, LineNo) ||
+          !parseHints(Toks, From, LineNo))
         return false;
-      HintScratch.clear();
-      if (Tag == "q" && From < Toks.size()) {
-        for (; From < Toks.size(); ++From) {
-          int64_t H;
-          if (!parseInt(Toks[From], H))
-            return fail(LineNo, "bad hint token");
-          if (H == 0)
-            break;
-          HintScratch.push_back(H);
-        }
-        if (From >= Toks.size())
-          return fail(LineNo, "missing 0 terminator");
-      }
       std::sort(Core.begin(), Core.end());
       std::sort(Cube.begin(), Cube.end());
       if (!std::includes(Cube.begin(), Cube.end(), Core.begin(), Core.end()))
         return fail(LineNo, "core is not a subset of its cube");
-      if (Tag == "q") {
-        if (!R.refutesCore(Core, HintScratch))
-          return fail(LineNo, "core does not propagate to a conflict");
-        RefutedCores.insert(Core);
-        if (Core.empty())
-          Result.GlobalUnsat = true; // cubes need not cover after this
-      } else {
-        PendingPrunes.emplace_back(LineNo, std::move(Core));
-      }
-      ConcludedCubes.insert(std::move(Cube));
-      Result.Conclusions = ConcludedCubes.size();
-      return true;
-    }
-    if (Tag == "n") {
-      int64_t N;
-      if (Toks.size() != 2 || !parseInt(Toks[1], N) || N < 0)
-        return fail(LineNo, "bad conclusion-count record");
-      ExpectedConclusions = static_cast<uint64_t>(N);
-      SawExpected = true;
+      if (!Current->refutesCore(Core, HintScratch))
+        return fail(LineNo, "core does not propagate to a conflict");
+      for (uint32_t &L : Core)
+        L = negCode(L);
+      Table->addImplied(std::move(Core));
+      ++Result.Conclusions;
       return true;
     }
     return fail(LineNo, "unknown record '" + std::string(Tag) + "'");
@@ -766,22 +756,8 @@ private:
       fail(0, "empty proof");
       return;
     }
-    // Second pass: a pruned cube's core must have been proven by some
-    // q record (in any stream — cores are stream-independent facts).
-    for (const auto &[LineNo, Core] : PendingPrunes)
-      if (!RefutedCores.count(Core)) {
-        fail(LineNo, "prune cites a core no conclusion proved");
-        return;
-      }
-    if (SawExpected && !Result.GlobalUnsat &&
-        ConcludedCubes.size() != ExpectedConclusions) {
-      fail(0, "proof concludes " + std::to_string(ConcludedCubes.size()) +
-                  " distinct cubes, problem needs " +
-                  std::to_string(ExpectedConclusions));
-      return;
-    }
-    if (!SawTrivial && !SawExpected && Result.Streams == 0) {
-      fail(0, "proof has no streams and no trivial-unsat record");
+    if (!SawTrivial && !(Table && Table->dbUnsat())) {
+      fail(0, "no record derives the empty clause");
       return;
     }
     Result.Ok = true;

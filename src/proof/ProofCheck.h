@@ -18,9 +18,16 @@
 /// naming the assumption cube and the failed-assumption core. Additions
 /// are replayed by reverse unit propagation with a GF(2)-elimination
 /// fallback for clauses the XOR engine materialized; conclusions are
-/// replayed by asserting the core and demanding a conflict. Cube
-/// conclusions compose: a core proved in one stream may justify pruning
-/// a subsumed cube in another.
+/// replayed by asserting the core and demanding a conflict.
+///
+/// One rule decides acceptance: the proof must refute its header. Each
+/// checked conclusion puts the clause ¬core into one table with the
+/// header; a final trailer section adds the cube tree's internal nodes
+/// to that table by reverse unit propagation, children before parents,
+/// up to the empty clause. A proof is accepted only when a checked
+/// record derives the empty clause — a trivial-unsat record, an
+/// empty-core conclusion, or the trailer's closing addition — so no
+/// count or other figure the producer declares is trusted.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,11 +54,8 @@ struct CheckResult {
   uint64_t Streams = 0;
   uint64_t Additions = 0;
   uint64_t Deletions = 0;
-  /// Distinct cubes concluded across all streams (q and c records).
+  /// Checked conclusions (q records) across all streams.
   uint64_t Conclusions = 0;
-  /// The proof certifies the whole problem UNSAT regardless of cubes
-  /// (an empty-core conclusion or a trivially-unsat header record).
-  bool GlobalUnsat = false;
 };
 
 /// Replays \p Text and returns whether every record checks. Never throws;

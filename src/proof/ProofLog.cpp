@@ -57,6 +57,54 @@ void appendReplayRecords(std::string &Out, const smt::VerificationProblem &P) {
   }
 }
 
+/// The trailer: a trie over the cubes (past their bound literals) whose
+/// nodes with children are the proper prefixes, walked in post-order so
+/// every node's negation follows its children's.
+void appendCubeTree(std::string &Out,
+                    std::span<const std::vector<sat::Lit>> Cubes,
+                    size_t BoundLits) {
+  struct Node {
+    sat::Lit Lit;
+    uint32_t FirstChild = 0, NextSibling = 0; // 0: none (node 0 is the root)
+  };
+  std::vector<Node> Nodes(1);
+  for (const std::vector<sat::Lit> &Cube : Cubes) {
+    uint32_t At = 0;
+    for (size_t I = BoundLits; I < Cube.size(); ++I) {
+      uint32_t C = Nodes[At].FirstChild;
+      while (C && Nodes[C].Lit != Cube[I])
+        C = Nodes[C].NextSibling;
+      if (!C) {
+        C = static_cast<uint32_t>(Nodes.size());
+        Nodes.push_back({Cube[I], 0, Nodes[At].FirstChild});
+        Nodes[At].FirstChild = C;
+      }
+      At = C;
+    }
+  }
+  if (!Nodes[0].FirstChild)
+    return;
+  Out += "r\n";
+  // Path[0] is the root; Pending[K] is the next child of Path[K] to visit.
+  std::vector<uint32_t> Path{0}, Pending{Nodes[0].FirstChild};
+  while (!Path.empty()) {
+    if (uint32_t Child = Pending.back()) {
+      Pending.back() = Nodes[Child].NextSibling;
+      Path.push_back(Child);
+      Pending.push_back(Nodes[Child].FirstChild);
+      continue;
+    }
+    if (Nodes[Path.back()].FirstChild) {
+      Out += 'a';
+      for (size_t K = 1; K != Path.size(); ++K)
+        appendDimacs(Out, ~Nodes[Path[K]].Lit);
+      Out += " 0\n";
+    }
+    Path.pop_back();
+    Pending.pop_back();
+  }
+}
+
 } // namespace
 
 void SlotProofLog::appendLits(std::span<const sat::Lit> Lits) {
@@ -97,17 +145,8 @@ void SlotProofLog::logConclusion(std::span<const sat::Lit> Core,
   Buf += '\n';
 }
 
-void SlotProofLog::logCorePrune(std::span<const sat::Lit> Core,
-                                std::span<const sat::Lit> Cube) {
-  Buf += 'c';
-  appendLits(Core);
-  appendLits(Cube);
-  Buf += '\n';
-}
-
 std::string veriqec::proof::buildProofHeader(const smt::VerificationProblem &P,
-                                             bool HardenBudget,
-                                             uint32_t BudgetBound) {
+                                             std::span<const sat::Lit> Bound) {
   std::string Out = "p veriqec proof 1\nv ";
   Out += std::to_string(P.Cnf.NumVars);
   Out += '\n';
@@ -117,14 +156,10 @@ std::string veriqec::proof::buildProofHeader(const smt::VerificationProblem &P,
       appendDimacs(Out, L);
     Out += " 0\n";
   }
-  if (HardenBudget) {
-    std::vector<sat::Lit> Units;
-    P.appendWeightAssumptions(BudgetBound, Units);
-    for (sat::Lit L : Units) {
-      Out += 'b';
-      appendDimacs(Out, L);
-      Out += " 0\n";
-    }
+  for (sat::Lit L : Bound) {
+    Out += 'b';
+    appendDimacs(Out, L);
+    Out += " 0\n";
   }
   for (const auto &[Vars, Rhs] : P.XorRows) {
     Out += 'x';
@@ -147,9 +182,9 @@ std::string veriqec::proof::buildTrivialProof(
   return Out;
 }
 
-std::string veriqec::proof::assembleProof(std::string Header,
-                                          std::span<const std::string> Streams,
-                                          std::optional<uint64_t> Conclusions) {
+std::string veriqec::proof::assembleProof(
+    std::string Header, std::span<const std::string> Streams,
+    std::span<const std::vector<sat::Lit>> Cubes, size_t BoundLits) {
   obs::TraceSpan Span("proof_assemble", {{"streams", Streams.size()}});
   size_t Slot = 0;
   for (const std::string &S : Streams) {
@@ -161,10 +196,6 @@ std::string veriqec::proof::assembleProof(std::string Header,
     Header += '\n';
     Header += S;
   }
-  if (Conclusions) {
-    Header += "n ";
-    Header += std::to_string(*Conclusions);
-    Header += '\n';
-  }
+  appendCubeTree(Header, Cubes, BoundLits);
   return Header;
 }

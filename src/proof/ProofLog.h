@@ -21,16 +21,23 @@
 ///   a <lits> 0 [hints 0]   derived clause (learnt / XOR-materialized)
 ///   d <serial>             delete the stream's serial-th addition
 ///   q <core> 0 <cube> 0 [hints 0]
-///                          cube UNSAT with this failed-assumption core
-///   c <core> 0 <cube> 0    cube pruned by a core some q record proved
-///   n <count>              distinct concluded cubes the problem needs
+///                          cube UNSAT with this failed-assumption core;
+///                          the clause ¬core joins the trailer's table
+///   r                      begin the cube-tree trailer: its additions
+///                          replay against the header plus every q's
+///                          ¬core, and it closes with `a 0`
 ///
 /// The header is built once per problem from the encoded
 /// VerificationProblem; each solver slot owns a SlotProofLog that the
 /// solver feeds through the sat::ClauseProofSink interface, and the
 /// engine (or the distributed coordinator, for streams that arrive as
-/// BatchResult chunks) concatenates header and streams into one
-/// certificate.
+/// BatchResult chunks) concatenates header, streams and trailer into one
+/// certificate. The trailer is the cube tree itself: the negation of
+/// every proper prefix of the solved cubes, children before parents, so
+/// each node is RUP from its two children (a budget-pruned branch is
+/// refuted by the `b` units) and the root is the empty clause. A proof
+/// whose streams already derived the empty clause — an empty-core
+/// conclusion — needs no trailer.
 ///
 /// An addition (and likewise a q conclusion) may carry a trailing
 /// 0-terminated list: LRAT-style hints naming its antecedents, positive
@@ -51,10 +58,10 @@
 #include "sat/Solver.h"
 #include "smt/CubeSolver.h"
 
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace veriqec::proof {
 
@@ -78,11 +85,6 @@ public:
                      std::span<const sat::Lit> Cube,
                      std::span<const int64_t> Hints = {});
 
-  /// Records a cube pruned because \p Core — proven by a conclusion in
-  /// some stream of the same proof — subsumes it.
-  void logCorePrune(std::span<const sat::Lit> Core,
-                    std::span<const sat::Lit> Cube);
-
   bool empty() const { return Buf.empty(); }
   std::string drain() { return std::exchange(Buf, {}); }
 
@@ -92,24 +94,26 @@ private:
 };
 
 /// Builds the proof header for an encoded problem: clauses exactly as
-/// VerificationProblem::loadInto() feeds them to every solver, the
-/// weight-bound units assertWeightBound() would add when \p HardenBudget,
-/// native XOR rows, and the preprocessor replay records (captured only
-/// when the problem was built with ProblemOptions::CaptureProofData).
+/// VerificationProblem::loadInto() feeds them to every solver, \p Bound
+/// as `b` units (the weight bound the certificate assumes), native XOR
+/// rows, and the preprocessor replay records (captured only when the
+/// problem was built with ProblemOptions::CaptureProofData).
 std::string buildProofHeader(const smt::VerificationProblem &P,
-                             bool HardenBudget, uint32_t BudgetBound);
+                             std::span<const sat::Lit> Bound);
 
 /// Complete certificate for a problem the preprocessor refuted before
 /// any encoding: the replay records plus a trivial-unsat conclusion.
 std::string buildTrivialProof(const smt::VerificationProblem &P);
 
 /// Concatenates \p Header and the per-slot \p Streams into one proof,
-/// appending the expected-conclusion count when given (omit it when an
-/// empty-core conclusion certifies the whole problem, making per-cube
-/// coverage moot).
+/// then the trailer of the cube tree spanned by \p Cubes, each read past
+/// its first \p BoundLits literals (the bound the header asserts). A
+/// set without proper prefixes — none, or the one empty cube — has no
+/// trailer.
 std::string assembleProof(std::string Header,
                           std::span<const std::string> Streams,
-                          std::optional<uint64_t> Conclusions);
+                          std::span<const std::vector<sat::Lit>> Cubes,
+                          size_t BoundLits);
 
 } // namespace veriqec::proof
 

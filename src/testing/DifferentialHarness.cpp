@@ -128,7 +128,6 @@ ConfigVerdict runDirectReuse(const FuzzCase &C, const VerifyOptions &VO,
 
   // The proof sink must outlive the solver holding the raw pointer.
   proof::SlotProofLog Log;
-  uint64_t Concluded = 0;
   std::unique_ptr<sat::Solver> Reused =
       O.SolverFactory ? O.SolverFactory() : std::make_unique<sat::Solver>();
   Enc.loadInto(*Reused);
@@ -151,11 +150,9 @@ ConfigVerdict runDirectReuse(const FuzzCase &C, const VerifyOptions &VO,
       Out.Verdict = 'A';
       return Out;
     }
-    if (O.CheckProofs) {
+    if (O.CheckProofs)
       Log.logConclusion(Reused->conflictCore(), Cubes[I],
                         Reused->conflictCoreHints());
-      ++Concluded;
-    }
     if (Recheck) {
       sat::Solver Fresh = Enc.makeSolver();
       if (Fresh.solve(Cubes[I]) == sat::SolveResult::Sat) {
@@ -175,13 +172,13 @@ ConfigVerdict runDirectReuse(const FuzzCase &C, const VerifyOptions &VO,
   // configuration that runs the injectable (possibly planted-buggy)
   // solver, so a corrupted derivation — e.g. an under-justified XOR
   // reason from the corruptXorReasonClause seam — surfaces here as a
-  // rejected addition even when every verdict agrees.
+  // rejected addition even when every verdict agrees. The certificate
+  // follows the engine's rule, cube-tree trailer included.
   if (O.CheckProofs) {
     const std::string Streams[] = {Log.drain()};
     checkProofOracle(Out.Name,
-                     proof::assembleProof(proof::buildProofHeader(
-                                              Enc, /*HardenBudget=*/false, 0),
-                                          Streams, Concluded),
+                     engine::assembleCertificate(Enc, engine::CubeRunConfig{},
+                                                 {}, Streams, Cubes),
                      Report);
   }
   Out.Verdict = 'V';

@@ -172,10 +172,11 @@ struct DistanceResult {
   /// Parity rows the solver carries natively (0 with --xor off).
   size_t XorRows = 0;
   double Seconds = 0;
-  /// With VerifyOptions::LogProofs and Ok: one certificate covering
-  /// every UNSAT probe of the search — each probe's weight-bound
-  /// assumption set is a concluded cube. SAT probes are witnessed by
-  /// the returned model, not the proof.
+  /// With VerifyOptions::LogProofs and Ok: the certificate of the last
+  /// UNSAT probe. Its header asserts that probe's weight bound
+  /// (1 <= weight <= Distance - 1) as `b` units and its stream is the
+  /// whole search's. SAT probes are witnessed by the returned model, not
+  /// the proof.
   std::string Proof;
 };
 

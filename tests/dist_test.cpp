@@ -882,7 +882,7 @@ TEST(DistLoopback, CoordinatorRelaysLemmasAndDropsOutOfRangeOnes) {
   uint32_t Handle = Coord.openProblem(P, engine::CubeRunConfig{});
   smt::SolveOutcome Out;
   std::thread Solve([&] {
-    Out = Coord.solveCubes(Handle, {{sat::mkLit(0)}, {~sat::mkLit(0)}});
+    Out = Coord.solveCubes(Handle, {{sat::mkLit(0)}, {~sat::mkLit(0)}}, {});
   });
   // Reads \p W up to its cube batch; false when none arrives.
   auto NextBatch = [](Link &W, CubeBatchMsg &Batch) {

@@ -35,6 +35,9 @@ int main(int Argc, char **Argv) {
                   "\n"
                   "Replays a veriqec clause proof (reverse unit propagation\n"
                   "plus GF(2) elimination) read from PROOF-FILE or stdin.\n"
+                  "The proof is accepted only when a checked record derives\n"
+                  "the empty clause: a trivial-unsat record, an empty-core\n"
+                  "conclusion, or the cube-tree trailer's closing addition.\n"
                   "Exit 0 = proof checks, 1 = rejected, 2 = usage/IO error.\n");
       return 0;
     } else if (!A.empty() && A[0] == '-' && A != "-") {
@@ -72,7 +75,7 @@ int main(int Argc, char **Argv) {
   if (!Quiet)
     std::printf("veriqec-check: OK  %llu vars, %llu clauses, %llu xor rows, "
                 "%llu replay records, %llu streams, %llu additions, "
-                "%llu deletions, %llu conclusions%s\n",
+                "%llu deletions, %llu conclusions, empty clause derived\n",
                 static_cast<unsigned long long>(R.NumVars),
                 static_cast<unsigned long long>(R.HeaderClauses),
                 static_cast<unsigned long long>(R.XorRows),
@@ -80,7 +83,6 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(R.Streams),
                 static_cast<unsigned long long>(R.Additions),
                 static_cast<unsigned long long>(R.Deletions),
-                static_cast<unsigned long long>(R.Conclusions),
-                R.GlobalUnsat ? ", globally unsat" : "");
+                static_cast<unsigned long long>(R.Conclusions));
   return 0;
 }
