@@ -41,13 +41,16 @@ struct Coordinator::WorkerState {
 struct Coordinator::ActiveProblem {
   std::shared_ptr<const smt::VerificationProblem> Problem;
   engine::CubeRunConfig Config;
-  /// Batch contents stay here so a stolen or requeued batch can be
-  /// re-granted without asking anyone. Wire batch ids are monotone per
-  /// problem and never reused: the current cube set occupies
-  /// [FirstBatchId, FirstBatchId + BatchDone.size()), so a straggler
-  /// result from a persistent problem's PREVIOUS solveCubes epoch can
-  /// never be attributed to the current one.
-  std::vector<std::vector<std::vector<Lit>>> BatchCubes;
+  /// The current cube set: its tree, and the leaves, which stay here so
+  /// a stolen or requeued batch can be re-granted without asking anyone.
+  /// Batch B is the leaves [B * Chunk, (B + 1) * Chunk). Wire batch ids
+  /// are monotone per problem and never reused: the current cube set
+  /// occupies [FirstBatchId, FirstBatchId + BatchDone.size()), so a
+  /// straggler result from a persistent problem's PREVIOUS solveCubes
+  /// epoch can never be attributed to the current one.
+  engine::CubeTree Tree;
+  std::vector<std::vector<Lit>> Cubes;
+  size_t Chunk = 1;
   std::vector<uint8_t> BatchDone;
   uint32_t FirstBatchId = 0;
   uint32_t NextBatchId = 0;
@@ -66,8 +69,6 @@ struct Coordinator::ActiveProblem {
   bool Finished = false;
   /// Open-handle problems persist worker-side between solveCubes calls.
   bool Persistent = false;
-  /// The current cube set's bound (solveCubes), led by every cube.
-  std::vector<Lit> Bound;
   smt::SolveOutcome Outcome;
   std::vector<std::vector<Lit>> Cores; ///< broadcast cache for joiners
   /// With Config.LogProofs: proof text per (worker serial, slot),
@@ -199,7 +200,9 @@ bool Coordinator::sendBatch(WorkerState &W, uint32_t ProblemId,
   CubeBatchMsg BM;
   BM.ProblemId = ProblemId;
   BM.BatchId = BatchId;
-  BM.Cubes = AP.BatchCubes[AP.indexOf(BatchId)];
+  size_t Begin = AP.indexOf(BatchId) * AP.Chunk;
+  size_t End = std::min(AP.Cubes.size(), Begin + AP.Chunk);
+  BM.Cubes.assign(AP.Cubes.begin() + Begin, AP.Cubes.begin() + End);
   if (!W.L->send(encodeMessage(BM)))
     return false;
   // An idle worker owed no frames, so its silence clock starts with this
@@ -336,7 +339,7 @@ void Coordinator::cancelRemaining(ActiveProblem &AP, uint32_t ProblemId) {
 }
 
 void Coordinator::shardCubes(uint32_t ProblemId, ActiveProblem &AP,
-                             std::vector<std::vector<Lit>> &&Cubes) {
+                             engine::CubeTree &&Tree) {
   // Contiguous batches — a few per fleet slot so stealing can rebalance
   // — queued eagerly (the grant loop spreads them across the registered
   // workers). Each cube set gets a FRESH wire-id range so stragglers
@@ -346,29 +349,21 @@ void Coordinator::shardCubes(uint32_t ProblemId, ActiveProblem &AP,
   AP.Decided = false;
   AP.AnyAborted = false;
   AP.Finished = false;
+  AP.Tree = std::move(Tree);
+  AP.Cubes = AP.Tree.cubes();
   AP.Outcome = smt::SolveOutcome();
-  AP.Outcome.NumCubes = Cubes.size();
+  AP.Outcome.NumCubes = AP.Cubes.size();
   AP.Outcome.CubesSolved = 0;
   engine::describeProblem(*AP.Problem, AP.Outcome);
-  AP.BatchCubes.clear();
-  size_t TargetBatches = std::min(
-      Cubes.size(), std::max<size_t>(1, numSlots() * Opts.BatchesPerSlot));
-  size_t Chunk =
-      TargetBatches ? (Cubes.size() + TargetBatches - 1) / TargetBatches : 0;
-  for (size_t B = 0; B * Chunk < Cubes.size(); ++B) {
-    size_t Begin = B * Chunk, End = std::min(Cubes.size(), Begin + Chunk);
-    AP.BatchCubes.emplace_back(
-        std::make_move_iterator(Cubes.begin() + Begin),
-        std::make_move_iterator(Cubes.begin() + End));
-  }
-  AP.BatchDone.assign(AP.BatchCubes.size(), 0);
+  size_t Batches = std::min(
+      AP.Cubes.size(), std::max<size_t>(1, numSlots() * Opts.BatchesPerSlot));
+  AP.Chunk = (AP.Cubes.size() + Batches - 1) / Batches;
+  AP.BatchDone.assign((AP.Cubes.size() + AP.Chunk - 1) / AP.Chunk, 0);
   AP.FirstBatchId = AP.NextBatchId;
-  AP.NextBatchId += static_cast<uint32_t>(AP.BatchCubes.size());
+  AP.NextBatchId += static_cast<uint32_t>(AP.BatchDone.size());
   AP.ProblemClock = Timer();
-  for (uint32_t B = 0; B != AP.BatchCubes.size(); ++B)
+  for (uint32_t B = 0; B != AP.BatchDone.size(); ++B)
     Queue.push_back({ProblemId, AP.FirstBatchId + B});
-  if (AP.BatchCubes.empty())
-    finishProblem(AP);
 }
 
 void Coordinator::finishProblem(ActiveProblem &AP) {
@@ -387,12 +382,8 @@ void Coordinator::finishProblem(ActiveProblem &AP) {
     for (const auto &[Key, Text] : AP.ProofStreams)
       Streams.push_back(Text);
     // An UNSAT problem decided early was refuted globally: no trailer.
-    std::vector<std::vector<Lit>> Cubes;
-    if (!AP.Decided)
-      for (const std::vector<std::vector<Lit>> &Batch : AP.BatchCubes)
-        Cubes.insert(Cubes.end(), Batch.begin(), Batch.end());
     AP.Outcome.Proof = engine::assembleCertificate(
-        *AP.Problem, AP.Config, AP.Bound, Streams, Cubes);
+        *AP.Problem, AP.Config, Streams, AP.Tree, AP.Decided);
   }
 }
 
@@ -645,8 +636,8 @@ Coordinator::solveAll(std::span<const engine::CubeProblem> CubeProblems) {
   std::vector<uint32_t> LiveIds;
   size_t Slots = numSlots();
   for (size_t I = 0; I != CubeProblems.size(); ++I) {
-    // The identical encode + threshold + enumeration the in-process
-    // engine runs — only the slot count (the fleet's) differs.
+    // The identical encode + cube tree the in-process engine builds —
+    // only the slot count (the fleet's) differs.
     engine::PreparedProblem P =
         engine::prepareCubeProblem(CubeProblems[I], Slots);
     if (P.Encoded->TriviallyUnsat) {
@@ -657,7 +648,7 @@ Coordinator::solveAll(std::span<const engine::CubeProblem> CubeProblems) {
     uint32_t Id = openProblem(std::move(P.Encoded), P.Config);
     ActiveProblem &AP = *Problems.at(Id);
     AP.Persistent = false;
-    shardCubes(Id, AP, std::move(P.Cubes));
+    shardCubes(Id, AP, std::move(P.Tree));
     AP.Outcome.SplitThresholdUsed = P.SplitThresholdUsed;
     Ids[I] = Id;
     LiveIds.push_back(Id);
@@ -701,14 +692,9 @@ Coordinator::openProblem(std::shared_ptr<const smt::VerificationProblem> P,
 }
 
 smt::SolveOutcome
-Coordinator::solveCubes(uint32_t Handle,
-                        std::vector<std::vector<Lit>> Cubes,
-                        std::span<const Lit> Bound) {
+Coordinator::solveCubes(uint32_t Handle, engine::CubeTree Tree) {
   ActiveProblem &AP = *Problems.at(Handle);
-  AP.Bound.assign(Bound.begin(), Bound.end());
-  for (std::vector<Lit> &Cube : Cubes)
-    Cube.insert(Cube.begin(), Bound.begin(), Bound.end());
-  shardCubes(Handle, AP, std::move(Cubes));
+  shardCubes(Handle, AP, std::move(Tree));
   runUntilDone({Handle});
   return std::move(AP.Outcome);
 }

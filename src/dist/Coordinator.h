@@ -7,9 +7,9 @@
 /// \file
 /// The coordinator half of the distributed verification layer — an
 /// engine::CubeBackend whose solver slots live in other processes (or on
-/// other machines). Problems are preprocessed and encoded locally, cubes
-/// enumerated with the slot-targeting split heuristic over the fleet's
-/// TOTAL slot count, and the resulting batches sharded eagerly across
+/// other machines). Problems are preprocessed and encoded locally, their
+/// cube trees sized by the slot-targeting split heuristic over the fleet's
+/// TOTAL slot count, and the leaves' batches sharded eagerly across
 /// every registered worker. From there the scheduler re-balances:
 ///
 ///   * an idle worker triggers a steal — the busiest sibling hands back
@@ -42,7 +42,6 @@
 #include "engine/CubeEngine.h"
 
 #include <deque>
-#include <iterator>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -126,9 +125,7 @@ public:
   /// slot solvers persist until closeProblem(), which frees them.
   uint32_t openProblem(std::shared_ptr<const smt::VerificationProblem> P,
                        const engine::CubeRunConfig &Config) override;
-  smt::SolveOutcome solveCubes(uint32_t Handle,
-                               std::vector<std::vector<sat::Lit>> Cubes,
-                               std::span<const sat::Lit> Bound) override;
+  smt::SolveOutcome solveCubes(uint32_t Handle, engine::CubeTree Tree) override;
   void closeProblem(uint32_t Handle) override;
 
   /// Sends Shutdown to every live worker (they exit their loops).
@@ -158,11 +155,12 @@ private:
   void requeueOutstanding(WorkerState &W);
   void cancelRemaining(ActiveProblem &AP, uint32_t ProblemId);
   void finishProblem(ActiveProblem &AP);
-  /// Starts one cube set: fresh verdict state, batches with a FRESH
-  /// wire-id epoch, queued (shared by solveAll and solveCubes so the
-  /// epoch bookkeeping that rejects stragglers cannot diverge).
+  /// Starts one cube set: fresh verdict state, \p Tree's leaves in
+  /// batches with a FRESH wire-id epoch, queued (shared by solveAll and
+  /// solveCubes so the epoch bookkeeping that rejects stragglers cannot
+  /// diverge).
   void shardCubes(uint32_t ProblemId, ActiveProblem &AP,
-                  std::vector<std::vector<sat::Lit>> &&Cubes);
+                  engine::CubeTree &&Tree);
   /// Runs the event loop until every listed problem finished. Problems
   /// that cannot make progress (fleet died) finish as Aborted.
   void runUntilDone(const std::vector<uint32_t> &ProblemIds);

@@ -28,34 +28,6 @@ using sat::SolveResult;
 using sat::Var;
 using smt::SolveOutcome;
 
-namespace {
-
-void enumerateCubesRec(const std::vector<Var> &SplitVars, uint32_t Distance,
-                       uint32_t Threshold, uint32_t MaxOnes,
-                       std::vector<Lit> &Prefix, uint32_t Ones,
-                       std::vector<std::vector<Lit>> &Out) {
-  uint32_t Bits = static_cast<uint32_t>(Prefix.size());
-  bool Exhausted = Bits >= SplitVars.size();
-  if (Exhausted || 2 * Distance * Ones + Bits > Threshold) {
-    Out.push_back(Prefix);
-    return;
-  }
-  Var Next = SplitVars[Bits];
-  // Zero branch first: low-weight cubes are cheap and likely decisive.
-  Prefix.push_back(~sat::mkLit(Next));
-  enumerateCubesRec(SplitVars, Distance, Threshold, MaxOnes, Prefix, Ones,
-                    Out);
-  Prefix.pop_back();
-  if (Ones + 1 <= MaxOnes) {
-    Prefix.push_back(sat::mkLit(Next));
-    enumerateCubesRec(SplitVars, Distance, Threshold, MaxOnes, Prefix,
-                      Ones + 1, Out);
-    Prefix.pop_back();
-  }
-}
-
-} // namespace
-
 /// One problem's discharge across its cube sets: the CubeRun, the
 /// counters already reported, and the certificate state (a persistent
 /// slot solver's later derivations resolve against earlier ones, so the
@@ -66,11 +38,20 @@ struct veriqec::engine::Discharge {
       : Problem(std::move(P)), Run(*Problem, Cfg, NumSlots),
         Streams(NumSlots) {}
 
-  /// Closes the quiesced cube set \p Cubes (each led by \p Bound) into
-  /// \p Out, whose NumCubes the caller set: counters since the previous
-  /// set, verdict, certificate.
-  void finish(SolveOutcome &Out, std::span<const std::vector<Lit>> Cubes,
-              std::span<const Lit> Bound) {
+  /// Starts the cube set \p T: fresh verdict flags, while the slot
+  /// solvers, their learnt clauses and the cumulative counters stay. A
+  /// problem the preprocessor refuted runs no cube.
+  void start(CubeTree T) {
+    Run.reset();
+    Tree = std::move(T);
+    Cubes.clear();
+    if (!Problem->TriviallyUnsat)
+      Cubes = Tree.cubes();
+  }
+
+  /// Closes the quiesced cube set into \p Out, whose NumCubes the caller
+  /// set: counters since the previous set, verdict, certificate.
+  void finish(SolveOutcome &Out) {
     if (Problem->TriviallyUnsat) {
       Out = triviallyUnsatOutcome(*Problem, Run.config().LogProofs);
       return;
@@ -104,19 +85,18 @@ struct veriqec::engine::Discharge {
         Streams[S] = Run.drainSlotProof(S);
       else
         Streams[S] += Run.drainSlotProof(S);
-    if (Out.Result != SolveResult::Unsat)
-      return;
-    if (Run.globalUnsat())
-      Cubes = {};
-    Out.Proof =
-        assembleCertificate(*Problem, Run.config(), Bound, Streams, Cubes);
+    if (Out.Result == SolveResult::Unsat)
+      Out.Proof = assembleCertificate(*Problem, Run.config(), Streams, Tree,
+                                      Run.globalUnsat());
   }
 
   std::shared_ptr<const smt::VerificationProblem> Problem;
   CubeRun Run;
   sat::SolverStats Reported;
   uint64_t Solved = 0, PrunedGf2 = 0, PrunedCore = 0;
-  std::vector<std::string> Streams; ///< per slot, everything so far
+  std::vector<std::string> Streams;    ///< per slot, everything so far
+  CubeTree Tree;                       ///< the current cube set
+  std::vector<std::vector<Lit>> Cubes; ///< its leaves, in order
 };
 
 namespace {
@@ -124,10 +104,9 @@ namespace {
 /// One problem of a pool batch while its cubes are in flight: the
 /// per-cube discharge logic (slot solvers, pruning, cancellation) lives
 /// in CubeRun — shared with the distributed worker — and this wrapper
-/// adds the cube list, the outstanding-cube countdown and the outcome.
+/// adds the outstanding-cube countdown and the outcome.
 struct ProblemRun {
   const CubeProblem *Input = nullptr;
-  std::vector<std::vector<Lit>> Cubes;
   std::unique_ptr<Discharge> D;
 
   std::atomic<uint64_t> Remaining{0};
@@ -139,95 +118,12 @@ void dischargeCube(ProblemRun &P, size_t CubeIdx) {
   int Worker = ThreadPool::currentWorkerIndex();
   if (Worker < 0)
     fatalError("cube task executed off the pool");
-  P.D->Run.runCube(static_cast<size_t>(Worker), P.Cubes[CubeIdx], CubeIdx);
+  P.D->Run.runCube(static_cast<size_t>(Worker), P.D->Cubes[CubeIdx], CubeIdx);
   if (P.Remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
     P.Out.SolveSeconds = P.Clock.seconds();
 }
 
 } // namespace
-
-std::vector<std::vector<Lit>>
-veriqec::engine::enumerateCubes(const std::vector<Var> &SplitVars,
-                                uint32_t Distance, uint32_t Threshold,
-                                uint32_t MaxOnes) {
-  std::vector<std::vector<Lit>> Cubes;
-  // Threshold 0 disables splitting (SolveOptions contract): one open cube.
-  if (Threshold == 0 || SplitVars.empty()) {
-    Cubes.emplace_back();
-    return Cubes;
-  }
-  std::vector<Lit> Prefix;
-  enumerateCubesRec(SplitVars, Distance, Threshold, MaxOnes, Prefix, 0,
-                    Cubes);
-  return Cubes;
-}
-
-uint64_t veriqec::engine::countCubes(size_t NumSplitVars, uint32_t Distance,
-                                     uint32_t Threshold, uint32_t MaxOnes,
-                                     uint64_t Cap) {
-  if (Threshold == 0 || NumSplitVars == 0)
-    return 1;
-  Cap = std::max<uint64_t>(Cap, 1);
-  // The subtree below a node depends only on (bits, ones), so the leaf
-  // count is a small DP instead of a walk over the (potentially
-  // enormous) enumeration tree. Ones never exceeds min(bits, MaxOnes).
-  size_t OnesCap =
-      static_cast<size_t>(std::min<uint64_t>(MaxOnes, NumSplitVars));
-  auto saturatingAdd = [Cap](uint64_t A, uint64_t B) {
-    return std::min(Cap, A + B); // both summands are <= Cap <= 2^63
-  };
-  std::vector<uint64_t> Next(OnesCap + 1, 1), Cur(OnesCap + 1, 1);
-  // Bits == NumSplitVars: every node is an exhausted leaf (count 1).
-  for (size_t Bits = NumSplitVars; Bits-- > 0;) {
-    size_t MaxO = std::min(Bits, OnesCap);
-    for (size_t Ones = 0; Ones <= MaxO; ++Ones) {
-      if (2ull * Distance * Ones + Bits > Threshold) {
-        Cur[Ones] = 1; // ET leaf
-        continue;
-      }
-      uint64_t Zero = Next[Ones];
-      uint64_t One = (Ones + 1 <= MaxOnes && Ones + 1 <= OnesCap)
-                         ? Next[Ones + 1]
-                         : 0;
-      Cur[Ones] = saturatingAdd(Zero, One);
-    }
-    std::swap(Cur, Next);
-  }
-  return Next[0];
-}
-
-uint32_t veriqec::engine::pickSplitThreshold(size_t NumSplitVars,
-                                             uint32_t Distance,
-                                             uint32_t MaxThreshold,
-                                             uint32_t MaxOnes,
-                                             size_t TotalSlots,
-                                             uint64_t *CubeCountOut) {
-  // 8 cubes per slot scales the set to the fleet; the floor keeps the
-  // solver-reuse machinery fed on small fleets (see the header comment
-  // for the measured numbers behind both constants).
-  constexpr uint64_t CubesPerSlot = 8, MinAutoCubes = 8192;
-  uint64_t Target =
-      std::max(CubesPerSlot * std::max<size_t>(TotalSlots, 1), MinAutoCubes);
-  uint64_t Cap = 32 * Target;
-  auto count = [&](uint32_t T) {
-    return countCubes(NumSplitVars, Distance, T, MaxOnes, Cap);
-  };
-  uint32_t Chosen = MaxThreshold;
-  if (MaxThreshold > 1 && count(MaxThreshold) >= Target) {
-    uint32_t Lo = 1, Hi = MaxThreshold;
-    while (Lo < Hi) {
-      uint32_t Mid = Lo + (Hi - Lo) / 2;
-      if (count(Mid) >= Target)
-        Hi = Mid;
-      else
-        Lo = Mid + 1;
-    }
-    Chosen = Lo;
-  }
-  if (CubeCountOut)
-    *CubeCountOut = count(Chosen);
-  return Chosen;
-}
 
 uint32_t veriqec::engine::autoSplitThreshold(size_t NumQubits,
                                              uint32_t Distance,
@@ -258,14 +154,13 @@ veriqec::engine::triviallyUnsatOutcome(const smt::VerificationProblem &P,
 
 std::string veriqec::engine::assembleCertificate(
     const smt::VerificationProblem &P, const CubeRunConfig &Cfg,
-    std::span<const Lit> Bound, std::span<const std::string> Streams,
-    std::span<const std::vector<Lit>> Cubes) {
+    std::span<const std::string> Streams, const CubeTree &Tree, bool Refuted) {
   std::vector<Lit> Units;
   if (Cfg.HardenBudget)
     P.appendWeightAssumptions(Cfg.BudgetBound, Units);
-  Units.insert(Units.end(), Bound.begin(), Bound.end());
+  Units.insert(Units.end(), Tree.bound().begin(), Tree.bound().end());
   return proof::assembleProof(proof::buildProofHeader(P, Units), Streams,
-                              Cubes, Bound.size());
+                              Refuted ? nullptr : &Tree);
 }
 
 PreparedProblem veriqec::engine::prepareCubeProblem(const CubeProblem &P,
@@ -280,7 +175,7 @@ PreparedProblem veriqec::engine::prepareCubeProblem(const CubeProblem &P,
   Out.Config.RandomSeed = O.RandomSeed;
   Out.Config.LogProofs = O.LogProofs;
   if (Out.Encoded->TriviallyUnsat)
-    return Out; // refuted during preprocessing: no cubes, no solver
+    return Out; // refuted during preprocessing: no cube runs, no solver
   std::vector<Var> SplitVars;
   for (const std::string &Name : O.SplitVars)
     SplitVars.push_back(Out.Encoded->varOfName(Name));
@@ -311,24 +206,18 @@ PreparedProblem veriqec::engine::prepareCubeProblem(const CubeProblem &P,
   for (size_t I : Order)
     Ordered.push_back(SplitVars[I]);
   SplitVars = std::move(Ordered);
-  uint32_t Threshold = O.SplitThreshold;
-  if (O.AutoSplitThreshold && Threshold != 0 && !SplitVars.empty())
-    // Size the cube set to the fleet instead of taking the flat
-    // budget-exhaustion cut: ~8 cubes per slot (with the reuse floor)
-    // keeps stealing able to rebalance uneven hardness without flooding
-    // the queues with near-trivial cubes.
-    Threshold = pickSplitThreshold(SplitVars.size(), O.DistanceHint,
-                                   Threshold, O.MaxOnes, TotalSlots);
-  {
-    obs::TraceSpan Span("cube_enumerate",
-                        {{"split_vars", SplitVars.size()},
-                         {"threshold", Threshold}});
-    Out.Cubes =
-        enumerateCubes(SplitVars, O.DistanceHint, Threshold, O.MaxOnes);
-    Span.arg("cubes", Out.Cubes.size());
-  }
-  Out.SplitThresholdUsed =
-      (!SplitVars.empty() && Threshold != 0) ? Threshold : 0;
+  // The sizing rule (see the header): under an auto threshold, the
+  // first threshold whose tree has ~8 leaves per slot, at least 8192.
+  constexpr uint64_t CubesPerSlot = 8, MinAutoCubes = 8192;
+  uint64_t Target =
+      std::max(CubesPerSlot * std::max<size_t>(TotalSlots, 1), MinAutoCubes);
+  if (!O.AutoSplitThreshold)
+    Target = UINT64_MAX; // grow straight to the explicit threshold
+  obs::TraceSpan Span("cube_enumerate", {{"split_vars", SplitVars.size()}});
+  Out.SplitThresholdUsed = Out.Tree.growEt(SplitVars, O.DistanceHint, O.MaxOnes,
+                                           O.SplitThreshold, Target);
+  Span.arg("threshold", Out.SplitThresholdUsed);
+  Span.arg("cubes", Out.Tree.numLeaves());
   return Out;
 }
 
@@ -355,7 +244,7 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
     PreparedProblem P = prepareCubeProblem(Problems[0], 1);
     uint32_t Handle = openProblem(std::move(P.Encoded), P.Config);
     std::vector<SolveOutcome> Outcomes;
-    Outcomes.push_back(solveCubes(Handle, std::move(P.Cubes), {}));
+    Outcomes.push_back(solveCubes(Handle, std::move(P.Tree)));
     closeProblem(Handle);
     return Outcomes;
   }
@@ -369,7 +258,7 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
     Runs.push_back(std::move(Run));
   }
 
-  // Phase 1: encode every problem and enumerate its cubes. Encoding is
+  // Phase 1: encode every problem and grow its cube tree. Encoding is
   // itself farmed out so a large batch builds its CNFs concurrently.
   WaitGroup EncodeWg;
   EncodeWg.add(Runs.size());
@@ -378,10 +267,10 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
     ProblemRun *Run = RunPtr.get();
     Workers.submit([Run, NumWorkers, &EncodeWg] {
       PreparedProblem P = prepareCubeProblem(*Run->Input, NumWorkers);
-      Run->Cubes = std::move(P.Cubes);
       Run->Out.SplitThresholdUsed = P.SplitThresholdUsed;
       Run->D = std::make_unique<Discharge>(std::move(P.Encoded), P.Config,
                                            NumWorkers);
+      Run->D->start(std::move(P.Tree));
       EncodeWg.done();
     });
   }
@@ -403,7 +292,7 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
   constexpr size_t RangesPerWorker = 8;
   for (std::unique_ptr<ProblemRun> &RunPtr : Runs) {
     ProblemRun *Run = RunPtr.get();
-    size_t N = Run->Cubes.size();
+    size_t N = Run->D->Cubes.size();
     Run->Out.NumCubes = N;
     Run->Remaining.store(N, std::memory_order_relaxed);
     Run->Clock = Timer();
@@ -458,7 +347,7 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
   std::vector<SolveOutcome> Outcomes;
   Outcomes.reserve(Runs.size());
   for (std::unique_ptr<ProblemRun> &RunPtr : Runs) {
-    RunPtr->D->finish(RunPtr->Out, RunPtr->Cubes, {});
+    RunPtr->D->finish(RunPtr->Out);
     Outcomes.push_back(std::move(RunPtr->Out));
   }
   return Outcomes;
@@ -480,26 +369,20 @@ CubeEngine::openProblem(std::shared_ptr<const smt::VerificationProblem> P,
   return Handle;
 }
 
-SolveOutcome CubeEngine::solveCubes(uint32_t Handle,
-                                    std::vector<std::vector<Lit>> Cubes,
-                                    std::span<const Lit> Bound) {
+SolveOutcome CubeEngine::solveCubes(uint32_t Handle, CubeTree Tree) {
   Discharge *D = nullptr;
   {
     std::lock_guard<std::mutex> Lock(OpenMutex);
     D = Open.at(Handle).get();
   }
-  // The previous cube set's verdict flags go; the slot solver, its
-  // learnt clauses and the cumulative counters stay.
-  D->Run.reset();
+  D->start(std::move(Tree));
   SolveOutcome Out;
-  Out.NumCubes = Cubes.size();
+  Out.NumCubes = D->Cubes.size();
   Timer Clock;
-  for (std::vector<Lit> &Cube : Cubes)
-    Cube.insert(Cube.begin(), Bound.begin(), Bound.end());
-  for (size_t C = 0; C != Cubes.size() && !D->Run.cancelled(); ++C)
-    D->Run.runCube(0, Cubes[C], C);
+  for (size_t C = 0; C != D->Cubes.size() && !D->Run.cancelled(); ++C)
+    D->Run.runCube(0, D->Cubes[C], C);
   Out.SolveSeconds = Clock.seconds();
-  D->finish(Out, Cubes, Bound);
+  D->finish(Out);
   return Out;
 }
 

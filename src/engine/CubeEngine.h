@@ -6,18 +6,28 @@
 ///
 /// \file
 /// The expression-level half of the verification engine: cube-and-conquer
-/// SAT discharge over a shared work-stealing thread pool. Cubes produced
-/// by the paper's ET split heuristic (Section 7.1 / Appendix D.4,
-/// ET = 2d*N(ones) + N(bits)) become pool tasks; each worker lazily
-/// instantiates one reusable solver per problem from the shared CNF
-/// encoding and discharges every cube it pops or steals under
-/// assumptions, so learned clauses on the shared prefix carry over and
-/// the CNF is never re-encoded per cube. The first SAT cube cancels all
-/// outstanding siblings of its problem. solveAll() multiplexes many
-/// independent problems over the same pool — the substrate of the batch
-/// verifyAll() path. The handle API runs an open problem's cube sets on
-/// one persistent slot on the calling thread (sequential solves, the
-/// local distance search).
+/// SAT discharge over a shared work-stealing thread pool. Each problem's
+/// cubes are the leaves of one CubeTree grown by the paper's ET split
+/// (Section 7.1 / Appendix D.4, ET = 2d*N(ones) + N(bits)); they become
+/// pool tasks, and each worker lazily instantiates one reusable solver
+/// per problem from the shared CNF encoding and discharges every cube it
+/// pops or steals under assumptions, so learned clauses on the shared
+/// prefix carry over and the CNF is never re-encoded per cube. The first
+/// SAT cube cancels all outstanding siblings of its problem. solveAll()
+/// multiplexes many independent problems over the same pool — the
+/// substrate of the batch verifyAll() path. The handle API runs an open
+/// problem's cube trees on one persistent slot on the calling thread
+/// (sequential solves, the local distance search).
+///
+/// The sizing rule (prepareCubeProblem): under an auto threshold the tree
+/// grows threshold by threshold until it has max(8 x slots, 8192) leaves,
+/// never past the auto cap. The slot term sizes the cube set to the fleet
+/// (local threads x nodes) so stealing can rebalance uneven hardness; the
+/// floor keeps the per-slot count high enough that the reusable solvers'
+/// assumption-prefix reuse and sibling-core pruning have material to work
+/// with — measured on surface9 t=4 at one slot, 305 cubes run 14.9 s and
+/// 10.4k cubes 5.2 s, while the old flat cut's 21k cubes pay 7.6 s of
+/// near-trivial dispatch (ROADMAP "cube-split heuristics").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +35,7 @@
 #define VERIQEC_ENGINE_CUBEENGINE_H
 
 #include "engine/CubeRun.h"
+#include "engine/CubeTree.h"
 #include "engine/ThreadPool.h"
 #include "smt/CubeSolver.h"
 
@@ -37,39 +48,6 @@
 namespace veriqec::engine {
 
 struct Discharge; // one problem's discharge state (CubeEngine.cpp)
-
-/// Enumerates assumption cubes over \p SplitVars with the ET heuristic:
-/// a branch is extended while ET = 2*Distance*ones + bits stays within
-/// \p Threshold; branches whose ones-count exceeds \p MaxOnes are pruned
-/// as infeasible under the weight constraint. The zero branch is taken
-/// first so cubes come out in (roughly) increasing weight order.
-std::vector<std::vector<sat::Lit>>
-enumerateCubes(const std::vector<sat::Var> &SplitVars, uint32_t Distance,
-               uint32_t Threshold, uint32_t MaxOnes);
-
-/// Exact number of cubes enumerateCubes() would emit for \p NumSplitVars
-/// split variables, computed by a (bits, ones) dynamic program without
-/// materializing anything; saturates at \p Cap so threshold probes stay
-/// cheap.
-uint64_t countCubes(size_t NumSplitVars, uint32_t Distance,
-                    uint32_t Threshold, uint32_t MaxOnes, uint64_t Cap);
-
-/// Cube-split sizing heuristic: the smallest ET threshold whose cube
-/// count reaches max(8x \p TotalSlots, 8192), bounded above by
-/// \p MaxThreshold (the budget-exhaustion cut, which stays the ceiling).
-/// The slot term sizes the cube set to the fleet (local threads x
-/// nodes); the floor keeps the per-slot count high enough that the
-/// reusable solvers' assumption-prefix reuse and sibling-core pruning
-/// have material to work with — measured on surface9 t=4 at one slot,
-/// 305 cubes run 14.9 s and 10.4k cubes 5.2 s, while the old flat cut's
-/// 21k cubes pay 7.6 s of near-trivial dispatch (ROADMAP "cube-split
-/// heuristics"). Monotonicity of the cube count in the threshold makes
-/// a binary search exact. \p CubeCountOut (optional) receives the count
-/// at the chosen threshold, saturated at 32x the target.
-uint32_t pickSplitThreshold(size_t NumSplitVars, uint32_t Distance,
-                            uint32_t MaxThreshold, uint32_t MaxOnes,
-                            size_t TotalSlots,
-                            uint64_t *CubeCountOut = nullptr);
 
 /// The auto ET cap, min(\p NumQubits, 2*Distance*MaxOnes + 4). The paper
 /// cuts at n, but past 2d*MaxOnes every extension is a forced zero-tail
@@ -87,12 +65,12 @@ struct CubeProblem {
 };
 
 /// A CubeProblem encoded and split: the shared immutable problem, its
-/// cube list, the threshold the enumeration actually used, and the
-/// per-problem run configuration. Cubes is empty when the preprocessor
-/// refuted the problem outright (Encoded->TriviallyUnsat).
+/// cube tree, the threshold the tree grew to, and the per-problem run
+/// configuration. The tree is one leaf when the preprocessor refuted the
+/// problem outright (Encoded->TriviallyUnsat); nothing runs it then.
 struct PreparedProblem {
   std::shared_ptr<smt::VerificationProblem> Encoded;
-  std::vector<std::vector<sat::Lit>> Cubes;
+  CubeTree Tree;
   uint32_t SplitThresholdUsed = 0;
   CubeRunConfig Config;
 };
@@ -100,8 +78,9 @@ struct PreparedProblem {
 /// The one CubeProblem -> (encoding, cubes, config) translation, shared
 /// by the in-process engine and the distributed coordinator so the two
 /// schedulers cannot desynchronize (their verdicts are compared in CI):
-/// preprocess + encode, resolve an auto split threshold against
-/// \p TotalSlots (the fleet-wide slot count), enumerate the cubes.
+/// preprocess + encode, then grow the cube tree: by the sizing rule
+/// against \p TotalSlots (the fleet-wide slot count) under an auto
+/// threshold, straight to the threshold otherwise.
 PreparedProblem prepareCubeProblem(const CubeProblem &P, size_t TotalSlots);
 
 /// Copies \p P's preprocessing and CNF figures into \p Out.
@@ -113,14 +92,13 @@ smt::SolveOutcome triviallyUnsatOutcome(const smt::VerificationProblem &P,
                                         bool LogProofs);
 
 /// The certificate rule of every CubeBackend: a header asserting
-/// \p Bound (plus a hardened budget) as `b` units, \p Streams, and the
-/// trailer of the cube tree \p Cubes span past their \p Bound prefix.
-/// Pass no cubes when an empty core already refuted the problem.
+/// \p Tree's bound (plus a hardened budget) as `b` units, \p Streams,
+/// and the trailer of \p Tree's internal nodes — none when \p Refuted,
+/// because an empty core already refuted the problem.
 std::string assembleCertificate(const smt::VerificationProblem &P,
                                 const CubeRunConfig &Cfg,
-                                std::span<const sat::Lit> Bound,
                                 std::span<const std::string> Streams,
-                                std::span<const std::vector<sat::Lit>> Cubes);
+                                const CubeTree &Tree, bool Refuted);
 
 /// Where cube problems are discharged: in-process (CubeEngine) or
 /// sharded across remote workers (dist::Coordinator). Scenario batches
@@ -146,14 +124,11 @@ public:
   openProblem(std::shared_ptr<const smt::VerificationProblem> P,
               const CubeRunConfig &Config) = 0;
 
-  /// Solves one cube set against an open problem, blocking; statistics
-  /// and cube counts are this call's. \p Bound is assumed ahead of every
-  /// cube and asserted by the certificate's header (the distance
-  /// search's weight bound), so the cubes must cover the problem under
-  /// it as a cube tree.
-  virtual smt::SolveOutcome
-  solveCubes(uint32_t Handle, std::vector<std::vector<sat::Lit>> Cubes,
-             std::span<const sat::Lit> Bound) = 0;
+  /// Solves the leaves of \p Tree against an open problem, blocking;
+  /// statistics and cube counts are this call's. The tree's bound leads
+  /// every cube and is asserted by the certificate's header (the distance
+  /// search's weight bound).
+  virtual smt::SolveOutcome solveCubes(uint32_t Handle, CubeTree Tree) = 0;
 
   /// Frees the state of an open problem.
   virtual void closeProblem(uint32_t Handle) = 0;
@@ -186,9 +161,7 @@ public:
   /// may be driven from distinct threads concurrently.
   uint32_t openProblem(std::shared_ptr<const smt::VerificationProblem> P,
                        const CubeRunConfig &Config) override;
-  smt::SolveOutcome solveCubes(uint32_t Handle,
-                               std::vector<std::vector<sat::Lit>> Cubes,
-                               std::span<const sat::Lit> Bound) override;
+  smt::SolveOutcome solveCubes(uint32_t Handle, CubeTree Tree) override;
   void closeProblem(uint32_t Handle) override;
 
 private:

@@ -39,8 +39,8 @@ namespace veriqec::engine {
 struct CubeRunConfig {
   /// Harden sum(budget terms) <= BudgetBound as root-level units in every
   /// slot solver (one bound per problem). Off for searches that probe
-  /// many bounds by assumption (the distance search sends the bound
-  /// literals inside each cube instead).
+  /// many bounds by assumption (the distance search makes each probe's
+  /// bound the root path of its cube tree, so every cube assumes it).
   bool HardenBudget = false;
   uint32_t BudgetBound = 0;
   uint64_t ConflictBudget = 0; ///< 0 = unlimited

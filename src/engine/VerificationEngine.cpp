@@ -54,8 +54,9 @@ SolveOptions makeSolveOptions(const Scenario &S, const VerifyOptions &Opts) {
   SO.RandomSeed = Opts.RandomSeed;
   SO.LogProofs = Opts.LogProofs;
   if (Opts.Parallel && !S.ErrorVars.empty()) {
-    // An auto threshold is an upper bound: the backend lowers it so the
-    // cube count targets ~8x its total slots (pickSplitThreshold).
+    // An auto threshold is an upper bound: the backend stops the cube
+    // tree lower once it has ~8x its total slots in leaves
+    // (prepareCubeProblem).
     SO.AutoSplitThreshold = Opts.SplitThreshold == 0;
     SO.SplitVars = S.ErrorVars;
     SO.DistanceHint = std::max<uint32_t>(

@@ -11,7 +11,8 @@
 ///   p veriqec proof 1
 ///   v N                    variable count of the encoding
 ///   o <lits> 0             original clause (DIMACS literals)
-///   b <lits> 0             hardened weight-bound unit
+///   b <lits> 0             assumed unit: the hardened weight budget,
+///                          then the cube tree's bound
 ///   x <rhs> <vars> 0       native XOR row (SAT variables, 1-based)
 ///   pr <rhs> <vars> 0      original lifted parity row (BoolContext vars)
 ///   pk <rhs> <vars> 0      kept row after reduction
@@ -23,21 +24,24 @@
 ///   q <core> 0 <cube> 0 [hints 0]
 ///                          cube UNSAT with this failed-assumption core;
 ///                          the clause ¬core joins the trailer's table
-///   r                      begin the cube-tree trailer: its additions
-///                          replay against the header plus every q's
-///                          ¬core, and it closes with `a 0`
+///   r                      begin the cube-tree trailer: one addition per
+///                          internal node of the cube tree, replayed
+///                          against the header plus every q's ¬core,
+///                          closing with the root's `a 0`
 ///
 /// The header is built once per problem from the encoded
 /// VerificationProblem; each solver slot owns a SlotProofLog that the
 /// solver feeds through the sat::ClauseProofSink interface, and the
 /// engine (or the distributed coordinator, for streams that arrive as
 /// BatchResult chunks) concatenates header, streams and trailer into one
-/// certificate. The trailer is the cube tree itself: the negation of
-/// every proper prefix of the solved cubes, children before parents, so
-/// each node is RUP from its two children (a budget-pruned branch is
-/// refuted by the `b` units) and the root is the empty clause. A proof
-/// whose streams already derived the empty clause — an empty-core
-/// conclusion — needs no trailer.
+/// certificate. Both ends come from the cube set's engine::CubeTree: its
+/// bound is the header's `b` units, and its internal nodes are the
+/// trailer, in post-order (children before parents): the negation of
+/// each node's path below the bound, RUP from its children's negations
+/// (a branch the ones cap dropped is refuted by the `b` units), so the
+/// root's is the empty clause `a 0`. A tree that is one leaf has no
+/// trailer, and neither does a proof whose streams already derived the
+/// empty clause (an empty-core conclusion).
 ///
 /// An addition (and likewise a q conclusion) may carry a trailing
 /// 0-terminated list: LRAT-style hints naming its antecedents, positive
@@ -55,6 +59,7 @@
 #ifndef VERIQEC_PROOF_PROOFLOG_H
 #define VERIQEC_PROOF_PROOFLOG_H
 
+#include "engine/CubeTree.h"
 #include "sat/Solver.h"
 #include "smt/CubeSolver.h"
 
@@ -106,14 +111,12 @@ std::string buildProofHeader(const smt::VerificationProblem &P,
 std::string buildTrivialProof(const smt::VerificationProblem &P);
 
 /// Concatenates \p Header and the per-slot \p Streams into one proof,
-/// then the trailer of the cube tree spanned by \p Cubes, each read past
-/// its first \p BoundLits literals (the bound the header asserts). A
-/// set without proper prefixes — none, or the one empty cube — has no
-/// trailer.
+/// then the trailer of \p Trailer's internal nodes; pass null when the
+/// streams already derived the empty clause. \p Header must assert the
+/// tree's bound.
 std::string assembleProof(std::string Header,
                           std::span<const std::string> Streams,
-                          std::span<const std::vector<sat::Lit>> Cubes,
-                          size_t BoundLits);
+                          const engine::CubeTree *Trailer);
 
 } // namespace veriqec::proof
 

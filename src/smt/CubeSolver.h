@@ -61,8 +61,8 @@ struct SolveOutcome {
   PreprocessStats Prep;
   size_t CnfVars = 0;
   size_t CnfClauses = 0;
-  /// The ET threshold the cube enumeration actually ran with (0 when the
-  /// problem was not split). Differs from SolveOptions::SplitThreshold
+  /// The ET threshold the cube tree actually grew to (0 when the problem
+  /// was not split). Differs from SolveOptions::SplitThreshold
   /// when the slot-targeting heuristic picked a tighter cut.
   uint32_t SplitThresholdUsed = 0;
   /// Wall time of the SAT discharge (excludes VC assembly).
@@ -120,16 +120,17 @@ struct SolveOptions {
   std::vector<std::string> SplitVars;
   /// The d in ET = 2d*N(ones) + N(bits); usually the code distance.
   uint32_t DistanceHint = 3;
-  /// Enumeration stops once ET exceeds this (the paper uses n, the number
-  /// of qubits). 0 disables splitting (one cube).
+  /// The cube tree stops splitting once ET exceeds this (the paper uses
+  /// n, the number of qubits). 0 disables splitting (one cube).
   uint32_t SplitThreshold = 0;
   /// SplitThreshold came from the auto policy, not the user: the engine
-  /// may lower it so the emitted cube count targets ~8x the total worker
-  /// slots (engine::pickSplitThreshold) instead of taking the flat
-  /// budget-exhaustion cut. SplitThreshold stays the upper bound.
+  /// may stop the cube tree lower, once it has ~8x the total worker
+  /// slots in leaves (engine::prepareCubeProblem's sizing rule), instead
+  /// of taking the flat budget-exhaustion cut. SplitThreshold stays the
+  /// upper bound.
   bool AutoSplitThreshold = false;
-  /// Cubes whose enumerated ones-count exceeds this are pruned as
-  /// infeasible (weight constraint); ~0 disables pruning.
+  /// Cubes whose ones-count would exceed this are pruned as infeasible
+  /// (weight constraint); ~0 disables pruning.
   uint32_t MaxOnes = ~uint32_t{0};
 };
 

@@ -122,9 +122,10 @@ ConfigVerdict runDirectReuse(const FuzzCase &C, const VerifyOptions &VO,
     SplitVars.push_back(Enc.varOfName(Name));
   uint32_t Dist = std::max<uint32_t>(
       2, C.Scn.MaxErrors == ~uint32_t{0} ? 2 : 2 * C.Scn.MaxErrors + 1);
-  std::vector<std::vector<sat::Lit>> Cubes = engine::enumerateCubes(
-      SplitVars, Dist, static_cast<uint32_t>(C.Scn.NumQubits),
-      C.Scn.MaxErrors);
+  engine::CubeTree Tree;
+  Tree.growEt(SplitVars, Dist, C.Scn.MaxErrors,
+              static_cast<uint32_t>(C.Scn.NumQubits));
+  std::vector<std::vector<sat::Lit>> Cubes = Tree.cubes();
 
   // The proof sink must outlive the solver holding the raw pointer.
   proof::SlotProofLog Log;
@@ -178,7 +179,7 @@ ConfigVerdict runDirectReuse(const FuzzCase &C, const VerifyOptions &VO,
     const std::string Streams[] = {Log.drain()};
     checkProofOracle(Out.Name,
                      engine::assembleCertificate(Enc, engine::CubeRunConfig{},
-                                                 {}, Streams, Cubes),
+                                                 Streams, Tree, false),
                      Report);
   }
   Out.Verdict = 'V';

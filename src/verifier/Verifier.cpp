@@ -200,17 +200,18 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
     Result.XorRows = P.XorRows.size();
     return P;
   };
-  // One probe = the open cube under the bound "1 <= weight <= MaxW"
-  // against an open handle; its counters add into the result. A handle's
-  // certificate is cumulative and asserts its probe's bound as `b`
-  // units, so the last UNSAT probe's stands for the search.
+  // One probe = the one-leaf cube tree whose bound is "1 <= weight <=
+  // MaxW", against an open handle; its counters add into the result. A
+  // handle's certificate is cumulative and asserts its probe's bound as
+  // `b` units, so the last UNSAT probe's stands for the search.
   auto probe = [&](engine::CubeBackend &B, uint32_t Handle,
                    const VerificationProblem &P, size_t MaxW,
                    std::unordered_map<std::string, bool> &Model) {
     std::vector<sat::Lit> Bound;
     P.appendWeightAssumptions(static_cast<uint32_t>(MaxW), Bound, 1);
     Timer ProbeClock;
-    smt::SolveOutcome O = B.solveCubes(Handle, {{}}, Bound);
+    smt::SolveOutcome O =
+        B.solveCubes(Handle, engine::CubeTree(std::move(Bound)));
     Result.Stats += O.Stats;
     ++Result.SolverCalls;
     Result.Probes.push_back(

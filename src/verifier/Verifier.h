@@ -90,7 +90,7 @@ struct VerificationResult {
   smt::PreprocessStats Prep;
   size_t CnfVars = 0;
   size_t CnfClauses = 0;
-  /// The ET threshold the cube enumeration actually used (0 = unsplit);
+  /// The ET threshold the cube tree actually grew to (0 = unsplit);
   /// lower than the auto cap when the slot-targeting heuristic cut it.
   uint32_t SplitThresholdUsed = 0;
   size_t NumGoals = 0;

@@ -9,7 +9,7 @@
 // the version handshake, loopback and TCP end-to-end verification
 // equality with the in-process engine, worker-drop recovery, cross-node
 // pruning plumbing, the incremental distance handle API, and the
-// cube-split sizing heuristic.
+// rejection of a certificate whose worker skipped one cube.
 //
 //===----------------------------------------------------------------------===//
 
@@ -881,9 +881,9 @@ TEST(DistLoopback, CoordinatorRelaysLemmasAndDropsOutOfRangeOnes) {
   ASSERT_TRUE(Coord.waitForWorkers(2, 5000));
   uint32_t Handle = Coord.openProblem(P, engine::CubeRunConfig{});
   smt::SolveOutcome Out;
-  std::thread Solve([&] {
-    Out = Coord.solveCubes(Handle, {{sat::mkLit(0)}, {~sat::mkLit(0)}}, {});
-  });
+  engine::CubeTree Tree;
+  Tree.split(0, 0);
+  std::thread Solve([&] { Out = Coord.solveCubes(Handle, std::move(Tree)); });
   // Reads \p W up to its cube batch; false when none arrives.
   auto NextBatch = [](Link &W, CubeBatchMsg &Batch) {
     std::vector<uint8_t> Frame;
@@ -1001,39 +1001,63 @@ TEST(DistTcp, TwoWorkersOverRealSocketsMatchLocalVerdicts) {
     T.join();
 }
 
-// -- Cube-split sizing heuristic ---------------------------------------------
-
-TEST(CubeSplitHeuristic, CountMatchesEnumeration) {
-  for (uint32_t Threshold : {0u, 3u, 9u, 20u, 35u}) {
-    for (uint32_t MaxOnes : {0u, 1u, 2u, ~0u}) {
-      std::vector<sat::Var> Vars;
-      for (sat::Var V = 0; V != 12; ++V)
-        Vars.push_back(V);
-      uint64_t Expect =
-          engine::enumerateCubes(Vars, 5, Threshold, MaxOnes).size();
-      EXPECT_EQ(engine::countCubes(Vars.size(), 5, Threshold, MaxOnes,
-                                   1 << 20),
-                Expect)
-          << "T=" << Threshold << " MaxOnes=" << MaxOnes;
+TEST(DistLoopback, CertificateMissingOneCubeIsRejected) {
+  // a AND b has its only model in the leaf {a, b}. A scripted worker
+  // reports its one batch UNSAT with a real slot's stream over every
+  // other leaf; the coordinator's certificate must not check.
+  smt::BoolContext Ctx;
+  smt::ProblemOptions PO;
+  PO.ProtectedVars = {"a", "b"};
+  PO.CaptureProofData = true;
+  auto P = std::make_shared<smt::VerificationProblem>(
+      Ctx, Ctx.mkAnd(Ctx.mkVar("a"), Ctx.mkVar("b")), PO);
+  ASSERT_FALSE(P->TriviallyUnsat);
+  std::vector<sat::Var> Vars{P->varOfName("a"), P->varOfName("b")};
+  std::vector<Lit> Model{sat::mkLit(Vars[0]), sat::mkLit(Vars[1])};
+  CoordinatorOptions CO;
+  CO.BatchesPerSlot = 1;
+  Coordinator Coord(CO);
+  LoopbackPair W = makeLoopbackPair();
+  Coord.addWorker(std::move(W.A));
+  W.B->send(encodeMessage(HelloMsg{}));
+  ASSERT_TRUE(Coord.waitForWorkers(1, 5000));
+  engine::CubeRunConfig Cfg;
+  Cfg.LogProofs = true;
+  uint32_t Handle = Coord.openProblem(P, Cfg);
+  engine::CubeTree Tree;
+  Tree.growEt(Vars, 0, ~0u, 2);
+  smt::SolveOutcome Out;
+  std::thread Solve([&] { Out = Coord.solveCubes(Handle, std::move(Tree)); });
+  std::optional<CubeBatchMsg> Batch;
+  std::vector<uint8_t> Frame;
+  while (!Batch && W.B->receive(Frame, 5000)) {
+    Message M;
+    ASSERT_TRUE(decodeMessage(Frame, M));
+    if (CubeBatchMsg *CB = std::get_if<CubeBatchMsg>(&M))
+      Batch = std::move(*CB);
+  }
+  ASSERT_TRUE(Batch.has_value());
+  ASSERT_EQ(Batch->Cubes.size(), 4u);
+  engine::CubeRun Run(*P, Cfg, 1);
+  for (size_t C = 0; C != Batch->Cubes.size(); ++C) {
+    if (Batch->Cubes[C] != Model) {
+      EXPECT_NE(Run.runCube(0, Batch->Cubes[C], C),
+                engine::CubeRun::CubeOutcome::Sat);
     }
   }
-}
-
-TEST(CubeSplitHeuristic, PicksTheSmallestThresholdReachingTheTarget) {
-  // 40 split vars, distance hint 9, budget 4: the flat cut would be
-  // 2*9*4+4 = 76. The heuristic must choose the least threshold whose
-  // cube count reaches the floor/slot target, never exceeding the cap.
-  uint64_t Count = 0;
-  uint32_t T1 = engine::pickSplitThreshold(40, 9, 76, 4, 1, &Count);
-  EXPECT_LE(T1, 76u);
-  EXPECT_GE(Count, 8192u); // the single-slot floor
-  if (T1 > 1) {
-    uint64_t Below = engine::countCubes(40, 9, T1 - 1, 4, 1 << 24);
-    EXPECT_LT(Below, 8192u) << "threshold not minimal";
-  }
-  // More slots never shrink the threshold.
-  uint32_t T2 = engine::pickSplitThreshold(40, 9, 76, 4, 4096, &Count);
-  EXPECT_GE(T2, T1);
-  // A tiny problem can never reach the target: the cap is kept.
-  EXPECT_EQ(engine::pickSplitThreshold(3, 2, 10, 1, 64, &Count), 10u);
+  BatchResultMsg R;
+  R.ProblemId = Batch->ProblemId;
+  R.BatchId = Batch->BatchId;
+  R.Status = BatchStatus::AllUnsat;
+  R.Solved = Batch->Cubes.size();
+  R.ProofChunks = {{0, Run.drainSlotProof(0)}};
+  W.B->send(encodeMessage(R));
+  Solve.join();
+  EXPECT_EQ(Out.Result, sat::SolveResult::Unsat);
+  ASSERT_FALSE(Out.Proof.empty());
+  proof::CheckResult CR = proof::checkProof(Out.Proof);
+  EXPECT_FALSE(CR.Ok);
+  EXPECT_NE(CR.Error.find("not RUP"), std::string::npos) << CR.Error;
+  Coord.closeProblem(Handle);
+  Coord.shutdownWorkers();
 }

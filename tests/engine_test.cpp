@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The work-stealing engine: pool and queue mechanics, ET cube
-/// enumeration, verdict determinism across 1/2/4/8 workers for both
+/// The work-stealing engine: pool and queue mechanics, the ET cube tree
+/// (growth, sizing, cube order, trailer, a certificate missing a leaf),
+/// verdict determinism across 1/2/4/8 workers for both
 /// UNSAT (verified) and SAT (counterexample) workloads, first-SAT-cube
 /// cancellation, and batch verifyAll consistency with one-at-a-time
 /// verification.
@@ -16,6 +17,7 @@
 #include "engine/CubeEngine.h"
 #include "engine/CubeRun.h"
 #include "engine/VerificationEngine.h"
+#include "proof/ProofCheck.h"
 #include "qec/Codes.h"
 #include "verifier/Verifier.h"
 
@@ -69,25 +71,165 @@ TEST(ThreadPool, RunsEveryTaskOnAWorker) {
   EXPECT_EQ(ThreadPool::currentWorkerIndex(), -1); // the test thread
 }
 
-TEST(CubeEnumeration, RespectsEtThresholdAndMaxOnes) {
-  std::vector<sat::Var> Vars{0, 1, 2, 3};
+// -- The cube tree -----------------------------------------------------------
+
+namespace {
+
+std::vector<sat::Var> firstVars(sat::Var N) {
+  std::vector<sat::Var> Vars;
+  for (sat::Var V = 0; V != N; ++V)
+    Vars.push_back(V);
+  return Vars;
+}
+
+CubeTree etTree(sat::Var NumVars, uint32_t Distance, uint32_t Threshold,
+                uint32_t MaxOnes) {
+  CubeTree T;
+  T.growEt(firstVars(NumVars), Distance, MaxOnes, Threshold);
+  return T;
+}
+
+/// The ET cut written as a direct recursion: every prefix extends while
+/// 2*Distance*ones + bits <= Threshold, zero branch first.
+void etCubes(const std::vector<sat::Var> &Vars, uint32_t Distance,
+             uint32_t Threshold, uint32_t MaxOnes, std::vector<sat::Lit> &Path,
+             uint32_t Ones, std::vector<std::vector<sat::Lit>> &Out) {
+  uint32_t Bits = static_cast<uint32_t>(Path.size());
+  if (Bits == Vars.size() || 2 * Distance * Ones + Bits > Threshold) {
+    Out.push_back(Path);
+    return;
+  }
+  Path.push_back(~sat::mkLit(Vars[Bits]));
+  etCubes(Vars, Distance, Threshold, MaxOnes, Path, Ones, Out);
+  Path.back() = sat::mkLit(Vars[Bits]);
+  if (Ones < MaxOnes)
+    etCubes(Vars, Distance, Threshold, MaxOnes, Path, Ones + 1, Out);
+  Path.pop_back();
+}
+
+} // namespace
+
+TEST(CubeTree, EtGrowthRespectsThresholdAndMaxOnes) {
   // Distance 0 degenerates ET to the bit count: full expansion to depth 4.
-  auto Full = enumerateCubes(Vars, 0, 4, ~uint32_t{0});
-  EXPECT_EQ(Full.size(), 16u);
+  EXPECT_EQ(etTree(4, 0, 4, ~0u).numLeaves(), 16u);
   // Distance 1: ET = 2*ones + bits, so one-heavy branches terminate
   // early and the tree has 8 leaves (hand-enumerated).
-  auto All = enumerateCubes(Vars, 1, 4, ~uint32_t{0});
-  EXPECT_EQ(All.size(), 8u);
-  // MaxOnes 1 additionally prunes every second-one branch: 5 leaves.
-  auto Pruned = enumerateCubes(Vars, 1, 4, 1);
-  EXPECT_EQ(Pruned.size(), 5u);
+  CubeTree All = etTree(4, 1, 4, ~0u);
+  EXPECT_EQ(All.numLeaves(), 8u);
+  // MaxOnes 1 additionally drops every second-one branch: 5 leaves.
+  EXPECT_EQ(etTree(4, 1, 4, 1).numLeaves(), 5u);
   // Threshold 0 disables splitting: one empty cube.
-  auto Single = enumerateCubes(Vars, 1, 0, ~uint32_t{0});
-  ASSERT_EQ(Single.size(), 1u);
-  EXPECT_TRUE(Single[0].empty());
+  CubeTree Single = etTree(4, 1, 0, ~0u);
+  EXPECT_EQ(Single.numNodes(), 1u);
+  ASSERT_EQ(Single.cubes().size(), 1u);
+  EXPECT_TRUE(Single.cubes()[0].empty());
+  // A threshold past every splittable ET (2*4 + 4 here) grows the same
+  // tree, and is the one reported.
+  CubeTree Far;
+  EXPECT_EQ(Far.growEt(firstVars(4), 1, ~0u, UINT32_MAX), UINT32_MAX);
+  EXPECT_EQ(Far.cubes(), etTree(4, 1, 12, ~0u).cubes());
   // Deterministic order: the all-zero cube first.
-  for (sat::Lit L : All.front())
+  std::vector<std::vector<sat::Lit>> Cubes = All.cubes();
+  ASSERT_EQ(Cubes.size(), All.numLeaves());
+  for (sat::Lit L : Cubes.front())
     EXPECT_TRUE(L.negated());
+}
+
+TEST(CubeTree, GrowthListsTheEtCutsCubesInOrder) {
+  std::vector<sat::Var> Vars = firstVars(12);
+  for (uint32_t Threshold : {0u, 3u, 9u, 20u, 35u}) {
+    for (uint32_t MaxOnes : {0u, 1u, 2u, ~0u}) {
+      SCOPED_TRACE("T=" + std::to_string(Threshold) +
+                   " MaxOnes=" + std::to_string(MaxOnes));
+      std::vector<std::vector<sat::Lit>> Want;
+      std::vector<sat::Lit> Path;
+      if (Threshold == 0)
+        Want.emplace_back();
+      else
+        etCubes(Vars, 5, Threshold, MaxOnes, Path, 0, Want);
+      CubeTree T = etTree(12, 5, Threshold, MaxOnes);
+      EXPECT_EQ(T.cubes(), Want);
+      EXPECT_EQ(T.numLeaves(), Want.size());
+    }
+  }
+}
+
+TEST(CubeTree, SizingStopsAtTheLeastThresholdReachingTheTarget) {
+  // 40 split vars, distance hint 9, budget 4: the flat cut would be
+  // 2*9*4+4 = 76. Growth must stop at the least threshold whose tree
+  // reaches the target (8625 leaves at 69, 7642 at 68), never past the
+  // cap.
+  std::vector<sat::Var> Vars = firstVars(40);
+  CubeTree Sized;
+  EXPECT_EQ(Sized.growEt(Vars, 9, 4, 76, 8192), 69u);
+  EXPECT_EQ(Sized.numLeaves(), 8625u);
+  EXPECT_EQ(etTree(40, 9, 68, 4).numLeaves(), 7642u);
+  // Growing straight to that threshold gives the same tree.
+  EXPECT_EQ(etTree(40, 9, 69, 4).cubes(), Sized.cubes());
+  // A target beyond the cap's tree keeps the cap.
+  CubeTree Capped;
+  EXPECT_EQ(Capped.growEt(Vars, 9, 4, 76, 8 * 4096), 76u);
+  EXPECT_EQ(Capped.numLeaves(), 19556u);
+  CubeTree Tiny;
+  EXPECT_EQ(Tiny.growEt(firstVars(3), 2, 1, 10, 8192), 10u);
+}
+
+TEST(CubeTree, BoundLeadsEveryCubeAndTrailerIsPostOrder) {
+  // Vars 1..3, ET = 2*ones + bits <= 4, at most one one: the nodes [1],
+  // [1 -2] and [-1 2] lost their one branch, so the tree has 4 leaves
+  // and 6 internal nodes. The trailer text is pinned byte for byte, so
+  // certificates of the same run stay identical.
+  CubeTree T({sat::mkLit(7)});
+  T.growEt(firstVars(3), 1, 1, 4);
+  EXPECT_EQ(T.numLeaves(), 4u);
+  EXPECT_EQ(T.numNodes(), 10u);
+  std::vector<std::vector<sat::Lit>> Cubes = T.cubes();
+  ASSERT_EQ(Cubes.size(), 4u);
+  for (const std::vector<sat::Lit> &Cube : Cubes)
+    EXPECT_EQ(Cube.front(), sat::mkLit(7));
+  std::vector<sat::Lit> Last{sat::mkLit(7), sat::mkLit(0), ~sat::mkLit(1),
+                             ~sat::mkLit(2)};
+  EXPECT_EQ(Cubes[3], Last);
+  EXPECT_EQ(proof::assembleProof("", {}, &T),
+            "r\na -1 2 0\na -1 0\na 1 -2 0\na 1 2 0\na 1 0\na 0\n");
+  EXPECT_EQ(proof::assembleProof("", {}, nullptr), "");
+  // A one-leaf tree has no trailer.
+  CubeTree Leaf({sat::mkLit(7)});
+  EXPECT_EQ(proof::assembleProof("", {}, &Leaf), "");
+}
+
+TEST(CubeTree, CertificateMissingOneLeafIsRejected) {
+  // a AND b has its only model in the leaf {a, b}, so no core of another
+  // leaf covers it. Two slots discharge every other leaf; the
+  // certificate over the full tree must fail at that leaf's parent.
+  BoolContext Ctx;
+  smt::ProblemOptions PO;
+  PO.ProtectedVars = {"a", "b"};
+  PO.CaptureProofData = true;
+  smt::VerificationProblem P(Ctx, Ctx.mkAnd(Ctx.mkVar("a"), Ctx.mkVar("b")),
+                             PO);
+  ASSERT_FALSE(P.TriviallyUnsat);
+  std::vector<sat::Var> Vars{P.varOfName("a"), P.varOfName("b")};
+  CubeTree Tree;
+  Tree.growEt(Vars, 0, ~0u, 2);
+  std::vector<std::vector<sat::Lit>> Cubes = Tree.cubes();
+  ASSERT_EQ(Cubes.size(), 4u);
+  CubeRunConfig Cfg;
+  Cfg.LogProofs = true;
+  CubeRun Run(P, Cfg, 2);
+  for (size_t C = 0; C != 3; ++C)
+    EXPECT_NE(Run.runCube(C % 2, Cubes[C], C), CubeRun::CubeOutcome::Sat);
+  const std::string Streams[] = {Run.drainSlotProof(0), Run.drainSlotProof(1)};
+  std::string Cert = assembleCertificate(P, Cfg, Streams, Tree, false);
+  proof::CheckResult CR = proof::checkProof(Cert);
+  EXPECT_FALSE(CR.Ok);
+  // The first trailer addition is the dropped leaf's parent, [a].
+  std::string Parent = "a " + std::to_string(-int(Vars[0] + 1)) + " 0";
+  size_t At = Cert.find("\nr\n");
+  ASSERT_NE(At, std::string::npos);
+  EXPECT_EQ(Cert.substr(At + 3, Parent.size()), Parent);
+  EXPECT_NE(CR.Error.find("not RUP"), std::string::npos) << CR.Error;
+  EXPECT_EQ(Run.runCube(0, Cubes[3], 3), CubeRun::CubeOutcome::Sat);
 }
 
 namespace {

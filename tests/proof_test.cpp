@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "engine/CubeTree.h"
 #include "proof/ProofCheck.h"
 #include "proof/ProofLog.h"
 #include "qec/Codes.h"
@@ -301,18 +302,13 @@ TEST(ProofEmission, CubeTreeTrailerComesChildrenFirst) {
   // trailer assembleProof() emits has seven internal nodes, and it only
   // checks when every node follows its children (a root first is not
   // RUP against eight ternary clauses).
-  std::vector<std::vector<sat::Lit>> Cubes;
+  engine::CubeTree Tree;
+  Tree.growEt(std::vector<sat::Var>{0, 1, 2}, 0, ~0u, 3);
   proof::SlotProofLog Log;
-  for (int Bits = 0; Bits != 8; ++Bits) {
-    std::vector<sat::Lit> Cube;
-    for (int V = 0; V != 3; ++V)
-      Cube.push_back(sat::Lit(V, (Bits >> V) & 1));
+  for (const std::vector<sat::Lit> &Cube : Tree.cubes())
     Log.logConclusion(Cube, Cube);
-    Cubes.push_back(Cube);
-  }
   const std::string Streams[] = {Log.drain()};
-  std::string Proof =
-      proof::assembleProof(AllClausesOfThree, Streams, Cubes, 0);
+  std::string Proof = proof::assembleProof(AllClausesOfThree, Streams, &Tree);
   CheckResult CR = checkProof(Proof);
   EXPECT_TRUE(CR.Ok) << CR.Error;
   EXPECT_EQ(CR.Additions, 7u);
