@@ -56,32 +56,6 @@ std::unordered_map<std::string, bool> decodeModel(Decoder &D) {
   return Model;
 }
 
-void encodeRows(Encoder &E, const std::vector<smt::ParityRow> &Rows) {
-  E.u32(static_cast<uint32_t>(Rows.size()));
-  for (const smt::ParityRow &R : Rows) {
-    E.u32(static_cast<uint32_t>(R.Vars.size()));
-    for (uint32_t V : R.Vars)
-      E.u32(V);
-    E.boolean(R.Rhs);
-  }
-}
-
-std::vector<smt::ParityRow> decodeRows(Decoder &D) {
-  std::vector<smt::ParityRow> Rows;
-  uint32_t N = D.count(5);
-  Rows.reserve(N);
-  for (uint32_t I = 0; I != N && D.ok(); ++I) {
-    smt::ParityRow R;
-    uint32_t M = D.count(4);
-    R.Vars.reserve(M);
-    for (uint32_t J = 0; J != M && D.ok(); ++J)
-      R.Vars.push_back(D.u32());
-    R.Rhs = D.boolean();
-    Rows.push_back(std::move(R));
-  }
-  return Rows;
-}
-
 void encodeConfig(Encoder &E, const engine::CubeRunConfig &C) {
   E.boolean(C.HardenBudget);
   E.u32(C.BudgetBound);
@@ -135,7 +109,6 @@ void encodeBody(Encoder &E, const BatchResultMsg &M) {
   encodeModel(E, M.Model);
   encodeStats(E, M.Stats);
   E.u64(M.Solved);
-  E.u64(M.PrunedGf2);
   E.u64(M.PrunedCore);
   E.litVecs(M.NewCores);
   E.u32(static_cast<uint32_t>(M.ProofChunks.size()));
@@ -223,20 +196,8 @@ void ProblemCodec::encode(Encoder &E, const smt::VerificationProblem &P) {
       E.u32(Dep);
     E.boolean(R.Constant);
   }
-  encodeRows(E, P.Pruner.rows());
-  E.boolean(P.PruneByElimination);
   E.lits(P.BudgetCounter);
   E.u64(P.NumBudgetTerms);
-  {
-    std::vector<std::pair<int32_t, uint32_t>> Entries(P.BoolVarOfSat.begin(),
-                                                      P.BoolVarOfSat.end());
-    std::sort(Entries.begin(), Entries.end());
-    E.u32(static_cast<uint32_t>(Entries.size()));
-    for (const auto &[SatVar, BoolId] : Entries) {
-      E.i32(SatVar);
-      E.u32(BoolId);
-    }
-  }
 }
 
 std::shared_ptr<smt::VerificationProblem> ProblemCodec::decode(Decoder &D) {
@@ -244,7 +205,7 @@ std::shared_ptr<smt::VerificationProblem> ProblemCodec::decode(Decoder &D) {
   std::shared_ptr<smt::VerificationProblem> P(new smt::VerificationProblem());
   P->Cnf.NumVars = D.u64();
   // Everything downstream indexes by CNF variable (solver loading) or
-  // BoolContext id (reconstruction, pruning rows), so both universes are
+  // BoolContext id (reconstruction), so both universes are
   // range-checked against their declared sizes as they are read — a
   // corrupted id must fail the frame, not balloon an index vector or
   // walk a solver off its arrays.
@@ -317,23 +278,10 @@ std::shared_ptr<smt::VerificationProblem> ProblemCodec::decode(Decoder &D) {
     R.Constant = D.boolean();
     P->Eliminated.push_back(std::move(R));
   }
-  std::vector<smt::ParityRow> PrunerRows = decodeRows(D);
-  for (const smt::ParityRow &R : PrunerRows)
-    for (uint32_t V : R.Vars)
-      boolId(V);
-  if (!D.ok())
-    return nullptr; // before the propagator sizes its per-var index
-  P->Pruner = smt::ParityPropagator(std::move(PrunerRows));
-  P->PruneByElimination = D.boolean();
   P->BudgetCounter = D.lits();
   for (Lit L : P->BudgetCounter)
     cnfLit(L);
   P->NumBudgetTerms = D.u64();
-  uint32_t NumRev = D.count(8);
-  for (uint32_t I = 0; I != NumRev && D.ok(); ++I) {
-    int32_t SatVar = cnfVar(D.i32());
-    P->BoolVarOfSat.emplace(SatVar, boolId(D.u32()));
-  }
   if (!D.ok())
     return nullptr;
   return P;
@@ -413,7 +361,6 @@ bool veriqec::dist::decodeMessage(std::span<const uint8_t> Payload,
     M.Model = decodeModel(D);
     M.Stats = decodeStats(D);
     M.Solved = D.u64();
-    M.PrunedGf2 = D.u64();
     M.PrunedCore = D.u64();
     M.NewCores = D.litVecs();
     uint32_t NumChunks = D.count(8); // 4-byte slot + 4-byte length each

@@ -48,8 +48,10 @@ constexpr uint32_t WireMagic = 0x43455156; // "VQEC" little-endian
 /// counters. v5: progress Heartbeat (worker -> coordinator) and Evicted
 /// (coordinator -> worker) frames. v6: the v4 policy flag and its
 /// counters are gone again. v7: Lemmas frames (worker -> coordinator ->
-/// the other workers).
-constexpr uint32_t WireVersion = 7;
+/// the other workers). v8: the GF(2) cube pruner is gone — its rows,
+/// mode flag and variable map leave the problem frame, its counter the
+/// batch result.
+constexpr uint32_t WireVersion = 8;
 /// Upper bound on one frame payload (a surface-scale problem is a few
 /// MB; anything near this is a corrupt length prefix, not data).
 constexpr uint32_t MaxFrameBytes = 256u << 20;
@@ -202,10 +204,10 @@ private:
 // -- Problem codec -----------------------------------------------------------
 
 /// Serializes whole smt::VerificationProblems. A friend of the struct:
-/// it reaches the private reconstruction/pruning state and rebuilds
+/// it reaches the private reconstruction state and rebuilds
 /// instances through the private default constructor, so a decoded
-/// problem is behaviorally identical to the coordinator's original
-/// (makeSolver, cubeRefuted, readModel, weight assumptions — everything).
+/// problem is behaviorally identical to the coordinator's original for
+/// everything a worker runs (makeSolver, readModel, weight assumptions).
 class ProblemCodec {
 public:
   static void encode(Encoder &E, const smt::VerificationProblem &P);
@@ -283,7 +285,6 @@ struct BatchResultMsg {
   /// double-count).
   sat::SolverStats Stats;
   uint64_t Solved = 0;
-  uint64_t PrunedGf2 = 0;
   uint64_t PrunedCore = 0;
   /// Strict-subset UNSAT cores discovered in this batch, for the
   /// coordinator to broadcast to sibling workers.

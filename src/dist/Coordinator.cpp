@@ -407,9 +407,7 @@ void Coordinator::handleResult(WorkerState &W, BatchResultMsg &&R) {
   // bookkeeping (a worker reports each solved cube exactly once).
   AP.Outcome.Stats += R.Stats;
   AP.Outcome.CubesSolved += R.Solved;
-  AP.Outcome.CubesPrunedGf2 += R.PrunedGf2;
-  AP.Outcome.CubesPrunedCore += R.PrunedCore;
-  AP.Outcome.CubesPruned += R.PrunedGf2 + R.PrunedCore;
+  AP.Outcome.CubesPruned += R.PrunedCore;
 
   // Cross-node core pruning: new cores go to every sibling that knows
   // the problem.

@@ -33,7 +33,7 @@ struct ProblemState {
   bool Persistent = false;
   /// Counter totals already reported; batch results carry deltas.
   sat::SolverStats ReportedStats;
-  uint64_t ReportedSolved = 0, ReportedGf2 = 0, ReportedCore = 0;
+  uint64_t ReportedSolved = 0, ReportedCore = 0;
 };
 
 /// The batch currently on the pool.
@@ -358,10 +358,8 @@ private:
     R.Stats = Now - S.ReportedStats;
     S.ReportedStats = Now;
     R.Solved = Run.solved() - S.ReportedSolved;
-    R.PrunedGf2 = Run.prunedGf2() - S.ReportedGf2;
     R.PrunedCore = Run.prunedCore() - S.ReportedCore;
     S.ReportedSolved = Run.solved();
-    S.ReportedGf2 = Run.prunedGf2();
     S.ReportedCore = Run.prunedCore();
     R.NewCores = Run.drainOutboundCores();
     // The batch has quiesced, so the slot logs are stable: ship whatever

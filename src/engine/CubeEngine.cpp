@@ -61,11 +61,8 @@ struct veriqec::engine::Discharge {
     Out.Stats = Now - Reported;
     Reported = Now;
     Out.CubesSolved = Run.solved() - Solved;
-    Out.CubesPrunedGf2 = Run.prunedGf2() - PrunedGf2;
-    Out.CubesPrunedCore = Run.prunedCore() - PrunedCore;
-    Out.CubesPruned = Out.CubesPrunedGf2 + Out.CubesPrunedCore;
+    Out.CubesPruned = Run.prunedCore() - PrunedCore;
     Solved = Run.solved();
-    PrunedGf2 = Run.prunedGf2();
     PrunedCore = Run.prunedCore();
     describeProblem(*Problem, Out);
     if (Run.satFound()) {
@@ -93,7 +90,7 @@ struct veriqec::engine::Discharge {
   std::shared_ptr<const smt::VerificationProblem> Problem;
   CubeRun Run;
   sat::SolverStats Reported;
-  uint64_t Solved = 0, PrunedGf2 = 0, PrunedCore = 0;
+  uint64_t Solved = 0, PrunedCore = 0;
   std::vector<std::string> Streams;    ///< per slot, everything so far
   CubeTree Tree;                       ///< the current cube set
   std::vector<std::vector<Lit>> Cubes; ///< its leaves, in order
@@ -180,19 +177,18 @@ PreparedProblem veriqec::engine::prepareCubeProblem(const CubeProblem &P,
   for (const std::string &Name : O.SplitVars)
     SplitVars.push_back(Out.Encoded->varOfName(Name));
   // Order the split variables by GF(2) row participation: variables
-  // that sit in no kept parity row contribute nothing to the GF(2)
-  // cube pruner, so assuming them early wastes shared-prefix budget —
-  // push them behind every row-constrained variable. WITHIN each class
-  // the declaration order is preserved deliberately: error indicators
-  // are declared in lattice order, so a cube prefix fixes a contiguous
-  // patch of the code, and every stronger participation sort we tried
-  // (count descending, count ascending, first-row clustering) scatters
-  // that patch and regressed surface9 t=4 by 4-20x in conflicts, with
-  // GF(2) prunes collapsing 24 -> 0-2. The cube COUNT is
-  // order-invariant (the ET cut depends only on bits/ones), so fleet
-  // sizing is unaffected; the stable partition keeps the order
-  // deterministic, which the local-vs-distributed verdict-equality
-  // invariant needs.
+  // that sit in no kept parity row feed the slot solvers' parity
+  // propagation nothing, so assuming them early wastes shared-prefix
+  // budget — push them behind every row-constrained variable. WITHIN
+  // each class the declaration order is preserved deliberately: error
+  // indicators are declared in lattice order, so a cube prefix fixes a
+  // contiguous patch of the code, and every stronger participation sort
+  // we tried (count descending, count ascending, first-row clustering)
+  // scatters that patch and regressed surface9 t=4 by 4-20x in
+  // conflicts. The cube COUNT is order-invariant (the ET cut depends
+  // only on bits/ones), so fleet sizing is unaffected; the stable
+  // partition keeps the order deterministic, which the
+  // local-vs-distributed verdict-equality invariant needs.
   std::vector<size_t> Participation(SplitVars.size());
   for (size_t I = 0; I != SplitVars.size(); ++I)
     Participation[I] = Out.Encoded->parityParticipation(SplitVars[I]);
@@ -328,7 +324,7 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
         Left += RunPtr->Remaining.load(std::memory_order_relaxed);
         const CubeRun &R = RunPtr->D->Run;
         Done += R.solved();
-        Pruned += R.prunedGf2() + R.prunedCore();
+        Pruned += R.prunedCore();
         Conflicts += R.conflictsObserved();
       }
       obs::progressLine("cubes " + std::to_string(Done) + "/" +

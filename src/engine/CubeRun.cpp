@@ -116,22 +116,17 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
         break;
       }
   }
-  // GF(2) propagation (with elimination under native XOR) over the
-  // preprocessor's reduced rows can refute a cube outright — no solver,
-  // no conflicts. A stored sibling core that fits inside this cube does
-  // the same.
-  if (Subsumed || Problem.cubeRefuted(Cube)) {
+  // A stored sibling core that fits inside this cube refutes it outright
+  // — no solver, no conflicts. Parity contradictions need no pruner of
+  // their own: the slot solver's Gauss engine (or its CNF parity chains)
+  // finds them during the cube's propagation.
+  if (Subsumed) {
     Solved.fetch_add(1, std::memory_order_relaxed);
-    (Subsumed ? PrunedCore : PrunedGf2)
-        .fetch_add(1, std::memory_order_relaxed);
-    // A subsumed cube needs no record: the q record of its core (in
-    // any slot's or node's stream) already put ¬core in the checker's
-    // table, which refutes the cube. GF(2)-refuted: the whole cube is
-    // the core; the checker re-derives the contradiction by eliminating
-    // the header's x-rows (or unit-propagating the parity CNF) under it.
-    if (Cfg.LogProofs && !Subsumed)
-      SlotLogs[Slot]->logConclusion(Cube, Cube);
-    return Subsumed ? CubeOutcome::PrunedCore : CubeOutcome::PrunedGf2;
+    PrunedCore.fetch_add(1, std::memory_order_relaxed);
+    // No record: the q record of its core (in any slot's or node's
+    // stream) already put ¬core in the checker's table, which refutes
+    // the cube.
+    return CubeOutcome::PrunedCore;
   }
 
   // One span per solver-discharged cube (pruned cubes never reach

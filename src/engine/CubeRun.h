@@ -8,10 +8,10 @@
 /// The thread-safe shared state of one problem while its cubes are being
 /// discharged: per-slot reusable solvers (lazily built from the shared
 /// encoding), first-SAT cancellation, global-UNSAT detection via empty
-/// failed-assumption cores, GF(2) cube refutation and sibling-core
-/// subtree pruning, plus cross-slot learned-clause exchange. Extracted
-/// from CubeEngine so the in-process work-stealing scheduler and the
-/// distributed worker (dist/Worker.h) run the identical per-cube logic —
+/// failed-assumption cores and sibling-core subtree pruning, plus
+/// cross-slot learned-clause exchange. Extracted from CubeEngine so the
+/// in-process work-stealing scheduler and the distributed worker
+/// (dist/Worker.h) run the identical per-cube logic —
 /// the distributed layer additionally feeds cores and lemmas in from
 /// other nodes (addExternalCores, addExternalLemmas) and drains locally
 /// discovered ones for relay (drainOutboundCores, drainOutboundLemmas).
@@ -46,10 +46,10 @@ struct CubeRunConfig {
   uint64_t ConflictBudget = 0; ///< 0 = unlimited
   uint64_t RandomSeed = 0;     ///< 0 = deterministic branching
   /// Attach a proof::SlotProofLog to every slot solver and record a q
-  /// conclusion per solved or GF(2)-refuted cube (a cube a stored core
-  /// subsumes is covered by that core's q). Disables lemma exchange
-  /// (local and remote): an imported lemma is justified by another
-  /// slot's derivation chain and would not be RUP in this stream.
+  /// conclusion per solved cube (a cube a stored core subsumes is covered
+  /// by that core's q). Disables lemma exchange (local and remote): an
+  /// imported lemma is justified by another slot's derivation chain and
+  /// would not be RUP in this stream.
   bool LogProofs = false;
 };
 
@@ -58,7 +58,6 @@ public:
   /// What happened to one cube.
   enum class CubeOutcome {
     Unsat,      ///< discharged UNSAT by a solver call
-    PrunedGf2,  ///< refuted by the GF(2) parity oracle, no solver call
     PrunedCore, ///< subsumed by a stored sibling UNSAT core
     Sat,        ///< satisfiable — model captured, run cancelled
     Aborted,    ///< solver gave up (conflict budget)
@@ -117,9 +116,6 @@ public:
   const std::unordered_map<std::string, bool> &model() const { return Model; }
 
   uint64_t solved() const { return Solved.load(std::memory_order_relaxed); }
-  uint64_t prunedGf2() const {
-    return PrunedGf2.load(std::memory_order_relaxed);
-  }
   uint64_t prunedCore() const {
     return PrunedCore.load(std::memory_order_relaxed);
   }
@@ -180,7 +176,6 @@ private:
   std::atomic<bool> AnyAborted{false};
   std::atomic<bool> SatFlag{false};
   std::atomic<uint64_t> Solved{0};
-  std::atomic<uint64_t> PrunedGf2{0};
   std::atomic<uint64_t> PrunedCore{0};
   /// See conflictsObserved(). Owner-only per-slot bases live in
   /// SlotConflictBase; only the published sum is shared.
@@ -203,11 +198,9 @@ private:
   /// One lazily-built solver per slot; a slot is only ever touched by one
   /// thread at a time, so no locking.
   std::vector<std::unique_ptr<sat::Solver>> Slots;
-  /// One proof stream per slot (owner-only, like Slots); allocated
-  /// eagerly in the constructor when Cfg.LogProofs so GF(2)-refuted
-  /// cubes have somewhere to conclude before the slot solver exists.
-  /// unique_ptr for address stability — the slot solver keeps a raw sink
-  /// pointer.
+  /// One proof stream per slot (owner-only, like Slots); allocated in
+  /// the constructor when Cfg.LogProofs. unique_ptr for address
+  /// stability — the slot solver keeps a raw sink pointer.
   std::vector<std::unique_ptr<proof::SlotProofLog>> SlotLogs;
   /// Per-slot snapshots of RefutedCores (owner-only, like Slots).
   std::vector<std::vector<std::vector<sat::Lit>>> CoreSnapshots;

@@ -76,8 +76,7 @@ void applyOutcome(SolveOutcome &&Outcome, PreparedScenario &P) {
   P.Result.NumCubes = Outcome.NumCubes;
   P.Result.CubesSolved = Outcome.CubesSolved;
   P.Result.CubesPruned = Outcome.CubesPruned;
-  P.Result.CubesPrunedGf2 = Outcome.CubesPrunedGf2;
-  P.Result.CubesPrunedCore = Outcome.CubesPrunedCore;
+  P.Result.CubesPrunedCore = Outcome.CubesPruned;
   P.Result.Prep = Outcome.Prep;
   P.Result.CnfVars = Outcome.CnfVars;
   P.Result.CnfClauses = Outcome.CnfClauses;

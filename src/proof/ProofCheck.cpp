@@ -25,7 +25,7 @@ namespace {
 /// One parity constraint: XOR of Vars == Rhs. Vars are sorted, duplicate
 /// free; used both for the preprocessor replay records (BoolContext
 /// variable space) and for the solver's native XOR rows (SAT variable
-/// space) folded under a partial assignment.
+/// space), which g records sum.
 struct SparseRow {
   std::vector<uint32_t> Vars;
   uint8_t Rhs = 0;
@@ -56,8 +56,8 @@ SparseRow xorRows(const SparseRow &A, const SparseRow &B) {
 }
 
 /// Incremental row-echelon basis keyed by leading variable. insert()
-/// returns false on the contradiction 0 == 1; inSpan() answers linear
-/// membership (which is what validates preprocessor replay records).
+/// records the contradiction 0 == 1; inSpan() answers linear membership
+/// (which is what validates preprocessor replay records).
 class RowBasis {
 public:
   SparseRow reduce(SparseRow R) const {
@@ -70,15 +70,14 @@ public:
     return R;
   }
 
-  bool insert(SparseRow R) {
+  void insert(SparseRow R) {
     R = reduce(std::move(R));
     if (R.Vars.empty()) {
       Contradictory |= R.Rhs != 0;
-      return R.Rhs == 0;
+      return;
     }
     uint32_t Lead = R.Vars.front();
     ByLead.emplace(Lead, std::move(R));
-    return true;
   }
 
   bool inSpan(const SparseRow &R) const {
@@ -110,9 +109,8 @@ constexpr uint32_t negCode(uint32_t Code) { return Code ^ 1; }
 /// that unwind back to the persistent root trail.
 class Replay {
 public:
-  Replay(size_t NumVars, const std::vector<std::vector<uint32_t>> &Header,
-         const std::vector<SparseRow> &Xor)
-      : NumHeaderClauses(Header.size()), XorSystem(Xor) {
+  Replay(size_t NumVars, const std::vector<std::vector<uint32_t>> &Header)
+      : NumHeaderClauses(Header.size()) {
     Assigns.assign(NumVars, -1);
     Watches.assign(2 * NumVars, {});
     for (const std::vector<uint32_t> &C : Header)
@@ -123,34 +121,19 @@ public:
 
   bool dbUnsat() const { return DbUnsat; }
 
-  /// Checks and installs one derived clause. Accepts iff the clause is
-  /// RUP against the live database or, failing that, the XOR system is
-  /// GF(2)-inconsistent under the negated clause (which is how clauses
-  /// materialized by the solver's Gauss engine are justified).
-  ///
-  /// \p Hints, when present, name the antecedents the producer resolved
-  /// (positive: earlier addition serial; negative: header clause record)
-  /// in an order that makes each unit in turn under the negated clause.
-  /// The hinted check IS unit propagation — every literal it asserts is
-  /// forced by a live database clause — merely restricted to the named
-  /// clauses, so acceptance through it needs no more trust than the full
-  /// search; hints that do not pan out fall back to that full search.
-  bool addDerived(const std::vector<uint32_t> &Lits,
-                  const std::vector<int64_t> &Hints) {
+  /// Installs one stream addition when \p Entailed — the verdict of
+  /// one of the checks below — or when the database is refuted already
+  /// (it then entails everything). Returns whether it was installed.
+  bool add(const std::vector<uint32_t> &Lits, bool Entailed) {
     if (DbUnsat) {
       Additions.push_back(NoClause);
       return true;
     }
-    bool Entailed =
-        !Hints.empty() && refutesByHints(Lits, /*Negate=*/true, Hints);
     if (!Entailed)
-      Entailed = refutes(Lits, /*Negate=*/true);
-    if (Entailed)
-      addImplied(Lits);
-    Additions.push_back(Entailed && !Clauses.empty()
-                            ? static_cast<int32_t>(Clauses.size() - 1)
-                            : NoClause);
-    return Entailed;
+      return false;
+    addImplied(Lits);
+    Additions.push_back(static_cast<int32_t>(Clauses.size() - 1));
+    return true;
   }
 
   /// Installs a clause whose check happened elsewhere (the negation of
@@ -173,17 +156,100 @@ public:
     return true;
   }
 
-  /// Checks an UNSAT conclusion: asserting every core literal must
-  /// produce a conflict under propagation, or leave the XOR system
-  /// GF(2)-inconsistent. \p Hints, when present, name the reason cone of
-  /// the producer's final conflict (same contract as addDerived hints).
-  bool refutesCore(const std::vector<uint32_t> &Lits,
-                   const std::vector<int64_t> &Hints) {
-    if (DbUnsat)
+  /// The hinted check: asserts \p Lits (negated for RUP, as-is for a
+  /// conclusion core), then walks \p Hints (positive: earlier addition
+  /// serial; negative: header clause record) expecting each named clause
+  /// to be satisfied or unit (enqueueing its one unassigned literal)
+  /// until one is conflicting. It IS unit propagation, merely restricted
+  /// to the named clauses. A root-falsified assertion passes with no
+  /// hints at all; anything else that deviates fails. Always unwinds.
+  bool refutesByHints(const std::vector<uint32_t> &Lits, bool Negate,
+                      const std::vector<int64_t> &Hints) {
+    size_t Mark = Trail.size();
+    if (!assertAll(Lits, Negate)) {
+      // Root-falsified assertion: a clause literal already true (RUP
+      // mode, entailed) or a core literal already false (conflict).
+      unwindTo(Mark);
       return true;
-    if (!Hints.empty() && refutesByHints(Lits, /*Negate=*/false, Hints))
-      return true;
-    return refutes(Lits, /*Negate=*/false);
+    }
+    for (int64_t H : Hints) {
+      int32_t Idx = hintClause(H);
+      if (Idx == NoClause) {
+        unwindTo(Mark);
+        return false;
+      }
+      uint32_t Unit = 0;
+      int NumUndef = 0;
+      bool Satisfied = false;
+      for (uint32_t L : Clauses[Idx]) {
+        int8_t V = litValue(L);
+        if (V == 1) {
+          Satisfied = true;
+          break;
+        }
+        if (V < 0) {
+          ++NumUndef;
+          Unit = L;
+        }
+      }
+      // A satisfied hint asserts nothing: its implied literal already
+      // holds (root units a header bound adds satisfy many). Skipping it
+      // asserts nothing either, so the check stays unit propagation.
+      if (Satisfied)
+        continue;
+      if (NumUndef > 1) {
+        unwindTo(Mark);
+        return false;
+      }
+      if (NumUndef == 0) {
+        unwindTo(Mark);
+        return true; // all literals false: a genuine conflict
+      }
+      enqueue(Unit);
+    }
+    unwindTo(Mark);
+    return false; // hints ran out without reaching a conflict
+  }
+
+  /// Reverse unit propagation: the negated clause, asserted on top of
+  /// the root trail, propagates to a conflict (or a clause literal is
+  /// already true). Always unwinds.
+  bool rupRefutes(const std::vector<uint32_t> &Lits) {
+    size_t Mark = Trail.size();
+    bool Entailed =
+        !assertAll(Lits, /*Negate=*/true) || propagate() != NoClause;
+    unwindTo(Mark);
+    return Entailed;
+  }
+
+  /// The parity check: under the root assignment plus the assignment
+  /// falsifying the clause, every variable of the sum of \p Xor's rows
+  /// \p Rows (1-based) is assigned and the sum reads 0 == 1 (or a clause
+  /// literal is already true). Every model of the rows and the root then
+  /// satisfies the clause. Always unwinds.
+  bool sumImplies(const std::vector<uint32_t> &Lits,
+                  const std::vector<SparseRow> &Xor,
+                  const std::vector<int64_t> &Rows) {
+    size_t Mark = Trail.size();
+    bool Entailed = !assertAll(Lits, /*Negate=*/true);
+    if (!Entailed) {
+      uint8_t Parity = 0;
+      SumVars.clear();
+      for (int64_t R : Rows) {
+        const SparseRow &Row = Xor[static_cast<size_t>(R - 1)];
+        Parity ^= Row.Rhs;
+        SumVars.insert(SumVars.end(), Row.Vars.begin(), Row.Vars.end());
+      }
+      canonicalize(SumVars);
+      Entailed = true;
+      for (uint32_t V : SumVars) {
+        Entailed &= Assigns[V] >= 0;
+        Parity ^= Assigns[V] == 1;
+      }
+      Entailed &= Parity != 0;
+    }
+    unwindTo(Mark);
+    return Entailed;
   }
 
 private:
@@ -207,7 +273,8 @@ private:
   /// Header records (o and b) install at clause indices [0,
   /// NumHeaderClauses): what a negative hint resolves through.
   size_t NumHeaderClauses = 0;
-  const std::vector<SparseRow> &XorSystem;
+  /// sumImplies() scratch: the support of the row sum.
+  std::vector<uint32_t> SumVars;
 
   int8_t litValue(uint32_t Code) const {
     int8_t A = Assigns[varOf(Code)];
@@ -314,6 +381,20 @@ private:
     PropHead = Mark;
   }
 
+  /// Asserts \p Lits (negated when \p Negate) on top of the root
+  /// trail; false, leaving the rest unasserted, at one already false.
+  bool assertAll(const std::vector<uint32_t> &Lits, bool Negate) {
+    for (uint32_t L : Lits) {
+      uint32_t Assert = Negate ? negCode(L) : L;
+      int8_t V = litValue(Assert);
+      if (V == 0)
+        return false;
+      if (V < 0)
+        enqueue(Assert);
+    }
+    return true;
+  }
+
   /// Resolves a hint to a live clause index, or NoClause when it names
   /// nothing usable (out of range, absorbed at install, or deleted —
   /// deleted clauses must not justify later additions through hints any
@@ -327,114 +408,6 @@ private:
     if (Idx != NoClause && Deleted[Idx])
       return NoClause;
     return Idx;
-  }
-
-  /// The hinted check: asserts \p Lits (negated for RUP, as-is for a
-  /// conclusion core), then walks the hints expecting each named clause
-  /// to be unit (enqueueing its one unassigned literal) until one is
-  /// conflicting. Returns false — never an error — on any deviation; the
-  /// caller falls back to refutes().
-  bool refutesByHints(const std::vector<uint32_t> &Lits, bool Negate,
-                      const std::vector<int64_t> &Hints) {
-    size_t Mark = Trail.size();
-    for (uint32_t L : Lits) {
-      uint32_t Assert = Negate ? negCode(L) : L;
-      int8_t V = litValue(Assert);
-      if (V == 0) {
-        // Root-falsified assertion: a clause literal already true (RUP
-        // mode, entailed) or a core literal already false (conflict).
-        unwindTo(Mark);
-        return true;
-      }
-      if (V < 0)
-        enqueue(Assert);
-    }
-    for (int64_t H : Hints) {
-      int32_t Idx = hintClause(H);
-      if (Idx == NoClause) {
-        unwindTo(Mark);
-        return false;
-      }
-      uint32_t Unit = 0;
-      int NumUndef = 0;
-      bool Satisfied = false;
-      for (uint32_t L : Clauses[Idx]) {
-        int8_t V = litValue(L);
-        Satisfied = V == 1;
-        if (Satisfied || (V < 0 && ++NumUndef > 1))
-          break;
-        if (V < 0)
-          Unit = L;
-      }
-      // A satisfied hint asserts nothing: its implied literal already
-      // holds (root units a header bound adds satisfy many). Skipping it
-      // asserts nothing either, so the check stays unit propagation.
-      if (Satisfied)
-        continue;
-      if (NumUndef > 1) {
-        unwindTo(Mark);
-        return false;
-      }
-      if (NumUndef == 0) {
-        unwindTo(Mark);
-        return true; // all literals false: a genuine conflict
-      }
-      enqueue(Unit);
-    }
-    unwindTo(Mark);
-    return false; // hints ran out without reaching a conflict
-  }
-
-  /// Core of both checks: asserts \p Lits (negated for RUP) on top of
-  /// the root trail, propagates, and falls back to GF(2) elimination of
-  /// the XOR system under the resulting assignment. Always unwinds.
-  bool refutes(const std::vector<uint32_t> &Lits, bool Negate) {
-    size_t Mark = Trail.size();
-    bool Conflict = false, Satisfied = false;
-    for (uint32_t L : Lits) {
-      uint32_t Assert = Negate ? negCode(L) : L;
-      int8_t V = litValue(Assert);
-      if (V == 0) {
-        (Negate ? Satisfied : Conflict) = true;
-        break;
-      }
-      if (V < 0)
-        enqueue(Assert);
-    }
-    if (Satisfied) {
-      // RUP mode and some clause literal is already true at the root:
-      // the clause is root-satisfied, hence entailed.
-      unwindTo(Mark);
-      return true;
-    }
-    if (!Conflict)
-      Conflict = propagate() != NoClause;
-    if (!Conflict)
-      Conflict = xorInconsistent();
-    unwindTo(Mark);
-    return Conflict;
-  }
-
-  /// Full Gaussian elimination of the XOR rows folded under the current
-  /// assignment; true iff the residual system is inconsistent.
-  bool xorInconsistent() const {
-    if (XorSystem.empty())
-      return false;
-    RowBasis Basis;
-    for (const SparseRow &Row : XorSystem) {
-      SparseRow Folded;
-      Folded.Rhs = Row.Rhs;
-      for (uint32_t V : Row.Vars) {
-        int8_t A = Assigns[V];
-        if (A < 0)
-          Folded.Vars.push_back(V);
-        else
-          Folded.Rhs ^= A;
-      }
-      if (!Basis.insert(std::move(Folded)))
-        return true;
-    }
-    return false;
   }
 };
 
@@ -541,8 +514,9 @@ private:
     return fail(LineNo, "missing 0 terminator");
   }
 
-  /// Parses the optional 0-terminated hint list at Toks[From..] into
-  /// HintScratch (left empty when the record ends first).
+  /// Parses the optional 0-terminated hint (or g row) list at
+  /// Toks[From..] into HintScratch (left empty when the record ends
+  /// first); it must end the record.
   bool parseHints(const std::vector<std::string_view> &Toks, size_t From,
                   size_t LineNo) {
     HintScratch.clear();
@@ -553,7 +527,8 @@ private:
       if (!parseInt(Toks[From], H))
         return fail(LineNo, "bad hint token");
       if (H == 0)
-        return true;
+        return From + 1 == Toks.size() ||
+               fail(LineNo, "trailing tokens after the hint list");
       if (H == std::numeric_limits<int64_t>::min())
         return fail(LineNo, "hint out of range");
       HintScratch.push_back(H);
@@ -561,11 +536,10 @@ private:
     return fail(LineNo, "missing 0 terminator");
   }
 
-  /// Parses "rhs var..var 0" into a sorted parity row over \p Space
-  /// variables (1-based in the text); Space 0 admits any 32-bit variable.
+  /// Parses "rhs var..var 0" into a sorted parity row over variables
+  /// 1..\p Max (1-based in the text).
   bool parseRow(const std::vector<std::string_view> &Toks, size_t From,
-                size_t Space, SparseRow &Out, size_t LineNo) {
-    const uint64_t Max = Space ? Space : uint64_t{UINT32_MAX} + 1;
+                uint64_t Max, SparseRow &Out, size_t LineNo) {
     int64_t Rhs;
     if (From >= Toks.size() || !parseInt(Toks[From], Rhs) ||
         (Rhs != 0 && Rhs != 1))
@@ -599,7 +573,7 @@ private:
     if (State != Phase::Header)
       return;
     State = Phase::Streams;
-    Pristine.emplace(NumVars, HeaderClauses, XorSystem);
+    Pristine.emplace(NumVars, HeaderClauses);
     Table.emplace(*Pristine);
   }
 
@@ -619,9 +593,11 @@ private:
 
     if (Tag == "v") {
       // Literal codes are 2*var+sign in 32 bits.
+      // Records already read were range-checked against the old count.
       int64_t N;
       if (State != Phase::Header || Toks.size() != 2 ||
-          !parseInt(Toks[1], N) || N < 0 || N > INT32_MAX)
+          !parseInt(Toks[1], N) || N < 0 || N > INT32_MAX ||
+          !HeaderClauses.empty() || !XorSystem.empty())
         return fail(LineNo, "bad variable-count record");
       NumVars = static_cast<size_t>(N);
       Result.NumVars = NumVars;
@@ -659,7 +635,7 @@ private:
                  V > int64_t{UINT32_MAX} + 1))
         return fail(LineNo, "bad elimination record");
       SparseRow Row;
-      if (!parseRow(Toks, Pe ? 2 : 1, 0, Row, LineNo))
+      if (!parseRow(Toks, Pe ? 2 : 1, uint64_t{UINT32_MAX} + 1, Row, LineNo))
         return false;
       ++Result.ReplayRecords;
       if (Tag == "pr") {
@@ -703,22 +679,35 @@ private:
       Current = &*Table;
       return true;
     }
-    if (Tag == "a" || Tag == "d" || Tag == "q") {
+    if (Tag == "a" || Tag == "g" || Tag == "d" || Tag == "q") {
       if (!Current)
         return fail(LineNo, "stream record outside a stream");
-      if (Tag == "a") {
-        // Optional second 0-terminated list: antecedent hints, positive
-        // for an addition serial, negative for a header clause record.
+      if (Tag == "a" || Tag == "g") {
+        // Second 0-terminated list: for a, antecedent hints (positive:
+        // an addition serial; negative: a header clause record); for g,
+        // the x records (1-based) whose sum implies the clause. The
+        // trailer's additions carry no hints: they are checked by RUP.
         LitScratch.clear();
         size_t From = 1;
         if (!parseLits(Toks, From, LitScratch, LineNo) ||
             !parseHints(Toks, From, LineNo))
           return false;
         ++Result.Additions;
-        if (!Current->addDerived(LitScratch, HintScratch))
-          return fail(LineNo, "derived clause is not RUP and not "
-                              "GF(2)-implied");
-        return true;
+        Replay &R = *Current;
+        if (Tag == "g") {
+          for (int64_t Row : HintScratch)
+            if (Row < 1 || static_cast<uint64_t>(Row) > XorSystem.size())
+              return fail(LineNo, "parity row out of range");
+          return R.add(LitScratch,
+                       R.sumImplies(LitScratch, XorSystem, HintScratch)) ||
+                 fail(LineNo, "parity clause is not implied by its rows");
+        }
+        if (Current == &*Table)
+          return R.add(LitScratch, R.rupRefutes(LitScratch)) ||
+                 fail(LineNo, "trailer clause is not RUP");
+        return R.add(LitScratch,
+                     R.refutesByHints(LitScratch, true, HintScratch)) ||
+               fail(LineNo, "derived clause is not implied by its hints");
       }
       if (Tag == "d") {
         int64_t Serial;
@@ -740,8 +729,9 @@ private:
       std::sort(Cube.begin(), Cube.end());
       if (!std::includes(Cube.begin(), Cube.end(), Core.begin(), Core.end()))
         return fail(LineNo, "core is not a subset of its cube");
-      if (!Current->refutesCore(Core, HintScratch))
-        return fail(LineNo, "core does not propagate to a conflict");
+      if (!Current->dbUnsat() &&
+          !Current->refutesByHints(Core, /*Negate=*/false, HintScratch))
+        return fail(LineNo, "core is not refuted by its hints");
       for (uint32_t &L : Core)
         L = negCode(L);
       Table->addImplied(std::move(Core));

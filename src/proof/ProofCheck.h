@@ -15,10 +15,12 @@
 /// the solver was given, native XOR rows, and the GF(2) preprocessor's
 /// replay records) followed by one stream per solver: derived-clause
 /// additions and deletions in DRAT style, plus per-cube conclusions
-/// naming the assumption cube and the failed-assumption core. Additions
-/// are replayed by reverse unit propagation with a GF(2)-elimination
-/// fallback for clauses the XOR engine materialized; conclusions are
-/// replayed by asserting the core and demanding a conflict.
+/// naming the assumption cube and the failed-assumption core. Stream
+/// records are checked by their justifications alone, with no search:
+/// a learnt clause by the hinted unit chain that refutes its negation, a
+/// clause the XOR engine materialized by the sum of the header rows it
+/// names, and a conclusion by the hinted chain from its asserted core to
+/// a conflict.
 ///
 /// One rule decides acceptance: the proof must refute its header. Each
 /// checked conclusion puts the clause ¬core into one table with the

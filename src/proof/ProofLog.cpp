@@ -77,6 +77,15 @@ void SlotProofLog::onDerive(std::span<const sat::Lit> Lits,
   Buf += '\n';
 }
 
+void SlotProofLog::onDeriveParity(std::span<const sat::Lit> Lits,
+                                  std::span<const uint32_t> Rows) {
+  Buf += 'g';
+  appendLits(Lits);
+  for (uint32_t R : Rows)
+    appendInt(Buf, R);
+  Buf += " 0\n";
+}
+
 void SlotProofLog::onRetire(uint64_t Serial) {
   Buf += "d ";
   Buf += std::to_string(Serial);

@@ -19,9 +19,11 @@
 ///   pe <var> <c> <deps> 0  eliminated: var == XOR(deps) ^ c
 ///   t                      preprocessor refuted the problem outright
 ///   s <slot>               begin one solver's stream
-///   a <lits> 0 [hints 0]   derived clause (learnt / XOR-materialized)
-///   d <serial>             delete the stream's serial-th addition
-///   q <core> 0 <cube> 0 [hints 0]
+///   a <lits> 0 <hints> 0   derived clause (CDCL learnt)
+///   g <lits> 0 <rows> 0    derived clause (XOR-implied): <rows> are
+///                          1-based x-record indices
+///   d <serial>             delete the stream's serial-th addition (a or g)
+///   q <core> 0 <cube> 0 <hints> 0
 ///                          cube UNSAT with this failed-assumption core;
 ///                          the clause ¬core joins the trailer's table
 ///   r                      begin the cube-tree trailer: one addition per
@@ -43,16 +45,19 @@
 /// trailer, and neither does a proof whose streams already derived the
 /// empty clause (an empty-core conclusion).
 ///
-/// An addition (and likewise a q conclusion) may carry a trailing
-/// 0-terminated list: LRAT-style hints naming its antecedents, positive
-/// for an earlier addition of the same stream (by serial) and negative
-/// for a header clause record (-k is the k-th o/b record). Hints are
-/// ordered so each named clause becomes unit in turn — under the negated
-/// addition, or under the asserted core for a conclusion — with the last
-/// one conflicting. The checker verifies hinted records without any
-/// watched-literal search, and falls back to full reverse unit
-/// propagation when the hints are absent or do not pan out (soundness
-/// never rests on them).
+/// Stream records carry their justification, and the checker follows it
+/// without any search. An a record (and likewise a q conclusion) carries
+/// LRAT-style hints naming its antecedents, positive for an earlier addition
+/// of the same stream (by serial) and negative for a header clause record (-k
+/// is the k-th o/b record). Hints are ordered so each named clause becomes
+/// unit in turn — under the negated addition, or under the asserted core for
+/// a conclusion — with the last one conflicting; the list may be empty (and
+/// is then left out) only when an asserted literal is already false at the
+/// stream's root. A g record names the header x rows whose GF(2) sum implies
+/// its clause: folded under the stream's root assignment, the sum's
+/// unassigned variables all lie inside the clause, and the assignment
+/// falsifying the clause violates it. Only the trailer's additions are
+/// checked by reverse unit propagation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,13 +84,16 @@ class SlotProofLog final : public sat::ClauseProofSink {
 public:
   void onDerive(std::span<const sat::Lit> Lits,
                 std::span<const int64_t> Hints = {}) override;
+  void onDeriveParity(std::span<const sat::Lit> Lits,
+                      std::span<const uint32_t> Rows) override;
   void onRetire(uint64_t Serial) override;
 
   /// Records an UNSAT verdict: \p Core (a subset of \p Cube, possibly
   /// empty) propagates to a conflict against this stream's database.
-  /// \p Hints, when non-empty, name the reason clauses of the
-  /// refutation cone (sat::Solver::conflictCoreHints()) so the checker
-  /// can replay the conflict without a propagation search.
+  /// \p Hints name the reason clauses of the refutation cone
+  /// (sat::Solver::conflictCoreHints()), the only way the checker
+  /// replays the conflict; they are empty only when the stream's root
+  /// decides it (a core literal false there, or a refuted database).
   void logConclusion(std::span<const sat::Lit> Core,
                      std::span<const sat::Lit> Cube,
                      std::span<const int64_t> Hints = {});

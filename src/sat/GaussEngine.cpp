@@ -18,8 +18,8 @@
 using namespace veriqec;
 using namespace veriqec::sat;
 
-void GaussEngine::addRow(std::vector<Var> Vars, bool Rhs) {
-  Original.push_back({std::move(Vars), Rhs});
+void GaussEngine::addRow(std::vector<Var> Vars, bool Rhs, uint32_t Id) {
+  Original.push_back({std::move(Vars), Rhs, Id});
   Dirty = true;
 }
 
@@ -136,7 +136,7 @@ void GaussEngine::onBacktrack(size_t NewTrailSize) {
 }
 
 int32_t GaussEngine::processRow(Solver &S, std::span<const uint32_t> Cols,
-                                bool Rhs) {
+                                bool Rhs, std::span<const uint32_t> Rows) {
   uint32_t UnknownCol = 0;
   bool Parity = Rhs;
   size_t NumUnknown = 0;
@@ -172,7 +172,7 @@ int32_t GaussEngine::processRow(Solver &S, std::span<const uint32_t> Cols,
     ++S.Stats.XorConflicts;
     if (S.corruptXorReasonClause() && Lits.size() > 1)
       Lits.pop_back(); // planted-bug seam: an under-justified conflict
-    return S.materializeXorClause(Lits);
+    return S.materializeXorClause(Lits, Rows);
   }
 
   ++S.Stats.XorPropagations;
@@ -180,10 +180,10 @@ int32_t GaussEngine::processRow(Solver &S, std::span<const uint32_t> Cols,
   if (S.decisionLevel() == 0) {
     // Root facts need no justification: analysis skips level 0. A proof
     // checker does need one, though — at the root every dependency sits
-    // at level 0, so Lits is exactly the unit {Implied}, logged as a
-    // derivation the checker re-justifies from the XOR system.
+    // at level 0, so Lits is exactly the unit {Implied}, logged with the
+    // rows that imply it.
     if (S.ProofSink) {
-      S.ProofSink->onDerive(Lits, {});
+      S.ProofSink->onDeriveParity(Lits, Rows);
       ++S.DeriveCount;
     }
     S.enqueue(Implied, Solver::NoReason);
@@ -196,7 +196,7 @@ int32_t GaussEngine::processRow(Solver &S, std::span<const uint32_t> Cols,
   // expand.
   if (S.corruptXorReasonClause() && Lits.size() > 2)
     Lits.pop_back(); // planted-bug seam: an under-justified reason
-  S.enqueue(Implied, S.materializeXorClause(Lits));
+  S.enqueue(Implied, S.materializeXorClause(Lits, Rows));
   return Solver::NoReason;
 }
 
@@ -249,11 +249,17 @@ int32_t GaussEngine::deepCheck(Solver &S) {
   ElimRows.resize(NumElim);
   Occ.assign(size_t{NumSlots} * OW, 0);
   Targets.resize(OW);
+  // With a proof sink, each residual row also records which registered
+  // rows it sums (PW words), XORed beside every row operation below.
+  const size_t PW = S.ProofSink ? (Unknowns.size() + 63) / 64 : 0;
+  Prov.assign(NumElim * PW, 0);
   for (size_t R = 0, K = 0; R != Unknowns.size(); ++R) {
     if (Unknowns[R] < 2)
       continue;
     uint64_t *Row = &Elim[K * RW];
     uint64_t KBit = uint64_t{1} << (K % 64);
+    if (PW)
+      Prov[K * PW + R / 64] |= uint64_t{1} << (R % 64);
     for (uint32_t I = RowBegin[R]; I != RowBegin[R + 1]; ++I) {
       uint32_t C = RowCols[I];
       Row[C / 64] |= uint64_t{1} << (C % 64);
@@ -298,6 +304,8 @@ int32_t GaussEngine::deepCheck(Solver &S) {
       E.Lo = std::min(E.Lo, PivotRow.Lo);
       E.Hi = std::max(E.Hi, PivotRow.Hi);
       E.Rhs ^= PivotRow.Rhs;
+      for (size_t W = 0; W != PW; ++W)
+        Prov[J * PW + W] ^= Prov[I * PW + W];
     });
     for (size_t W = PivotRow.Lo; W != PivotRow.Hi; ++W)
       for (uint64_t M = Pivot[W] & FreeMask[W]; M; M &= M - 1) {
@@ -336,7 +344,10 @@ int32_t GaussEngine::deepCheck(Solver &S) {
     forEachBit(Row + E.Lo, E.Hi - E.Lo, [&](size_t C) {
       ComboCols.push_back(static_cast<uint32_t>(E.Lo * 64 + C));
     });
-    int32_t Confl = processRow(S, ComboCols, E.Rhs);
+    ComboRows.clear();
+    forEachBit(Prov.data() + I * PW, PW,
+               [&](size_t R) { ComboRows.push_back(Original[R].Id); });
+    int32_t Confl = processRow(S, ComboCols, E.Rhs, ComboRows);
     if (Confl != Solver::NoReason) {
       DeepInterval = MinDeepInterval;
       return Confl;
@@ -366,7 +377,7 @@ int32_t GaussEngine::propagate(Solver &S) {
       continue; // stale trigger (a backtrack regrew the row)
     int32_t Confl = processRow(
         S, {RowCols.data() + RowBegin[R], RowCols.data() + RowBegin[R + 1]},
-        RowRhs[R]);
+        RowRhs[R], {&Original[R].Id, 1});
     if (Confl != Solver::NoReason)
       return Confl;
   }

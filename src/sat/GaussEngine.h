@@ -42,10 +42,11 @@ class Solver;
 /// (and copyable for the test-seam subclasses).
 class GaussEngine {
 public:
-  /// Registers the equation XOR(Vars) == Rhs. Duplicate variables cancel
-  /// in pairs. Rows may be added at any time; the basis is (re)built by
-  /// the next finalize().
-  void addRow(std::vector<Var> Vars, bool Rhs);
+  /// Registers the equation XOR(Vars) == Rhs, numbered \p Id in the
+  /// proof (what ClauseProofSink::onDeriveParity names). Duplicate
+  /// variables cancel in pairs. Rows may be added at any time; the basis
+  /// is (re)built by the next finalize().
+  void addRow(std::vector<Var> Vars, bool Rhs, uint32_t Id);
 
   bool hasRows() const { return !Original.empty(); }
   size_t numRows() const { return RowRhs.size(); }
@@ -75,6 +76,7 @@ private:
   struct OriginalRow {
     std::vector<Var> Vars;
     bool Rhs = false;
+    uint32_t Id = 0;
   };
 
   /// The (sparse, as-registered) basis: row R is the equation
@@ -148,12 +150,20 @@ private:
   /// The residual rows after the current pivot row that hold its pivot
   /// column.
   std::vector<uint64_t> Targets;
+  /// Row provenance, kept only while a proof sink is attached: per
+  /// residual row, (numRows() + 63) / 64 words with bit R set when
+  /// registered row R is part of its sum (no words without a sink).
+  std::vector<uint64_t> Prov;
   /// processRow()'s inputs and output for a combined row: its columns,
-  /// and the reason/conflict clause.
+  /// the Ids of the rows it sums, and the reason/conflict clause.
   std::vector<uint32_t> ComboCols;
+  std::vector<uint32_t> ComboRows;
   std::vector<Lit> ReasonLits;
 
-  int32_t processRow(Solver &S, std::span<const uint32_t> Cols, bool Rhs);
+  /// Propagates or refutes the row over \p Cols == \p Rhs, the sum of
+  /// the registered rows \p Rows (Ids, for the proof sink).
+  int32_t processRow(Solver &S, std::span<const uint32_t> Cols, bool Rhs,
+                     std::span<const uint32_t> Rows);
   /// One fresh forward elimination of the residual system (the rows with
   /// >= 2 unknowns) over the unassigned columns, then a live inspect pass
   /// over the combined rows. Word-parallel: a row's pivot is the first

@@ -114,6 +114,9 @@ bool Solver::addClause(std::vector<Lit> Lits) {
 }
 
 bool Solver::addXorClause(const std::vector<Lit> &Lits, bool Odd) {
+  // Numbered even when dropped: the proof header has a record for every
+  // call.
+  uint32_t Id = ++AddXorSeq;
   if (decisionLevel() != 0)
     backtrack(0);
   if (!OkState)
@@ -142,11 +145,12 @@ bool Solver::addXorClause(const std::vector<Lit> &Lits, bool Odd) {
       OkState = false;
     return OkState;
   }
-  Gauss.addRow(std::move(Kept), Rhs);
+  Gauss.addRow(std::move(Kept), Rhs, Id);
   return true;
 }
 
-ClauseRef Solver::materializeXorClause(std::span<const Lit> Lits) {
+ClauseRef Solver::materializeXorClause(std::span<const Lit> Lits,
+                                       std::span<const uint32_t> Rows) {
   ClauseRef Ref = allocClause(Lits, /*Learned=*/true);
   Arena[Ref].setActivity(static_cast<float>(ClauseInc));
   if (Lits.size() < 2)
@@ -162,9 +166,12 @@ ClauseRef Solver::materializeXorClause(std::span<const Lit> Lits) {
       LearntClauses.push_back(Ref);
       ++NumLiveLearnts;
     }
-  // XOR-materialized clauses are derivations: the checker re-justifies
-  // them by GF(2) elimination of the header's x-rows.
-  proofDerive(Ref);
+  // XOR-materialized clauses are derivations, justified by the sum of
+  // the header x-rows they came from.
+  if (ProofSink) {
+    ProofSink->onDeriveParity(Arena[Ref].lits(), Rows);
+    bindSerial(Ref);
+  }
   return Ref;
 }
 
@@ -390,8 +397,8 @@ void Solver::analyze(ClauseRef Confl, int32_t &BtLevel) {
   // in turn — each reason only cites literals assigned earlier on the
   // trail, so by its turn all are either negated clause literals or
   // already re-derived. An antecedent with no proof identity (an
-  // imported lemma) poisons the list; the checker then falls back to
-  // full propagation.
+  // imported lemma) poisons the list, and the checker rejects the
+  // addition: proofs and clause pools do not combine.
   if (ProofSink)
     finalizeHintIds(HintIds);
 

@@ -117,27 +117,35 @@ private:
 /// hangs on (proof/ProofLog.h implements it). Every clause the solver
 /// derives — CDCL learnt clauses (units included), clauses materialized
 /// by the XOR engine as reasons or conflicts, and root implications of
-/// the XOR system — is reported through onDerive() in derivation order;
-/// the n-th reported clause has serial n (1-based), and onRetire() names
-/// that serial when reduceDB drops the clause. Clauses added through
-/// addClause() are NOT reported: they are the problem statement, which
-/// the proof header already carries.
+/// the XOR system — is reported in derivation order, through onDerive()
+/// or onDeriveParity(); the n-th reported clause has serial n (1-based),
+/// and onRetire() names that serial when reduceDB drops the clause.
+/// Clauses added through addClause() are NOT reported: they are the
+/// problem statement, which the proof header already carries.
 ///
-/// \p Hints, when non-empty, are the LRAT-style antecedents of a CDCL
-/// learnt clause: the clauses conflict analysis actually resolved,
-/// ordered so a checker that asserts the clause's negation can derive a
-/// unit from each hint in turn and reach a conflict at the last — no
-/// watched-literal search needed. Positive hints name earlier
-/// derivations by serial; negative hints name header clauses (-k is the
-/// k-th clause record of the problem statement). Hints are an
-/// accelerator only: a checker unable to use them (or a derivation
-/// reported without them, like XOR materializations) falls back to full
-/// reverse unit propagation.
+/// Every report carries its justification, so a checker never searches.
+/// onDerive() \p Hints are the LRAT-style antecedents of a CDCL learnt
+/// clause: the clauses conflict analysis actually resolved, ordered so a
+/// checker that asserts the clause's negation derives a unit from each
+/// hint in turn and reaches a conflict at the last. Positive hints name
+/// earlier derivations by serial; negative hints name header clauses (-k
+/// is the k-th clause record of the problem statement); a pool-imported
+/// antecedent has no such name and empties the list, which is why proof
+/// logging and clause pools do not combine. onDeriveParity() \p Rows
+/// name the XOR rows whose GF(2) sum implies the clause, ascending: k is
+/// the k-th addXorClause() call. Under the root assignment the sum's
+/// unassigned variables all occur in the clause, and the assignment
+/// falsifying the clause violates it. A row set that is contradictory on
+/// its own (an empty odd row, or the rows' consistency verdict at the
+/// first solve) is not reported; the proof pipeline's rows are
+/// consistent by construction (the preprocessor refutes the others).
 class ClauseProofSink {
 public:
   virtual ~ClauseProofSink() = default;
   virtual void onDerive(std::span<const Lit> Lits,
                         std::span<const int64_t> Hints = {}) = 0;
+  virtual void onDeriveParity(std::span<const Lit> Lits,
+                              std::span<const uint32_t> Rows) = 0;
   virtual void onRetire(uint64_t Serial) = 0;
 };
 
@@ -469,25 +477,33 @@ private:
   std::vector<int64_t> HintIds;
   std::vector<int64_t> ConflictCoreHints;
 
-  /// Reports \p Ref 's literals to the proof sink and binds its serial
-  /// into the clause's proof-id word (for the retirement notice when
-  /// reduceDB drops it; the id relocates with the clause memory).
-  void proofDerive(ClauseRef Ref, std::span<const int64_t> Hints = {}) {
-    if (!ProofSink)
-      return;
-    Clause C = Arena[Ref];
-    ProofSink->onDerive(C.lits(), Hints);
+  /// Count of addXorClause() calls (kept or cancelled to empty): the
+  /// next row's number in the proof header, which onDeriveParity() names.
+  uint32_t AddXorSeq = 0;
+
+  /// Binds the serial of the derivation just reported for \p Ref into
+  /// the clause's proof-id word (for the retirement notice when reduceDB
+  /// drops it; the id relocates with the clause memory).
+  void bindSerial(ClauseRef Ref) {
     ++DeriveCount;
     assert(DeriveCount <= static_cast<uint64_t>(
                               std::numeric_limits<int32_t>::max()) &&
            "derivation serial exceeds the in-clause id range");
-    C.setProofId(static_cast<int32_t>(DeriveCount));
+    Arena[Ref].setProofId(static_cast<int32_t>(DeriveCount));
+  }
+
+  /// Reports \p Ref 's literals to the proof sink with their hints.
+  void proofDerive(ClauseRef Ref, std::span<const int64_t> Hints) {
+    if (!ProofSink)
+      return;
+    ProofSink->onDerive(Arena[Ref].lits(), Hints);
+    bindSerial(Ref);
   }
 
   /// The proof-hint id of \p Ref: its derivation serial (positive), its
   /// header record index (negative), or 0 when the clause is neither — a
   /// lemma imported from a sibling's pool, say — which poisons the
-  /// conflict's hint list (the checker falls back to full propagation).
+  /// conflict's hint list (a checker then rejects the addition).
   int64_t proofHintIdOf(ClauseRef Ref) const {
     return Arena[Ref].proofId();
   }
@@ -568,7 +584,9 @@ private:
   /// Registers a clause implied by the XOR system as a reason/conflict
   /// justification for conflict analysis. Never watched (sizes < 2 are
   /// tombstoned at birth, so reduceDB never picks them as victims).
-  ClauseRef materializeXorClause(std::span<const Lit> Lits);
+  /// \p Rows: the XOR rows it came from, for the proof sink.
+  ClauseRef materializeXorClause(std::span<const Lit> Lits,
+                                 std::span<const uint32_t> Rows);
   /// First-UIP analysis of \p Confl into the Learnt scratch (asserting
   /// literal first, minimized) and the backjump level.
   void analyze(ClauseRef Confl, int32_t &BtLevel);

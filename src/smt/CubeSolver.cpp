@@ -39,8 +39,7 @@ VerificationProblem::VerificationProblem(const BoolContext &Ctx_, ExprRef Root,
   TriviallyUnsat = P.TriviallyUnsat;
   OriginalRows = std::move(P.OriginalRows);
   Eliminated = std::move(P.Eliminated);
-  Pruner = ParityPropagator(P.Rows);
-  PruneByElimination = Opts.NativeXor;
+  KeptRows = P.Rows;
 
   // Everything below is CNF materialization; the span's clause count is
   // attached on the normal exit (a trivially-UNSAT formula encodes none).
@@ -165,27 +164,13 @@ void VerificationProblem::assertWeightBound(sat::Solver &S, uint32_t MaxW,
     S.addClause(L);
 }
 
-bool VerificationProblem::cubeRefuted(std::span<const Lit> Cube) const {
-  if (Pruner.numRows() == 0 || Cube.empty())
-    return false;
-  std::vector<std::pair<uint32_t, bool>> Fixed;
-  Fixed.reserve(Cube.size());
-  for (Lit L : Cube) {
-    auto It = BoolVarOfSat.find(L.var());
-    if (It != BoolVarOfSat.end())
-      Fixed.emplace_back(It->second, !L.negated());
-  }
-  return PruneByElimination ? Pruner.refutesByElimination(Fixed)
-                            : Pruner.refutes(Fixed);
-}
-
 size_t VerificationProblem::parityParticipation(sat::Var V) const {
   auto It = BoolVarOfSat.find(V);
   if (It == BoolVarOfSat.end())
     return 0;
   uint32_t BoolVar = It->second;
   size_t Count = 0;
-  for (const ParityRow &Row : Pruner.rows())
+  for (const ParityRow &Row : KeptRows)
     // Row variables are kept sorted (Preprocessor invariant).
     if (std::binary_search(Row.Vars.begin(), Row.Vars.end(), BoolVar))
       ++Count;

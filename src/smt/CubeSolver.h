@@ -51,12 +51,9 @@ struct SolveOutcome {
   uint64_t NumCubes = 1;
   /// Cubes actually solved; < NumCubes when a SAT cube cancelled the rest.
   uint64_t CubesSolved = 1;
-  /// Cubes refuted before any SAT call (included in CubesSolved):
-  /// CubesPrunedGf2 by the GF(2) parity oracle, CubesPrunedCore by a
-  /// sibling cube's stored UNSAT core. CubesPruned is their sum.
+  /// Cubes refuted before any SAT call (included in CubesSolved): a
+  /// sibling cube's stored UNSAT core subsumed them.
   uint64_t CubesPruned = 0;
-  uint64_t CubesPrunedGf2 = 0;
-  uint64_t CubesPrunedCore = 0;
   /// Preprocessing telemetry and CNF size (for --bench-out).
   PreprocessStats Prep;
   size_t CnfVars = 0;
@@ -75,14 +72,13 @@ struct SolveOutcome {
 };
 
 /// Native XOR policy. On keeps the preprocessor's parity rows as
-/// Gauss-in-the-loop solver constraints (sat/GaussEngine.h) and
-/// upgrades cube pruning to full GF(2) elimination; Off CNF-encodes the
-/// rows (the pre-XOR pipeline). Auto lets the workload decide: the
-/// distance search — whose constraint system is almost pure parity and
-/// where the engine is worth 6-60x on the LDPC rows — resolves to On,
-/// while scenario verification — where the residue dominates and the
-/// CNF parity auxiliaries actually help VSIDS/learning (measured ~3x
-/// fewer conflicts on surface7 t=3) — resolves to Off.
+/// Gauss-in-the-loop solver constraints (sat/GaussEngine.h); Off
+/// CNF-encodes the rows (the pre-XOR pipeline). Auto lets the workload
+/// decide: the distance search — whose constraint system is almost pure
+/// parity and where the engine is worth 6-60x on the LDPC rows —
+/// resolves to On, while scenario verification — where the residue
+/// dominates and the CNF parity auxiliaries actually help VSIDS/learning
+/// (measured ~3x fewer conflicts on surface7 t=3) — resolves to Off.
 enum class XorMode { Auto, On, Off };
 
 /// Options shared by the sequential and parallel drivers.
@@ -140,11 +136,10 @@ struct ProblemOptions {
   /// GF(2)/XOR preprocessing (extraction, elimination, trivial-UNSAT).
   bool Preprocess = true;
   /// Hand kept parity rows to solvers as native XOR constraints
-  /// (Solver::addXorClause) rather than CNF-encoding them; also selects
-  /// elimination-strength cube refutation. This is the resolved form of
-  /// XorMode (the drivers translate their policy here); the default is
-  /// On so direct VerificationProblem users and the property tests
-  /// exercise the engine.
+  /// (Solver::addXorClause) rather than CNF-encoding them. This is the
+  /// resolved form of XorMode (the drivers translate their policy here);
+  /// the default is On so direct VerificationProblem users and the
+  /// property tests exercise the engine.
   bool NativeXor = true;
   /// Variables that must survive preprocessing as CNF variables — cube
   /// split variables, whose assumption literals would otherwise dangle.
@@ -173,18 +168,17 @@ struct ProblemOptions {
 /// problem preprocessed and encoded once, plus everything needed to read
 /// models back (including reconstruction of preprocessor-eliminated
 /// variables), translate split-variable names into assumption literals,
-/// refute cubes by GF(2) propagation, and activate weight bounds by
-/// assumption. Immutable after construction, so the engine's workers
-/// share one instance per problem: each worker instantiates its own
-/// Solver from the encoded clauses once and then discharges every cube it
-/// picks up with assumptions, reusing learned clauses across cubes
-/// instead of re-encoding the shared prefix.
+/// and activate weight bounds by assumption. Immutable after
+/// construction, so the engine's workers share one instance per problem:
+/// each worker instantiates its own Solver from the encoded clauses once
+/// and then discharges every cube it picks up with assumptions, reusing
+/// learned clauses across cubes instead of re-encoding the shared prefix.
 ///
 /// The struct is fully self-contained (no live BoolContext reference):
-/// names, reconstruction records and pruning rows are copied in at build
-/// time, which is what lets the distributed layer serialize a problem,
-/// ship it to a remote worker, and run the identical makeSolver()/
-/// readModel()/cubeRefuted() machinery there.
+/// names and reconstruction records are copied in at build time, which
+/// is what lets the distributed layer serialize a problem, ship it to a
+/// remote worker, and run the identical makeSolver()/readModel()
+/// machinery there.
 struct VerificationProblem {
   CnfFormula Cnf;
   std::vector<std::pair<std::string, sat::Var>> NamedVars;
@@ -240,22 +234,17 @@ struct VerificationProblem {
   void assertWeightBound(sat::Solver &S, uint32_t MaxW,
                          uint32_t MinW = 0) const;
 
-  /// True iff the cube (assumption literals over protected variables) is
-  /// provably inconsistent with the preprocessor's reduced parity rows —
-  /// the cube is UNSAT without any SAT call.
-  bool cubeRefuted(std::span<const sat::Lit> Cube) const;
-
   /// Number of kept GF(2) parity rows the CNF variable \p V participates
   /// in (0 for variables the preprocessor does not track). The cube
   /// engine orders split variables by this — most-constrained first —
   /// so each enumerated assignment feeds the parity machinery maximal
-  /// propagation.
+  /// propagation. Coordinator-side only, like keptRows(): a problem
+  /// decoded off the wire has neither (workers need neither).
   size_t parityParticipation(sat::Var V) const;
 
-  /// Proof-header accessors (proof/ProofLog.h): the kept parity rows the
-  /// cube pruner runs on, and the eliminated-variable records, both in
-  /// BoolContext variable space.
-  const std::vector<ParityRow> &keptRows() const { return Pruner.rows(); }
+  /// Proof-header accessors (proof/ProofLog.h): the kept parity rows and
+  /// the eliminated-variable records, both in BoolContext variable space.
+  const std::vector<ParityRow> &keptRows() const { return KeptRows; }
   const std::vector<VarReconstruction> &reconstructions() const {
     return Eliminated;
   }
@@ -269,11 +258,7 @@ private:
   /// reconstruction needs no live context.
   std::vector<std::string> VarNames;
   std::vector<VarReconstruction> Eliminated;
-  ParityPropagator Pruner;
-  /// Elimination-strength cube refutation (tracks ProblemOptions::
-  /// NativeXor: the solver reasons by elimination, so the pruner should
-  /// refute everything the solver would).
-  bool PruneByElimination = false;
+  std::vector<ParityRow> KeptRows;
   std::vector<sat::Lit> BudgetCounter;
   size_t NumBudgetTerms = 0;
   std::unordered_map<int32_t, uint32_t> BoolVarOfSat;

@@ -10,6 +10,7 @@
 #include "support/Assert.h"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -351,156 +352,4 @@ PreprocessedFormula veriqec::smt::preprocess(const BoolContext &Ctx,
   }
   Out.Stats.RowsKept = Out.Rows.size();
   return Out;
-}
-
-// -- ParityPropagator --------------------------------------------------------
-
-ParityPropagator::ParityPropagator(std::vector<ParityRow> RowsIn)
-    : Rows(std::move(RowsIn)) {
-  for (const ParityRow &R : Rows)
-    for (uint32_t V : R.Vars)
-      MaxVarId = std::max(MaxVarId, V);
-  RowsOfVar.resize(static_cast<size_t>(MaxVarId) + 1);
-  for (size_t R = 0; R != Rows.size(); ++R)
-    for (uint32_t V : Rows[R].Vars)
-      RowsOfVar[V].push_back(static_cast<uint32_t>(R));
-}
-
-bool ParityPropagator::refutes(
-    std::span<const std::pair<uint32_t, bool>> Fixed) const {
-  return refutesImpl(Fixed, /*Eliminate=*/false);
-}
-
-bool ParityPropagator::refutesByElimination(
-    std::span<const std::pair<uint32_t, bool>> Fixed) const {
-  return refutesImpl(Fixed, /*Eliminate=*/true);
-}
-
-bool ParityPropagator::refutesImpl(
-    std::span<const std::pair<uint32_t, bool>> Fixed, bool Eliminate) const {
-  if (Rows.empty() || Fixed.empty())
-    return false;
-
-  // Generation-stamped thread-local scratch: this runs once per cube,
-  // and a fresh O(#vars) assignment vector per call would dwarf the
-  // check itself. A slot is known for the current call iff its stamp
-  // matches the generation; concurrent checks on the shared problem
-  // need no locking because every thread owns its scratch.
-  static thread_local std::vector<uint32_t> Stamp;
-  static thread_local std::vector<uint8_t> Value;
-  static thread_local std::vector<uint32_t> Dirty;
-  static thread_local uint32_t Generation = 0;
-  size_t Need = static_cast<size_t>(MaxVarId) + 1;
-  if (Stamp.size() < Need) {
-    Stamp.resize(Need, 0);
-    Value.resize(Need, 0);
-  }
-  if (++Generation == 0) {
-    std::fill(Stamp.begin(), Stamp.end(), 0);
-    Generation = 1;
-  }
-  Dirty.clear();
-
-  auto assign = [&](uint32_t V, bool B) {
-    if (V >= Need)
-      return true; // variable foreign to the rows: irrelevant
-    if (Stamp[V] == Generation)
-      return Value[V] == static_cast<uint8_t>(B);
-    Stamp[V] = Generation;
-    Value[V] = B;
-    Dirty.push_back(V);
-    return true;
-  };
-  for (const auto &[V, B] : Fixed)
-    if (!assign(V, B))
-      return true; // caller contradicts itself
-
-  // Worklist unit propagation: a row with one unknown forces it; a row
-  // with none must check out.
-  for (size_t Head = 0; Head != Dirty.size(); ++Head) {
-    for (uint32_t RI : RowsOfVar[Dirty[Head]]) {
-      const ParityRow &R = Rows[RI];
-      uint32_t Unknown = ~uint32_t{0};
-      bool Parity = R.Rhs;
-      bool Skip = false;
-      for (uint32_t V : R.Vars) {
-        if (Stamp[V] != Generation) {
-          if (Unknown != ~uint32_t{0}) {
-            Skip = true; // >= 2 unknowns: nothing to learn yet
-            break;
-          }
-          Unknown = V;
-        } else {
-          Parity ^= Value[V] != 0;
-        }
-      }
-      if (Skip)
-        continue;
-      if (Unknown == ~uint32_t{0}) {
-        if (Parity)
-          return true; // fully assigned row with odd residual parity
-        continue;
-      }
-      if (!assign(Unknown, Parity))
-        return true;
-    }
-  }
-  if (!Eliminate)
-    return false;
-
-  // Unit propagation converged without a contradiction: finish the job
-  // with a Gaussian elimination of the rows that still have >= 2
-  // unknowns. Assigned variables fold into the right-hand side, so the
-  // matrix ranges over the unknown columns only; a zero row with an odd
-  // right-hand side is a linear combination the propagation chain could
-  // not see (two rows sharing the same unknowns, say).
-  std::vector<uint32_t> UnknownVars;
-  std::vector<uint32_t> Active;
-  for (size_t RI = 0; RI != Rows.size(); ++RI) {
-    const ParityRow &R = Rows[RI];
-    size_t NumUnknown = 0;
-    for (uint32_t V : R.Vars)
-      if (Stamp[V] != Generation)
-        ++NumUnknown;
-    if (NumUnknown < 2)
-      continue; // resolved (and checked) by the propagation pass
-    Active.push_back(static_cast<uint32_t>(RI));
-    for (uint32_t V : R.Vars)
-      if (Stamp[V] != Generation)
-        UnknownVars.push_back(V);
-  }
-  if (Active.size() < 2)
-    return false;
-  std::sort(UnknownVars.begin(), UnknownVars.end());
-  UnknownVars.erase(std::unique(UnknownVars.begin(), UnknownVars.end()),
-                    UnknownVars.end());
-  size_t NC = UnknownVars.size();
-  auto colOf = [&](uint32_t V) {
-    return static_cast<size_t>(
-        std::lower_bound(UnknownVars.begin(), UnknownVars.end(), V) -
-        UnknownVars.begin());
-  };
-
-  std::vector<BitVector> M;
-  M.reserve(Active.size());
-  for (uint32_t RI : Active) {
-    const ParityRow &R = Rows[RI];
-    BitVector Row(NC + 1);
-    bool Rhs = R.Rhs;
-    for (uint32_t V : R.Vars) {
-      if (Stamp[V] != Generation)
-        Row.flip(colOf(V));
-      else
-        Rhs ^= Value[V] != 0;
-    }
-    if (Rhs)
-      Row.flip(NC);
-    M.push_back(std::move(Row));
-  }
-
-  BitMatrix System = BitMatrix::fromRows(std::move(M));
-  std::vector<size_t> Pivots = System.rowReduce();
-  // A pivot in the right-hand-side column is 0 == 1: the cube
-  // contradicts the rows.
-  return !Pivots.empty() && Pivots.back() == NC;
 }

@@ -13,9 +13,7 @@
 /// detects trivial unsatisfiability, drops variables that occur only in
 /// the linear subsystem (recording how to reconstruct their values from a
 /// model of the residue), and hands the encoder the irreducible residue
-/// plus the reduced row basis. The kept rows double as a fast GF(2)
-/// unit-propagation oracle that refutes cube assumption sets before a SAT
-/// solver ever runs.
+/// plus the reduced row basis.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,8 +23,6 @@
 #include "smt/BoolExpr.h"
 
 #include <cstdint>
-#include <iterator>
-#include <span>
 #include <vector>
 
 namespace veriqec::smt {
@@ -145,47 +141,6 @@ struct PreprocessedFormula {
 /// top-level conjunction in \p Ctx).
 PreprocessedFormula preprocess(const BoolContext &Ctx, ExprRef Root,
                                const PreprocessOptions &Opts = {});
-
-/// GF(2) refutation oracle over a fixed row set: given a partial
-/// assignment (cube), repeatedly substitutes known values and propagates
-/// rows with a single unknown until fixpoint; a fully-assigned row with
-/// the wrong parity refutes the cube. Sound (only provably inconsistent
-/// cubes are refuted); unit propagation alone is incomplete, and
-/// refutesByElimination() closes the gap with a full Gaussian elimination
-/// of the residual system — the same cross-row strength the solver's
-/// sat::GaussEngine applies during search.
-class ParityPropagator {
-public:
-  ParityPropagator() = default;
-  explicit ParityPropagator(std::vector<ParityRow> Rows);
-
-  size_t numRows() const { return Rows.size(); }
-
-  /// The fixed row set (read-only; the distributed codec serializes it so
-  /// remote workers can rebuild an identical propagator).
-  const std::vector<ParityRow> &rows() const { return Rows; }
-
-  /// True iff the assignment {VarId -> Value} provably contradicts the
-  /// rows, by unit propagation alone. Thread-safe (scratch is
-  /// thread-local).
-  bool refutes(std::span<const std::pair<uint32_t, bool>> Fixed) const;
-
-  /// Complete GF(2) refutation: unit propagation first (the cheap filter),
-  /// then Gaussian elimination of the rows that still have >= 2 unknowns.
-  /// Refutes every cube whose assignment is linearly inconsistent with
-  /// the rows, not just those a single-row propagation chain exposes.
-  bool refutesByElimination(
-      std::span<const std::pair<uint32_t, bool>> Fixed) const;
-
-private:
-  std::vector<ParityRow> Rows;
-  /// Rows indexed by variable (positions into Rows), for the worklist.
-  std::vector<std::vector<uint32_t>> RowsOfVar;
-  uint32_t MaxVarId = 0;
-
-  bool refutesImpl(std::span<const std::pair<uint32_t, bool>> Fixed,
-                   bool Eliminate) const;
-};
 
 } // namespace veriqec::smt
 

@@ -44,11 +44,11 @@ struct VerifyOptions {
   /// reproduces the legacy monolithic-Tseitin pipeline.
   bool Preprocess = true;
   /// Native XOR reasoning (`--xor on|off`): kept parity rows become
-  /// Gauss-in-the-loop solver constraints instead of CNF parity chains,
-  /// and cube pruning runs full GF(2) elimination. Auto resolves per
-  /// workload — On for the distance search (pure parity, 6-60x on the
-  /// LDPC rows), Off for scenario verification and detection (measured
-  /// neutral-to-negative there). No effect without Preprocess.
+  /// Gauss-in-the-loop solver constraints instead of CNF parity chains.
+  /// Auto resolves per workload — On for the distance search (pure
+  /// parity, 6-60x on the LDPC rows), Off for scenario verification and
+  /// detection (measured neutral-to-negative there). No effect without
+  /// Preprocess.
   smt::XorMode Xor = smt::XorMode::Auto;
   uint64_t ConflictBudget = 0;
   /// Nonzero seeds the solvers' random branching tie-breaks so a run (in
@@ -81,8 +81,12 @@ struct VerificationResult {
   /// Cubes actually discharged; < NumCubes when the first SAT cube
   /// cancelled its outstanding siblings.
   uint64_t CubesSolved = 1;
-  /// Cubes refuted with no SAT call (CubesPrunedGf2 by the GF(2) parity
-  /// oracle + CubesPrunedCore by sibling UNSAT cores).
+  /// Cubes refuted with no SAT call: a sibling's stored UNSAT core
+  /// subsumed them. CubesPrunedCore is the same count under the name the
+  /// benchmark harness reads; CubesPrunedGf2 is always 0 — the GF(2) cube
+  /// pruner is gone (the solver's own parity reasoning refutes those
+  /// cubes) and the field stays only until qecbench/qecbench.cpp stops
+  /// reading it.
   uint64_t CubesPruned = 0;
   uint64_t CubesPrunedGf2 = 0;
   uint64_t CubesPrunedCore = 0;

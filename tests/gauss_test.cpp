@@ -16,6 +16,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "gf2/BitMatrix.h"
 #include "qec/Codes.h"
 #include "sat/Solver.h"
 #include "smt/CubeSolver.h"
@@ -27,6 +28,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 
 using namespace veriqec;
 using namespace veriqec::smt;
@@ -446,6 +448,141 @@ TEST(GaussEngine, OneEliminationImpliesThenDerivesALaterUnitOrConflict) {
       EXPECT_GE(S.stats().XorPropagations, WithF ? 2u : 1u);
     }
   }
+}
+
+// -- Row provenance -----------------------------------------------------------
+
+namespace {
+
+/// Keeps every clause the XOR engine reports, with its row list.
+class ParityRecorder final : public sat::ClauseProofSink {
+public:
+  void onDerive(std::span<const Lit>, std::span<const int64_t>) override {}
+  void onDeriveParity(std::span<const Lit> Lits,
+                      std::span<const uint32_t> Rows) override {
+    Logged.emplace_back(std::vector<Lit>(Lits.begin(), Lits.end()),
+                        std::vector<uint32_t>(Rows.begin(), Rows.end()));
+  }
+  void onRetire(uint64_t) override {}
+
+  std::vector<std::pair<std::vector<Lit>, std::vector<uint32_t>>> Logged;
+};
+
+/// Per variable, the value every solution of \p Sys gives it (-1 when
+/// free), or nothing when the system is inconsistent: a variable is fixed
+/// exactly when the reduced echelon form has a row over it alone. Every
+/// level-0 literal of a solver holding the rows is among these.
+std::vector<int> impliedValues(const XorSystem &Sys) {
+  const size_t N = Sys.NumVars;
+  std::vector<BitVector> Dense;
+  for (const auto &[Row, Odd] : Sys.Rows) {
+    BitVector D(N + 1);
+    bool Rhs = Odd;
+    for (Lit L : Row) {
+      D.flip(static_cast<size_t>(L.var()));
+      Rhs ^= L.negated();
+    }
+    if (Rhs)
+      D.flip(N);
+    Dense.push_back(std::move(D));
+  }
+  BitMatrix M = BitMatrix::fromRows(std::move(Dense));
+  std::vector<size_t> Pivots = M.rowReduce();
+  if (!Pivots.empty() && Pivots.back() == N)
+    return {};
+  std::vector<int> Value(N, -1);
+  for (size_t R = 0; R != Pivots.size(); ++R)
+    if (M.row(R).count() - M.row(R).get(N) == 1)
+      Value[Pivots[R]] = M.row(R).get(N);
+  return Value;
+}
+
+/// The onDeriveParity() contract for one logged clause, folding every
+/// literal the rows imply: the clause is satisfied there, or the cited
+/// rows' sum keeps its unassigned support inside the clause and is
+/// violated by the assignment falsifying the clause.
+::testing::AssertionResult rowsImplyClause(const XorSystem &Sys,
+                                         const std::vector<int> &Root,
+                                         const std::vector<Lit> &Clause,
+                                         const std::vector<uint32_t> &Rows) {
+  for (Lit L : Clause)
+    if (Root[L.var()] == (L.negated() ? 0 : 1))
+      return ::testing::AssertionSuccess(); // satisfied at the root
+  if (!std::is_sorted(Rows.begin(), Rows.end()) ||
+      std::adjacent_find(Rows.begin(), Rows.end()) != Rows.end())
+    return ::testing::AssertionFailure() << "rows not strictly ascending";
+  std::vector<uint8_t> InSum(Sys.NumVars, 0);
+  bool Rhs = false;
+  for (uint32_t Id : Rows) {
+    if (Id == 0 || Id > Sys.Rows.size())
+      return ::testing::AssertionFailure() << "row " << Id << " out of range";
+    const auto &[Row, Odd] = Sys.Rows[Id - 1];
+    Rhs ^= Odd;
+    for (Lit L : Row) {
+      InSum[L.var()] ^= 1;
+      Rhs ^= L.negated();
+    }
+  }
+  bool Falsified = false;
+  for (size_t V = 0; V != Sys.NumVars; ++V) {
+    if (!InSum[V])
+      continue;
+    if (Root[V] >= 0) {
+      Rhs ^= Root[V] == 1;
+      continue;
+    }
+    auto It = std::find_if(Clause.begin(), Clause.end(),
+                           [&](Lit L) { return L.var() == Var(V); });
+    if (It == Clause.end())
+      return ::testing::AssertionFailure()
+             << "variable " << V << " of the sum is outside the clause";
+    Falsified ^= It->negated();
+  }
+  if (Falsified == Rhs)
+    return ::testing::AssertionFailure()
+           << "the falsifying assignment satisfies the sum";
+  return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(GaussEngine, LoggedParityClausesFollowFromTheirRows) {
+  // Small random systems (the single-row path, root units) and wide
+  // LDPC-like ones (cross-row eliminations, whose clauses cite many
+  // rows), each solved under random cubes by one reused solver.
+  Rng R(20261018);
+  uint64_t Checked = 0, Combined = 0;
+  for (int Case = 0; Case != 160; ++Case) {
+    bool Wide = Case % 40 == 0;
+    XorSystem Sys = Wide ? randomLdpcSystem(R, 200 + R.nextBelow(60),
+                                            130 + R.nextBelow(30))
+                         : randomXorSystem(R, 10, 8);
+    std::vector<int> Root = impliedValues(Sys);
+    if (Root.empty())
+      continue; // inconsistent: the engine refutes it before any clause
+    sat::Solver S;
+    ParityRecorder Log;
+    S.setProofSink(&Log);
+    for (size_t I = 0; I != Sys.NumVars; ++I)
+      S.newVar();
+    for (const auto &[Row, Odd] : Sys.Rows)
+      ASSERT_TRUE(S.addXorClause(Row, Odd));
+    for (int C = 0; C != 6; ++C) {
+      std::vector<Lit> Cube;
+      for (size_t V = 0; V != Sys.NumVars; ++V)
+        if (R.nextBelow(100) < (Wide ? 20u : 30u))
+          Cube.push_back(Lit(static_cast<Var>(V), R.nextBool()));
+      S.solve(Cube);
+    }
+    for (const auto &[Clause, Rows] : Log.Logged) {
+      ASSERT_TRUE(rowsImplyClause(Sys, Root, Clause, Rows))
+          << "case " << Case;
+      ++Checked;
+      Combined += Rows.size() > 1;
+    }
+  }
+  EXPECT_GT(Checked, 100u);
+  EXPECT_GT(Combined, 0u) << "no eliminated row was logged";
 }
 
 // -- Pipeline equisatisfiability --------------------------------------------

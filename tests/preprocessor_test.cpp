@@ -298,28 +298,10 @@ TEST(Preprocessor, PinnedVariablesAreNeverAliased) {
 
 // -- Cube refutation ---------------------------------------------------------
 
-TEST(Preprocessor, ParityPropagatorRefutesInconsistentCubes) {
-  // Rows: a^b = 1, b^c = 0. Cube {a=1, c=1} forces b=0 (row 1) then
-  // violates row 2.
-  std::vector<ParityRow> Rows;
-  Rows.push_back({{0, 1}, true});
-  Rows.push_back({{1, 2}, false});
-  ParityPropagator Prop(Rows);
-  std::vector<std::pair<uint32_t, bool>> Cube;
-
-  Cube = {{0, true}, {2, true}};
-  EXPECT_TRUE(Prop.refutes(Cube));
-  Cube = {{0, true}, {2, false}};
-  EXPECT_FALSE(Prop.refutes(Cube));
-  Cube = {{0, true}, {0, false}};
-  EXPECT_TRUE(Prop.refutes(Cube)) << "self-contradictory cube";
-  Cube = {{7, true}};
-  EXPECT_FALSE(Prop.refutes(Cube)) << "foreign variable is unconstrained";
-}
-
-TEST(Preprocessor, CubeRefutationPrunesWithoutChangingVerdicts) {
-  // v0^v1 = 1 pinned as rows (protected split vars); the cube v0=v1=0
-  // is refuted by GF(2) propagation, no solver involved.
+TEST(Preprocessor, ProtectedRowRefutesCubeAtPropagation) {
+  // v0^v1 = 1 pinned as a row (protected split vars): the solver's XOR
+  // engine refutes the cube v0=v1=0 while propagating the assumptions,
+  // before any search decision.
   BoolContext Ctx;
   std::vector<ExprRef> V = makeVars(Ctx, 3);
   ExprRef Root = Ctx.mkAnd({Ctx.mkXor(V[0], V[1]), Ctx.mkOr(V[1], V[2])});
@@ -328,13 +310,13 @@ TEST(Preprocessor, CubeRefutationPrunesWithoutChangingVerdicts) {
   VerificationProblem Problem(Ctx, Root, PO);
   std::vector<sat::Lit> Cube{~sat::mkLit(Problem.varOfName("v0")),
                              ~sat::mkLit(Problem.varOfName("v1"))};
-  EXPECT_TRUE(Problem.cubeRefuted(Cube));
   std::vector<sat::Lit> Sat{sat::mkLit(Problem.varOfName("v0")),
                             ~sat::mkLit(Problem.varOfName("v1"))};
-  EXPECT_FALSE(Problem.cubeRefuted(Sat));
+  ASSERT_EQ(Problem.XorRows.size(), 1u);
   sat::Solver S = Problem.makeSolver();
-  EXPECT_EQ(S.solve(Cube), sat::SolveResult::Unsat)
-      << "pruned cube must really be UNSAT";
+  EXPECT_EQ(S.solve(Cube), sat::SolveResult::Unsat);
+  EXPECT_EQ(S.stats().Decisions, 0u);
+  EXPECT_GE(S.stats().XorPropagations, 1u);
   EXPECT_EQ(S.solve(Sat), sat::SolveResult::Sat);
 }
 

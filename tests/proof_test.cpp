@@ -8,9 +8,10 @@
 /// The proof pipeline end to end: verified scenarios (sequential,
 /// parallel, and the distance search) emit certificates the independent
 /// checker accepts, and the checker rejects every class of forgery it is
-/// trusted to catch — non-RUP additions, uses of deleted clauses,
-/// replay records outside the preprocessor's row span, corrupted record
-/// tags, hostile integers, and conclusions that do not refute the header.
+/// trusted to catch — additions their hints or rows do not imply, uses
+/// of deleted clauses, replay records outside the preprocessor's row
+/// span, corrupted record tags, hostile integers, and conclusions that
+/// do not refute the header.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -163,8 +164,8 @@ TEST(ProofCheck, HandCraftedGlobalUnsatAccepted) {
                               "v 2\n"
                               "o 1 2 0\no -1 2 0\no 1 -2 0\no -1 -2 0\n"
                               "s 0\n"
-                              "a 1 0\n"
-                              "a 2 0\n"
+                              "a 1 0 -1 -3 0\n"
+                              "a 2 0 -2 0\n"
                               "q 0 0\n");
   EXPECT_TRUE(CR.Ok) << CR.Error;
   EXPECT_EQ(CR.Additions, 2u);
@@ -177,9 +178,10 @@ TEST(ProofCheck, NonRupAdditionRejected) {
                               "v 3\n"
                               "o 1 2 0\no -1 2 0\no 1 -2 0\no -1 -2 0\n"
                               "s 0\n"
-                              "a 3 0\n");
+                              "a 3 0 -1 -2 -3 -4 0\n");
   EXPECT_FALSE(CR.Ok);
-  EXPECT_NE(CR.Error.find("not RUP"), std::string::npos) << CR.Error;
+  EXPECT_NE(CR.Error.find("not implied by its hints"), std::string::npos)
+      << CR.Error;
 }
 
 TEST(ProofCheck, DeletedClauseCannotJustifyLaterAddition) {
@@ -190,14 +192,114 @@ TEST(ProofCheck, DeletedClauseCannotJustifyLaterAddition) {
                        "o 1 2 3 0\no 1 2 -3 0\no 1 -2 3 0\no 1 -2 -3 0\n"
                        "o -1 2 3 0\no -1 2 -3 0\no -1 -2 3 0\no -1 -2 -3 0\n"
                        "s 0\n"
-                       "a 1 2 0\n";
+                       "a 1 2 0 -1 -2 0\n";
   CheckResult Deleted =
-      checkProof(std::string(Header) + "d 1\na 1 0\n");
+      checkProof(std::string(Header) + "d 1\na 1 0 1 -3 -4 0\n");
   EXPECT_FALSE(Deleted.Ok);
-  EXPECT_NE(Deleted.Error.find("not RUP"), std::string::npos)
+  EXPECT_NE(Deleted.Error.find("not implied by its hints"), std::string::npos)
       << Deleted.Error;
-  CheckResult Kept = checkProof(std::string(Header) + "a 1 0\na 2 0\nq 0 0\n");
+  CheckResult Kept = checkProof(std::string(Header) +
+                                "a 1 0 1 -3 -4 0\na 2 0 -5 -6 0\nq 0 0\n");
   EXPECT_TRUE(Kept.Ok) << Kept.Error;
+}
+
+TEST(ProofCheck, HintWithATrueLiteralAfterTwoUnassignedIsSatisfied) {
+  // Under the negated addition (4 false), header record 2 implies 3,
+  // which satisfies record 1 although its first two literals are still
+  // unassigned: the hint asserts nothing, and record 3 conflicts.
+  CheckResult CR = checkProof("p veriqec proof 1\n"
+                              "v 5\n"
+                              "o 1 2 3 0\no 4 3 0\no 4 -3 0\n"
+                              "o -4 5 0\no -4 -5 0\n"
+                              "s 0\n"
+                              "a 4 0 -2 -1 -3 0\n"
+                              "q 0 0\n");
+  EXPECT_TRUE(CR.Ok) << CR.Error;
+}
+
+TEST(ProofCheck, StreamAdditionMissingItsLastHintIsRejected) {
+  // Hints are the only justification a stream addition has: without the
+  // conflicting last one, the first hinted addition no longer checks.
+  std::string Proof = steaneProof();
+  size_t At = 0;
+  std::string Line;
+  for (At = Proof.find("\na "); At != std::string::npos;
+       At = Proof.find("\na ", At + 1)) {
+    size_t End = Proof.find('\n', At + 1);
+    Line = Proof.substr(At + 1, End - At - 1);
+    if (Line.find(" 0 ") != std::string::npos)
+      break; // a literal list followed by a hint list
+  }
+  ASSERT_NE(At, std::string::npos) << "expected a hinted addition";
+  ASSERT_EQ(Line.substr(Line.size() - 2), " 0");
+  std::string Cut = Line.substr(0, Line.size() - 2);
+  Cut = Cut.substr(0, Cut.rfind(' ')) + " 0"; // drop the last hint
+  Proof.replace(At + 1, Line.size(), Cut);
+  CheckResult CR = checkProof(Proof);
+  EXPECT_FALSE(CR.Ok);
+  EXPECT_NE(CR.Error.find("not implied by its hints"), std::string::npos)
+      << CR.Error;
+}
+
+TEST(ProofCheck, ParityAdditionIsCheckedByItsRows) {
+  // x1 ^ x2 = 1 and x2 ^ x3 = 0 sum to x1 ^ x3 = 1, which the root units
+  // 1 and 3 violate: rows 1 and 2 imply the empty clause.
+  const std::string Header = "p veriqec proof 1\n"
+                             "v 3\n"
+                             "o 1 0\no 3 0\n"
+                             "x 1 1 2 0\nx 0 2 3 0\n"
+                             "s 0\n";
+  CheckResult Right = checkProof(Header + "g 0 1 2 0\nq 0 0\n");
+  EXPECT_TRUE(Right.Ok) << Right.Error;
+  EXPECT_EQ(Right.Additions, 1u);
+  struct Case {
+    const char *Record;
+    const char *Error;
+  } Cases[] = {
+      // Row 2 missing: x2 is unassigned and outside the clause.
+      {"g 0 1 0\n", "line 8: parity clause is not implied by its rows"},
+      {"g 0 1 3 0\n", "line 8: parity row out of range"},
+      // Clause hints in place of rows, or after them.
+      {"g 0 -1 -2 0\n", "line 8: parity row out of range"},
+      {"g 0 1 2 0 -1 0\n", "line 8: trailing tokens after the hint list"},
+      {"g 0\n", "line 8: parity clause is not implied by its rows"},
+  };
+  for (const Case &C : Cases) {
+    CheckResult CR = checkProof(Header + C.Record + "q 0 0\n");
+    EXPECT_FALSE(CR.Ok) << C.Record;
+    EXPECT_EQ(CR.Error, C.Error) << C.Record;
+  }
+  // Over free variables the clause must hold the sum's whole support:
+  // x1 ^ x3 = 1 implies (x1 | x3) and (-x1 | -x3), not (x1 | -x3).
+  const std::string Free = "p veriqec proof 1\nv 3\n"
+                           "x 1 1 2 0\nx 0 2 3 0\ns 0\n";
+  EXPECT_EQ(checkProof(Free + "g 1 3 0 1 2 0\ng -1 -3 0 1 2 0\n").Error,
+            "line 0: no record derives the empty clause");
+  EXPECT_EQ(checkProof(Free + "g 1 -3 0 1 2 0\n").Error,
+            "line 6: parity clause is not implied by its rows");
+  EXPECT_EQ(checkProof(Free + "g 1 0 1 2 0\n").Error,
+            "line 6: parity clause is not implied by its rows");
+}
+
+TEST(ProofEmission, DistanceCertificateRowListsAreLoadBearing) {
+  // The distance search runs the native XOR engine, so its certificate
+  // justifies engine clauses by g records; the first one without its
+  // row list must be rejected.
+  VerifyOptions O;
+  O.LogProofs = true;
+  DistanceResult R = computeDistance(makeSteaneCode(), O);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  std::string Proof = R.Proof;
+  size_t At = Proof.find("\ng ");
+  ASSERT_NE(At, std::string::npos) << "expected a parity addition";
+  size_t Lits = Proof.find(" 0 ", At); // end of the literal list
+  size_t End = Proof.find('\n', At + 1);
+  ASSERT_LT(Lits, End);
+  Proof.replace(Lits + 3, End - Lits - 3, "0");
+  CheckResult CR = checkProof(Proof);
+  EXPECT_FALSE(CR.Ok);
+  EXPECT_NE(CR.Error.find("not implied by its rows"), std::string::npos)
+      << CR.Error;
 }
 
 TEST(ProofCheck, DuplicateLiteralHeaderClausesStillPropagate) {
@@ -214,7 +316,7 @@ TEST(ProofCheck, DuplicateLiteralHeaderClausesStillPropagate) {
                               "o 3 -3 0\n"
                               "o -2 3 0\no -2 -3 0\n"
                               "s 0\n"
-                              "a 2 0\n"
+                              "a 2 0 -1 -2 0\n"
                               "q 0 0\n");
   EXPECT_TRUE(CR.Ok) << CR.Error;
   EXPECT_EQ(CR.Additions, 1u);
@@ -266,8 +368,8 @@ TEST(ProofCheck, TwoCubeCertificateNeedsBothConclusions) {
   // that makes its cube propagate to a conflict. Together the two
   // conclusions refute the header; with either one removed the trailer's
   // empty clause is not RUP.
-  const std::string QPos = "s 0\na -1 2 0\nq 1 0 1 0\n";
-  const std::string QNeg = "s 1\na 1 2 0\nq -1 0 -1 0\n";
+  const std::string QPos = "s 0\na -1 2 0 -5 -6 0\nq 1 0 1 0 1 -7 -8 0\n";
+  const std::string QNeg = "s 1\na 1 2 0 -1 -2 0\nq -1 0 -1 0 1 -3 -4 0\n";
   const std::string Trailer = "r\na 0\n";
   CheckResult Both = checkProof(AllClausesOfThree + QPos + QNeg + Trailer);
   EXPECT_TRUE(Both.Ok) << Both.Error;
@@ -285,8 +387,10 @@ TEST(ProofCheck, CubeTreeTrailerDerivesTheEmptyClause) {
   // internal nodes [1] and [-1], then the root — derives the empty
   // clause.
   const std::string Streams = "s 0\n"
-                              "q 1 2 0 1 2 0\nq 1 -2 0 1 -2 0\n"
-                              "q -1 2 0 -1 2 0\nq -1 -2 0 -1 -2 0\n";
+                              "q 1 2 0 1 2 0 -7 -8 0\n"
+                              "q 1 -2 0 1 -2 0 -5 -6 0\n"
+                              "q -1 2 0 -1 2 0 -3 -4 0\n"
+                              "q -1 -2 0 -1 -2 0 -1 -2 0\n";
   CheckResult Tree =
       checkProof(AllClausesOfThree + Streams + "r\na -1 0\na 1 0\na 0\n");
   EXPECT_TRUE(Tree.Ok) << Tree.Error;
@@ -298,15 +402,22 @@ TEST(ProofCheck, CubeTreeTrailerDerivesTheEmptyClause) {
 }
 
 TEST(ProofEmission, CubeTreeTrailerComesChildrenFirst) {
-  // The eight full cubes over 1..3, each refuted by the header: the
-  // trailer assembleProof() emits has seven internal nodes, and it only
-  // checks when every node follows its children (a root first is not
-  // RUP against eight ternary clauses).
+  // The eight full cubes over 1..3, each refuted by the header clause
+  // that is its negation: the trailer assembleProof() emits has seven
+  // internal nodes, and it only checks when every node follows its
+  // children (a root first is not RUP against eight ternary clauses).
   engine::CubeTree Tree;
   Tree.growEt(std::vector<sat::Var>{0, 1, 2}, 0, ~0u, 3);
   proof::SlotProofLog Log;
-  for (const std::vector<sat::Lit> &Cube : Tree.cubes())
-    Log.logConclusion(Cube, Cube);
+  for (const std::vector<sat::Lit> &Cube : Tree.cubes()) {
+    // Header record k + 1 negates the cube whose positive literals spell
+    // k in binary, variable 1 the high bit.
+    int64_t K = 0;
+    for (sat::Lit L : Cube)
+      K = 2 * K + !L.negated();
+    const int64_t Hint[] = {-(K + 1)};
+    Log.logConclusion(Cube, Cube, Hint);
+  }
   const std::string Streams[] = {Log.drain()};
   std::string Proof = proof::assembleProof(AllClausesOfThree, Streams, &Tree);
   CheckResult CR = checkProof(Proof);
@@ -342,6 +453,11 @@ TEST(ProofCheck, HostileIntegersRejectedWithLineDiagnostics) {
        "line 4: bad elimination record"},
       {"p veriqec proof 1\nv 4294967296\n",
        "line 2: bad variable-count record"},
+      // x and g index the variable count: rows may not precede it, nor a
+      // later count shrink it under rows already read.
+      {"p veriqec proof 1\nx 0 5 0\n", "line 2: parity variable out of range"},
+      {"p veriqec proof 1\nv 5\nx 0 5 0\nv 1\n",
+       "line 4: bad variable-count record"},
   };
   for (const Case &C : Cases) {
     CheckResult CR = checkProof(C.Text);

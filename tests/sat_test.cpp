@@ -475,7 +475,8 @@ TEST(ClauseArena, RelocationPreservesVerdictsAndModelCounts) {
 namespace {
 
 /// A proof sink that keeps only an FNV-1a hash of the derivation stream:
-/// every derived clause's literals and hints, every retired serial. Two
+/// every derived clause's literals and hints (or XOR rows), every
+/// retired serial. Two
 /// solvers that learn the same clauses with the same hints in the same
 /// order, and retire the same ones, hash the same.
 class HashingProofSink : public ClauseProofSink {
@@ -488,6 +489,16 @@ public:
     mix('h');
     for (int64_t H : Hints)
       mix(static_cast<uint64_t>(H));
+    ++Derived;
+  }
+  void onDeriveParity(std::span<const Lit> Lits,
+                      std::span<const uint32_t> Rows) override {
+    mix('g');
+    for (Lit L : Lits)
+      mix(static_cast<uint64_t>(L.Code));
+    mix('x');
+    for (uint32_t R : Rows)
+      mix(R);
     ++Derived;
   }
   void onRetire(uint64_t Serial) override {

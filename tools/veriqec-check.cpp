@@ -33,11 +33,15 @@ int main(int Argc, char **Argv) {
     } else if (A == "-h" || A == "--help") {
       std::printf("usage: veriqec-check [-q] [PROOF-FILE|-]\n"
                   "\n"
-                  "Replays a veriqec clause proof (reverse unit propagation\n"
-                  "plus GF(2) elimination) read from PROOF-FILE or stdin.\n"
-                  "The proof is accepted only when a checked record derives\n"
-                  "the empty clause: a trivial-unsat record, an empty-core\n"
-                  "conclusion, or the cube-tree trailer's closing addition.\n"
+                  "Replays a veriqec clause proof read from PROOF-FILE or\n"
+                  "stdin. Stream records are checked by the justification\n"
+                  "they carry, with no search: a (learnt) and q (cube core)\n"
+                  "records by their unit-propagation hints, g records by the\n"
+                  "sum of the XOR rows they name; only the cube-tree trailer\n"
+                  "is checked by reverse unit propagation. The proof is\n"
+                  "accepted only when a checked record derives the empty\n"
+                  "clause: a trivial-unsat record, an empty-core conclusion,\n"
+                  "or the cube-tree trailer's closing addition.\n"
                   "Exit 0 = proof checks, 1 = rejected, 2 = usage/IO error.\n");
       return 0;
     } else if (!A.empty() && A[0] == '-' && A != "-") {

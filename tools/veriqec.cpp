@@ -534,7 +534,6 @@ std::string recordJson(const RunRecord &R) {
       .count("cubes", V.NumCubes)
       .count("cubes_solved", V.CubesSolved)
       .count("cubes_pruned", V.CubesPruned)
-      .count("cubes_pruned_gf2", V.CubesPrunedGf2)
       .count("cubes_pruned_core", V.CubesPrunedCore)
       .count("split_threshold_used", V.SplitThresholdUsed);
   putSolverStats(J, V.Stats);
