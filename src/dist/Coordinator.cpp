@@ -7,6 +7,7 @@
 #include "dist/Coordinator.h"
 
 #include "obs/Progress.h"
+#include "proof/ProofLog.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -76,7 +77,7 @@ struct Coordinator::ActiveProblem {
   /// across solveCubes epochs — remote slot solvers persist, so later
   /// derivations resolve against clauses learnt in earlier epochs and
   /// the streams are only checkable whole.
-  std::map<std::pair<uint64_t, uint32_t>, std::string> ProofStreams;
+  std::map<std::pair<uint64_t, uint32_t>, proof::ProofText> ProofStreams;
   Timer ProblemClock;
   static constexpr size_t MaxCores = 256;
 };
@@ -375,15 +376,20 @@ void Coordinator::finishProblem(ActiveProblem &AP) {
                                       : sat::SolveResult::Unsat;
   AP.Outcome.SolveSeconds = AP.ProblemClock.seconds();
   if (AP.Config.LogProofs && AP.Outcome.Result == sat::SolveResult::Unsat) {
-    // Streams are copied, not drained: a persistent problem's next
-    // solveCubes epoch extends them.
-    std::vector<std::string> Streams;
+    // A persistent problem's next solveCubes epoch extends its streams,
+    // so they are lent out and copied; a one-shot problem's are released.
+    std::vector<proof::ProofText> Streams;
     Streams.reserve(AP.ProofStreams.size());
-    for (const auto &[Key, Text] : AP.ProofStreams)
-      Streams.push_back(Text);
+    for (auto &[Key, Text] : AP.ProofStreams)
+      Streams.push_back(std::move(Text));
     // An UNSAT problem decided early was refuted globally: no trailer.
     AP.Outcome.Proof = engine::assembleCertificate(
-        *AP.Problem, AP.Config, Streams, AP.Tree, AP.Decided);
+        *AP.Problem, AP.Config, Streams, AP.Tree, AP.Decided,
+        AP.Persistent ? proof::StreamHandoff::Copy
+                      : proof::StreamHandoff::Release);
+    size_t I = 0;
+    for (auto &[Key, Text] : AP.ProofStreams)
+      Text = std::move(Streams[I++]);
   }
 }
 
@@ -399,7 +405,7 @@ void Coordinator::handleResult(WorkerState &W, BatchResultMsg &&R) {
   // RUP replay cannot cross.
   if (AP.Config.LogProofs)
     for (auto &[Slot, Chunk] : R.ProofChunks)
-      AP.ProofStreams[{W.Serial, Slot}] += Chunk;
+      AP.ProofStreams[{W.Serial, Slot}].append(Chunk);
   size_t Idx = AP.indexOf(R.BatchId);
   if (Idx == SIZE_MAX)
     return; // corrupt id, or a straggler from an earlier cube set

@@ -366,7 +366,7 @@ private:
     // each slot derived/concluded since the previous report. Chunk
     // boundaries are record-aligned; the coordinator concatenates.
     for (size_t Slot = 0; Slot != Run.numSlots(); ++Slot) {
-      std::string Chunk = Run.drainSlotProof(Slot);
+      std::string Chunk = Run.drainSlotProof(Slot).take();
       if (!Chunk.empty())
         R.ProofChunks.emplace_back(static_cast<uint32_t>(Slot),
                                    std::move(Chunk));

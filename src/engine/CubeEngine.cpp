@@ -31,7 +31,8 @@ using smt::SolveOutcome;
 /// One problem's discharge across its cube sets: the CubeRun, the
 /// counters already reported, and the certificate state (a persistent
 /// slot solver's later derivations resolve against earlier ones, so the
-/// streams only check whole).
+/// streams only check whole: an open handle's are copied into each
+/// certificate, a one-shot discharge releases them into its only one).
 struct veriqec::engine::Discharge {
   Discharge(std::shared_ptr<const smt::VerificationProblem> P,
             const CubeRunConfig &Cfg, size_t NumSlots)
@@ -51,7 +52,7 @@ struct veriqec::engine::Discharge {
 
   /// Closes the quiesced cube set into \p Out, whose NumCubes the caller
   /// set: counters since the previous set, verdict, certificate.
-  void finish(SolveOutcome &Out) {
+  void finish(SolveOutcome &Out, proof::StreamHandoff Handoff) {
     if (Problem->TriviallyUnsat) {
       Out = triviallyUnsatOutcome(*Problem, Run.config().LogProofs);
       return;
@@ -78,22 +79,19 @@ struct veriqec::engine::Discharge {
     if (!Run.config().LogProofs)
       return;
     for (size_t S = 0; S != Streams.size(); ++S)
-      if (Streams[S].empty()) // a move: certificates run to many MB
-        Streams[S] = Run.drainSlotProof(S);
-      else
-        Streams[S] += Run.drainSlotProof(S);
+      Streams[S].append(Run.drainSlotProof(S));
     if (Out.Result == SolveResult::Unsat)
       Out.Proof = assembleCertificate(*Problem, Run.config(), Streams, Tree,
-                                      Run.globalUnsat());
+                                      Run.globalUnsat(), Handoff);
   }
 
   std::shared_ptr<const smt::VerificationProblem> Problem;
   CubeRun Run;
   sat::SolverStats Reported;
   uint64_t Solved = 0, PrunedCore = 0;
-  std::vector<std::string> Streams;    ///< per slot, everything so far
-  CubeTree Tree;                       ///< the current cube set
-  std::vector<std::vector<Lit>> Cubes; ///< its leaves, in order
+  std::vector<proof::ProofText> Streams; ///< per slot, everything so far
+  CubeTree Tree;                         ///< the current cube set
+  std::vector<std::vector<Lit>> Cubes;   ///< its leaves, in order
 };
 
 namespace {
@@ -118,6 +116,20 @@ void dischargeCube(ProblemRun &P, size_t CubeIdx) {
   P.D->Run.runCube(static_cast<size_t>(Worker), P.D->Cubes[CubeIdx], CubeIdx);
   if (P.Remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
     P.Out.SolveSeconds = P.Clock.seconds();
+}
+
+/// Solves \p Tree's leaves on \p D's one slot, on the calling thread.
+SolveOutcome solveOnCaller(Discharge &D, CubeTree Tree,
+                           proof::StreamHandoff Handoff) {
+  D.start(std::move(Tree));
+  SolveOutcome Out;
+  Out.NumCubes = D.Cubes.size();
+  Timer Clock;
+  for (size_t C = 0; C != D.Cubes.size() && !D.Run.cancelled(); ++C)
+    D.Run.runCube(0, D.Cubes[C], C);
+  Out.SolveSeconds = Clock.seconds();
+  D.finish(Out, Handoff);
+  return Out;
 }
 
 } // namespace
@@ -151,13 +163,14 @@ veriqec::engine::triviallyUnsatOutcome(const smt::VerificationProblem &P,
 
 std::string veriqec::engine::assembleCertificate(
     const smt::VerificationProblem &P, const CubeRunConfig &Cfg,
-    std::span<const std::string> Streams, const CubeTree &Tree, bool Refuted) {
+    std::span<proof::ProofText> Streams, const CubeTree &Tree, bool Refuted,
+    proof::StreamHandoff Handoff) {
   std::vector<Lit> Units;
   if (Cfg.HardenBudget)
     P.appendWeightAssumptions(Cfg.BudgetBound, Units);
   Units.insert(Units.end(), Tree.bound().begin(), Tree.bound().end());
   return proof::assembleProof(proof::buildProofHeader(P, Units), Streams,
-                              Refuted ? nullptr : &Tree);
+                              Refuted ? nullptr : &Tree, Handoff);
 }
 
 PreparedProblem veriqec::engine::prepareCubeProblem(const CubeProblem &P,
@@ -232,16 +245,16 @@ ThreadPool &CubeEngine::pool() {
 
 std::vector<SolveOutcome>
 CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
-  // A lone unsplit problem has exactly one open cube: discharge it
-  // through the handle API on the calling thread, so purely sequential
-  // verification never spawns the pool.
+  // A lone unsplit problem has exactly one open cube: discharge it on
+  // the calling thread, so purely sequential verification never spawns
+  // the pool.
   if (Problems.size() == 1 && (Problems[0].Opts.SplitVars.empty() ||
                                Problems[0].Opts.SplitThreshold == 0)) {
     PreparedProblem P = prepareCubeProblem(Problems[0], 1);
-    uint32_t Handle = openProblem(std::move(P.Encoded), P.Config);
+    Discharge D(std::move(P.Encoded), P.Config, 1);
     std::vector<SolveOutcome> Outcomes;
-    Outcomes.push_back(solveCubes(Handle, std::move(P.Tree)));
-    closeProblem(Handle);
+    Outcomes.push_back(solveOnCaller(D, std::move(P.Tree),
+                                     proof::StreamHandoff::Release));
     return Outcomes;
   }
 
@@ -343,7 +356,7 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
   std::vector<SolveOutcome> Outcomes;
   Outcomes.reserve(Runs.size());
   for (std::unique_ptr<ProblemRun> &RunPtr : Runs) {
-    RunPtr->D->finish(RunPtr->Out);
+    RunPtr->D->finish(RunPtr->Out, proof::StreamHandoff::Release);
     Outcomes.push_back(std::move(RunPtr->Out));
   }
   return Outcomes;
@@ -371,15 +384,8 @@ SolveOutcome CubeEngine::solveCubes(uint32_t Handle, CubeTree Tree) {
     std::lock_guard<std::mutex> Lock(OpenMutex);
     D = Open.at(Handle).get();
   }
-  D->start(std::move(Tree));
-  SolveOutcome Out;
-  Out.NumCubes = D->Cubes.size();
-  Timer Clock;
-  for (size_t C = 0; C != D->Cubes.size() && !D->Run.cancelled(); ++C)
-    D->Run.runCube(0, D->Cubes[C], C);
-  Out.SolveSeconds = Clock.seconds();
-  D->finish(Out);
-  return Out;
+  // The handle stays open: later cube sets extend its streams.
+  return solveOnCaller(*D, std::move(Tree), proof::StreamHandoff::Copy);
 }
 
 void CubeEngine::closeProblem(uint32_t Handle) {

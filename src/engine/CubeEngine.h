@@ -94,11 +94,13 @@ smt::SolveOutcome triviallyUnsatOutcome(const smt::VerificationProblem &P,
 /// The certificate rule of every CubeBackend: a header asserting
 /// \p Tree's bound (plus a hardened budget) as `b` units, \p Streams,
 /// and the trailer of \p Tree's internal nodes — none when \p Refuted,
-/// because an empty core already refuted the problem.
+/// because an empty core already refuted the problem. \p Handoff says
+/// whether the streams are copied or released (proof::assembleProof()).
 std::string assembleCertificate(const smt::VerificationProblem &P,
                                 const CubeRunConfig &Cfg,
-                                std::span<const std::string> Streams,
-                                const CubeTree &Tree, bool Refuted);
+                                std::span<proof::ProofText> Streams,
+                                const CubeTree &Tree, bool Refuted,
+                                proof::StreamHandoff Handoff);
 
 /// Where cube problems are discharged: in-process (CubeEngine) or
 /// sharded across remote workers (dist::Coordinator). Scenario batches

@@ -46,7 +46,7 @@ CubeRun::CubeRun(const smt::VerificationProblem &Problem,
   }
 }
 
-std::string CubeRun::drainSlotProof(size_t Slot) {
+proof::ProofText CubeRun::drainSlotProof(size_t Slot) {
   if (Slot >= SlotLogs.size() || !SlotLogs[Slot])
     return {};
   return SlotLogs[Slot]->drain();

@@ -163,7 +163,7 @@ public:
   /// drain between cubes never splits one. Chunks drained from the same
   /// slot concatenate into one valid stream. Call only while the slot is
   /// quiescent (owner thread, or between batches).
-  std::string drainSlotProof(size_t Slot);
+  proof::ProofText drainSlotProof(size_t Slot);
 
 private:
   void storeCore(const std::vector<sat::Lit> &Core, bool Outbound);

@@ -100,48 +100,62 @@ private:
 /// Literal codes: 2*Var + (negated ? 1 : 0), mirroring DIMACS input
 /// Lit = (Var+1) * sign.
 constexpr uint32_t codeOf(uint32_t Var, bool Neg) { return 2 * Var + Neg; }
-constexpr uint32_t varOf(uint32_t Code) { return Code >> 1; }
-constexpr bool negOf(uint32_t Code) { return Code & 1; }
 constexpr uint32_t negCode(uint32_t Code) { return Code ^ 1; }
 
 /// The replayer: a two-watched-literal propagation core over the header
 /// clauses plus one stream's accepted additions, with assumption levels
 /// that unwind back to the persistent root trail.
+///
+/// Clauses live in one flat word store: a clause is its header word
+/// (size << 1 | deleted) followed by its literal codes, and a clause
+/// reference is the offset of that header word. The words of deleted
+/// additions are reclaimed once they outnumber the live ones, so a
+/// stream's replay holds what its solver held, not everything it ever
+/// derived.
 class Replay {
 public:
-  Replay(size_t NumVars, const std::vector<std::vector<uint32_t>> &Header)
-      : NumHeaderClauses(Header.size()) {
-    Assigns.assign(NumVars, -1);
-    Watches.assign(2 * NumVars, {});
-    for (const std::vector<uint32_t> &C : Header)
-      installClause(C);
-    if (!DbUnsat && propagate() != NoClause)
-      DbUnsat = true;
-  }
+  explicit Replay(size_t NumVars)
+      : Vals(2 * NumVars, Undef), Watches(2 * NumVars) {}
 
   bool dbUnsat() const { return DbUnsat; }
+  /// A clause found the store full (over 8 GB of clause words): the
+  /// proof must be rejected, since that clause is missing.
+  bool full() const { return Full; }
+
+  /// Installs the next header record (o or b); -k hints name the k-th.
+  /// Header records come first and are never deleted, so reclaiming
+  /// never moves them.
+  void addHeader(std::vector<uint32_t> &Lits) {
+    HeaderRefs.push_back(installClause(Lits));
+  }
 
   /// Installs one stream addition when \p Entailed — the verdict of
   /// one of the checks below — or when the database is refuted already
   /// (it then entails everything). Returns whether it was installed.
-  bool add(const std::vector<uint32_t> &Lits, bool Entailed) {
+  bool add(std::vector<uint32_t> &Lits, bool Entailed) {
     if (DbUnsat) {
       Additions.push_back(NoClause);
       return true;
     }
     if (!Entailed)
       return false;
-    addImplied(Lits);
-    Additions.push_back(static_cast<int32_t>(Clauses.size() - 1));
+    Additions.push_back(installClause(Lits));
+    propagateRoot();
     return true;
   }
 
   /// Installs a clause whose check happened elsewhere (the negation of
   /// a core some stream refuted) and propagates it at the root.
-  void addImplied(std::vector<uint32_t> Lits) {
+  void addImplied(std::vector<uint32_t> &Lits) {
     if (DbUnsat)
       return;
-    installClause(std::move(Lits));
+    installClause(Lits);
+    propagateRoot();
+  }
+
+  /// Propagates the root trail to fixpoint; a conflict refutes the
+  /// database.
+  void propagateRoot() {
     if (!DbUnsat && propagate() != NoClause)
       DbUnsat = true;
   }
@@ -150,9 +164,13 @@ public:
   bool deleteDerived(uint64_t Serial) {
     if (Serial == 0 || Serial > Additions.size())
       return false;
-    int32_t Idx = Additions[Serial - 1];
-    if (Idx != NoClause)
-      Deleted[Idx] = 1;
+    ClauseRef Ref = Additions[Serial - 1];
+    if (Ref != NoClause && !(Words[Ref] & 1)) {
+      Words[Ref] |= 1;
+      DeadWords += clauseWords(Ref);
+      if (!DbUnsat && 2 * DeadWords > Words.size())
+        reclaim();
+    }
     return true;
   }
 
@@ -173,23 +191,24 @@ public:
       return true;
     }
     for (int64_t H : Hints) {
-      int32_t Idx = hintClause(H);
-      if (Idx == NoClause) {
+      ClauseRef Ref = hintClause(H);
+      if (Ref == NoClause) {
         unwindTo(Mark);
         return false;
       }
       uint32_t Unit = 0;
       int NumUndef = 0;
       bool Satisfied = false;
-      for (uint32_t L : Clauses[Idx]) {
-        int8_t V = litValue(L);
+      const uint32_t *C = &Words[Ref + 1];
+      for (const uint32_t *End = C + (Words[Ref] >> 1); C != End; ++C) {
+        int8_t V = Vals[*C];
         if (V == 1) {
           Satisfied = true;
           break;
         }
         if (V < 0) {
           ++NumUndef;
-          Unit = L;
+          Unit = *C;
         }
       }
       // A satisfied hint asserts nothing: its implied literal already
@@ -243,8 +262,9 @@ public:
       canonicalize(SumVars);
       Entailed = true;
       for (uint32_t V : SumVars) {
-        Entailed &= Assigns[V] >= 0;
-        Parity ^= Assigns[V] == 1;
+        int8_t Val = Vals[codeOf(V, false)];
+        Entailed &= Val >= 0;
+        Parity ^= Val == 1;
       }
       Entailed &= Parity != 0;
     }
@@ -253,118 +273,158 @@ public:
   }
 
 private:
-  static constexpr int32_t NoClause = -1;
+  using ClauseRef = uint32_t;
+  static constexpr ClauseRef NoClause = UINT32_MAX;
+  /// Store bound: keeps every size << 1 and every reference in 32 bits.
+  static constexpr size_t MaxWords = size_t{1} << 31;
+  static constexpr int8_t Undef = -1;
 
   struct Watcher {
-    uint32_t ClauseIdx;
+    ClauseRef Ref;
     uint32_t Blocker;
   };
 
-  std::vector<std::vector<uint32_t>> Clauses;
-  std::vector<uint8_t> Deleted;
+  std::vector<uint32_t> Words;
+  size_t DeadWords = 0;
+  /// Per literal code: 1 true, 0 false, Undef.
+  std::vector<int8_t> Vals;
   std::vector<std::vector<Watcher>> Watches;
-  std::vector<int8_t> Assigns; // per var: -1 undef, 0 false, 1 true
   std::vector<uint32_t> Trail; // asserted literal codes
   size_t PropHead = 0;
   bool DbUnsat = false;
-  /// Per-addition clause index (NoClause for clauses absorbed at install
-  /// or accepted after the database went unsat), indexed by serial - 1.
-  std::vector<int32_t> Additions;
-  /// Header records (o and b) install at clause indices [0,
-  /// NumHeaderClauses): what a negative hint resolves through.
-  size_t NumHeaderClauses = 0;
+  bool Full = false;
+  /// Per-addition clause (NoClause for tautologies, reclaimed clauses
+  /// and additions accepted after the database went unsat), indexed by
+  /// serial - 1. Its references ascend, like the store.
+  std::vector<ClauseRef> Additions;
+  /// Per header record (o and b): what a negative hint resolves through.
+  std::vector<ClauseRef> HeaderRefs;
   /// sumImplies() scratch: the support of the row sum.
   std::vector<uint32_t> SumVars;
 
-  int8_t litValue(uint32_t Code) const {
-    int8_t A = Assigns[varOf(Code)];
-    if (A < 0)
-      return -1;
-    return negOf(Code) ? static_cast<int8_t>(1 - A) : A;
-  }
+  size_t clauseWords(ClauseRef Ref) const { return (Words[Ref] >> 1) + 1; }
 
   void enqueue(uint32_t Code) {
-    Assigns[varOf(Code)] = negOf(Code) ? 0 : 1;
+    Vals[Code] = 1;
+    Vals[negCode(Code)] = 0;
     Trail.push_back(Code);
+  }
+
+  void watch(ClauseRef Ref) {
+    uint32_t L0 = Words[Ref + 1], L1 = Words[Ref + 2];
+    Watches[L0].push_back({Ref, L1});
+    Watches[L1].push_back({Ref, L0});
   }
 
   /// Installs a clause at the root, picking watchable (non-false)
   /// literals and enqueueing an implied unit right away. Runs only with
-  /// every assumption level unwound.
+  /// every assumption level unwound; \p C is normalized in place.
   ///
   /// Clauses are normalized first: producers may emit degenerate clauses
   /// (a parity chain over an aliased variable repeats a literal), and
   /// watched-literal propagation over the raw clause would treat the
   /// copies as distinct non-false literals — silently losing the
-  /// clause's real propagation strength. Tautologies are installed as
-  /// tombstones: always satisfied, they can never propagate.
-  void installClause(std::vector<uint32_t> C) {
+  /// clause's real propagation strength. Tautologies are not stored:
+  /// always satisfied, they can never propagate, and a hint naming one
+  /// names nothing.
+  ClauseRef installClause(std::vector<uint32_t> &C) {
     std::sort(C.begin(), C.end());
     C.erase(std::unique(C.begin(), C.end()), C.end());
     for (size_t I = 0; I + 1 < C.size(); ++I)
-      if (C[I + 1] == negCode(C[I])) {
-        Clauses.push_back(std::move(C));
-        Deleted.push_back(1);
-        return;
-      }
+      if (C[I + 1] == negCode(C[I]))
+        return NoClause;
+    if (Words.size() + C.size() + 1 > MaxWords) {
+      Full = true;
+      return NoClause;
+    }
     size_t NonFalse = 0;
     for (size_t I = 0; I != C.size() && NonFalse < 2; ++I)
-      if (litValue(C[I]) != 0)
+      if (Vals[C[I]] != 0)
         std::swap(C[NonFalse++], C[I]);
-    uint32_t Idx = static_cast<uint32_t>(Clauses.size());
-    Clauses.push_back(std::move(C));
-    Deleted.push_back(0);
-    const std::vector<uint32_t> &Lits = Clauses.back();
+    ClauseRef Ref = static_cast<ClauseRef>(Words.size());
+    Words.push_back(static_cast<uint32_t>(C.size() << 1));
+    Words.insert(Words.end(), C.begin(), C.end());
     if (NonFalse == 0) {
       DbUnsat = true;
-      return;
+      return Ref;
     }
-    if (Lits.size() >= 2) {
-      Watches[Lits[0]].push_back({Idx, Lits[1]});
-      Watches[Lits[1]].push_back({Idx, Lits[0]});
+    if (C.size() >= 2)
+      watch(Ref);
+    if (NonFalse == 1 && Vals[C[0]] == Undef)
+      enqueue(C[0]);
+    return Ref;
+  }
+
+  /// Slides the live clauses down over the dead ones, keeping their
+  /// order: the header stays put, and the additions' references (which
+  /// ascend like the store) are remapped in one merged pass. Then every
+  /// clause is watched again on its first two literals, which are the
+  /// two it was watched on. Runs at the root, between records.
+  void reclaim() {
+    size_t To = 0, A = 0;
+    for (size_t From = 0; From != Words.size();) {
+      size_t Len = clauseWords(static_cast<ClauseRef>(From));
+      bool Dead = Words[From] & 1;
+      for (; A != Additions.size() &&
+             (Additions[A] == NoClause || Additions[A] <= From);
+           ++A)
+        if (Additions[A] == From)
+          Additions[A] = Dead ? NoClause : static_cast<ClauseRef>(To);
+      if (!Dead) {
+        std::copy(Words.begin() + From, Words.begin() + From + Len,
+                  Words.begin() + To);
+        To += Len;
+      }
+      From += Len;
     }
-    if (NonFalse == 1 && litValue(Lits[0]) < 0)
-      enqueue(Lits[0]);
+    Words.resize(To);
+    DeadWords = 0;
+    for (std::vector<Watcher> &WL : Watches)
+      WL.clear();
+    for (size_t Ref = 0; Ref != Words.size(); Ref += clauseWords(Ref))
+      if (Words[Ref] >> 1 >= 2)
+        watch(static_cast<ClauseRef>(Ref));
   }
 
   /// Propagates to fixpoint; returns a conflicting clause or NoClause.
-  int32_t propagate() {
+  ClauseRef propagate() {
     while (PropHead < Trail.size()) {
       uint32_t False = negCode(Trail[PropHead++]);
       std::vector<Watcher> &WL = Watches[False];
       size_t Keep = 0;
       for (size_t I = 0; I != WL.size(); ++I) {
         Watcher W = WL[I];
-        if (Deleted[W.ClauseIdx])
-          continue;
-        if (litValue(W.Blocker) == 1) {
+        if (Words[W.Ref] & 1)
+          continue; // deleted: the watch goes with it
+        if (Vals[W.Blocker] == 1) {
           WL[Keep++] = W;
           continue;
         }
-        std::vector<uint32_t> &C = Clauses[W.ClauseIdx];
+        uint32_t *C = &Words[W.Ref + 1];
+        size_t Size = Words[W.Ref] >> 1;
         if (C[0] == False)
           std::swap(C[0], C[1]);
-        if (litValue(C[0]) == 1) {
-          WL[Keep++] = {W.ClauseIdx, C[0]};
+        if (Vals[C[0]] == 1) {
+          WL[Keep++] = {W.Ref, C[0]};
           continue;
         }
         bool Moved = false;
-        for (size_t K = 2; K != C.size(); ++K)
-          if (litValue(C[K]) != 0) {
+        for (size_t K = 2; K != Size; ++K)
+          if (Vals[C[K]] != 0) {
             std::swap(C[1], C[K]);
-            Watches[C[1]].push_back({W.ClauseIdx, C[0]});
+            Watches[C[1]].push_back({W.Ref, C[0]});
             Moved = true;
             break;
           }
         if (Moved)
           continue;
         WL[Keep++] = W;
-        if (litValue(C[0]) == 0) {
+        if (Vals[C[0]] == 0) {
           for (size_t J = I + 1; J != WL.size(); ++J)
             WL[Keep++] = WL[J];
           WL.resize(Keep);
           PropHead = Trail.size();
-          return static_cast<int32_t>(W.ClauseIdx);
+          return W.Ref;
         }
         enqueue(C[0]);
       }
@@ -375,7 +435,7 @@ private:
 
   void unwindTo(size_t Mark) {
     while (Trail.size() > Mark) {
-      Assigns[varOf(Trail.back())] = -1;
+      Vals[Trail.back()] = Vals[negCode(Trail.back())] = Undef;
       Trail.pop_back();
     }
     PropHead = Mark;
@@ -386,35 +446,82 @@ private:
   bool assertAll(const std::vector<uint32_t> &Lits, bool Negate) {
     for (uint32_t L : Lits) {
       uint32_t Assert = Negate ? negCode(L) : L;
-      int8_t V = litValue(Assert);
+      int8_t V = Vals[Assert];
       if (V == 0)
         return false;
-      if (V < 0)
+      if (V == Undef)
         enqueue(Assert);
     }
     return true;
   }
 
-  /// Resolves a hint to a live clause index, or NoClause when it names
-  /// nothing usable (out of range, absorbed at install, or deleted —
-  /// deleted clauses must not justify later additions through hints any
-  /// more than through full propagation).
-  int32_t hintClause(int64_t Hint) const {
-    int32_t Idx = NoClause;
+  /// Resolves a hint to a live clause, or NoClause when it names nothing
+  /// usable (out of range, a tautology, or deleted — deleted clauses
+  /// must not justify later additions through hints any more than
+  /// through full propagation, reclaimed or not).
+  ClauseRef hintClause(int64_t Hint) const {
+    ClauseRef Ref = NoClause;
     if (Hint > 0 && static_cast<uint64_t>(Hint) <= Additions.size())
-      Idx = Additions[static_cast<size_t>(Hint) - 1];
-    else if (Hint < 0 && Hint >= -static_cast<int64_t>(NumHeaderClauses))
-      Idx = static_cast<int32_t>(-Hint - 1);
-    if (Idx != NoClause && Deleted[Idx])
+      Ref = Additions[static_cast<size_t>(Hint) - 1];
+    else if (Hint < 0 && Hint >= -static_cast<int64_t>(HeaderRefs.size()))
+      Ref = HeaderRefs[static_cast<size_t>(-Hint - 1)];
+    if (Ref != NoClause && (Words[Ref] & 1))
       return NoClause;
-    return Idx;
+    return Ref;
   }
 };
 
 // -- Proof text parsing ------------------------------------------------------
 
-/// Splits \p Text into whitespace-separated fields per line, dispatching
-/// each record to the state machine below.
+/// Reads one record's fields in place: a field is a run of characters
+/// other than space, tab and carriage return.
+class FieldReader {
+public:
+  explicit FieldReader(std::string_view Line)
+      : P(Line.data()), End(Line.data() + Line.size()) {}
+
+  /// Skips blanks; whether no field is left.
+  bool atEnd() {
+    while (P != End && isBlank(*P))
+      ++P;
+    return P == End;
+  }
+
+  /// The next field (empty when none is left).
+  std::string_view word() {
+    atEnd();
+    const char *Start = P;
+    while (P != End && !isBlank(*P))
+      ++P;
+    return {Start, static_cast<size_t>(P - Start)};
+  }
+
+  enum class Scan { Ok, End, Bad };
+
+  /// The integer scanner: reads the next field into \p Out when it is a
+  /// whole int64 (no sign but '-', no overflow, nothing after the
+  /// digits); End when no field is left.
+  Scan next(int64_t &Out) {
+    if (atEnd())
+      return Scan::End;
+    auto [Ptr, Ec] = std::from_chars(P, End, Out);
+    if (Ec != std::errc() || (Ptr != End && !isBlank(*Ptr)))
+      return Scan::Bad;
+    P = Ptr;
+    return Scan::Ok;
+  }
+
+private:
+  static bool isBlank(char C) { return C == ' ' || C == '\t' || C == '\r'; }
+
+  const char *P;
+  const char *End;
+};
+
+using Scan = FieldReader::Scan;
+
+/// Splits \p Text into lines and dispatches each record to the state
+/// machine below, which reads its fields in place.
 class Checker {
 public:
   CheckResult run(std::string_view Text) {
@@ -428,6 +535,11 @@ public:
       ++LineNo;
       if (!handleLine(Line, LineNo))
         return Result;
+      for (const std::optional<Replay> *R : {&Pristine, &Table, &Stream})
+        if (*R && (*R)->full()) {
+          fail(LineNo, "proof exceeds the clause store");
+          return Result;
+        }
     }
     finish();
     return Result;
@@ -439,17 +551,16 @@ private:
   CheckResult Result;
   Phase State = Phase::ExpectMagic;
   size_t NumVars = 0;
-  std::vector<std::vector<uint32_t>> HeaderClauses;
   std::vector<SparseRow> XorSystem;
   std::vector<SparseRow> OriginalRows; // pr, BoolContext space
   bool SawTrivial = false;
   bool SpanChecked = false;
   RowBasis OriginalBasis;
 
-  /// Built when the streams begin. Every stream replays from Pristine,
-  /// the header alone. Table is the header plus the clause ¬core of every
-  /// checked q; the trailer's additions extend it, and the proof stands
-  /// only once it derives the empty clause.
+  /// Pristine is the header alone, installed record by record; every
+  /// stream replays from a copy of it. Table is the header plus the
+  /// clause ¬core of every checked q; the trailer's additions extend it,
+  /// and the proof stands only once it derives the empty clause.
   std::optional<Replay> Pristine, Table, Stream;
   /// Where a, d and q records replay: the open stream, or the table once
   /// the trailer began.
@@ -461,93 +572,59 @@ private:
     return false;
   }
 
-  /// Tokenizer and addition scratch, reused across the proof's millions
-  /// of lines (a fresh vector per line is measurable at surface-code
-  /// proof sizes).
-  std::vector<std::string_view> TokScratch;
-  std::vector<uint32_t> LitScratch;
+  /// Record scratch, reused across the proof's millions of lines (a
+  /// fresh vector per line is measurable at surface-code proof sizes).
+  std::vector<uint32_t> LitScratch, CubeScratch;
   std::vector<int64_t> HintScratch;
 
-  const std::vector<std::string_view> &split(std::string_view Line) {
-    TokScratch.clear();
-    size_t I = 0;
-    while (I < Line.size()) {
-      while (I < Line.size() && (Line[I] == ' ' || Line[I] == '\t' ||
-                                 Line[I] == '\r'))
-        ++I;
-      size_t J = I;
-      while (J < Line.size() && Line[J] != ' ' && Line[J] != '\t' &&
-             Line[J] != '\r')
-        ++J;
-      if (J > I)
-        TokScratch.push_back(Line.substr(I, J - I));
-      I = J;
-    }
-    return TokScratch;
-  }
-
-  bool parseInt(std::string_view Tok, int64_t &Out) {
-    auto [Ptr, Ec] =
-        std::from_chars(Tok.data(), Tok.data() + Tok.size(), Out);
-    return Ec == std::errc() && Ptr == Tok.data() + Tok.size();
-  }
-
-  /// Parses DIMACS literals from Toks[From..] up to a 0 terminator;
-  /// advances From past the terminator. Codes are range-checked before
-  /// any arithmetic, so no token can overflow them.
-  bool parseLits(const std::vector<std::string_view> &Toks, size_t &From,
-                 std::vector<uint32_t> &Out, size_t LineNo) {
+  /// Parses DIMACS literals up to a 0 terminator into \p Out. Codes are
+  /// range-checked before any arithmetic, so no field can overflow them.
+  bool parseLits(FieldReader &F, std::vector<uint32_t> &Out, size_t LineNo) {
+    Out.clear();
     const int64_t Max = static_cast<int64_t>(NumVars);
-    for (; From < Toks.size(); ++From) {
-      int64_t L;
-      if (!parseInt(Toks[From], L))
-        return fail(LineNo, "bad literal token");
-      if (L == 0) {
-        ++From;
+    for (int64_t L;;) {
+      if (Scan S = F.next(L); S != Scan::Ok)
+        return fail(LineNo, S == Scan::End ? "missing 0 terminator"
+                                           : "bad literal token");
+      if (L == 0)
         return true;
-      }
       if (L < -Max || L > Max)
         return fail(LineNo, "literal over undeclared variable");
       uint32_t V = static_cast<uint32_t>((L < 0 ? -L : L) - 1);
       Out.push_back(codeOf(V, L < 0));
     }
-    return fail(LineNo, "missing 0 terminator");
   }
 
-  /// Parses the optional 0-terminated hint (or g row) list at
-  /// Toks[From..] into HintScratch (left empty when the record ends
-  /// first); it must end the record.
-  bool parseHints(const std::vector<std::string_view> &Toks, size_t From,
-                  size_t LineNo) {
+  /// Parses the optional 0-terminated hint (or g row) list into
+  /// HintScratch (left empty when the record ends first); it must end
+  /// the record.
+  bool parseHints(FieldReader &F, size_t LineNo) {
     HintScratch.clear();
-    if (From == Toks.size())
+    if (F.atEnd())
       return true;
-    for (; From < Toks.size(); ++From) {
-      int64_t H;
-      if (!parseInt(Toks[From], H))
-        return fail(LineNo, "bad hint token");
+    for (int64_t H;;) {
+      if (Scan S = F.next(H); S != Scan::Ok)
+        return fail(LineNo, S == Scan::End ? "missing 0 terminator"
+                                           : "bad hint token");
       if (H == 0)
-        return From + 1 == Toks.size() ||
+        return F.atEnd() ||
                fail(LineNo, "trailing tokens after the hint list");
       if (H == std::numeric_limits<int64_t>::min())
         return fail(LineNo, "hint out of range");
       HintScratch.push_back(H);
     }
-    return fail(LineNo, "missing 0 terminator");
   }
 
   /// Parses "rhs var..var 0" into a sorted parity row over variables
   /// 1..\p Max (1-based in the text).
-  bool parseRow(const std::vector<std::string_view> &Toks, size_t From,
-                uint64_t Max, SparseRow &Out, size_t LineNo) {
+  bool parseRow(FieldReader &F, uint64_t Max, SparseRow &Out, size_t LineNo) {
     int64_t Rhs;
-    if (From >= Toks.size() || !parseInt(Toks[From], Rhs) ||
-        (Rhs != 0 && Rhs != 1))
+    if (F.next(Rhs) != Scan::Ok || (Rhs != 0 && Rhs != 1))
       return fail(LineNo, "bad parity rhs");
-    for (++From; From < Toks.size(); ++From) {
-      int64_t V;
-      if (!parseInt(Toks[From], V))
-        return fail(LineNo, "bad parity variable");
+    for (int64_t V;;) {
+      if (Scan S = F.next(V); S != Scan::Ok)
+        return fail(LineNo, S == Scan::End ? "missing 0 terminator"
+                                           : "bad parity variable");
       if (V == 0) {
         Out.Rhs = static_cast<uint8_t>(Rhs);
         canonicalize(Out.Vars);
@@ -557,7 +634,6 @@ private:
         return fail(LineNo, "parity variable out of range");
       Out.Vars.push_back(static_cast<uint32_t>(V - 1));
     }
-    return fail(LineNo, "missing 0 terminator");
   }
 
   void ensureSpanChecks() {
@@ -568,24 +644,32 @@ private:
       OriginalBasis.insert(R); // contradictions recorded, judged by 't'
   }
 
-  /// Closes the header: builds the stream base and the table.
+  /// The header replay, created at its first clause (the variable count
+  /// is fixed by then: a later v record is rejected).
+  Replay &pristine() {
+    if (!Pristine)
+      Pristine.emplace(NumVars);
+    return *Pristine;
+  }
+
+  /// Closes the header: propagates it and builds the table.
   void beginStreams() {
     if (State != Phase::Header)
       return;
     State = Phase::Streams;
-    Pristine.emplace(NumVars, HeaderClauses);
+    pristine().propagateRoot();
     Table.emplace(*Pristine);
   }
 
   bool handleLine(std::string_view Line, size_t LineNo) {
-    const std::vector<std::string_view> &Toks = split(Line);
-    if (Toks.empty() || Toks[0].front() == '#')
+    FieldReader F(Line);
+    std::string_view Tag = F.word();
+    if (Tag.empty() || Tag.front() == '#')
       return true;
-    std::string_view Tag = Toks[0];
 
     if (State == Phase::ExpectMagic) {
-      if (Tag != "p" || Toks.size() < 4 || Toks[1] != "veriqec" ||
-          Toks[2] != "proof" || Toks[3] != "1")
+      if (Tag != "p" || F.word() != "veriqec" || F.word() != "proof" ||
+          F.word() != "1")
         return fail(LineNo, "not a veriqec proof (bad magic)");
       State = Phase::Header;
       return true;
@@ -595,9 +679,9 @@ private:
       // Literal codes are 2*var+sign in 32 bits.
       // Records already read were range-checked against the old count.
       int64_t N;
-      if (State != Phase::Header || Toks.size() != 2 ||
-          !parseInt(Toks[1], N) || N < 0 || N > INT32_MAX ||
-          !HeaderClauses.empty() || !XorSystem.empty())
+      if (State != Phase::Header || F.next(N) != Scan::Ok || !F.atEnd() ||
+          N < 0 || N > INT32_MAX || Result.HeaderClauses != 0 ||
+          Result.XorRows != 0)
         return fail(LineNo, "bad variable-count record");
       NumVars = static_cast<size_t>(N);
       Result.NumVars = NumVars;
@@ -606,11 +690,9 @@ private:
     if (Tag == "o" || Tag == "b") {
       if (State != Phase::Header)
         return fail(LineNo, "clause record after streams began");
-      std::vector<uint32_t> Lits;
-      size_t From = 1;
-      if (!parseLits(Toks, From, Lits, LineNo))
+      if (!parseLits(F, LitScratch, LineNo))
         return false;
-      HeaderClauses.push_back(std::move(Lits));
+      pristine().addHeader(LitScratch);
       ++Result.HeaderClauses;
       return true;
     }
@@ -618,7 +700,7 @@ private:
       if (State != Phase::Header)
         return fail(LineNo, "xor record after streams began");
       SparseRow Row;
-      if (!parseRow(Toks, 1, NumVars, Row, LineNo))
+      if (!parseRow(F, NumVars, Row, LineNo))
         return false;
       XorSystem.push_back(std::move(Row));
       ++Result.XorRows;
@@ -631,11 +713,11 @@ private:
       // {var, deps} == rhs must be spanned by the original system.
       int64_t V = 0;
       bool Pe = Tag == "pe";
-      if (Pe && (Toks.size() < 2 || !parseInt(Toks[1], V) || V < 1 ||
-                 V > int64_t{UINT32_MAX} + 1))
+      if (Pe &&
+          (F.next(V) != Scan::Ok || V < 1 || V > int64_t{UINT32_MAX} + 1))
         return fail(LineNo, "bad elimination record");
       SparseRow Row;
-      if (!parseRow(Toks, Pe ? 2 : 1, uint64_t{UINT32_MAX} + 1, Row, LineNo))
+      if (!parseRow(F, uint64_t{UINT32_MAX} + 1, Row, LineNo))
         return false;
       ++Result.ReplayRecords;
       if (Tag == "pr") {
@@ -664,7 +746,7 @@ private:
     }
     if (Tag == "s") {
       int64_t Slot;
-      if (Toks.size() != 2 || !parseInt(Toks[1], Slot) || Slot < 0)
+      if (F.next(Slot) != Scan::Ok || !F.atEnd() || Slot < 0)
         return fail(LineNo, "bad stream record");
       beginStreams();
       Stream.emplace(*Pristine);
@@ -673,7 +755,7 @@ private:
       return true;
     }
     if (Tag == "r") {
-      if (Toks.size() != 1)
+      if (!F.atEnd())
         return fail(LineNo, "bad trailer record");
       beginStreams();
       Current = &*Table;
@@ -687,10 +769,7 @@ private:
         // an addition serial; negative: a header clause record); for g,
         // the x records (1-based) whose sum implies the clause. The
         // trailer's additions carry no hints: they are checked by RUP.
-        LitScratch.clear();
-        size_t From = 1;
-        if (!parseLits(Toks, From, LitScratch, LineNo) ||
-            !parseHints(Toks, From, LineNo))
+        if (!parseLits(F, LitScratch, LineNo) || !parseHints(F, LineNo))
           return false;
         ++Result.Additions;
         Replay &R = *Current;
@@ -711,7 +790,7 @@ private:
       }
       if (Tag == "d") {
         int64_t Serial;
-        if (Toks.size() != 2 || !parseInt(Toks[1], Serial) || Serial < 1)
+        if (F.next(Serial) != Scan::Ok || !F.atEnd() || Serial < 1)
           return fail(LineNo, "bad deletion record");
         ++Result.Deletions;
         if (!Current->deleteDerived(static_cast<uint64_t>(Serial)))
@@ -719,11 +798,9 @@ private:
         return true;
       }
       // q: "<core lits> 0 <cube lits> 0 [hints 0]".
-      std::vector<uint32_t> Core, Cube;
-      size_t From = 1;
-      if (!parseLits(Toks, From, Core, LineNo) ||
-          !parseLits(Toks, From, Cube, LineNo) ||
-          !parseHints(Toks, From, LineNo))
+      std::vector<uint32_t> &Core = LitScratch, &Cube = CubeScratch;
+      if (!parseLits(F, Core, LineNo) || !parseLits(F, Cube, LineNo) ||
+          !parseHints(F, LineNo))
         return false;
       std::sort(Core.begin(), Core.end());
       std::sort(Cube.begin(), Cube.end());
@@ -734,7 +811,7 @@ private:
         return fail(LineNo, "core is not refuted by its hints");
       for (uint32_t &L : Core)
         L = negCode(L);
-      Table->addImplied(std::move(Core));
+      Table->addImplied(Core);
       ++Result.Conclusions;
       return true;
     }

@@ -36,14 +36,17 @@
 /// solver feeds through the sat::ClauseProofSink interface, and the
 /// engine (or the distributed coordinator, for streams that arrive as
 /// BatchResult chunks) concatenates header, streams and trailer into one
-/// certificate. Both ends come from the cube set's engine::CubeTree: its
-/// bound is the header's `b` units, and its internal nodes are the
-/// trailer, in post-order (children before parents): the negation of
-/// each node's path below the bound, RUP from its children's negations
-/// (a branch the ones cap dropped is refuted by the `b` units), so the
-/// root's is the empty clause `a 0`. A tree that is one leaf has no
-/// trailer, and neither does a proof whose streams already derived the
-/// empty clause (an empty-core conclusion).
+/// exactly sized certificate. All of them are ProofText, so no stream is
+/// ever re-copied while it grows, and a discharge that is over releases
+/// its streams block by block as they are copied: the certificate text is
+/// resident once, plus one block. Both ends come from the cube set's
+/// engine::CubeTree: its bound is the header's `b` units, and its
+/// internal nodes are the trailer, in post-order (children before
+/// parents): the negation of each node's path below the bound, RUP from
+/// its children's negations (a branch the ones cap dropped is refuted by
+/// the `b` units), so the root's is the empty clause `a 0`. A tree that
+/// is one leaf has no trailer, and neither does a proof whose streams
+/// already derived the empty clause (an empty-core conclusion).
 ///
 /// Stream records carry their justification, and the checker follows it
 /// without any search. An a record (and likewise a q conclusion) carries
@@ -70,10 +73,78 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace veriqec::proof {
+
+/// Append-only proof text held in fixed-size blocks, so growth never
+/// copies what is already written: a stream of tens of MB is resident
+/// once, not twice at its string's last doubling. Records are formatted
+/// straight into the last block (reserve() room for the widest the
+/// record can be, commit() its end), so a record never spans two blocks;
+/// append() of arbitrary text fills each block up. Moving the text into
+/// one string (moveTo(), take()) frees each block as soon as it is
+/// copied.
+class ProofText {
+public:
+  /// Block size; a record wider than this gets a block of its own.
+  static constexpr size_t BlockBytes = size_t{1} << 20;
+
+  ProofText() = default;
+  explicit ProofText(std::string_view Text) { append(Text); }
+  ProofText(ProofText &&O) noexcept
+      : Blocks(std::move(O.Blocks)), Size(std::exchange(O.Size, 0)) {}
+  ProofText &operator=(ProofText &&O) noexcept {
+    Blocks = std::move(O.Blocks);
+    Size = std::exchange(O.Size, 0);
+    return *this;
+  }
+
+  size_t size() const { return Size; }
+  bool empty() const { return Size == 0; }
+
+  /// Room for at most \p Max bytes, contiguous; commit() what was used.
+  char *reserve(size_t Max);
+  /// Keeps the bytes written since reserve() up to \p End.
+  void commit(const char *End);
+
+  void append(std::string_view Text);
+  /// Takes \p Other's blocks over as they are (no text is copied).
+  void append(ProofText &&Other);
+
+  /// Appends a copy of the text to \p Out.
+  void appendTo(std::string &Out) const;
+  /// Appends the text to \p Out, freeing each block once copied; leaves
+  /// this text empty.
+  void moveTo(std::string &Out);
+  /// The text as one exactly sized string (moveTo() into a fresh one).
+  std::string take();
+
+private:
+  /// One block of memory mapped for this text alone: freeing it returns
+  /// its pages to the system, where a heap would keep them for reuse.
+  struct Block {
+    explicit Block(size_t Cap);
+    Block(Block &&O) noexcept
+        : Data(std::exchange(O.Data, nullptr)), Cap(O.Cap), Used(O.Used) {}
+    Block &operator=(Block &&O) noexcept {
+      std::swap(Data, O.Data);
+      std::swap(Cap, O.Cap);
+      std::swap(Used, O.Used);
+      return *this;
+    }
+    ~Block() { free(); }
+    void free();
+    char *Data;
+    size_t Cap;
+    size_t Used = 0;
+  };
+
+  std::vector<Block> Blocks;
+  size_t Size = 0;
+};
 
 /// Buffered proof stream of one solver slot. Derivations and retirements
 /// arrive through the sink interface while solve() runs; conclusions are
@@ -98,12 +169,11 @@ public:
                      std::span<const sat::Lit> Cube,
                      std::span<const int64_t> Hints = {});
 
-  bool empty() const { return Buf.empty(); }
-  std::string drain() { return std::exchange(Buf, {}); }
+  bool empty() const { return Text.empty(); }
+  ProofText drain() { return std::exchange(Text, {}); }
 
 private:
-  void appendLits(std::span<const sat::Lit> Lits);
-  std::string Buf;
+  ProofText Text;
 };
 
 /// Builds the proof header for an encoded problem: clauses exactly as
@@ -111,20 +181,26 @@ private:
 /// as `b` units (the weight bound the certificate assumes), native XOR
 /// rows, and the preprocessor replay records (captured only when the
 /// problem was built with ProblemOptions::CaptureProofData).
-std::string buildProofHeader(const smt::VerificationProblem &P,
-                             std::span<const sat::Lit> Bound);
+ProofText buildProofHeader(const smt::VerificationProblem &P,
+                           std::span<const sat::Lit> Bound);
 
 /// Complete certificate for a problem the preprocessor refuted before
 /// any encoding: the replay records plus a trivial-unsat conclusion.
 std::string buildTrivialProof(const smt::VerificationProblem &P);
 
-/// Concatenates \p Header and the per-slot \p Streams into one proof,
-/// then the trailer of \p Trailer's internal nodes; pass null when the
-/// streams already derived the empty clause. \p Header must assert the
-/// tree's bound.
-std::string assembleProof(std::string Header,
-                          std::span<const std::string> Streams,
-                          const engine::CubeTree *Trailer);
+/// What assembleProof() does with the streams it is given: copy them (a
+/// persistent handle extends them later) or release them, each block
+/// freed as soon as it is copied.
+enum class StreamHandoff { Copy, Release };
+
+/// Writes \p Header, the per-slot \p Streams and the trailer of
+/// \p Trailer's internal nodes into one exactly sized certificate; pass
+/// a null trailer when the streams already derived the empty clause.
+/// \p Header must assert the tree's bound. With StreamHandoff::Release
+/// the streams are left empty.
+std::string assembleProof(ProofText Header, std::span<ProofText> Streams,
+                          const engine::CubeTree *Trailer,
+                          StreamHandoff Handoff);
 
 } // namespace veriqec::proof
 

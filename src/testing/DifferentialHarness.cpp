@@ -176,10 +176,11 @@ ConfigVerdict runDirectReuse(const FuzzCase &C, const VerifyOptions &VO,
   // rejected addition even when every verdict agrees. The certificate
   // follows the engine's rule, cube-tree trailer included.
   if (O.CheckProofs) {
-    const std::string Streams[] = {Log.drain()};
+    proof::ProofText Streams[] = {Log.drain()};
     checkProofOracle(Out.Name,
-                     engine::assembleCertificate(Enc, engine::CubeRunConfig{},
-                                                 Streams, Tree, false),
+                     engine::assembleCertificate(
+                         Enc, engine::CubeRunConfig{}, Streams, Tree, false,
+                         proof::StreamHandoff::Release),
                      Report);
   }
   Out.Verdict = 'V';

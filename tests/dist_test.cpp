@@ -1041,7 +1041,7 @@ TEST(DistLoopback, CertificateMissingOneCubeIsRejected) {
   R.BatchId = Batch->BatchId;
   R.Status = BatchStatus::AllUnsat;
   R.Solved = Batch->Cubes.size();
-  R.ProofChunks = {{0, Run.drainSlotProof(0)}};
+  R.ProofChunks = {{0, Run.drainSlotProof(0).take()}};
   W.B->send(encodeMessage(R));
   Solve.join();
   EXPECT_EQ(Out.Result, sat::SolveResult::Unsat);

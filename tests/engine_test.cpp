@@ -190,12 +190,15 @@ TEST(CubeTree, BoundLeadsEveryCubeAndTrailerIsPostOrder) {
   std::vector<sat::Lit> Last{sat::mkLit(7), sat::mkLit(0), ~sat::mkLit(1),
                              ~sat::mkLit(2)};
   EXPECT_EQ(Cubes[3], Last);
-  EXPECT_EQ(proof::assembleProof("", {}, &T),
+  auto Trailer = [](const CubeTree *Tree) {
+    return proof::assembleProof({}, {}, Tree, proof::StreamHandoff::Copy);
+  };
+  EXPECT_EQ(Trailer(&T),
             "r\na -1 2 0\na -1 0\na 1 -2 0\na 1 2 0\na 1 0\na 0\n");
-  EXPECT_EQ(proof::assembleProof("", {}, nullptr), "");
+  EXPECT_EQ(Trailer(nullptr), "");
   // A one-leaf tree has no trailer.
   CubeTree Leaf({sat::mkLit(7)});
-  EXPECT_EQ(proof::assembleProof("", {}, &Leaf), "");
+  EXPECT_EQ(Trailer(&Leaf), "");
 }
 
 TEST(CubeTree, CertificateMissingOneLeafIsRejected) {
@@ -219,8 +222,9 @@ TEST(CubeTree, CertificateMissingOneLeafIsRejected) {
   CubeRun Run(P, Cfg, 2);
   for (size_t C = 0; C != 3; ++C)
     EXPECT_NE(Run.runCube(C % 2, Cubes[C], C), CubeRun::CubeOutcome::Sat);
-  const std::string Streams[] = {Run.drainSlotProof(0), Run.drainSlotProof(1)};
-  std::string Cert = assembleCertificate(P, Cfg, Streams, Tree, false);
+  proof::ProofText Streams[] = {Run.drainSlotProof(0), Run.drainSlotProof(1)};
+  std::string Cert = assembleCertificate(P, Cfg, Streams, Tree, false,
+                                         proof::StreamHandoff::Release);
   proof::CheckResult CR = proof::checkProof(Cert);
   EXPECT_FALSE(CR.Ok);
   // The first trailer addition is the dropped leaf's parent, [a].
@@ -474,7 +478,7 @@ TEST(CubeRun, ExchangesLemmasOnlyWithPeersAndNeverUnderProofs) {
     sat::SolverStats Stats;
     Run.accumulateStats(Stats);
     Out.Conflicts = Stats.Conflicts;
-    Out.Proof = Run.drainSlotProof(0);
+    Out.Proof = Run.drainSlotProof(0).take();
     return Out;
   };
   // A --dist worker's lone slot exports its short lemmas; a lone local

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
 
 using namespace veriqec;
@@ -418,8 +419,10 @@ TEST(ProofEmission, CubeTreeTrailerComesChildrenFirst) {
     const int64_t Hint[] = {-(K + 1)};
     Log.logConclusion(Cube, Cube, Hint);
   }
-  const std::string Streams[] = {Log.drain()};
-  std::string Proof = proof::assembleProof(AllClausesOfThree, Streams, &Tree);
+  proof::ProofText Streams[] = {Log.drain()};
+  std::string Proof =
+      proof::assembleProof(proof::ProofText(AllClausesOfThree), Streams,
+                           &Tree, proof::StreamHandoff::Release);
   CheckResult CR = checkProof(Proof);
   EXPECT_TRUE(CR.Ok) << CR.Error;
   EXPECT_EQ(CR.Additions, 7u);
@@ -463,5 +466,258 @@ TEST(ProofCheck, HostileIntegersRejectedWithLineDiagnostics) {
     CheckResult CR = checkProof(C.Text);
     EXPECT_FALSE(CR.Ok) << C.Text;
     EXPECT_EQ(CR.Error, C.Error) << C.Text;
+  }
+}
+
+namespace {
+
+/// FNV-1a, 64-bit: the certificate pins below.
+uint64_t fnv1a(std::string_view S) {
+  uint64_t H = 14695981039346656037ull;
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+} // namespace
+
+TEST(ProofText, RecordsAcrossBlockBoundariesMatchAPlainStringReference) {
+  // Random a/g/d/q records over a few blocks, the widest integers
+  // included, plus one record wider than a block: drained and
+  // assembled, the slot log holds exactly what a plain string built
+  // field by field holds. The reference is also re-appended in chunks
+  // of random length, as the coordinator appends a worker's, so that
+  // text straddles every block boundary.
+  std::mt19937_64 Rng(24);
+  constexpr sat::Var MaxVar = INT32_MAX / 2 - 1; // the largest a Lit holds
+  proof::SlotProofLog Log;
+  std::string Ref;
+  auto Int = [&](int64_t V) { Ref += ' ' + std::to_string(V); };
+  auto Lits = [&](const std::vector<sat::Lit> &Ls) {
+    for (sat::Lit L : Ls)
+      Int(L.negated() ? -int64_t{L.var() + 1} : L.var() + 1);
+    Ref += " 0";
+  };
+  auto RandomLits = [&](size_t N) {
+    std::vector<sat::Lit> Out;
+    for (size_t I = 0; I != N; ++I)
+      Out.push_back(sat::Lit(
+          Rng() % 2 ? MaxVar : static_cast<sat::Var>(Rng() % 5000),
+          Rng() % 2));
+    return Out;
+  };
+  auto RandomHints = [&](size_t N) {
+    // One in eight is an extreme: the widest an int64 field can be.
+    std::vector<int64_t> Out;
+    for (size_t I = 0; I != N; ++I)
+      Out.push_back(int64_t(Rng() % 20000) - 10000);
+    for (int64_t &H : Out)
+      if (Rng() % 8 == 0)
+        H = Rng() % 2 ? INT64_MAX : INT64_MIN;
+    return Out;
+  };
+  while (Ref.size() < 3 * proof::ProofText::BlockBytes + 4321) {
+    switch (Rng() % 4) {
+    case 0: {
+      std::vector<sat::Lit> L = RandomLits(Rng() % 60);
+      std::vector<int64_t> H = RandomHints(Rng() % 3 ? Rng() % 120 : 0);
+      Log.onDerive(L, H);
+      Ref += 'a';
+      Lits(L);
+      if (!H.empty()) {
+        for (int64_t V : H)
+          Int(V);
+        Ref += " 0";
+      }
+      break;
+    }
+    case 1: {
+      std::vector<sat::Lit> L = RandomLits(Rng() % 20);
+      std::vector<uint32_t> Rows;
+      for (size_t I = Rng() % 30; I != 0; --I)
+        Rows.push_back(Rng() % 2 ? UINT32_MAX : uint32_t(Rng() % 900 + 1));
+      Log.onDeriveParity(L, Rows);
+      Ref += 'g';
+      Lits(L);
+      for (uint32_t R : Rows)
+        Ref += ' ' + std::to_string(R);
+      Ref += " 0";
+      break;
+    }
+    case 2: {
+      uint64_t Serial = Rng() % 2 ? UINT64_MAX : Rng() % 70000 + 1;
+      Log.onRetire(Serial);
+      Ref += "d " + std::to_string(Serial);
+      break;
+    }
+    default: {
+      std::vector<sat::Lit> Cube = RandomLits(Rng() % 40);
+      std::vector<sat::Lit> Core(Cube.begin(),
+                                 Cube.begin() + Rng() % (Cube.size() + 1));
+      std::vector<int64_t> H = RandomHints(Rng() % 200);
+      Log.logConclusion(Core, Cube, H);
+      Ref += 'q';
+      Lits(Core);
+      Lits(Cube);
+      if (!H.empty()) {
+        for (int64_t V : H)
+          Int(V);
+        Ref += " 0";
+      }
+      break;
+    }
+    }
+    Ref += '\n';
+  }
+  // 100000 widest literals: more than a block, so a block of its own.
+  std::vector<sat::Lit> Wide(100000, sat::Lit(MaxVar, true));
+  Log.onDerive(Wide);
+  Ref += 'a';
+  Lits(Wide);
+  Ref += "\nd 1\n";
+  Log.onRetire(1);
+
+  proof::ProofText Streams[] = {Log.drain()};
+  EXPECT_TRUE(Log.empty());
+  EXPECT_EQ(Streams[0].size(), Ref.size());
+  std::string Cert = proof::assembleProof(proof::ProofText("h\n"), Streams,
+                                          nullptr,
+                                          proof::StreamHandoff::Release);
+  EXPECT_TRUE(Cert == "h\ns 0\n" + Ref) << "assembled stream differs";
+
+  proof::ProofText Chunked;
+  for (size_t At = 0; At < Ref.size();) {
+    size_t N = std::min<size_t>(Rng() % 300000, Ref.size() - At);
+    Chunked.append(std::string_view(Ref).substr(At, N));
+    At += N;
+  }
+  proof::ProofText Spliced("h\n");
+  Spliced.append(std::move(Chunked));
+  EXPECT_TRUE(Chunked.empty());
+  EXPECT_TRUE(Spliced.take() == "h\n" + Ref) << "chunked text differs";
+}
+
+TEST(ProofText, ReleasedStreamsAssembleLikeCopiedOnesAndEndEmpty) {
+  // Three slots, the middle one silent (it gets no `s` record), and a
+  // cube-tree trailer: handing the streams over yields the copied
+  // certificate byte for byte and leaves every stream empty; copying
+  // leaves them as they were.
+  engine::CubeTree Tree;
+  Tree.growEt(std::vector<sat::Var>{0, 1}, 0, ~0u, 2);
+  auto Streams = [] {
+    std::vector<proof::ProofText> Out(3);
+    proof::SlotProofLog Log;
+    const sat::Lit Lits[] = {sat::mkLit(0), ~sat::mkLit(2)};
+    const int64_t Hints[] = {-1, -2};
+    Log.onDerive(Lits, Hints);
+    Log.onRetire(1);
+    Out[0] = Log.drain();
+    Out[2].append("q -1 0 -1 0 -3 0\n");
+    return Out;
+  };
+  std::vector<proof::ProofText> Copied = Streams(), Released = Streams();
+  std::string Copy =
+      proof::assembleProof(proof::ProofText(AllClausesOfThree), Copied, &Tree,
+                           proof::StreamHandoff::Copy);
+  std::string Release =
+      proof::assembleProof(proof::ProofText(AllClausesOfThree), Released,
+                           &Tree, proof::StreamHandoff::Release);
+  EXPECT_EQ(Copy, Release);
+  EXPECT_EQ(Copy, std::string(AllClausesOfThree) +
+                      "s 0\na 1 -3 0 -1 -2 0\nd 1\n"
+                      "s 2\nq -1 0 -1 0 -3 0\n"
+                      "r\na -1 0\na 1 0\na 0\n");
+  for (const proof::ProofText &S : Released)
+    EXPECT_TRUE(S.empty());
+  EXPECT_EQ(Copied[0].size(), 21u);
+  EXPECT_TRUE(Copied[1].empty());
+  EXPECT_EQ(Copied[2].size(), 17u);
+  EXPECT_EQ(proof::assembleProof(proof::ProofText(AllClausesOfThree), Copied,
+                                 &Tree, proof::StreamHandoff::Copy),
+            Copy);
+}
+
+TEST(ProofCheck, ReclaimedClausesCannotBeCited) {
+  // Forty copies of (1 3) are derived and deleted, so their words
+  // outnumber the live ones and the replay reclaims them; the survivors
+  // (1 2), serial 41, and (-1 2), serial 42, slide down over them. A
+  // hint to a survivor still works, and so does root propagation over
+  // the re-watched survivors: unit 1 then 2 falsify header clause 8.
+  // A hint to a reclaimed serial names nothing, although fresh additions
+  // have taken its words over.
+  std::string Proof = std::string(AllClausesOfThree) + "s 0\n";
+  for (int I = 0; I != 40; ++I)
+    Proof += "a 1 3 0 -1 -3 0\n";
+  Proof += "a 1 2 0 -1 -2 0\na -1 2 0 -5 -6 0\n";
+  for (int I = 1; I <= 40; ++I)
+    Proof += "d " + std::to_string(I) + "\n";
+  // Fresh additions reuse the reclaimed words.
+  for (int I = 0; I != 50; ++I)
+    Proof += "a 1 3 0 -1 -3 0\n";
+  CheckResult Survivor = checkProof(Proof + "a 1 0 41 -3 -4 0\nq 0 0\n");
+  EXPECT_TRUE(Survivor.Ok) << Survivor.Error;
+  EXPECT_EQ(Survivor.Deletions, 40u);
+  CheckResult Reclaimed = checkProof(Proof + "a 1 0 40 -3 -4 0\nq 0 0\n");
+  EXPECT_FALSE(Reclaimed.Ok);
+  EXPECT_EQ(Reclaimed.Error,
+            "line 144: derived clause is not implied by its hints");
+}
+
+TEST(ProofEmission, DistanceCertificatesArePinned) {
+  // The certificates of the parent revision, byte for byte (FNV-1a):
+  // how the text is held must not change what it says. The CLI's
+  // `distance --check-proofs --proof-dir` writes the same files, locally
+  // and over --dist loopback:2.
+  struct Pin {
+    StabilizerCode Code;
+    size_t Bytes;
+    uint64_t Hash;
+  } Pins[] = {
+      {makeSteaneCode(), 3367, 17048178610281159171ull},
+      {makeRotatedSurfaceCode(3), 4360, 13709043325164703779ull},
+      {makeTannerISubstitute(), 10688747, 8410036074917565349ull},
+  };
+  VerifyOptions O;
+  O.LogProofs = true;
+  for (const Pin &P : Pins) {
+    DistanceResult R = computeDistance(P.Code, O);
+    ASSERT_TRUE(R.Ok) << P.Code.Name << ": " << R.Error;
+    EXPECT_EQ(R.Proof.size(), P.Bytes) << P.Code.Name;
+    EXPECT_EQ(fnv1a(R.Proof), P.Hash) << P.Code.Name;
+  }
+}
+
+TEST(ProofEmission, SurfaceSevenCertificatesArePinned) {
+  // surface7 memory-Z at budget 3. One slot is deterministic: the whole
+  // certificate is pinned (its stream ends in an empty-core conclusion,
+  // so it has no trailer). Two slots split the cubes by timing, so only
+  // what does not depend on the split is pinned: the header, and the
+  // cube-tree trailer whenever no slot refuted the problem outright.
+  Scenario S = makeMemoryScenario(makeRotatedSurfaceCode(7), PauliKind::Y,
+                                  LogicalBasis::Z, 3);
+  for (size_t Threads : {1, 2}) {
+    VerifyOptions O;
+    O.LogProofs = true;
+    O.Parallel = true;
+    O.Threads = Threads;
+    VerificationResult R = verifyScenario(S, O);
+    ASSERT_TRUE(R.Verified) << R.Error;
+    std::string_view Proof = R.Proof;
+    EXPECT_TRUE(checkProof(Proof).Ok) << Threads;
+    if (Threads == 1) {
+      EXPECT_EQ(Proof.size(), 12371344u);
+      EXPECT_EQ(fnv1a(Proof), 10967252580379328821ull);
+      continue;
+    }
+    size_t Streams = Proof.find("\ns ") + 1;
+    EXPECT_EQ(Streams, 89096u);
+    EXPECT_EQ(fnv1a(Proof.substr(0, Streams)), 8718932789244615184ull);
+    size_t Trailer = Proof.find("\nr\n");
+    if (Trailer != std::string_view::npos) {
+      EXPECT_EQ(Proof.size() - Trailer - 1, 73457u);
+      EXPECT_EQ(fnv1a(Proof.substr(Trailer + 1)), 6230768366095691253ull);
+    }
   }
 }

@@ -621,7 +621,7 @@ TEST(ProofRoundTrip, CertificateSurvivesRepeatedCompaction) {
       Proof += " 0\n";
     }
     Proof += "s 0\n";
-    Proof += Log.drain();
+    Proof += Log.drain().take();
     proof::CheckResult CR = proof::checkProof(Proof);
     // Both runs end in an empty-core conclusion: the certificate derives
     // the empty clause without a cube-tree trailer.

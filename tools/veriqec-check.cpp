@@ -18,10 +18,21 @@
 #include "proof/ProofCheck.h"
 
 #include <cstdio>
-#include <fstream>
-#include <iostream>
-#include <sstream>
+#include <filesystem>
 #include <string>
+#include <system_error>
+
+/// Reads all of \p In into \p Text, the one resident copy of the proof:
+/// \p Size bytes (a regular file's size) straight into place, then
+/// whatever follows in chunks (all of a pipe).
+static bool readAll(std::FILE *In, size_t Size, std::string &Text) {
+  Text.resize(Size);
+  Text.resize(std::fread(Text.data(), 1, Size, In));
+  char Chunk[1 << 16];
+  for (size_t N; (N = std::fread(Chunk, 1, sizeof Chunk, In)) != 0;)
+    Text.append(Chunk, N);
+  return !std::ferror(In);
+}
 
 int main(int Argc, char **Argv) {
   bool Quiet = false;
@@ -55,20 +66,25 @@ int main(int Argc, char **Argv) {
     }
   }
 
+  std::FILE *In = stdin;
+  if (!Path.empty() && Path != "-" && !(In = std::fopen(Path.c_str(), "rb"))) {
+    std::fprintf(stderr, "veriqec-check: cannot open %s\n", Path.c_str());
+    return 2;
+  }
+  size_t Size = 0;
+  std::error_code Ec;
+  if (In != stdin && std::filesystem::is_regular_file(Path, Ec)) {
+    uintmax_t Bytes = std::filesystem::file_size(Path, Ec);
+    Size = Ec ? 0 : static_cast<size_t>(Bytes);
+  }
   std::string Text;
-  if (Path.empty() || Path == "-") {
-    std::ostringstream Buf;
-    Buf << std::cin.rdbuf();
-    Text = Buf.str();
-  } else {
-    std::ifstream In(Path, std::ios::binary);
-    if (!In) {
-      std::fprintf(stderr, "veriqec-check: cannot open %s\n", Path.c_str());
-      return 2;
-    }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Text = Buf.str();
+  bool ReadOk = readAll(In, Size, Text);
+  if (In != stdin)
+    std::fclose(In);
+  if (!ReadOk) {
+    std::fprintf(stderr, "veriqec-check: cannot read %s\n",
+                 Path.empty() ? "-" : Path.c_str());
+    return 2;
   }
 
   veriqec::proof::CheckResult R = veriqec::proof::checkProof(Text);
