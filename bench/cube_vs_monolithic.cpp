@@ -35,17 +35,15 @@ void runSurfaceMemory(benchmark::State &State, size_t Distance,
   VO.Parallel = Cube;
   VO.Threads = 1; // per-core comparison: same budget for both strategies
   VO.Preprocess = Preprocess;
-  uint64_t Cubes = 0, Conflicts = 0, Pruned = 0;
+  uint64_t Cubes = 0, Conflicts = 0;
   for (auto _ : State) {
     VerificationResult R = verifyScenario(S, VO);
     if (!R.StructuralOk || !R.Verified)
       State.SkipWithError("verification failed");
     Cubes = R.NumCubes;
-    Pruned = R.CubesPruned;
     Conflicts = R.Stats.Conflicts;
   }
   State.counters["cubes"] = static_cast<double>(Cubes);
-  State.counters["pruned"] = static_cast<double>(Pruned);
   State.counters["conflicts"] = static_cast<double>(Conflicts);
 }
 

@@ -109,18 +109,11 @@ void encodeBody(Encoder &E, const BatchResultMsg &M) {
   encodeModel(E, M.Model);
   encodeStats(E, M.Stats);
   E.u64(M.Solved);
-  E.u64(M.PrunedCore);
-  E.litVecs(M.NewCores);
   E.u32(static_cast<uint32_t>(M.ProofChunks.size()));
   for (const auto &[Slot, Chunk] : M.ProofChunks) {
     E.u32(Slot);
     E.str(Chunk);
   }
-}
-
-void encodeBody(Encoder &E, const CoresMsg &M) {
-  E.u32(M.ProblemId);
-  E.litVecs(M.Cores);
 }
 
 void encodeBody(Encoder &E, const CancelMsg &M) { E.u32(M.ProblemId); }
@@ -361,21 +354,12 @@ bool veriqec::dist::decodeMessage(std::span<const uint8_t> Payload,
     M.Model = decodeModel(D);
     M.Stats = decodeStats(D);
     M.Solved = D.u64();
-    M.PrunedCore = D.u64();
-    M.NewCores = D.litVecs();
     uint32_t NumChunks = D.count(8); // 4-byte slot + 4-byte length each
     M.ProofChunks.reserve(NumChunks);
     for (uint32_t I = 0; I != NumChunks && D.ok(); ++I) {
       uint32_t Slot = D.u32();
       M.ProofChunks.emplace_back(Slot, D.str());
     }
-    Out = std::move(M);
-    break;
-  }
-  case MsgKind::Cores: {
-    CoresMsg M;
-    M.ProblemId = D.u32();
-    M.Cores = D.litVecs();
     Out = std::move(M);
     break;
   }

@@ -8,10 +8,9 @@
 /// The wire vocabulary of the distributed verification layer: a
 /// length-prefixed, versioned, little-endian binary format that
 /// round-trips everything a remote cube worker needs — whole encoded
-/// smt::VerificationProblems (CNF clauses, native XOR rows, pruning rows,
-/// reconstruction records, budget-layer metadata), cube batches,
-/// per-batch results with counterexample models and solver statistics,
-/// failed-assumption cores for cross-node subtree pruning, and short
+/// smt::VerificationProblems (CNF clauses, native XOR rows, reconstruction
+/// records, budget-layer metadata), cube batches, per-batch results with
+/// counterexample models, solver statistics and proof chunks, and short
 /// learnt lemmas streamed between workers. Framing
 /// (the u32 length prefix) belongs to the transport (dist/Transport.h);
 /// this layer encodes and decodes frame payloads. Decoding is strict:
@@ -50,8 +49,9 @@ constexpr uint32_t WireMagic = 0x43455156; // "VQEC" little-endian
 /// counters are gone again. v7: Lemmas frames (worker -> coordinator ->
 /// the other workers). v8: the GF(2) cube pruner is gone — its rows,
 /// mode flag and variable map leave the problem frame, its counter the
-/// batch result.
-constexpr uint32_t WireVersion = 8;
+/// batch result. v9: sibling-core pruning is gone — the Cores frame and
+/// the batch result's pruned count and new cores with it.
+constexpr uint32_t WireVersion = 9;
 /// Upper bound on one frame payload (a surface-scale problem is a few
 /// MB; anything near this is a corrupt length prefix, not data).
 constexpr uint32_t MaxFrameBytes = 256u << 20;
@@ -222,8 +222,7 @@ enum class MsgKind : uint8_t {
   HelloAck,      ///< coordinator -> worker: accept / version-reject
   Problem,       ///< coordinator -> worker: encoded problem + config
   CubeBatch,     ///< coordinator -> worker: a batch of cubes to discharge
-  BatchResult,   ///< worker -> coordinator: verdict, stats, model, cores
-  Cores,         ///< coordinator -> worker: cross-node core broadcast
+  BatchResult,   ///< worker -> coordinator: verdict, stats, model, proof
   Cancel,        ///< coordinator -> worker: stop + forget one problem
   StealRequest,  ///< coordinator -> worker: give back queued batches
   StealReply,    ///< worker -> coordinator: the batch ids it gave back
@@ -263,8 +262,8 @@ struct CubeBatchMsg {
   std::vector<std::vector<sat::Lit>> Cubes;
 };
 
-/// Verdict of one batch. AllUnsat means every cube was discharged UNSAT
-/// (or pruned); Sat/GlobalUnsat decide the whole problem.
+/// Verdict of one batch. AllUnsat means every cube was discharged UNSAT;
+/// Sat/GlobalUnsat decide the whole problem.
 enum class BatchStatus : uint8_t {
   AllUnsat = 0,
   Sat,
@@ -285,20 +284,11 @@ struct BatchResultMsg {
   /// double-count).
   sat::SolverStats Stats;
   uint64_t Solved = 0;
-  uint64_t PrunedCore = 0;
-  /// Strict-subset UNSAT cores discovered in this batch, for the
-  /// coordinator to broadcast to sibling workers.
-  std::vector<std::vector<sat::Lit>> NewCores;
   /// With CubeRunConfig::LogProofs: per-slot proof text accrued since
   /// the worker's previous report, as (slot, chunk) pairs. Chunks are
   /// record-atomic; the coordinator concatenates chunks of the same
   /// (worker, slot) in arrival order into one stream per slot.
   std::vector<std::pair<uint32_t, std::string>> ProofChunks;
-};
-
-struct CoresMsg {
-  uint32_t ProblemId = 0;
-  std::vector<std::vector<sat::Lit>> Cores;
 };
 
 struct CancelMsg {
@@ -328,7 +318,7 @@ struct HeartbeatMsg {
   /// Batches started but not yet resulted (0 or 1 today — the worker
   /// runs one batch at a time — plus its locally queued backlog).
   uint32_t BatchesInFlight = 0;
-  /// Cubes discharged (solved or pruned) since the previous heartbeat.
+  /// Cubes discharged since the previous heartbeat.
   uint64_t CubesDelta = 0;
   /// Solver conflicts spent since the previous heartbeat (observed at
   /// cube granularity: a slot publishes after each cube completes).
@@ -358,9 +348,8 @@ struct LemmasMsg {
 
 using Message =
     std::variant<HelloMsg, HelloAckMsg, ProblemMsg, CubeBatchMsg,
-                 BatchResultMsg, CoresMsg, CancelMsg, StealRequestMsg,
-                 StealReplyMsg, ShutdownMsg, HeartbeatMsg, EvictedMsg,
-                 LemmasMsg>;
+                 BatchResultMsg, CancelMsg, StealRequestMsg, StealReplyMsg,
+                 ShutdownMsg, HeartbeatMsg, EvictedMsg, LemmasMsg>;
 
 /// True iff every literal of \p Lits names a variable of \p P. Cube and
 /// lemma frames carry literals without their problem, so the decoder

@@ -71,7 +71,6 @@ struct Coordinator::ActiveProblem {
   /// Open-handle problems persist worker-side between solveCubes calls.
   bool Persistent = false;
   smt::SolveOutcome Outcome;
-  std::vector<std::vector<Lit>> Cores; ///< broadcast cache for joiners
   /// With Config.LogProofs: proof text per (worker serial, slot),
   /// concatenated in arrival order. A persistent problem accumulates
   /// across solveCubes epochs — remote slot solvers persist, so later
@@ -79,7 +78,6 @@ struct Coordinator::ActiveProblem {
   /// the streams are only checkable whole.
   std::map<std::pair<uint64_t, uint32_t>, proof::ProofText> ProofStreams;
   Timer ProblemClock;
-  static constexpr size_t MaxCores = 256;
 };
 
 Coordinator::Coordinator(CoordinatorOptions Opts) : Opts(Opts) {}
@@ -190,12 +188,6 @@ bool Coordinator::sendBatch(WorkerState &W, uint32_t ProblemId,
         AP.Problem);
     if (!W.L->send(encodeMessage(PM)))
       return false;
-    if (!AP.Cores.empty()) {
-      CoresMsg CM;
-      CM.ProblemId = ProblemId;
-      CM.Cores = AP.Cores;
-      W.L->send(encodeMessage(CM));
-    }
     W.KnowsProblem.insert(ProblemId);
   }
   CubeBatchMsg BM;
@@ -413,26 +405,6 @@ void Coordinator::handleResult(WorkerState &W, BatchResultMsg &&R) {
   // bookkeeping (a worker reports each solved cube exactly once).
   AP.Outcome.Stats += R.Stats;
   AP.Outcome.CubesSolved += R.Solved;
-  AP.Outcome.CubesPruned += R.PrunedCore;
-
-  // Cross-node core pruning: new cores go to every sibling that knows
-  // the problem.
-  if (!R.NewCores.empty() && !AP.Finished) {
-    CoresMsg CM;
-    CM.ProblemId = R.ProblemId;
-    for (const std::vector<Lit> &Core : R.NewCores)
-      if (AP.Cores.size() < ActiveProblem::MaxCores)
-        AP.Cores.push_back(Core);
-    CM.Cores = std::move(R.NewCores);
-    for (std::unique_ptr<WorkerState> &Other : Workers) {
-      if (Other.get() == &W || Other->Dead || !Other->Ready)
-        continue;
-      if (Other->KnowsProblem.count(R.ProblemId)) {
-        Other->L->send(encodeMessage(CM));
-        ++Stats.CoreBroadcasts;
-      }
-    }
-  }
 
   if (AP.BatchDone[Idx])
     return; // duplicate (stolen-and-raced or post-cancel): counted above

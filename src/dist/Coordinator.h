@@ -14,9 +14,6 @@
 ///
 ///   * an idle worker triggers a steal — the busiest sibling hands back
 ///     queued batches, which are re-granted to the idle one;
-///   * strict-subset UNSAT cores reported by one worker are broadcast to
-///     all others, so remote solvers prune sibling subtrees exactly like
-///     the in-process core pruning of engine::CubeRun;
 ///   * outside proof mode, the short learnt lemmas each worker streams
 ///     are relayed (not stored) to every other worker that knows the
 ///     problem, so remote slots share lemmas like in-process slots do;
@@ -73,12 +70,14 @@ struct CoordinatorStats {
   uint64_t WorkersDropped = 0;
   uint64_t BatchesRequeued = 0;
   uint64_t BatchesStolen = 0;
-  uint64_t CoreBroadcasts = 0;
   uint64_t HeartbeatsReceived = 0;
   /// Lemmas forwarded, counted once per receiving worker.
   uint64_t LemmasRelayed = 0;
+  /// Always 0: the cross-node core broadcast is gone. The field stays
+  /// only until qecbench/qecbench.cpp stops reading it.
+  uint64_t CoreBroadcasts = 0;
 
-  /// The counters above, named by their metric names.
+  /// The counters above but the last, named by their metric names.
   struct Field {
     const char *Name;
     uint64_t CoordinatorStats::*Member;
@@ -87,13 +86,13 @@ struct CoordinatorStats {
       {"dist.workers_dropped", &CoordinatorStats::WorkersDropped},
       {"dist.batches_requeued", &CoordinatorStats::BatchesRequeued},
       {"dist.batches_stolen", &CoordinatorStats::BatchesStolen},
-      {"dist.core_broadcasts", &CoordinatorStats::CoreBroadcasts},
       {"dist.heartbeats", &CoordinatorStats::HeartbeatsReceived},
       {"dist.lemmas_relayed", &CoordinatorStats::LemmasRelayed},
   };
 };
+// The trailing always-0 CoreBroadcasts pads to one more uint64_t.
 static_assert(sizeof(CoordinatorStats) ==
-                  std::size(CoordinatorStats::Fields) * sizeof(uint64_t),
+                  (std::size(CoordinatorStats::Fields) + 1) * sizeof(uint64_t),
               "every CoordinatorStats counter needs a Fields entry");
 
 class Coordinator : public engine::CubeBackend {

@@ -33,7 +33,7 @@ struct ProblemState {
   bool Persistent = false;
   /// Counter totals already reported; batch results carry deltas.
   sat::SolverStats ReportedStats;
-  uint64_t ReportedSolved = 0, ReportedCore = 0;
+  uint64_t ReportedSolved = 0;
 };
 
 /// The batch currently on the pool.
@@ -149,10 +149,6 @@ private:
           *S.Problem, P->Config, Pool.numWorkers(), /*RemotePeers=*/true);
     } else if (const CubeBatchMsg *B = std::get_if<CubeBatchMsg>(&M)) {
       Pending.push_back(*B);
-    } else if (const CoresMsg *C = std::get_if<CoresMsg>(&M)) {
-      auto It = Problems.find(C->ProblemId);
-      if (It != Problems.end())
-        It->second.Run->addExternalCores(C->Cores);
     } else if (const LemmasMsg *LM = std::get_if<LemmasMsg>(&M)) {
       auto It = Problems.find(LM->ProblemId);
       if (It == Problems.end())
@@ -358,10 +354,7 @@ private:
     R.Stats = Now - S.ReportedStats;
     S.ReportedStats = Now;
     R.Solved = Run.solved() - S.ReportedSolved;
-    R.PrunedCore = Run.prunedCore() - S.ReportedCore;
     S.ReportedSolved = Run.solved();
-    S.ReportedCore = Run.prunedCore();
-    R.NewCores = Run.drainOutboundCores();
     // The batch has quiesced, so the slot logs are stable: ship whatever
     // each slot derived/concluded since the previous report. Chunk
     // boundaries are record-aligned; the coordinator concatenates.

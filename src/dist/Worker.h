@@ -9,8 +9,7 @@
 /// coordinator, receives encoded VerificationProblems and cube batches,
 /// and discharges them on a local thread pool through the exact
 /// engine::CubeRun machinery the in-process scheduler uses — per-slot
-/// reusable solvers, GF(2) cube refutation, sibling-core pruning (fed
-/// additionally by cross-node core broadcasts), budget hardening and
+/// reusable solvers, one solver call per cube, budget hardening and
 /// native XOR all behave identically to a local run. Outside proof mode
 /// the slots also trade short learnt lemmas with the other workers' slots
 /// (shipped every poll, relayed by the coordinator). The protocol loop

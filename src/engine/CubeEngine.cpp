@@ -62,9 +62,7 @@ struct veriqec::engine::Discharge {
     Out.Stats = Now - Reported;
     Reported = Now;
     Out.CubesSolved = Run.solved() - Solved;
-    Out.CubesPruned = Run.prunedCore() - PrunedCore;
     Solved = Run.solved();
-    PrunedCore = Run.prunedCore();
     describeProblem(*Problem, Out);
     if (Run.satFound()) {
       Out.Result = SolveResult::Sat;
@@ -88,7 +86,7 @@ struct veriqec::engine::Discharge {
   std::shared_ptr<const smt::VerificationProblem> Problem;
   CubeRun Run;
   sat::SolverStats Reported;
-  uint64_t Solved = 0, PrunedCore = 0;
+  uint64_t Solved = 0;
   std::vector<proof::ProofText> Streams; ///< per slot, everything so far
   CubeTree Tree;                         ///< the current cube set
   std::vector<std::vector<Lit>> Cubes;   ///< its leaves, in order
@@ -97,9 +95,9 @@ struct veriqec::engine::Discharge {
 namespace {
 
 /// One problem of a pool batch while its cubes are in flight: the
-/// per-cube discharge logic (slot solvers, pruning, cancellation) lives
-/// in CubeRun — shared with the distributed worker — and this wrapper
-/// adds the outstanding-cube countdown and the outcome.
+/// per-cube discharge logic (slot solvers, cancellation) lives in
+/// CubeRun — shared with the distributed worker — and this wrapper adds
+/// the outstanding-cube countdown and the outcome.
 struct ProblemRun {
   const CubeProblem *Input = nullptr;
   std::unique_ptr<Discharge> D;
@@ -332,17 +330,15 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
     for (std::unique_ptr<ProblemRun> &RunPtr : Runs)
       Total += RunPtr->Out.NumCubes;
     while (true) {
-      uint64_t Left = 0, Done = 0, Pruned = 0, Conflicts = 0;
+      uint64_t Left = 0, Done = 0, Conflicts = 0;
       for (std::unique_ptr<ProblemRun> &RunPtr : Runs) {
         Left += RunPtr->Remaining.load(std::memory_order_relaxed);
         const CubeRun &R = RunPtr->D->Run;
         Done += R.solved();
-        Pruned += R.prunedCore();
         Conflicts += R.conflictsObserved();
       }
       obs::progressLine("cubes " + std::to_string(Done) + "/" +
-                            std::to_string(Total) + "  pruned " +
-                            std::to_string(Pruned) + "  conflicts " +
+                            std::to_string(Total) + "  conflicts " +
                             std::to_string(Conflicts),
                         /*Force=*/Left == 0);
       if (Left == 0)

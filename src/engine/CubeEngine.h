@@ -24,10 +24,10 @@
 /// never past the auto cap. The slot term sizes the cube set to the fleet
 /// (local threads x nodes) so stealing can rebalance uneven hardness; the
 /// floor keeps the per-slot count high enough that the reusable solvers'
-/// assumption-prefix reuse and sibling-core pruning have material to work
-/// with — measured on surface9 t=4 at one slot, 305 cubes run 14.9 s and
-/// 10.4k cubes 5.2 s, while the old flat cut's 21k cubes pay 7.6 s of
-/// near-trivial dispatch (ROADMAP "cube-split heuristics").
+/// assumption-prefix reuse has material to work with — measured on
+/// surface9 t=4 at one slot, 305 cubes run 14.9 s and 10.4k cubes 5.2 s,
+/// while the old flat cut's 21k cubes pay 7.6 s of near-trivial dispatch
+/// (ROADMAP "cube-split heuristics").
 ///
 //===----------------------------------------------------------------------===//
 

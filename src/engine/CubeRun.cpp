@@ -11,25 +11,10 @@
 #include "support/Assert.h"
 #include "support/Timer.h"
 
-#include <algorithm>
-
 using namespace veriqec;
 using namespace veriqec::engine;
 using sat::Lit;
 using sat::SolveResult;
-
-namespace {
-
-/// True iff every literal of \p Core occurs in the sorted \p CubeSorted.
-bool coreSubsumesCube(const std::vector<Lit> &Core,
-                      const std::vector<Lit> &CubeSorted) {
-  for (Lit L : Core)
-    if (!std::binary_search(CubeSorted.begin(), CubeSorted.end(), L))
-      return false;
-  return true;
-}
-
-} // namespace
 
 CubeRun::CubeRun(const smt::VerificationProblem &Problem,
                  const CubeRunConfig &Cfg, size_t NumSlots,
@@ -37,7 +22,6 @@ CubeRun::CubeRun(const smt::VerificationProblem &Problem,
     : Problem(Problem), Cfg(Cfg),
       ExchangeLemmas(!Cfg.LogProofs && (NumSlots > 1 || RemotePeers)) {
   Slots.resize(NumSlots);
-  CoreSnapshots.resize(NumSlots);
   SlotConflictBase.resize(NumSlots, 0);
   if (Cfg.LogProofs) {
     SlotLogs.resize(NumSlots);
@@ -50,28 +34,6 @@ proof::ProofText CubeRun::drainSlotProof(size_t Slot) {
   if (Slot >= SlotLogs.size() || !SlotLogs[Slot])
     return {};
   return SlotLogs[Slot]->drain();
-}
-
-void CubeRun::storeCore(const std::vector<Lit> &Core, bool Outbound) {
-  std::lock_guard<std::mutex> Lock(CoreMutex);
-  if (RefutedCores.size() >= MaxRefutedCores)
-    return;
-  RefutedCores.push_back(Core);
-  CoreCount.store(RefutedCores.size(), std::memory_order_release);
-  if (Outbound)
-    OutboundCores.push_back(Core);
-}
-
-void CubeRun::addExternalCores(std::span<const std::vector<Lit>> Cores) {
-  for (const std::vector<Lit> &Core : Cores)
-    storeCore(Core, /*Outbound=*/false);
-}
-
-std::vector<std::vector<Lit>> CubeRun::drainOutboundCores() {
-  std::lock_guard<std::mutex> Lock(CoreMutex);
-  std::vector<std::vector<Lit>> Out;
-  Out.swap(OutboundCores);
-  return Out;
 }
 
 void CubeRun::addExternalLemmas(std::span<const std::vector<Lit>> Lemmas) {
@@ -101,36 +63,7 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
     return CubeOutcome::Cancelled;
   assert(Slot < Slots.size() && "slot index out of range");
 
-  bool Subsumed = false;
-  if (CoreCount.load(std::memory_order_acquire) != 0) {
-    std::vector<std::vector<Lit>> &Snapshot = CoreSnapshots[Slot];
-    if (Snapshot.size() < CoreCount.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> Lock(CoreMutex);
-      Snapshot = RefutedCores;
-    }
-    std::vector<Lit> CubeSorted = Cube;
-    std::sort(CubeSorted.begin(), CubeSorted.end());
-    for (const std::vector<Lit> &Core : Snapshot)
-      if (coreSubsumesCube(Core, CubeSorted)) {
-        Subsumed = true;
-        break;
-      }
-  }
-  // A stored sibling core that fits inside this cube refutes it outright
-  // — no solver, no conflicts. Parity contradictions need no pruner of
-  // their own: the slot solver's Gauss engine (or its CNF parity chains)
-  // finds them during the cube's propagation.
-  if (Subsumed) {
-    Solved.fetch_add(1, std::memory_order_relaxed);
-    PrunedCore.fetch_add(1, std::memory_order_relaxed);
-    // No record: the q record of its core (in any slot's or node's
-    // stream) already put ¬core in the checker's table, which refutes
-    // the cube.
-    return CubeOutcome::PrunedCore;
-  }
-
-  // One span per solver-discharged cube (pruned cubes never reach
-  // here); construction is a relaxed load when tracing is off.
+  // One span per cube; construction is a relaxed load when tracing is off.
   obs::TraceSpan Span("cube_solve", {{"slot", Slot}, {"cube", CubeId}});
   bool Observe = obs::metricsEnabled();
   Timer CubeClock;
@@ -194,13 +127,6 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
       // and the siblings are redundant.
       GlobalUnsat.store(true, std::memory_order_relaxed);
       Cancel.store(true, std::memory_order_relaxed);
-    } else if (Core.size() + 1 < Cube.size()) {
-      // A strict-subset core refutes every sibling cube containing it;
-      // remember it so they are pruned without a solver — and queue it
-      // for cross-node broadcast. (The +1 slack: a core one literal
-      // short of the cube subsumes almost nothing, not worth the
-      // per-cube checks.)
-      storeCore(Core, /*Outbound=*/true);
     }
     return CubeOutcome::Unsat;
   }

@@ -8,13 +8,13 @@
 /// The thread-safe shared state of one problem while its cubes are being
 /// discharged: per-slot reusable solvers (lazily built from the shared
 /// encoding), first-SAT cancellation, global-UNSAT detection via empty
-/// failed-assumption cores and sibling-core subtree pruning, plus
-/// cross-slot learned-clause exchange. Extracted from CubeEngine so the
-/// in-process work-stealing scheduler and the distributed worker
-/// (dist/Worker.h) run the identical per-cube logic —
-/// the distributed layer additionally feeds cores and lemmas in from
-/// other nodes (addExternalCores, addExternalLemmas) and drains locally
-/// discovered ones for relay (drainOutboundCores, drainOutboundLemmas).
+/// failed-assumption cores, plus cross-slot learned-clause exchange.
+/// Every cube that runs is concluded by its own solver call. Extracted
+/// from CubeEngine so the in-process work-stealing scheduler and the
+/// distributed worker (dist/Worker.h) run the identical per-cube logic —
+/// the distributed layer additionally feeds lemmas in from other nodes
+/// (addExternalLemmas) and drains locally learnt ones for relay
+/// (drainOutboundLemmas).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,11 +45,10 @@ struct CubeRunConfig {
   uint32_t BudgetBound = 0;
   uint64_t ConflictBudget = 0; ///< 0 = unlimited
   uint64_t RandomSeed = 0;     ///< 0 = deterministic branching
-  /// Attach a proof::SlotProofLog to every slot solver and record a q
-  /// conclusion per solved cube (a cube a stored core subsumes is covered
-  /// by that core's q). Disables lemma exchange (local and remote): an
-  /// imported lemma is justified by another slot's derivation chain and
-  /// would not be RUP in this stream.
+  /// Attach a proof::SlotProofLog to every slot solver and record one q
+  /// conclusion per solved cube. Disables lemma exchange (local and
+  /// remote): an imported lemma is justified by another slot's derivation
+  /// chain and would not be RUP in this stream.
   bool LogProofs = false;
 };
 
@@ -57,11 +56,10 @@ class CubeRun {
 public:
   /// What happened to one cube.
   enum class CubeOutcome {
-    Unsat,      ///< discharged UNSAT by a solver call
-    PrunedCore, ///< subsumed by a stored sibling UNSAT core
-    Sat,        ///< satisfiable — model captured, run cancelled
-    Aborted,    ///< solver gave up (conflict budget)
-    Cancelled,  ///< run was cancelled before/while solving this cube
+    Unsat,     ///< discharged UNSAT by a solver call
+    Sat,       ///< satisfiable — model captured, run cancelled
+    Aborted,   ///< solver gave up (conflict budget)
+    Cancelled, ///< run was cancelled before/while solving this cube
   };
 
   /// \p Problem must outlive the run and is shared read-only across
@@ -90,10 +88,9 @@ public:
 
   /// Clears the per-run verdict state (cancel/SAT/global-UNSAT/abort
   /// flags and the captured model) while keeping slot solvers, learnt
-  /// clauses, stored cores and cumulative counters: the distributed
-  /// worker reuses one CubeRun across many incremental cube sets of a
-  /// persistent problem (the distance search's probes). Call only while
-  /// quiescent.
+  /// clauses and cumulative counters: the distributed worker reuses one
+  /// CubeRun across many incremental cube sets of a persistent problem
+  /// (the distance search's probes). Call only while quiescent.
   void reset() {
     Cancel.store(false, std::memory_order_relaxed);
     GlobalUnsat.store(false, std::memory_order_relaxed);
@@ -116,9 +113,6 @@ public:
   const std::unordered_map<std::string, bool> &model() const { return Model; }
 
   uint64_t solved() const { return Solved.load(std::memory_order_relaxed); }
-  uint64_t prunedCore() const {
-    return PrunedCore.load(std::memory_order_relaxed);
-  }
 
   /// Solver conflicts spent so far, observed at cube granularity: each
   /// slot publishes its solver's running total after every cube, so this
@@ -128,15 +122,6 @@ public:
   uint64_t conflictsObserved() const {
     return ConflictsObserved.load(std::memory_order_relaxed);
   }
-
-  /// Merges cores discovered on OTHER nodes into the pruning list (they
-  /// are not re-broadcast through drainOutboundCores).
-  void addExternalCores(std::span<const std::vector<sat::Lit>> Cores);
-
-  /// Locally discovered strict-subset cores not yet drained — the
-  /// distributed worker ships these to the coordinator for cross-node
-  /// sibling pruning.
-  std::vector<std::vector<sat::Lit>> drainOutboundCores();
 
   /// Feeds lemmas learnt on OTHER nodes into the learnt pool, where every
   /// slot imports them at its next cube (they are not handed back by
@@ -166,8 +151,6 @@ public:
   proof::ProofText drainSlotProof(size_t Slot);
 
 private:
-  void storeCore(const std::vector<sat::Lit> &Core, bool Outbound);
-
   const smt::VerificationProblem &Problem;
   CubeRunConfig Cfg;
 
@@ -176,24 +159,9 @@ private:
   std::atomic<bool> AnyAborted{false};
   std::atomic<bool> SatFlag{false};
   std::atomic<uint64_t> Solved{0};
-  std::atomic<uint64_t> PrunedCore{0};
   /// See conflictsObserved(). Owner-only per-slot bases live in
   /// SlotConflictBase; only the published sum is shared.
   std::atomic<uint64_t> ConflictsObserved{0};
-
-  /// UNSAT cores that used only a strict subset of their cube's
-  /// assumption literals. Any later cube containing such a core is UNSAT
-  /// without solving — with the ET enumeration's shared prefixes this
-  /// regularly discharges whole subtrees of sibling cubes. The master
-  /// list is guarded by CoreMutex and append-only; slots scan their own
-  /// snapshot (refreshed only when CoreCount says it is stale), so the
-  /// common case costs one relaxed load per cube, not a lock. Capped so
-  /// snapshot refreshes and subset checks stay cheap.
-  std::vector<std::vector<sat::Lit>> RefutedCores;
-  std::vector<std::vector<sat::Lit>> OutboundCores;
-  std::atomic<size_t> CoreCount{0};
-  std::mutex CoreMutex;
-  static constexpr size_t MaxRefutedCores = 256;
 
   /// One lazily-built solver per slot; a slot is only ever touched by one
   /// thread at a time, so no locking.
@@ -202,8 +170,6 @@ private:
   /// the constructor when Cfg.LogProofs. unique_ptr for address
   /// stability — the slot solver keeps a raw sink pointer.
   std::vector<std::unique_ptr<proof::SlotProofLog>> SlotLogs;
-  /// Per-slot snapshots of RefutedCores (owner-only, like Slots).
-  std::vector<std::vector<std::vector<sat::Lit>>> CoreSnapshots;
   /// Per-slot last-published solver conflict totals (owner-only).
   std::vector<uint64_t> SlotConflictBase;
 

@@ -75,8 +75,6 @@ void applyOutcome(SolveOutcome &&Outcome, PreparedScenario &P) {
   P.Result.Stats = Outcome.Stats;
   P.Result.NumCubes = Outcome.NumCubes;
   P.Result.CubesSolved = Outcome.CubesSolved;
-  P.Result.CubesPruned = Outcome.CubesPruned;
-  P.Result.CubesPrunedCore = Outcome.CubesPruned;
   P.Result.Prep = Outcome.Prep;
   P.Result.CnfVars = Outcome.CnfVars;
   P.Result.CnfClauses = Outcome.CnfClauses;

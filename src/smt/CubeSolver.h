@@ -51,9 +51,6 @@ struct SolveOutcome {
   uint64_t NumCubes = 1;
   /// Cubes actually solved; < NumCubes when a SAT cube cancelled the rest.
   uint64_t CubesSolved = 1;
-  /// Cubes refuted before any SAT call (included in CubesSolved): a
-  /// sibling cube's stored UNSAT core subsumed them.
-  uint64_t CubesPruned = 0;
   /// Preprocessing telemetry and CNF size (for --bench-out).
   PreprocessStats Prep;
   size_t CnfVars = 0;

@@ -81,12 +81,9 @@ struct VerificationResult {
   /// Cubes actually discharged; < NumCubes when the first SAT cube
   /// cancelled its outstanding siblings.
   uint64_t CubesSolved = 1;
-  /// Cubes refuted with no SAT call: a sibling's stored UNSAT core
-  /// subsumed them. CubesPrunedCore is the same count under the name the
-  /// benchmark harness reads; CubesPrunedGf2 is always 0 — the GF(2) cube
-  /// pruner is gone (the solver's own parity reasoning refutes those
-  /// cubes) and the field stays only until qecbench/qecbench.cpp stops
-  /// reading it.
+  /// Always 0: every cube that runs is concluded by its own solver call
+  /// (the GF(2) and sibling-core cube pruners are gone). The fields stay
+  /// only until qecbench/qecbench.cpp stops reading them.
   uint64_t CubesPruned = 0;
   uint64_t CubesPrunedGf2 = 0;
   uint64_t CubesPrunedCore = 0;

@@ -7,9 +7,9 @@
 // The dist/ subsystem: codec round trips over fuzzer-generated
 // verification problems, strict rejection of truncated/corrupted frames,
 // the version handshake, loopback and TCP end-to-end verification
-// equality with the in-process engine, worker-drop recovery, cross-node
-// pruning plumbing, the incremental distance handle API, and the
-// rejection of a certificate whose worker skipped one cube.
+// equality with the in-process engine, worker-drop recovery, the
+// incremental distance handle API, and the rejection of a certificate
+// whose worker skipped one cube.
 //
 //===----------------------------------------------------------------------===//
 
@@ -128,7 +128,7 @@ TEST(DistCodec, RoundTripsFuzzerGeneratedProblems) {
   }
 }
 
-TEST(DistCodec, RoundTripsBatchResultsModelsAndCores) {
+TEST(DistCodec, RoundTripsBatchResultsModelsAndProofChunks) {
   BatchResultMsg R;
   R.ProblemId = 3;
   R.BatchId = 11;
@@ -139,8 +139,7 @@ TEST(DistCodec, RoundTripsBatchResultsModelsAndCores) {
   for (const auto &F : sat::SolverStats::Fields)
     R.Stats.*F.Member = 0x0102030405060708ull * ++I;
   R.Solved = 41;
-  R.PrunedCore = 2;
-  R.NewCores = {{sat::mkLit(3), ~sat::mkLit(7)}, {~sat::mkLit(1)}};
+  R.ProofChunks = {{0, "a 1 -2 0\n"}, {2, "q 3 0 1 0\n"}};
   std::vector<uint8_t> Frame = encodeMessage(R);
   Message M;
   ASSERT_TRUE(decodeMessage(Frame, M));
@@ -153,15 +152,15 @@ TEST(DistCodec, RoundTripsBatchResultsModelsAndCores) {
   for (const auto &F : sat::SolverStats::Fields)
     EXPECT_EQ(D->Stats.*F.Member, R.Stats.*F.Member) << F.Name;
   EXPECT_EQ(D->Solved, 41u);
-  EXPECT_EQ(D->PrunedCore, 2u);
-  EXPECT_EQ(D->NewCores, R.NewCores);
+  EXPECT_EQ(D->ProofChunks, R.ProofChunks);
 }
 
 TEST(DistCodec, BatchResultFrameBytesArePinned) {
   // The counters are set by member name, not through the field table,
   // so a reordered table changes these bytes. The FNV-1a hash is of the
-  // frame wire version 8 encodes (the by-name stats codec of version 6,
-  // without the GF(2) prune counter).
+  // frame wire version 9 encodes (the by-name stats codec of version 6,
+  // without the GF(2) prune counter of version 8 and the core-prune
+  // counter and new cores of version 9).
   const uint64_t K = 0x0102030405060708ull;
   BatchResultMsg R;
   R.ProblemId = 3;
@@ -181,16 +180,14 @@ TEST(DistCodec, BatchResultFrameBytesArePinned) {
   R.Stats.WastedBytes = K * 11;
   R.Stats.Compactions = K * 12;
   R.Solved = 41;
-  R.PrunedCore = 2;
-  R.NewCores = {{sat::mkLit(3), ~sat::mkLit(7)}, {~sat::mkLit(1)}};
   std::vector<uint8_t> Frame = encodeMessage(R);
   uint64_t Hash = 14695981039346656037ull;
   for (uint8_t Byte : Frame) {
     Hash ^= Byte;
     Hash *= 1099511628211ull;
   }
-  EXPECT_EQ(Frame.size(), 177u);
-  EXPECT_EQ(Hash, 12842910468742980075ull);
+  EXPECT_EQ(Frame.size(), 145u);
+  EXPECT_EQ(Hash, 3933943953071864466ull);
 }
 
 TEST(DistCodec, RoundTripsEveryPreprocessStatsField) {
@@ -364,7 +361,6 @@ oneFramePerKind(const smt::VerificationProblem &P) {
   R.Status = BatchStatus::Sat;
   R.Model = {{"e0", true}, {"e1", false}};
   R.Stats.Conflicts = 17;
-  R.NewCores = {{sat::mkLit(3), ~sat::mkLit(7)}};
   R.ProofChunks = {{0, "a 1 -2 0\n"}};
   StealReplyMsg SR;
   SR.Batches = {{1, 2}, {3, 4}};
@@ -372,9 +368,6 @@ oneFramePerKind(const smt::VerificationProblem &P) {
   HB.BatchesInFlight = 2;
   HB.CubesDelta = 5;
   HB.ConflictsDelta = 6;
-  CoresMsg Cores;
-  Cores.ProblemId = 1;
-  Cores.Cores = {{sat::mkLit(1)}, {~sat::mkLit(2), sat::mkLit(5)}};
   CubeBatchMsg B;
   B.ProblemId = 1;
   B.BatchId = 2;
@@ -388,7 +381,6 @@ oneFramePerKind(const smt::VerificationProblem &P) {
   All.push_back(ProblemMsg{}); // encoded by problemFrame() below
   All.push_back(B);
   All.push_back(R);
-  All.push_back(Cores);
   All.push_back(CancelMsg{7});
   All.push_back(StealRequestMsg{3});
   All.push_back(SR);

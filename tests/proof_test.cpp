@@ -707,8 +707,8 @@ TEST(ProofEmission, SurfaceSevenCertificatesArePinned) {
     std::string_view Proof = R.Proof;
     EXPECT_TRUE(checkProof(Proof).Ok) << Threads;
     if (Threads == 1) {
-      EXPECT_EQ(Proof.size(), 12371344u);
-      EXPECT_EQ(fnv1a(Proof), 10967252580379328821ull);
+      EXPECT_EQ(Proof.size(), 12405117u);
+      EXPECT_EQ(fnv1a(Proof), 12313812876646448667ull);
       continue;
     }
     size_t Streams = Proof.find("\ns ") + 1;
@@ -720,4 +720,28 @@ TEST(ProofEmission, SurfaceSevenCertificatesArePinned) {
       EXPECT_EQ(fnv1a(Proof.substr(Trailer + 1)), 6230768366095691253ull);
     }
   }
+}
+
+TEST(ProofEmission, EveryCubeThatRunsConcludesInItsOwnRecord) {
+  // One slot, deterministic: each solved cube is one solver call with one
+  // q record, so the checked conclusions count the solved cubes exactly.
+  // surface5 holds two cubes the stream's empty-core conclusion cancels;
+  // xzzx5 solves every cube. The counters pin the search itself.
+  auto Check = [](const StabilizerCode &Code, uint64_t Conflicts,
+                  uint64_t Propagations) {
+    Scenario S = makeMemoryScenario(Code, PauliKind::Y, LogicalBasis::Z, 2);
+    VerifyOptions O;
+    O.LogProofs = true;
+    O.Parallel = true;
+    O.Threads = 1;
+    VerificationResult R = verifyScenario(S, O);
+    ASSERT_TRUE(R.Verified) << Code.Name << ": " << R.Error;
+    EXPECT_EQ(R.Stats.Conflicts, Conflicts) << Code.Name;
+    EXPECT_EQ(R.Stats.propagations(), Propagations) << Code.Name;
+    CheckResult C = checkProof(R.Proof);
+    ASSERT_TRUE(C.Ok) << Code.Name << ": " << C.Error;
+    EXPECT_EQ(C.Conclusions, R.CubesSolved) << Code.Name;
+  };
+  Check(makeRotatedSurfaceCode(5), 1597, 186176);
+  Check(makeXzzxSurfaceCode(5, 5), 658, 107463);
 }

@@ -533,8 +533,6 @@ std::string recordJson(const RunRecord &R) {
       .count("goals", V.NumGoals)
       .count("cubes", V.NumCubes)
       .count("cubes_solved", V.CubesSolved)
-      .count("cubes_pruned", V.CubesPruned)
-      .count("cubes_pruned_core", V.CubesPrunedCore)
       .count("split_threshold_used", V.SplitThresholdUsed);
   putSolverStats(J, V.Stats);
   J.count("cnf_vars", V.CnfVars)
@@ -764,15 +762,13 @@ int runVerify(const CliOptions &Cli) {
   if (obs::metricsEnabled()) {
     obs::Registry &Reg = obs::Registry::global();
     publishSolverStats(Total);
-    uint64_t Cubes = 0, Solved = 0, Pruned = 0;
+    uint64_t Cubes = 0, Solved = 0;
     for (const RunRecord &R : Records) {
       Cubes += R.Result.NumCubes;
       Solved += R.Result.CubesSolved;
-      Pruned += R.Result.CubesPruned;
     }
     Reg.counter("engine.cubes").set(Cubes);
     Reg.counter("engine.cubes_solved").set(Solved);
-    Reg.counter("engine.cubes_pruned").set(Pruned);
     Reg.gauge("run.wall_ms").set(
         static_cast<uint64_t>(TotalSeconds * 1e3));
     if (DC.Coord)
@@ -798,13 +794,12 @@ int runVerify(const CliOptions &Cli) {
     if (DC.Coord) {
       const dist::CoordinatorStats &DS = DC.Coord->stats();
       std::printf("dist: %zu workers, %zu slots, %llu stolen, %llu "
-                  "requeued, %llu dropped, %llu core broadcasts, "
-                  "%llu heartbeats, %llu lemmas relayed\n",
+                  "requeued, %llu dropped, %llu heartbeats, "
+                  "%llu lemmas relayed\n",
                   DC.Coord->numWorkers(), DC.Coord->numSlots(),
                   static_cast<unsigned long long>(DS.BatchesStolen),
                   static_cast<unsigned long long>(DS.BatchesRequeued),
                   static_cast<unsigned long long>(DS.WorkersDropped),
-                  static_cast<unsigned long long>(DS.CoreBroadcasts),
                   static_cast<unsigned long long>(DS.HeartbeatsReceived),
                   static_cast<unsigned long long>(DS.LemmasRelayed));
     }
