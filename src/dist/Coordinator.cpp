@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -77,7 +78,23 @@ struct Coordinator::ActiveProblem {
   /// derivations resolve against clauses learnt in earlier epochs and
   /// the streams are only checkable whole.
   std::map<std::pair<uint64_t, uint32_t>, proof::ProofText> ProofStreams;
+  /// The last UNSAT cube set, which the certificate stands for.
+  std::optional<engine::CubeTree> Proven;
   Timer ProblemClock;
+
+  /// The certificate of the last UNSAT cube set, with every stream
+  /// released into it; empty when there is none.
+  std::string certificate() {
+    if (!Proven)
+      return {};
+    std::vector<proof::ProofText> Streams;
+    for (auto &[Key, Text] : ProofStreams)
+      Streams.push_back(std::move(Text));
+    std::string Cert =
+        engine::assembleCertificate(*Problem, Config, Streams, *Proven);
+    Proven.reset();
+    return Cert;
+  }
 };
 
 Coordinator::Coordinator(CoordinatorOptions Opts) : Opts(Opts) {}
@@ -368,20 +385,11 @@ void Coordinator::finishProblem(ActiveProblem &AP) {
                                       : sat::SolveResult::Unsat;
   AP.Outcome.SolveSeconds = AP.ProblemClock.seconds();
   if (AP.Config.LogProofs && AP.Outcome.Result == sat::SolveResult::Unsat) {
-    // A persistent problem's next solveCubes epoch extends its streams,
-    // so they are lent out and copied; a one-shot problem's are released.
-    std::vector<proof::ProofText> Streams;
-    Streams.reserve(AP.ProofStreams.size());
-    for (auto &[Key, Text] : AP.ProofStreams)
-      Streams.push_back(std::move(Text));
-    // An UNSAT problem decided early was refuted globally: no trailer.
-    AP.Outcome.Proof = engine::assembleCertificate(
-        *AP.Problem, AP.Config, Streams, AP.Tree, AP.Decided,
-        AP.Persistent ? proof::StreamHandoff::Copy
-                      : proof::StreamHandoff::Release);
-    size_t I = 0;
-    for (auto &[Key, Text] : AP.ProofStreams)
-      Text = std::move(Streams[I++]);
+    // An UNSAT problem decided early was refuted globally.
+    AP.Proven = engine::provenTree(std::move(AP.Tree), AP.Decided);
+    // A one-shot problem closes with its only cube set.
+    if (!AP.Persistent)
+      AP.Outcome.Proof = AP.certificate();
   }
 }
 
@@ -675,10 +683,10 @@ Coordinator::solveCubes(uint32_t Handle, engine::CubeTree Tree) {
   return std::move(AP.Outcome);
 }
 
-void Coordinator::closeProblem(uint32_t Handle) {
+std::string Coordinator::closeProblem(uint32_t Handle) {
   auto It = Problems.find(Handle);
   if (It == Problems.end())
-    return;
+    return {};
   CancelMsg CM;
   CM.ProblemId = Handle;
   for (std::unique_ptr<WorkerState> &W : Workers) {
@@ -687,7 +695,9 @@ void Coordinator::closeProblem(uint32_t Handle) {
     if (W->KnowsProblem.erase(Handle))
       W->L->send(encodeMessage(CM));
   }
+  std::string Cert = It->second->certificate();
   Problems.erase(It);
+  return Cert;
 }
 
 std::vector<std::thread>

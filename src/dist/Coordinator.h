@@ -121,11 +121,12 @@ public:
 
   /// engine::CubeBackend's handle API. The problem ships lazily to each
   /// worker that receives one of its batches, exactly once; worker-side
-  /// slot solvers persist until closeProblem(), which frees them.
+  /// slot solvers persist until closeProblem(), which frees them and
+  /// assembles the certificate from the streams their batches returned.
   uint32_t openProblem(std::shared_ptr<const smt::VerificationProblem> P,
                        const engine::CubeRunConfig &Config) override;
   smt::SolveOutcome solveCubes(uint32_t Handle, engine::CubeTree Tree) override;
-  void closeProblem(uint32_t Handle) override;
+  std::string closeProblem(uint32_t Handle) override;
 
   /// Sends Shutdown to every live worker (they exit their loops).
   void shutdownWorkers();

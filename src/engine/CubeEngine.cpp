@@ -18,6 +18,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -29,15 +30,14 @@ using sat::Var;
 using smt::SolveOutcome;
 
 /// One problem's discharge across its cube sets: the CubeRun, the
-/// counters already reported, and the certificate state (a persistent
-/// slot solver's later derivations resolve against earlier ones, so the
-/// streams only check whole: an open handle's are copied into each
-/// certificate, a one-shot discharge releases them into its only one).
+/// counters already reported, and the cube set the certificate stands
+/// for. A persistent slot solver's later derivations resolve against
+/// earlier ones, so its proof stream only checks whole: it grows across
+/// every cube set and goes into the one certificate at close.
 struct veriqec::engine::Discharge {
   Discharge(std::shared_ptr<const smt::VerificationProblem> P,
             const CubeRunConfig &Cfg, size_t NumSlots)
-      : Problem(std::move(P)), Run(*Problem, Cfg, NumSlots),
-        Streams(NumSlots) {}
+      : Problem(std::move(P)), Run(*Problem, Cfg, NumSlots) {}
 
   /// Starts the cube set \p T: fresh verdict flags, while the slot
   /// solvers, their learnt clauses and the cumulative counters stay. A
@@ -51,10 +51,11 @@ struct veriqec::engine::Discharge {
   }
 
   /// Closes the quiesced cube set into \p Out, whose NumCubes the caller
-  /// set: counters since the previous set, verdict, certificate.
-  void finish(SolveOutcome &Out, proof::StreamHandoff Handoff) {
+  /// set: counters since the previous set and verdict. An UNSAT set
+  /// becomes the one certificate() stands for.
+  void finish(SolveOutcome &Out) {
     if (Problem->TriviallyUnsat) {
-      Out = triviallyUnsatOutcome(*Problem, Run.config().LogProofs);
+      Out = triviallyUnsatOutcome(*Problem, /*LogProofs=*/false);
       return;
     }
     sat::SolverStats Now;
@@ -74,22 +75,30 @@ struct veriqec::engine::Discharge {
                    : Run.anyAborted() ? SolveResult::Aborted
                                       : SolveResult::Unsat;
     }
-    if (!Run.config().LogProofs)
-      return;
-    for (size_t S = 0; S != Streams.size(); ++S)
-      Streams[S].append(Run.drainSlotProof(S));
-    if (Out.Result == SolveResult::Unsat)
-      Out.Proof = assembleCertificate(*Problem, Run.config(), Streams, Tree,
-                                      Run.globalUnsat(), Handoff);
+    if (Run.config().LogProofs && Out.Result == SolveResult::Unsat)
+      Proven = provenTree(std::move(Tree), Run.globalUnsat());
+  }
+
+  /// The certificate of the last UNSAT cube set, with every stream
+  /// released into it; empty without LogProofs or without such a set.
+  std::string certificate() {
+    if (Problem->TriviallyUnsat && Run.config().LogProofs)
+      return proof::buildTrivialProof(*Problem);
+    if (!Proven)
+      return {};
+    std::vector<proof::ProofText> Streams;
+    for (size_t S = 0; S != Run.numSlots(); ++S)
+      Streams.push_back(Run.drainSlotProof(S));
+    return assembleCertificate(*Problem, Run.config(), Streams, *Proven);
   }
 
   std::shared_ptr<const smt::VerificationProblem> Problem;
   CubeRun Run;
   sat::SolverStats Reported;
   uint64_t Solved = 0;
-  std::vector<proof::ProofText> Streams; ///< per slot, everything so far
-  CubeTree Tree;                         ///< the current cube set
-  std::vector<std::vector<Lit>> Cubes;   ///< its leaves, in order
+  CubeTree Tree;                       ///< the current cube set
+  std::vector<std::vector<Lit>> Cubes; ///< its leaves, in order
+  std::optional<CubeTree> Proven;      ///< the last UNSAT cube set
 };
 
 namespace {
@@ -117,8 +126,7 @@ void dischargeCube(ProblemRun &P, size_t CubeIdx) {
 }
 
 /// Solves \p Tree's leaves on \p D's one slot, on the calling thread.
-SolveOutcome solveOnCaller(Discharge &D, CubeTree Tree,
-                           proof::StreamHandoff Handoff) {
+SolveOutcome solveOnCaller(Discharge &D, CubeTree Tree) {
   D.start(std::move(Tree));
   SolveOutcome Out;
   Out.NumCubes = D.Cubes.size();
@@ -126,7 +134,7 @@ SolveOutcome solveOnCaller(Discharge &D, CubeTree Tree,
   for (size_t C = 0; C != D.Cubes.size() && !D.Run.cancelled(); ++C)
     D.Run.runCube(0, D.Cubes[C], C);
   Out.SolveSeconds = Clock.seconds();
-  D.finish(Out, Handoff);
+  D.finish(Out);
   return Out;
 }
 
@@ -161,14 +169,19 @@ veriqec::engine::triviallyUnsatOutcome(const smt::VerificationProblem &P,
 
 std::string veriqec::engine::assembleCertificate(
     const smt::VerificationProblem &P, const CubeRunConfig &Cfg,
-    std::span<proof::ProofText> Streams, const CubeTree &Tree, bool Refuted,
-    proof::StreamHandoff Handoff) {
+    std::span<proof::ProofText> Streams, const CubeTree &Tree) {
   std::vector<Lit> Units;
   if (Cfg.HardenBudget)
     P.appendWeightAssumptions(Cfg.BudgetBound, Units);
   Units.insert(Units.end(), Tree.bound().begin(), Tree.bound().end());
   return proof::assembleProof(proof::buildProofHeader(P, Units), Streams,
-                              Refuted ? nullptr : &Tree, Handoff);
+                              Tree);
+}
+
+CubeTree veriqec::engine::provenTree(CubeTree Tree, bool Refuted) {
+  if (!Refuted)
+    return Tree;
+  return CubeTree(std::vector<Lit>(Tree.bound().begin(), Tree.bound().end()));
 }
 
 PreparedProblem veriqec::engine::prepareCubeProblem(const CubeProblem &P,
@@ -184,35 +197,13 @@ PreparedProblem veriqec::engine::prepareCubeProblem(const CubeProblem &P,
   Out.Config.LogProofs = O.LogProofs;
   if (Out.Encoded->TriviallyUnsat)
     return Out; // refuted during preprocessing: no cube runs, no solver
+  // Split variables keep their declaration order: error indicators are
+  // declared in lattice order, so a cube prefix fixes a contiguous patch
+  // of the code (every reordering tried scattered that patch and
+  // regressed surface9 t=4 by 4-20x in conflicts).
   std::vector<Var> SplitVars;
   for (const std::string &Name : O.SplitVars)
     SplitVars.push_back(Out.Encoded->varOfName(Name));
-  // Order the split variables by GF(2) row participation: variables
-  // that sit in no kept parity row feed the slot solvers' parity
-  // propagation nothing, so assuming them early wastes shared-prefix
-  // budget — push them behind every row-constrained variable. WITHIN
-  // each class the declaration order is preserved deliberately: error
-  // indicators are declared in lattice order, so a cube prefix fixes a
-  // contiguous patch of the code, and every stronger participation sort
-  // we tried (count descending, count ascending, first-row clustering)
-  // scatters that patch and regressed surface9 t=4 by 4-20x in
-  // conflicts. The cube COUNT is order-invariant (the ET cut depends
-  // only on bits/ones), so fleet sizing is unaffected; the stable
-  // partition keeps the order deterministic, which the
-  // local-vs-distributed verdict-equality invariant needs.
-  std::vector<size_t> Participation(SplitVars.size());
-  for (size_t I = 0; I != SplitVars.size(); ++I)
-    Participation[I] = Out.Encoded->parityParticipation(SplitVars[I]);
-  std::vector<size_t> Order(SplitVars.size());
-  for (size_t I = 0; I != Order.size(); ++I)
-    Order[I] = I;
-  std::stable_partition(Order.begin(), Order.end(),
-                        [&](size_t I) { return Participation[I] != 0; });
-  std::vector<Var> Ordered;
-  Ordered.reserve(SplitVars.size());
-  for (size_t I : Order)
-    Ordered.push_back(SplitVars[I]);
-  SplitVars = std::move(Ordered);
   // The sizing rule (see the header): under an auto threshold, the
   // first threshold whose tree has ~8 leaves per slot, at least 8192.
   constexpr uint64_t CubesPerSlot = 8, MinAutoCubes = 8192;
@@ -251,8 +242,8 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
     PreparedProblem P = prepareCubeProblem(Problems[0], 1);
     Discharge D(std::move(P.Encoded), P.Config, 1);
     std::vector<SolveOutcome> Outcomes;
-    Outcomes.push_back(solveOnCaller(D, std::move(P.Tree),
-                                     proof::StreamHandoff::Release));
+    Outcomes.push_back(solveOnCaller(D, std::move(P.Tree)));
+    Outcomes.back().Proof = D.certificate();
     return Outcomes;
   }
 
@@ -352,7 +343,8 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
   std::vector<SolveOutcome> Outcomes;
   Outcomes.reserve(Runs.size());
   for (std::unique_ptr<ProblemRun> &RunPtr : Runs) {
-    RunPtr->D->finish(RunPtr->Out, proof::StreamHandoff::Release);
+    RunPtr->D->finish(RunPtr->Out);
+    RunPtr->Out.Proof = RunPtr->D->certificate();
     Outcomes.push_back(std::move(RunPtr->Out));
   }
   return Outcomes;
@@ -380,13 +372,14 @@ SolveOutcome CubeEngine::solveCubes(uint32_t Handle, CubeTree Tree) {
     std::lock_guard<std::mutex> Lock(OpenMutex);
     D = Open.at(Handle).get();
   }
-  // The handle stays open: later cube sets extend its streams.
-  return solveOnCaller(*D, std::move(Tree), proof::StreamHandoff::Copy);
+  return solveOnCaller(*D, std::move(Tree));
 }
 
-void CubeEngine::closeProblem(uint32_t Handle) {
-  std::lock_guard<std::mutex> Lock(OpenMutex);
-  Open.erase(Handle);
+std::string CubeEngine::closeProblem(uint32_t Handle) {
+  std::unique_lock<std::mutex> Lock(OpenMutex);
+  auto Entry = Open.extract(Handle);
+  Lock.unlock(); // assembly does not hold up other handles
+  return Entry ? Entry.mapped()->certificate() : std::string();
 }
 
 // -- smt-layer facades --------------------------------------------------------

@@ -42,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -93,20 +94,24 @@ smt::SolveOutcome triviallyUnsatOutcome(const smt::VerificationProblem &P,
 
 /// The certificate rule of every CubeBackend: a header asserting
 /// \p Tree's bound (plus a hardened budget) as `b` units, \p Streams,
-/// and the trailer of \p Tree's internal nodes — none when \p Refuted,
-/// because an empty core already refuted the problem. \p Handoff says
-/// whether the streams are copied or released (proof::assembleProof()).
+/// released into it, and the trailer of \p Tree's internal nodes. A
+/// cube set an empty core refuted is certified by provenTree(): its
+/// bound alone, which needs no trailer.
 std::string assembleCertificate(const smt::VerificationProblem &P,
                                 const CubeRunConfig &Cfg,
                                 std::span<proof::ProofText> Streams,
-                                const CubeTree &Tree, bool Refuted,
-                                proof::StreamHandoff Handoff);
+                                const CubeTree &Tree);
+
+/// The tree an UNSAT cube set's certificate stands for: \p Tree, or its
+/// bound as one leaf when an empty core \p Refuted the problem.
+CubeTree provenTree(CubeTree Tree, bool Refuted);
 
 /// Where cube problems are discharged: in-process (CubeEngine) or
 /// sharded across remote workers (dist::Coordinator). Scenario batches
 /// (VerificationEngine::verifyAll) and the distance search (through the
-/// handle API) run unchanged on either; certificates follow
-/// assembleCertificate().
+/// handle API) run unchanged on either. Every problem's certificate
+/// follows assembleCertificate() and is assembled once, when the problem
+/// closes: at the end of solveAll(), or in closeProblem() for a handle.
 class CubeBackend {
 public:
   virtual ~CubeBackend() = default;
@@ -127,13 +132,15 @@ public:
               const CubeRunConfig &Config) = 0;
 
   /// Solves the leaves of \p Tree against an open problem, blocking;
-  /// statistics and cube counts are this call's. The tree's bound leads
-  /// every cube and is asserted by the certificate's header (the distance
+  /// statistics and cube counts are this call's, and the outcome carries
+  /// no certificate. The tree's bound leads every cube (the distance
   /// search's weight bound).
   virtual smt::SolveOutcome solveCubes(uint32_t Handle, CubeTree Tree) = 0;
 
-  /// Frees the state of an open problem.
-  virtual void closeProblem(uint32_t Handle) = 0;
+  /// Frees an open problem and returns its certificate: that of its last
+  /// UNSAT cube set over every set's streams (learnt clauses never depend
+  /// on a set's bound). Empty without LogProofs or without an UNSAT set.
+  virtual std::string closeProblem(uint32_t Handle) = 0;
 };
 
 class CubeEngine : public CubeBackend {
@@ -164,7 +171,7 @@ public:
   uint32_t openProblem(std::shared_ptr<const smt::VerificationProblem> P,
                        const CubeRunConfig &Config) override;
   smt::SolveOutcome solveCubes(uint32_t Handle, CubeTree Tree) override;
-  void closeProblem(uint32_t Handle) override;
+  std::string closeProblem(uint32_t Handle) override;
 
 private:
   ThreadPool &pool();

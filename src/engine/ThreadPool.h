@@ -22,32 +22,35 @@
 #include <condition_variable>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 namespace veriqec::engine {
 
 /// Counts outstanding tasks of one logical batch; wait() blocks the
-/// submitting thread until every task called done().
+/// submitting thread until every task called done(). The count changes
+/// only under the mutex, so the group may die as soon as wait() returns.
 class WaitGroup {
 public:
-  void add(size_t N) { Count.fetch_add(N, std::memory_order_relaxed); }
+  void add(size_t N) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Count += N;
+  }
 
   void done() {
-    if (Count.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> Lock(Mutex);
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (--Count == 0)
       Cv.notify_all();
-    }
   }
 
   void wait() {
     std::unique_lock<std::mutex> Lock(Mutex);
-    Cv.wait(Lock,
-            [this] { return Count.load(std::memory_order_acquire) == 0; });
+    Cv.wait(Lock, [this] { return Count == 0; });
   }
 
 private:
-  std::atomic<size_t> Count{0};
+  size_t Count = 0;
   std::mutex Mutex;
   std::condition_variable Cv;
 };

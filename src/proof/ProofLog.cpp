@@ -68,11 +68,6 @@ void ProofText::append(ProofText &&Other) {
   Other.Blocks.clear();
 }
 
-void ProofText::appendTo(std::string &Out) const {
-  for (const Block &B : Blocks)
-    Out.append(B.Data, B.Used);
-}
-
 void ProofText::moveTo(std::string &Out) {
   for (Block &B : Blocks) {
     Out.append(B.Data, B.Used);
@@ -227,13 +222,12 @@ std::string veriqec::proof::buildTrivialProof(
 
 std::string veriqec::proof::assembleProof(ProofText Header,
                                           std::span<ProofText> Streams,
-                                          const engine::CubeTree *Trailer,
-                                          StreamHandoff Handoff) {
+                                          const engine::CubeTree &Tree) {
   obs::TraceSpan Span("proof_assemble", {{"streams", Streams.size()}});
   ProofText Tail;
-  if (Trailer && Trailer->numNodes() != Trailer->numLeaves()) {
+  if (Tree.numNodes() != Tree.numLeaves()) {
     Tail.append("r\n");
-    Trailer->forEachInternalPostOrder([&](std::span<const sat::Lit> Path) {
+    Tree.forEachInternalPostOrder([&](std::span<const sat::Lit> Path) {
       RecordWriter W(Tail, "a", Path.size() + 1);
       for (sat::Lit L : Path)
         W.lit(~L);
@@ -252,10 +246,7 @@ std::string veriqec::proof::assembleProof(ProofText Header,
     if (Streams[S].empty())
       continue;
     Out += Opening(S);
-    if (Handoff == StreamHandoff::Release)
-      Streams[S].moveTo(Out);
-    else
-      Streams[S].appendTo(Out);
+    Streams[S].moveTo(Out);
   }
   Tail.moveTo(Out);
   return Out;

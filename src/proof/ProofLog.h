@@ -36,17 +36,18 @@
 /// solver feeds through the sat::ClauseProofSink interface, and the
 /// engine (or the distributed coordinator, for streams that arrive as
 /// BatchResult chunks) concatenates header, streams and trailer into one
-/// exactly sized certificate. All of them are ProofText, so no stream is
-/// ever re-copied while it grows, and a discharge that is over releases
-/// its streams block by block as they are copied: the certificate text is
-/// resident once, plus one block. Both ends come from the cube set's
-/// engine::CubeTree: its bound is the header's `b` units, and its
-/// internal nodes are the trailer, in post-order (children before
-/// parents): the negation of each node's path below the bound, RUP from
-/// its children's negations (a branch the ones cap dropped is refuted by
-/// the `b` units), so the root's is the empty clause `a 0`. A tree that
-/// is one leaf has no trailer, and neither does a proof whose streams
-/// already derived the empty clause (an empty-core conclusion).
+/// exactly sized certificate, once, when the problem closes. All of them
+/// are ProofText, so no stream is ever re-copied while it grows, and
+/// assembly releases the streams block by block as they are copied: the
+/// certificate text is resident once, plus one block. Both ends come from
+/// the engine::CubeTree of the problem's last UNSAT cube set: its bound
+/// is the header's `b` units, and its internal nodes are the trailer, in
+/// post-order (children before parents): the negation of each node's
+/// path below the bound, RUP from its children's negations (a branch the
+/// ones cap dropped is refuted by the `b` units), so the root's is the
+/// empty clause `a 0`. A tree that is one leaf has no trailer, and a set
+/// whose streams already derived the empty clause (an empty-core
+/// conclusion) is certified as its bound's one leaf.
 ///
 /// Stream records carry their justification, and the checker follows it
 /// without any search. An a record (and likewise a q conclusion) carries
@@ -114,8 +115,6 @@ public:
   /// Takes \p Other's blocks over as they are (no text is copied).
   void append(ProofText &&Other);
 
-  /// Appends a copy of the text to \p Out.
-  void appendTo(std::string &Out) const;
   /// Appends the text to \p Out, freeing each block once copied; leaves
   /// this text empty.
   void moveTo(std::string &Out);
@@ -179,8 +178,7 @@ private:
 /// Builds the proof header for an encoded problem: clauses exactly as
 /// VerificationProblem::loadInto() feeds them to every solver, \p Bound
 /// as `b` units (the weight bound the certificate assumes), native XOR
-/// rows, and the preprocessor replay records (captured only when the
-/// problem was built with ProblemOptions::CaptureProofData).
+/// rows, and the preprocessor replay records.
 ProofText buildProofHeader(const smt::VerificationProblem &P,
                            std::span<const sat::Lit> Bound);
 
@@ -188,19 +186,13 @@ ProofText buildProofHeader(const smt::VerificationProblem &P,
 /// any encoding: the replay records plus a trivial-unsat conclusion.
 std::string buildTrivialProof(const smt::VerificationProblem &P);
 
-/// What assembleProof() does with the streams it is given: copy them (a
-/// persistent handle extends them later) or release them, each block
-/// freed as soon as it is copied.
-enum class StreamHandoff { Copy, Release };
-
 /// Writes \p Header, the per-slot \p Streams and the trailer of
-/// \p Trailer's internal nodes into one exactly sized certificate; pass
-/// a null trailer when the streams already derived the empty clause.
-/// \p Header must assert the tree's bound. With StreamHandoff::Release
-/// the streams are left empty.
+/// \p Tree's internal nodes (none for a one-leaf tree) into one exactly
+/// sized certificate. \p Header must assert the tree's bound. The
+/// streams are released into it, each block freed as soon as it is
+/// copied, and left empty.
 std::string assembleProof(ProofText Header, std::span<ProofText> Streams,
-                          const engine::CubeTree *Trailer,
-                          StreamHandoff Handoff);
+                          const engine::CubeTree &Tree);
 
 } // namespace veriqec::proof
 

@@ -12,7 +12,6 @@
 #include "obs/Trace.h"
 #include "support/Assert.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 using namespace veriqec;
@@ -30,7 +29,6 @@ VerificationProblem::VerificationProblem(const BoolContext &Ctx_, ExprRef Root,
   for (const std::string &Name : Opts.ProtectedVars)
     PO.KeepVarIds.push_back(Ctx_.varIdOf(Name));
   PO.KeepUsedExprs = Opts.BudgetTerms;
-  PO.CaptureOriginalRows = Opts.CaptureProofData;
   PreprocessedFormula P = [&] {
     obs::TraceSpan Span("gf2_preprocess", {{"vars", Ctx_.numVariables()}});
     return preprocess(Ctx_, Root, PO);
@@ -62,9 +60,7 @@ VerificationProblem::VerificationProblem(const BoolContext &Ctx_, ExprRef Root,
   for (uint32_t Id = 0; Id != Ctx_.numVariables(); ++Id) {
     if (Dropped.count(Id))
       continue;
-    Var V = Encoder.satVarOf(Id);
-    NamedVars.emplace_back(Ctx_.varName(Id), V);
-    BoolVarOfSat.emplace(V, Id);
+    NamedVars.emplace_back(Ctx_.varName(Id), Encoder.satVarOf(Id));
   }
   if (TriviallyUnsat)
     return; // refuted before any clause exists
@@ -164,19 +160,6 @@ void VerificationProblem::assertWeightBound(sat::Solver &S, uint32_t MaxW,
     S.addClause(L);
 }
 
-size_t VerificationProblem::parityParticipation(sat::Var V) const {
-  auto It = BoolVarOfSat.find(V);
-  if (It == BoolVarOfSat.end())
-    return 0;
-  uint32_t BoolVar = It->second;
-  size_t Count = 0;
-  for (const ParityRow &Row : KeptRows)
-    // Row variables are kept sorted (Preprocessor invariant).
-    if (std::binary_search(Row.Vars.begin(), Row.Vars.end(), BoolVar))
-      ++Count;
-  return Count;
-}
-
 ProblemOptions veriqec::smt::makeProblemOptions(const BoolContext &Ctx,
                                                 const SolveOptions &Opts) {
   ProblemOptions PO;
@@ -190,6 +173,5 @@ ProblemOptions veriqec::smt::makeProblemOptions(const BoolContext &Ctx,
     // Every consumer hardens the bound at the root (assertWeightBound),
     // so counters past it are dead weight.
     PO.CounterCap = static_cast<size_t>(Opts.BudgetBound) + 1;
-  PO.CaptureProofData = Opts.LogProofs;
   return PO;
 }

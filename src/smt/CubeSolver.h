@@ -64,7 +64,8 @@ struct SolveOutcome {
   /// With SolveOptions::LogProofs and an Unsat result: the assembled
   /// clause proof (proof/ProofLog.h format), checkable by
   /// proof::checkProof or the standalone veriqec-check tool. Empty
-  /// otherwise (Sat verdicts carry their model as the certificate).
+  /// otherwise (Sat verdicts carry their model as the certificate), and
+  /// always for a handle's cube set (CubeBackend::closeProblem() has it).
   std::string Proof;
 };
 
@@ -155,10 +156,6 @@ struct ProblemOptions {
   /// (assertWeightBound). The distance search, whose VC has no such
   /// atoms, sizes it by its first witness's weight. 0 = full depth.
   size_t CounterCap = 0;
-  /// Capture the data proof emission needs (the preprocessor's original
-  /// parity rows, VerificationProblem::OriginalRows). The resolved form
-  /// of SolveOptions::LogProofs.
-  bool CaptureProofData = false;
 };
 
 /// The reusable middle of the verification pipeline: one (context, root)
@@ -187,9 +184,8 @@ struct VerificationProblem {
   /// The preprocessor refuted the conjunction outright; the CNF is empty
   /// and no solver needs to run.
   bool TriviallyUnsat = false;
-  /// With ProblemOptions::CaptureProofData: the parity rows as lifted
-  /// from the conjunction before reduction, the base of the proof
-  /// header's replay records. Empty otherwise.
+  /// The parity rows as lifted from the conjunction before reduction,
+  /// the base of the proof header's replay records.
   std::vector<ParityRow> OriginalRows;
   PreprocessStats Prep;
 
@@ -231,14 +227,6 @@ struct VerificationProblem {
   void assertWeightBound(sat::Solver &S, uint32_t MaxW,
                          uint32_t MinW = 0) const;
 
-  /// Number of kept GF(2) parity rows the CNF variable \p V participates
-  /// in (0 for variables the preprocessor does not track). The cube
-  /// engine orders split variables by this — most-constrained first —
-  /// so each enumerated assignment feeds the parity machinery maximal
-  /// propagation. Coordinator-side only, like keptRows(): a problem
-  /// decoded off the wire has neither (workers need neither).
-  size_t parityParticipation(sat::Var V) const;
-
   /// Proof-header accessors (proof/ProofLog.h): the kept parity rows and
   /// the eliminated-variable records, both in BoolContext variable space.
   const std::vector<ParityRow> &keptRows() const { return KeptRows; }
@@ -258,7 +246,6 @@ private:
   std::vector<ParityRow> KeptRows;
   std::vector<sat::Lit> BudgetCounter;
   size_t NumBudgetTerms = 0;
-  std::unordered_map<int32_t, uint32_t> BoolVarOfSat;
 };
 
 /// The one SolveOptions -> ProblemOptions translation (of

@@ -78,8 +78,7 @@ PreprocessedFormula veriqec::smt::preprocess(const BoolContext &Ctx,
     if (!RootNode.ConstVal) {
       Out.TriviallyUnsat = true;
       Out.Stats.TriviallyUnsat = true;
-      if (Opts.CaptureOriginalRows)
-        Out.OriginalRows.push_back({{}, true}); // the lift of "false"
+      Out.OriginalRows.push_back({{}, true}); // the lift of "false"
     }
     return Out; // true: empty conjunction
   }
@@ -106,8 +105,7 @@ PreprocessedFormula veriqec::smt::preprocess(const BoolContext &Ctx,
   }
   Out.Stats.LinearConjuncts = Linear.size();
   Out.Stats.ResidueConjuncts = Out.Residue.size();
-  if (Opts.CaptureOriginalRows)
-    Out.OriginalRows = Linear;
+  Out.OriginalRows = Linear;
   if (Linear.empty())
     return Out;
 

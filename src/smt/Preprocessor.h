@@ -107,11 +107,6 @@ struct PreprocessOptions {
   /// Expressions encoded outside the preprocessed conjunction (e.g. the
   /// weight layer's counter inputs); every variable they reach is pinned.
   std::vector<ExprRef> KeepUsedExprs;
-  /// Keep a copy of the lifted parity rows as they entered reduction
-  /// (PreprocessedFormula::OriginalRows). Proof emission replays kept
-  /// rows and elimination records against them; off by default because
-  /// the copy is pure overhead otherwise.
-  bool CaptureOriginalRows = false;
 };
 
 /// Result of preprocessing one conjunction: the formula is equivalent to
@@ -128,11 +123,10 @@ struct PreprocessedFormula {
   /// record in Eliminated. Targets are fully resolved: an alias never
   /// points at another aliased variable.
   std::vector<VarAlias> Aliases;
-  /// With PreprocessOptions::CaptureOriginalRows: the parity rows as
-  /// lifted from the conjunction, before any reduction — the base the
-  /// proof checker verifies Rows and Eliminated against. A trivially
-  /// unsatisfiable constant-false root captures the single row 0 == 1
-  /// (the lift of "false"). Empty otherwise.
+  /// The parity rows as lifted from the conjunction, before any
+  /// reduction — the base the proof checker verifies Rows and Eliminated
+  /// against. A trivially unsatisfiable constant-false root captures the
+  /// single row 0 == 1 (the lift of "false").
   std::vector<ParityRow> OriginalRows;
   PreprocessStats Stats;
 };

@@ -107,9 +107,6 @@ ConfigVerdict runDirectReuse(const FuzzCase &C, const VerifyOptions &VO,
   PO.Preprocess = true;
   PO.NativeXor = true;
   PO.ProtectedVars = C.Scn.ErrorVars;
-  // The proof header replays the preprocessor's GF(2) bridge, which
-  // needs the original rows captured at encode time.
-  PO.CaptureProofData = O.CheckProofs;
   VerificationProblem Enc(Ctx, Vc.NegatedVc, PO);
   if (Enc.TriviallyUnsat) {
     if (O.CheckProofs)
@@ -179,8 +176,7 @@ ConfigVerdict runDirectReuse(const FuzzCase &C, const VerifyOptions &VO,
     proof::ProofText Streams[] = {Log.drain()};
     checkProofOracle(Out.Name,
                      engine::assembleCertificate(
-                         Enc, engine::CubeRunConfig{}, Streams, Tree, false,
-                         proof::StreamHandoff::Release),
+                         Enc, engine::CubeRunConfig{}, Streams, Tree),
                      Report);
   }
   Out.Verdict = 'V';

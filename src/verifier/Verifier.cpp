@@ -201,9 +201,7 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
     return P;
   };
   // One probe = the one-leaf cube tree whose bound is "1 <= weight <=
-  // MaxW", against an open handle; its counters add into the result. A
-  // handle's certificate is cumulative and asserts its probe's bound as
-  // `b` units, so the last UNSAT probe's stands for the search.
+  // MaxW", against an open handle; its counters add into the result.
   auto probe = [&](engine::CubeBackend &B, uint32_t Handle,
                    const VerificationProblem &P, size_t MaxW,
                    std::unordered_map<std::string, bool> &Model) {
@@ -216,8 +214,6 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
     ++Result.SolverCalls;
     Result.Probes.push_back(
         {MaxW, O.Result, O.Stats.Conflicts, ProbeClock.seconds()});
-    if (O.Result == sat::SolveResult::Unsat && !O.Proof.empty())
-      Result.Proof = std::move(O.Proof);
     if (O.Result == sat::SolveResult::Sat)
       Model = std::move(O.Model);
     return O.Result;
@@ -271,8 +267,8 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
 
   // The search runs on one handle over the problem sized by the witness,
   // on Backend (else locally): one persistent slot solver, so learnt
-  // clauses survive across bounds.
-  PO.CaptureProofData = Opts.LogProofs;
+  // clauses survive across bounds. Closing the handle assembles the
+  // certificate of the last UNSAT probe over the whole search's stream.
   Cfg.LogProofs = Opts.LogProofs;
   engine::CubeBackend &Search = Backend ? *Backend : Local;
   auto Sized = std::make_shared<const VerificationProblem>(encode(Hi));
@@ -293,7 +289,7 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
       Lo = Mid + 1;
     }
   }
-  Search.closeProblem(Handle);
+  Result.Proof = Search.closeProblem(Handle);
   if (R == sat::SolveResult::Aborted) {
     Result.Aborted = true;
     Result.Seconds = Clock.seconds();

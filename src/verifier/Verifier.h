@@ -176,8 +176,8 @@ struct DistanceResult {
   /// With VerifyOptions::LogProofs and Ok: the certificate of the last
   /// UNSAT probe. Its header asserts that probe's weight bound
   /// (1 <= weight <= Distance - 1) as `b` units and its stream is the
-  /// whole search's. SAT probes are witnessed by the returned model, not
-  /// the proof.
+  /// whole search's, later SAT probes' records included. SAT probes are
+  /// witnessed by the returned model, not the proof.
   std::string Proof;
 };
 

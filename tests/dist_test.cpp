@@ -848,6 +848,61 @@ TEST(DistLoopback, DistanceHandleApiMatchesLocalSearch) {
   }
 }
 
+TEST(DistLoopback, HandleCertifiesItsLastUnsatSetAfterASatOne) {
+  // The nonzero codewords of the [7,4,3] Hamming code: weights 1..2 are
+  // UNSAT (a set split on x0, so it has a trailer), and weights 1..3,
+  // solved next on the same handle, are SAT. Closing the handle
+  // certifies the UNSAT set over the whole stream, the SAT set's records
+  // included, and the local engine and a one-worker fleet write the
+  // same bytes.
+  smt::BoolContext Ctx;
+  std::vector<smt::ExprRef> X;
+  for (int Q = 0; Q != 7; ++Q)
+    X.push_back(Ctx.mkVar("x" + std::to_string(Q)));
+  std::vector<smt::ExprRef> Checks; // H's columns are 1..7 in binary
+  for (int Bit = 0; Bit != 3; ++Bit) {
+    std::vector<smt::ExprRef> Row;
+    for (int Q = 0; Q != 7; ++Q)
+      if ((Q + 1) >> Bit & 1)
+        Row.push_back(X[Q]);
+    Checks.push_back(Ctx.mkNot(Ctx.mkXor(Row)));
+  }
+  smt::ProblemOptions PO;
+  PO.BudgetTerms = X;
+  auto P = std::make_shared<const smt::VerificationProblem>(
+      Ctx, Ctx.mkAnd(Checks), PO);
+  ASSERT_FALSE(P->TriviallyUnsat);
+  auto CubeSet = [&](uint32_t MaxW, bool Split) {
+    std::vector<Lit> Bound;
+    P->appendWeightAssumptions(MaxW, Bound, 1);
+    engine::CubeTree T(std::move(Bound));
+    if (Split)
+      T.split(0, P->varOfName("x0"));
+    return T;
+  };
+  engine::CubeRunConfig Cfg;
+  Cfg.LogProofs = true;
+  auto Search = [&](engine::CubeBackend &B) {
+    uint32_t Handle = B.openProblem(P, Cfg);
+    smt::SolveOutcome Unsat = B.solveCubes(Handle, CubeSet(2, true));
+    EXPECT_EQ(Unsat.Result, sat::SolveResult::Unsat);
+    smt::SolveOutcome Sat = B.solveCubes(Handle, CubeSet(3, false));
+    EXPECT_EQ(Sat.Result, sat::SolveResult::Sat);
+    EXPECT_TRUE(Unsat.Proof.empty());
+    EXPECT_TRUE(Sat.Proof.empty());
+    return B.closeProblem(Handle);
+  };
+  engine::CubeEngine Local(1);
+  std::string LocalCert = Search(Local);
+  Fleet F(1, 1);
+  std::string RemoteCert = Search(F.Coord);
+  ASSERT_FALSE(LocalCert.empty());
+  EXPECT_EQ(LocalCert, RemoteCert);
+  EXPECT_NE(LocalCert.find("\nr\n"), std::string::npos);
+  proof::CheckResult CR = proof::checkProof(LocalCert);
+  EXPECT_TRUE(CR.Ok) << CR.Error;
+}
+
 TEST(DistLoopback, CoordinatorRelaysLemmasAndDropsOutOfRangeOnes) {
   // Two scripted workers of one slot each, one batch apiece. A streams a
   // frame with an out-of-range literal and then a valid one; B must see
@@ -991,7 +1046,6 @@ TEST(DistLoopback, CertificateMissingOneCubeIsRejected) {
   smt::BoolContext Ctx;
   smt::ProblemOptions PO;
   PO.ProtectedVars = {"a", "b"};
-  PO.CaptureProofData = true;
   auto P = std::make_shared<smt::VerificationProblem>(
       Ctx, Ctx.mkAnd(Ctx.mkVar("a"), Ctx.mkVar("b")), PO);
   ASSERT_FALSE(P->TriviallyUnsat);
@@ -1037,10 +1091,11 @@ TEST(DistLoopback, CertificateMissingOneCubeIsRejected) {
   W.B->send(encodeMessage(R));
   Solve.join();
   EXPECT_EQ(Out.Result, sat::SolveResult::Unsat);
-  ASSERT_FALSE(Out.Proof.empty());
-  proof::CheckResult CR = proof::checkProof(Out.Proof);
+  EXPECT_TRUE(Out.Proof.empty()); // a handle's certificate comes at close
+  std::string Cert = Coord.closeProblem(Handle);
+  ASSERT_FALSE(Cert.empty());
+  proof::CheckResult CR = proof::checkProof(Cert);
   EXPECT_FALSE(CR.Ok);
   EXPECT_NE(CR.Error.find("not RUP"), std::string::npos) << CR.Error;
-  Coord.closeProblem(Handle);
   Coord.shutdownWorkers();
 }

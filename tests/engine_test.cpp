@@ -23,7 +23,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 
 using namespace veriqec;
 using namespace veriqec::engine;
@@ -69,6 +71,27 @@ TEST(ThreadPool, RunsEveryTaskOnAWorker) {
   EXPECT_EQ(Count.load(), N);
   EXPECT_FALSE(OffPool.load());
   EXPECT_EQ(ThreadPool::currentWorkerIndex(), -1); // the test thread
+}
+
+TEST(ThreadPool, WaitGroupCanDieRightAfterWait) {
+  // Each group is freed as soon as wait() returns, while the task that
+  // called the last done() may still be inside it: done() must not touch
+  // the group once wait() can see zero (ThreadSanitizer and
+  // AddressSanitizer builds report the use after free otherwise).
+  ThreadPool Pool(4);
+  constexpr int Groups = 20000, Tasks = 2;
+  std::atomic<int> Count{0};
+  for (int G = 0; G != Groups; ++G) {
+    auto Wg = std::make_unique<WaitGroup>();
+    Wg->add(Tasks);
+    for (int T = 0; T != Tasks; ++T)
+      Pool.submit([&Count, Group = Wg.get()] {
+        Count.fetch_add(1, std::memory_order_relaxed);
+        Group->done();
+      });
+    Wg->wait();
+  }
+  EXPECT_EQ(Count.load(), Groups * Tasks);
 }
 
 // -- The cube tree -----------------------------------------------------------
@@ -190,15 +213,20 @@ TEST(CubeTree, BoundLeadsEveryCubeAndTrailerIsPostOrder) {
   std::vector<sat::Lit> Last{sat::mkLit(7), sat::mkLit(0), ~sat::mkLit(1),
                              ~sat::mkLit(2)};
   EXPECT_EQ(Cubes[3], Last);
-  auto Trailer = [](const CubeTree *Tree) {
-    return proof::assembleProof({}, {}, Tree, proof::StreamHandoff::Copy);
+  auto Trailer = [](const CubeTree &Tree) {
+    return proof::assembleProof({}, {}, Tree);
   };
-  EXPECT_EQ(Trailer(&T),
+  EXPECT_EQ(Trailer(T),
             "r\na -1 2 0\na -1 0\na 1 -2 0\na 1 2 0\na 1 0\na 0\n");
-  EXPECT_EQ(Trailer(nullptr), "");
-  // A one-leaf tree has no trailer.
+  // A one-leaf tree has no trailer, and neither has a set an empty core
+  // refuted: its certificate stands for its bound alone.
   CubeTree Leaf({sat::mkLit(7)});
-  EXPECT_EQ(Trailer(&Leaf), "");
+  EXPECT_EQ(Trailer(Leaf), "");
+  EXPECT_EQ(Trailer(provenTree(T, false)), Trailer(T));
+  CubeTree Refuted = provenTree(T, true);
+  EXPECT_EQ(Refuted.numNodes(), 1u);
+  EXPECT_TRUE(std::ranges::equal(Refuted.bound(), T.bound()));
+  EXPECT_EQ(Trailer(Refuted), "");
 }
 
 TEST(CubeTree, CertificateMissingOneLeafIsRejected) {
@@ -208,7 +236,6 @@ TEST(CubeTree, CertificateMissingOneLeafIsRejected) {
   BoolContext Ctx;
   smt::ProblemOptions PO;
   PO.ProtectedVars = {"a", "b"};
-  PO.CaptureProofData = true;
   smt::VerificationProblem P(Ctx, Ctx.mkAnd(Ctx.mkVar("a"), Ctx.mkVar("b")),
                              PO);
   ASSERT_FALSE(P.TriviallyUnsat);
@@ -223,8 +250,7 @@ TEST(CubeTree, CertificateMissingOneLeafIsRejected) {
   for (size_t C = 0; C != 3; ++C)
     EXPECT_NE(Run.runCube(C % 2, Cubes[C], C), CubeRun::CubeOutcome::Sat);
   proof::ProofText Streams[] = {Run.drainSlotProof(0), Run.drainSlotProof(1)};
-  std::string Cert = assembleCertificate(P, Cfg, Streams, Tree, false,
-                                         proof::StreamHandoff::Release);
+  std::string Cert = assembleCertificate(P, Cfg, Streams, Tree);
   proof::CheckResult CR = proof::checkProof(Cert);
   EXPECT_FALSE(CR.Ok);
   // The first trailer addition is the dropped leaf's parent, [a].
@@ -417,6 +443,32 @@ TEST(VerificationEngine, FreeFunctionFacadeHonorsThreadOption) {
   ASSERT_EQ(Rs.size(), 2u);
   EXPECT_TRUE(Rs[0].Verified);
   EXPECT_TRUE(Rs[1].Verified);
+}
+
+TEST(CubeEngine, SplitVariablesKeepTheirDeclaredOrder) {
+  // c sits in no parity row (only in the residue c | a), while a, b and
+  // e share the kept row a ^ b ^ e = 1. Declared first, c still leads
+  // every cube: split variables are never reordered by row membership.
+  BoolContext Ctx;
+  ExprRef A = Ctx.mkVar("a"), B = Ctx.mkVar("b"), C = Ctx.mkVar("c"),
+          E = Ctx.mkVar("e");
+  ExprRef Root = Ctx.mkAnd(Ctx.mkXor({A, B, E}), Ctx.mkOr(C, A));
+  SolveOptions Opts;
+  Opts.SplitVars = {"c", "a", "b", "e"};
+  Opts.DistanceHint = 0;
+  Opts.SplitThreshold = 4;
+  CubeProblem Problem{&Ctx, Root, Opts};
+  PreparedProblem P = prepareCubeProblem(Problem, 1);
+  ASSERT_FALSE(P.Encoded->TriviallyUnsat);
+  ASSERT_EQ(P.Encoded->keptRows().size(), 1u);
+  std::vector<std::vector<sat::Lit>> Cubes = P.Tree.cubes();
+  ASSERT_EQ(Cubes.size(), 16u);
+  for (const std::vector<sat::Lit> &Cube : Cubes) {
+    ASSERT_EQ(Cube.size(), Opts.SplitVars.size());
+    for (size_t I = 0; I != Cube.size(); ++I)
+      EXPECT_EQ(Cube[I].var(), P.Encoded->varOfName(Opts.SplitVars[I]))
+          << "position " << I;
+  }
 }
 
 TEST(CubeEngine, XorOnAndOffAgreeOnCrossRowParityCase) {

@@ -421,8 +421,7 @@ TEST(ProofEmission, CubeTreeTrailerComesChildrenFirst) {
   }
   proof::ProofText Streams[] = {Log.drain()};
   std::string Proof =
-      proof::assembleProof(proof::ProofText(AllClausesOfThree), Streams,
-                           &Tree, proof::StreamHandoff::Release);
+      proof::assembleProof(proof::ProofText(AllClausesOfThree), Streams, Tree);
   CheckResult CR = checkProof(Proof);
   EXPECT_TRUE(CR.Ok) << CR.Error;
   EXPECT_EQ(CR.Additions, 7u);
@@ -582,9 +581,9 @@ TEST(ProofText, RecordsAcrossBlockBoundariesMatchAPlainStringReference) {
   proof::ProofText Streams[] = {Log.drain()};
   EXPECT_TRUE(Log.empty());
   EXPECT_EQ(Streams[0].size(), Ref.size());
-  std::string Cert = proof::assembleProof(proof::ProofText("h\n"), Streams,
-                                          nullptr,
-                                          proof::StreamHandoff::Release);
+  std::string Cert =
+      proof::assembleProof(proof::ProofText("h\n"), Streams,
+                           engine::CubeTree());
   EXPECT_TRUE(Cert == "h\ns 0\n" + Ref) << "assembled stream differs";
 
   proof::ProofText Chunked;
@@ -599,44 +598,28 @@ TEST(ProofText, RecordsAcrossBlockBoundariesMatchAPlainStringReference) {
   EXPECT_TRUE(Spliced.take() == "h\n" + Ref) << "chunked text differs";
 }
 
-TEST(ProofText, ReleasedStreamsAssembleLikeCopiedOnesAndEndEmpty) {
+TEST(ProofText, ReleasedStreamsAssembleInSlotOrderAndEndEmpty) {
   // Three slots, the middle one silent (it gets no `s` record), and a
-  // cube-tree trailer: handing the streams over yields the copied
-  // certificate byte for byte and leaves every stream empty; copying
-  // leaves them as they were.
+  // cube-tree trailer: the streams are released into the certificate in
+  // slot order, each behind its `s` record, and are left empty.
   engine::CubeTree Tree;
   Tree.growEt(std::vector<sat::Var>{0, 1}, 0, ~0u, 2);
-  auto Streams = [] {
-    std::vector<proof::ProofText> Out(3);
-    proof::SlotProofLog Log;
-    const sat::Lit Lits[] = {sat::mkLit(0), ~sat::mkLit(2)};
-    const int64_t Hints[] = {-1, -2};
-    Log.onDerive(Lits, Hints);
-    Log.onRetire(1);
-    Out[0] = Log.drain();
-    Out[2].append("q -1 0 -1 0 -3 0\n");
-    return Out;
-  };
-  std::vector<proof::ProofText> Copied = Streams(), Released = Streams();
-  std::string Copy =
-      proof::assembleProof(proof::ProofText(AllClausesOfThree), Copied, &Tree,
-                           proof::StreamHandoff::Copy);
-  std::string Release =
-      proof::assembleProof(proof::ProofText(AllClausesOfThree), Released,
-                           &Tree, proof::StreamHandoff::Release);
-  EXPECT_EQ(Copy, Release);
-  EXPECT_EQ(Copy, std::string(AllClausesOfThree) +
+  std::vector<proof::ProofText> Streams(3);
+  proof::SlotProofLog Log;
+  const sat::Lit Lits[] = {sat::mkLit(0), ~sat::mkLit(2)};
+  const int64_t Hints[] = {-1, -2};
+  Log.onDerive(Lits, Hints);
+  Log.onRetire(1);
+  Streams[0] = Log.drain();
+  Streams[2].append("q -1 0 -1 0 -3 0\n");
+  std::string Cert =
+      proof::assembleProof(proof::ProofText(AllClausesOfThree), Streams, Tree);
+  EXPECT_EQ(Cert, std::string(AllClausesOfThree) +
                       "s 0\na 1 -3 0 -1 -2 0\nd 1\n"
                       "s 2\nq -1 0 -1 0 -3 0\n"
                       "r\na -1 0\na 1 0\na 0\n");
-  for (const proof::ProofText &S : Released)
+  for (const proof::ProofText &S : Streams)
     EXPECT_TRUE(S.empty());
-  EXPECT_EQ(Copied[0].size(), 21u);
-  EXPECT_TRUE(Copied[1].empty());
-  EXPECT_EQ(Copied[2].size(), 17u);
-  EXPECT_EQ(proof::assembleProof(proof::ProofText(AllClausesOfThree), Copied,
-                                 &Tree, proof::StreamHandoff::Copy),
-            Copy);
 }
 
 TEST(ProofCheck, ReclaimedClausesCannotBeCited) {
