@@ -41,8 +41,6 @@ public:
 
   std::optional<Pauli> decode(const BitVector &Syndrome) override;
 
-  size_t tableSize() const { return Table.size(); }
-
 private:
   std::unordered_map<BitVector, Pauli> Table;
 };

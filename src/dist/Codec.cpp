@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
+#include <unordered_set>
 
 using namespace veriqec;
 using namespace veriqec::dist;
@@ -57,8 +59,6 @@ std::unordered_map<std::string, bool> decodeModel(Decoder &D) {
 }
 
 void encodeConfig(Encoder &E, const engine::CubeRunConfig &C) {
-  E.boolean(C.HardenBudget);
-  E.u32(C.BudgetBound);
   E.u64(C.ConflictBudget);
   E.u64(C.RandomSeed);
   E.boolean(C.LogProofs);
@@ -66,8 +66,6 @@ void encodeConfig(Encoder &E, const engine::CubeRunConfig &C) {
 
 engine::CubeRunConfig decodeConfig(Decoder &D) {
   engine::CubeRunConfig C;
-  C.HardenBudget = D.boolean();
-  C.BudgetBound = D.u32();
   C.ConflictBudget = D.u64();
   C.RandomSeed = D.u64();
   C.LogProofs = D.boolean();
@@ -191,6 +189,7 @@ void ProblemCodec::encode(Encoder &E, const smt::VerificationProblem &P) {
   }
   E.lits(P.BudgetCounter);
   E.u64(P.NumBudgetTerms);
+  E.lits(P.RootUnits);
 }
 
 std::shared_ptr<smt::VerificationProblem> ProblemCodec::decode(Decoder &D) {
@@ -271,10 +270,27 @@ std::shared_ptr<smt::VerificationProblem> ProblemCodec::decode(Decoder &D) {
     R.Constant = D.boolean();
     P->Eliminated.push_back(std::move(R));
   }
+  // A record's dependencies must be in the model when readModel replays
+  // it: named variables, or variables a LATER record reconstructs (the
+  // replay runs in reverse). Anything else would fail the look-up on the
+  // worker's first SAT cube.
+  std::unordered_set<std::string_view> InModel;
+  for (const auto &[Name, V] : P->NamedVars)
+    InModel.insert(Name);
+  for (auto It = P->Eliminated.rbegin(); It != P->Eliminated.rend() && D.ok();
+       ++It) {
+    for (uint32_t Dep : It->Deps)
+      if (!InModel.count(P->VarNames[Dep]))
+        D.fail();
+    InModel.insert(P->VarNames[It->VarId]);
+  }
   P->BudgetCounter = D.lits();
   for (Lit L : P->BudgetCounter)
     cnfLit(L);
   P->NumBudgetTerms = D.u64();
+  P->RootUnits = D.lits();
+  for (Lit L : P->RootUnits)
+    cnfLit(L);
   if (!D.ok())
     return nullptr;
   return P;
@@ -348,9 +364,9 @@ bool veriqec::dist::decodeMessage(std::span<const uint8_t> Payload,
     M.ProblemId = D.u32();
     M.BatchId = D.u32();
     uint8_t S = D.u8();
-    if (S > static_cast<uint8_t>(BatchStatus::Cancelled))
+    if (S > static_cast<uint8_t>(engine::CubeVerdict::Sat))
       return false;
-    M.Status = static_cast<BatchStatus>(S);
+    M.Status = static_cast<engine::CubeVerdict>(S);
     M.Model = decodeModel(D);
     M.Stats = decodeStats(D);
     M.Solved = D.u64();

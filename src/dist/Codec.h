@@ -50,8 +50,10 @@ constexpr uint32_t WireMagic = 0x43455156; // "VQEC" little-endian
 /// the other workers). v8: the GF(2) cube pruner is gone — its rows,
 /// mode flag and variable map leave the problem frame, its counter the
 /// batch result. v9: sibling-core pruning is gone — the Cores frame and
-/// the batch result's pruned count and new cores with it.
-constexpr uint32_t WireVersion = 9;
+/// the batch result's pruned count and new cores with it. v10: the batch
+/// status is an engine::CubeVerdict, and the hardened budget bound leaves
+/// the config for the problem's range-checked root units.
+constexpr uint32_t WireVersion = 10;
 /// Upper bound on one frame payload (a surface-scale problem is a few
 /// MB; anything near this is a corrupt length prefix, not data).
 constexpr uint32_t MaxFrameBytes = 256u << 20;
@@ -262,20 +264,12 @@ struct CubeBatchMsg {
   std::vector<std::vector<sat::Lit>> Cubes;
 };
 
-/// Verdict of one batch. AllUnsat means every cube was discharged UNSAT;
-/// Sat/GlobalUnsat decide the whole problem.
-enum class BatchStatus : uint8_t {
-  AllUnsat = 0,
-  Sat,
-  Aborted,
-  GlobalUnsat,
-  Cancelled,
-};
-
 struct BatchResultMsg {
   uint32_t ProblemId = 0;
   uint32_t BatchId = 0;
-  BatchStatus Status = BatchStatus::AllUnsat;
+  /// The maximum of the batch's cube verdicts: Sat and Refuted decide the
+  /// whole problem, and a Cancelled batch is not done.
+  engine::CubeVerdict Status = engine::CubeVerdict::Unsat;
   /// Counterexample model (named variables, reconstruction already
   /// applied worker-side) when Status == Sat.
   std::unordered_map<std::string, bool> Model;

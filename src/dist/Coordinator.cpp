@@ -66,8 +66,8 @@ struct Coordinator::ActiveProblem {
       return SIZE_MAX;
     return BatchId - FirstBatchId;
   }
-  bool Decided = false; ///< SAT or GlobalUnsat ended the problem early
-  bool AnyAborted = false;
+  /// The cube set's verdict: the maximum over its concluded batches.
+  engine::VerdictCell Verdict;
   bool Finished = false;
   /// Open-handle problems persist worker-side between solveCubes calls.
   bool Persistent = false;
@@ -91,7 +91,7 @@ struct Coordinator::ActiveProblem {
     for (auto &[Key, Text] : ProofStreams)
       Streams.push_back(std::move(Text));
     std::string Cert =
-        engine::assembleCertificate(*Problem, Config, Streams, *Proven);
+        engine::assembleCertificate(*Problem, Streams, *Proven);
     Proven.reset();
     return Cert;
   }
@@ -356,8 +356,7 @@ void Coordinator::shardCubes(uint32_t ProblemId, ActiveProblem &AP,
   // from a persistent problem's previous set fall outside indexOf(), and
   // fresh verdict state; worker-side solvers persist.
   AP.DoneCount = 0;
-  AP.Decided = false;
-  AP.AnyAborted = false;
+  AP.Verdict.reset();
   AP.Finished = false;
   AP.Tree = std::move(Tree);
   AP.Cubes = AP.Tree.cubes();
@@ -380,13 +379,12 @@ void Coordinator::finishProblem(ActiveProblem &AP) {
   if (AP.Finished)
     return;
   AP.Finished = true;
-  if (!AP.Decided)
-    AP.Outcome.Result = AP.AnyAborted ? sat::SolveResult::Aborted
-                                      : sat::SolveResult::Unsat;
+  engine::CubeVerdict Verdict = AP.Verdict.get();
+  AP.Outcome.Result = engine::resultOf(Verdict);
   AP.Outcome.SolveSeconds = AP.ProblemClock.seconds();
   if (AP.Config.LogProofs && AP.Outcome.Result == sat::SolveResult::Unsat) {
-    // An UNSAT problem decided early was refuted globally.
-    AP.Proven = engine::provenTree(std::move(AP.Tree), AP.Decided);
+    AP.Proven = engine::provenTree(std::move(AP.Tree),
+                                   Verdict == engine::CubeVerdict::Refuted);
     // A one-shot problem closes with its only cube set.
     if (!AP.Persistent)
       AP.Outcome.Proof = AP.certificate();
@@ -416,42 +414,23 @@ void Coordinator::handleResult(WorkerState &W, BatchResultMsg &&R) {
 
   if (AP.BatchDone[Idx])
     return; // duplicate (stolen-and-raced or post-cancel): counted above
-  switch (R.Status) {
-  case BatchStatus::Sat:
-    AP.BatchDone[Idx] = 1;
-    ++AP.DoneCount;
-    if (!AP.Decided) {
-      AP.Decided = true;
-      AP.Outcome.Result = sat::SolveResult::Sat;
-      AP.Outcome.Model = std::move(R.Model);
-      cancelRemaining(AP, R.ProblemId);
-    }
-    break;
-  case BatchStatus::GlobalUnsat:
-    AP.BatchDone[Idx] = 1;
-    ++AP.DoneCount;
-    if (!AP.Decided) {
-      AP.Decided = true;
-      AP.Outcome.Result = sat::SolveResult::Unsat;
-      cancelRemaining(AP, R.ProblemId);
-    }
-    break;
-  case BatchStatus::AllUnsat:
-    AP.BatchDone[Idx] = 1;
-    ++AP.DoneCount;
-    break;
-  case BatchStatus::Aborted:
-    AP.AnyAborted = true;
-    AP.BatchDone[Idx] = 1;
-    ++AP.DoneCount;
-    break;
-  case BatchStatus::Cancelled:
+  if (R.Status == engine::CubeVerdict::Cancelled) {
     // The worker was cancelled under this batch (or never knew the
-    // problem). If the problem is still live the work is NOT done:
+    // problem). The problem is still live, so the work is NOT done:
     // requeue it.
     Queue.push_back({R.ProblemId, R.BatchId});
     ++Stats.BatchesRequeued;
-    break;
+    return;
+  }
+  AP.BatchDone[Idx] = 1;
+  ++AP.DoneCount;
+  AP.Verdict.raise(R.Status);
+  if (R.Status >= engine::CubeVerdict::Refuted) {
+    // Sat or Refuted decides the problem, once: cancelRemaining() marks
+    // every other batch done, so no later result reaches this point.
+    if (R.Status == engine::CubeVerdict::Sat)
+      AP.Outcome.Model = std::move(R.Model);
+    cancelRemaining(AP, R.ProblemId);
   }
   if (AP.DoneCount == AP.BatchDone.size())
     finishProblem(AP);
@@ -585,7 +564,7 @@ void Coordinator::runUntilDone(const std::vector<uint32_t> &ProblemIds) {
         ActiveProblem &AP = *Problems.at(Id);
         if (AP.Finished)
           continue;
-        AP.AnyAborted = true;
+        AP.Verdict.raise(engine::CubeVerdict::Aborted);
         cancelRemaining(AP, Id);
         finishProblem(AP);
       }

@@ -31,19 +31,15 @@ struct ProblemState {
   std::shared_ptr<smt::VerificationProblem> Problem;
   std::unique_ptr<engine::CubeRun> Run;
   bool Persistent = false;
-  /// Counter totals already reported; batch results carry deltas.
-  sat::SolverStats ReportedStats;
-  uint64_t ReportedSolved = 0;
 };
 
-/// The batch currently on the pool.
+/// The batch currently on the pool, and the maximum of its cubes'
+/// verdicts so far.
 struct InflightBatch {
   CubeBatchMsg Batch;
   ProblemState *State = nullptr;
   std::atomic<size_t> Remaining{0};
-  std::atomic<bool> AnySat{false};
-  std::atomic<bool> AnyAborted{false};
-  std::atomic<bool> AnyCancelled{false};
+  engine::VerdictCell Verdict;
 };
 
 class WorkerLoop {
@@ -252,7 +248,7 @@ private:
       BatchResultMsg R;
       R.ProblemId = Batch.ProblemId;
       R.BatchId = Batch.BatchId;
-      R.Status = BatchStatus::Cancelled;
+      R.Status = engine::CubeVerdict::Cancelled;
       L->send(encodeMessage(R));
       return;
     }
@@ -293,22 +289,9 @@ private:
       size_t Begin = T * Chunk, End = std::min(N, Begin + Chunk);
       Pool.submitTo(T, [B, Begin, End] {
         int Slot = engine::ThreadPool::currentWorkerIndex();
-        for (size_t C = Begin; C < End; ++C) {
-          switch (B->State->Run->runCube(static_cast<size_t>(Slot),
-                                         B->Batch.Cubes[C], C)) {
-          case engine::CubeRun::CubeOutcome::Sat:
-            B->AnySat.store(true, std::memory_order_relaxed);
-            break;
-          case engine::CubeRun::CubeOutcome::Aborted:
-            B->AnyAborted.store(true, std::memory_order_relaxed);
-            break;
-          case engine::CubeRun::CubeOutcome::Cancelled:
-            B->AnyCancelled.store(true, std::memory_order_relaxed);
-            break;
-          default:
-            break;
-          }
-        }
+        for (size_t C = Begin; C < End; ++C)
+          B->Verdict.raise(B->State->Run->runCube(static_cast<size_t>(Slot),
+                                                  B->Batch.Cubes[C], C));
         B->Remaining.fetch_sub(1, std::memory_order_acq_rel);
       });
     }
@@ -332,29 +315,16 @@ private:
         return false;
       GrindArmed = false;
     }
-    ProblemState &S = *Inflight->State;
-    engine::CubeRun &Run = *S.Run;
+    engine::CubeRun &Run = *Inflight->State->Run;
     BatchResultMsg R;
     R.ProblemId = Inflight->Batch.ProblemId;
     R.BatchId = Inflight->Batch.BatchId;
-    if (Inflight->AnySat.load())
-      R.Status = BatchStatus::Sat;
-    else if (Run.globalUnsat())
-      R.Status = BatchStatus::GlobalUnsat;
-    else if (Inflight->AnyAborted.load())
-      R.Status = BatchStatus::Aborted;
-    else if (Inflight->AnyCancelled.load())
-      R.Status = BatchStatus::Cancelled;
-    else
-      R.Status = BatchStatus::AllUnsat;
-    if (R.Status == BatchStatus::Sat)
+    R.Status = Inflight->Verdict.get();
+    if (R.Status == engine::CubeVerdict::Sat)
       R.Model = Run.model();
-    sat::SolverStats Now;
-    Run.accumulateStats(Now);
-    R.Stats = Now - S.ReportedStats;
-    S.ReportedStats = Now;
-    R.Solved = Run.solved() - S.ReportedSolved;
-    S.ReportedSolved = Run.solved();
+    engine::CubeCounters Spent = Run.takeCounters();
+    R.Stats = Spent.Stats;
+    R.Solved = Spent.Solved;
     // The batch has quiesced, so the slot logs are stable: ship whatever
     // each slot derived/concluded since the previous report. Chunk
     // boundaries are record-aligned; the coordinator concatenates.

@@ -29,19 +29,19 @@ using sat::SolveResult;
 using sat::Var;
 using smt::SolveOutcome;
 
-/// One problem's discharge across its cube sets: the CubeRun, the
-/// counters already reported, and the cube set the certificate stands
-/// for. A persistent slot solver's later derivations resolve against
-/// earlier ones, so its proof stream only checks whole: it grows across
-/// every cube set and goes into the one certificate at close.
+/// One problem's discharge across its cube sets: the CubeRun and the
+/// cube set the certificate stands for. A persistent slot solver's later
+/// derivations resolve against earlier ones, so its proof stream only
+/// checks whole: it grows across every cube set and goes into the one
+/// certificate at close.
 struct veriqec::engine::Discharge {
   Discharge(std::shared_ptr<const smt::VerificationProblem> P,
             const CubeRunConfig &Cfg, size_t NumSlots)
       : Problem(std::move(P)), Run(*Problem, Cfg, NumSlots) {}
 
-  /// Starts the cube set \p T: fresh verdict flags, while the slot
-  /// solvers, their learnt clauses and the cumulative counters stay. A
-  /// problem the preprocessor refuted runs no cube.
+  /// Starts the cube set \p T: a fresh verdict, while the slot solvers,
+  /// their learnt clauses and the counters stay. A problem the
+  /// preprocessor refuted runs no cube.
   void start(CubeTree T) {
     Run.reset();
     Tree = std::move(T);
@@ -58,25 +58,16 @@ struct veriqec::engine::Discharge {
       Out = triviallyUnsatOutcome(*Problem, /*LogProofs=*/false);
       return;
     }
-    sat::SolverStats Now;
-    Run.accumulateStats(Now);
-    Out.Stats = Now - Reported;
-    Reported = Now;
-    Out.CubesSolved = Run.solved() - Solved;
-    Solved = Run.solved();
+    CubeCounters Spent = Run.takeCounters();
+    Out.Stats = Spent.Stats;
+    Out.CubesSolved = Spent.Solved;
     describeProblem(*Problem, Out);
-    if (Run.satFound()) {
-      Out.Result = SolveResult::Sat;
+    CubeVerdict Verdict = Run.verdict();
+    Out.Result = resultOf(Verdict);
+    if (Verdict == CubeVerdict::Sat)
       Out.Model = Run.model();
-    } else {
-      // A core-certified global refutation outranks sibling aborts: the
-      // cubes cancelled mid-search were redundant, not inconclusive.
-      Out.Result = Run.globalUnsat()  ? SolveResult::Unsat
-                   : Run.anyAborted() ? SolveResult::Aborted
-                                      : SolveResult::Unsat;
-    }
     if (Run.config().LogProofs && Out.Result == SolveResult::Unsat)
-      Proven = provenTree(std::move(Tree), Run.globalUnsat());
+      Proven = provenTree(std::move(Tree), Verdict == CubeVerdict::Refuted);
   }
 
   /// The certificate of the last UNSAT cube set, with every stream
@@ -89,13 +80,11 @@ struct veriqec::engine::Discharge {
     std::vector<proof::ProofText> Streams;
     for (size_t S = 0; S != Run.numSlots(); ++S)
       Streams.push_back(Run.drainSlotProof(S));
-    return assembleCertificate(*Problem, Run.config(), Streams, *Proven);
+    return assembleCertificate(*Problem, Streams, *Proven);
   }
 
   std::shared_ptr<const smt::VerificationProblem> Problem;
   CubeRun Run;
-  sat::SolverStats Reported;
-  uint64_t Solved = 0;
   CubeTree Tree;                       ///< the current cube set
   std::vector<std::vector<Lit>> Cubes; ///< its leaves, in order
   std::optional<CubeTree> Proven;      ///< the last UNSAT cube set
@@ -167,15 +156,12 @@ veriqec::engine::triviallyUnsatOutcome(const smt::VerificationProblem &P,
   return Out;
 }
 
-std::string veriqec::engine::assembleCertificate(
-    const smt::VerificationProblem &P, const CubeRunConfig &Cfg,
-    std::span<proof::ProofText> Streams, const CubeTree &Tree) {
-  std::vector<Lit> Units;
-  if (Cfg.HardenBudget)
-    P.appendWeightAssumptions(Cfg.BudgetBound, Units);
-  Units.insert(Units.end(), Tree.bound().begin(), Tree.bound().end());
-  return proof::assembleProof(proof::buildProofHeader(P, Units), Streams,
-                              Tree);
+std::string
+veriqec::engine::assembleCertificate(const smt::VerificationProblem &P,
+                                     std::span<proof::ProofText> Streams,
+                                     const CubeTree &Tree) {
+  return proof::assembleProof(proof::buildProofHeader(P, Tree.bound()),
+                              Streams, Tree);
 }
 
 CubeTree veriqec::engine::provenTree(CubeTree Tree, bool Refuted) {
@@ -190,8 +176,6 @@ PreparedProblem veriqec::engine::prepareCubeProblem(const CubeProblem &P,
   PreparedProblem Out;
   Out.Encoded = std::make_shared<smt::VerificationProblem>(
       *P.Ctx, P.Root, smt::makeProblemOptions(*P.Ctx, O));
-  Out.Config.HardenBudget = !O.BudgetVars.empty();
-  Out.Config.BudgetBound = O.BudgetBound;
   Out.Config.ConflictBudget = O.ConflictBudget;
   Out.Config.RandomSeed = O.RandomSeed;
   Out.Config.LogProofs = O.LogProofs;

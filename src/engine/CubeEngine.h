@@ -93,12 +93,11 @@ smt::SolveOutcome triviallyUnsatOutcome(const smt::VerificationProblem &P,
                                         bool LogProofs);
 
 /// The certificate rule of every CubeBackend: a header asserting
-/// \p Tree's bound (plus a hardened budget) as `b` units, \p Streams,
+/// \p P's root units and \p Tree's bound as `b` units, \p Streams,
 /// released into it, and the trailer of \p Tree's internal nodes. A
 /// cube set an empty core refuted is certified by provenTree(): its
 /// bound alone, which needs no trailer.
 std::string assembleCertificate(const smt::VerificationProblem &P,
-                                const CubeRunConfig &Cfg,
                                 std::span<proof::ProofText> Streams,
                                 const CubeTree &Tree);
 

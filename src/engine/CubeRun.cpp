@@ -50,17 +50,24 @@ std::vector<std::vector<Lit>> CubeRun::drainOutboundLemmas() {
   return Out;
 }
 
-void CubeRun::accumulateStats(sat::SolverStats &Out) const {
+CubeCounters CubeRun::takeCounters() {
+  CubeCounters Now{{}, solved()};
   for (const std::unique_ptr<sat::Solver> &Slot : Slots)
     if (Slot)
-      Out += Slot->stats();
+      Now.Stats += Slot->stats();
+  CubeCounters Delta{Now.Stats - Taken.Stats, Now.Solved - Taken.Solved};
+  Taken = Now;
+  return Delta;
 }
 
-CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
-                                      const std::vector<Lit> &Cube,
-                                      uint64_t CubeId) {
+CubeVerdict CubeRun::runCube(size_t Slot, const std::vector<Lit> &Cube,
+                             uint64_t CubeId) {
+  auto conclude = [this](CubeVerdict V) {
+    Verdict.raise(V);
+    return V;
+  };
   if (cancelled())
-    return CubeOutcome::Cancelled;
+    return conclude(CubeVerdict::Cancelled);
   assert(Slot < Slots.size() && "slot index out of range");
 
   // One span per cube; construction is a relaxed load when tracing is off.
@@ -71,11 +78,6 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
   std::unique_ptr<sat::Solver> &Reused = Slots[Slot];
   if (!Reused) {
     Reused = std::make_unique<sat::Solver>(Problem.makeSolver());
-    // One bound per problem: harden the weight layer as root-level units
-    // in this slot's solver (the shared CnfFormula stays
-    // bound-independent).
-    if (Cfg.HardenBudget)
-      Problem.assertWeightBound(*Reused, Cfg.BudgetBound);
     Reused->setAbortFlag(&Cancel);
     if (Cfg.LogProofs)
       // Proof mode forgoes cross-slot lemma exchange: a pool-imported
@@ -111,29 +113,24 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
     std::lock_guard<std::mutex> Lock(ModelMutex);
     if (!Cancel.exchange(true)) {
       Problem.readModel(*Reused, Model);
-      SatFlag.store(true, std::memory_order_release);
+      Verdict.raise(CubeVerdict::Sat);
     }
-    return CubeOutcome::Sat;
+    return CubeVerdict::Sat;
   }
   if (R == SolveResult::Unsat) {
     const std::vector<Lit> &Core = Reused->conflictCore();
     if (Cfg.LogProofs)
-      // An empty core concludes the whole problem (GlobalUnsat below):
-      // the checker's table then holds the empty clause.
+      // An empty core concludes the whole problem (Refuted below): the
+      // checker's table then holds the empty clause.
       SlotLogs[Slot]->logConclusion(Core, Cube, Reused->conflictCoreHints());
-    if (Core.empty()) {
-      // The refutation used no assumptions (as every refutation of the
-      // open cube): the problem is UNSAT under its root clauses alone
-      // and the siblings are redundant.
-      GlobalUnsat.store(true, std::memory_order_relaxed);
-      Cancel.store(true, std::memory_order_relaxed);
-    }
-    return CubeOutcome::Unsat;
+    if (!Core.empty())
+      return conclude(CubeVerdict::Unsat);
+    // The refutation used no assumptions (as every refutation of the
+    // open cube): the problem is UNSAT under its root clauses alone and
+    // the siblings are redundant.
+    Cancel.store(true, std::memory_order_relaxed);
+    return conclude(CubeVerdict::Refuted);
   }
   // Aborted: cancellation mid-search is not a budget abort.
-  if (!cancelled()) {
-    AnyAborted.store(true, std::memory_order_relaxed);
-    return CubeOutcome::Aborted;
-  }
-  return CubeOutcome::Cancelled;
+  return conclude(cancelled() ? CubeVerdict::Cancelled : CubeVerdict::Aborted);
 }

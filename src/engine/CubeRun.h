@@ -7,9 +7,12 @@
 /// \file
 /// The thread-safe shared state of one problem while its cubes are being
 /// discharged: per-slot reusable solvers (lazily built from the shared
-/// encoding), first-SAT cancellation, global-UNSAT detection via empty
-/// failed-assumption cores, plus cross-slot learned-clause exchange.
-/// Every cube that runs is concluded by its own solver call. Extracted
+/// encoding), cross-slot learned-clause exchange, and the problem's one
+/// outcome vocabulary. Every cube that runs is concluded by its own
+/// solver call with a CubeVerdict; a batch, a cube set and a problem
+/// conclude with the maximum of their cubes' verdicts (VerdictCell), and
+/// resultOf() is the one verdict -> SolveResult map. A SAT cube or an
+/// empty failed-assumption core (Refuted) cancels the run. Extracted
 /// from CubeEngine so the in-process work-stealing scheduler and the
 /// distributed worker (dist/Worker.h) run the identical per-cube logic —
 /// the distributed layer additionally feeds lemmas in from other nodes
@@ -37,12 +40,6 @@ namespace veriqec::engine {
 /// Per-problem solve configuration — the serializable subset of
 /// smt::SolveOptions a (possibly remote) cube worker needs.
 struct CubeRunConfig {
-  /// Harden sum(budget terms) <= BudgetBound as root-level units in every
-  /// slot solver (one bound per problem). Off for searches that probe
-  /// many bounds by assumption (the distance search makes each probe's
-  /// bound the root path of its cube tree, so every cube assumes it).
-  bool HardenBudget = false;
-  uint32_t BudgetBound = 0;
   uint64_t ConflictBudget = 0; ///< 0 = unlimited
   uint64_t RandomSeed = 0;     ///< 0 = deterministic branching
   /// Attach a proof::SlotProofLog to every slot solver and record one q
@@ -52,16 +49,56 @@ struct CubeRunConfig {
   bool LogProofs = false;
 };
 
+/// How a cube concluded, in precedence order: a batch, a cube set or a
+/// problem concludes with the maximum of its cubes' verdicts (a SAT cube
+/// decides everything; an empty core outranks budget aborts, whose cubes
+/// it makes redundant; any unconcluded cube outranks plain refutations).
+enum class CubeVerdict : uint8_t {
+  Unsat,     ///< refuted under the cube's assumptions
+  Cancelled, ///< not concluded: the run was cancelled first
+  Aborted,   ///< the solver gave up (conflict budget)
+  Refuted,   ///< refuted by an empty core: the problem is UNSAT outright
+  Sat,       ///< satisfiable: a counterexample
+};
+
+/// The SolveResult a verdict stands for: an unconcluded cube leaves its
+/// problem inconclusive.
+constexpr sat::SolveResult resultOf(CubeVerdict V) {
+  return V == CubeVerdict::Sat ? sat::SolveResult::Sat
+         : V == CubeVerdict::Unsat || V == CubeVerdict::Refuted
+             ? sat::SolveResult::Unsat
+             : sat::SolveResult::Aborted;
+}
+
+/// The fold of many cubes' verdicts, raised concurrently: it only ever
+/// rises. A raise releases and get() acquires, so what a thread wrote
+/// before raising (the SAT model) is visible to whoever reads it after.
+class VerdictCell {
+public:
+  void raise(CubeVerdict V) {
+    uint8_t Cur = Cell.load(std::memory_order_relaxed);
+    while (Cur < static_cast<uint8_t>(V) &&
+           !Cell.compare_exchange_weak(Cur, static_cast<uint8_t>(V),
+                                       std::memory_order_release)) {
+    }
+  }
+  CubeVerdict get() const {
+    return static_cast<CubeVerdict>(Cell.load(std::memory_order_acquire));
+  }
+  void reset() { Cell.store(0, std::memory_order_relaxed); }
+
+private:
+  std::atomic<uint8_t> Cell{0};
+};
+
+/// What a run's slots spent: solver statistics and solved cubes.
+struct CubeCounters {
+  sat::SolverStats Stats;
+  uint64_t Solved = 0;
+};
+
 class CubeRun {
 public:
-  /// What happened to one cube.
-  enum class CubeOutcome {
-    Unsat,     ///< discharged UNSAT by a solver call
-    Sat,       ///< satisfiable — model captured, run cancelled
-    Aborted,   ///< solver gave up (conflict budget)
-    Cancelled, ///< run was cancelled before/while solving this cube
-  };
-
   /// \p Problem must outlive the run and is shared read-only across
   /// slots. \p NumSlots bounds the slot indices runCube() accepts.
   /// \p RemotePeers: slots of other nodes work on the same problem (the
@@ -75,8 +112,10 @@ public:
   /// reusable solver whose learnt clauses carry across cubes); distinct
   /// slots may run concurrently. \p CubeId is observability-only: it
   /// labels this cube's trace span (the enumeration index in-process,
-  /// the batch-relative index on a distributed worker).
-  CubeOutcome runCube(size_t Slot, const std::vector<sat::Lit> &Cube,
+  /// the batch-relative index on a distributed worker). Raises the run's
+  /// verdict with the cube's, except that the run turns Sat only with the
+  /// model of its first SAT cube.
+  CubeVerdict runCube(size_t Slot, const std::vector<sat::Lit> &Cube,
                       uint64_t CubeId = 0);
 
   void cancel() { Cancel.store(true, std::memory_order_relaxed); }
@@ -86,37 +125,28 @@ public:
   /// (slots own ids 0..numSlots()-1).
   static constexpr int ImportedOwner = -1;
 
-  /// Clears the per-run verdict state (cancel/SAT/global-UNSAT/abort
-  /// flags and the captured model) while keeping slot solvers, learnt
-  /// clauses and cumulative counters: the distributed worker reuses one
-  /// CubeRun across many incremental cube sets of a persistent problem
-  /// (the distance search's probes). Call only while quiescent.
+  /// Clears the per-run verdict state (cancel flag, verdict and the
+  /// captured model) while keeping slot solvers, learnt clauses and
+  /// counters: one run serves many incremental cube sets of a persistent
+  /// problem (the distance search's probes). Call only while quiescent.
   void reset() {
     Cancel.store(false, std::memory_order_relaxed);
-    GlobalUnsat.store(false, std::memory_order_relaxed);
-    AnyAborted.store(false, std::memory_order_relaxed);
-    SatFlag.store(false, std::memory_order_relaxed);
+    Verdict.reset();
     Model.clear();
   }
 
-  /// A cube's UNSAT refutation used none of its assumption literals: the
-  /// problem is UNSAT under its root clauses alone.
-  bool globalUnsat() const {
-    return GlobalUnsat.load(std::memory_order_relaxed);
-  }
-  /// Some cube aborted on its conflict budget (excludes cancellation).
-  bool anyAborted() const { return AnyAborted.load(std::memory_order_relaxed); }
-  bool satFound() const { return SatFlag.load(std::memory_order_acquire); }
+  /// The maximum verdict of the cubes run since the last reset().
+  CubeVerdict verdict() const { return Verdict.get(); }
 
-  /// Model of the first SAT cube. Valid when satFound(); call only after
-  /// the run has quiesced (no slot inside runCube()).
+  /// Model of the first SAT cube. Valid when verdict() is Sat; call only
+  /// after the run has quiesced (no slot inside runCube()).
   const std::unordered_map<std::string, bool> &model() const { return Model; }
 
   uint64_t solved() const { return Solved.load(std::memory_order_relaxed); }
 
   /// Solver conflicts spent so far, observed at cube granularity: each
   /// slot publishes its solver's running total after every cube, so this
-  /// is safe to read while slots are mid-solve (unlike accumulateStats,
+  /// is safe to read while slots are mid-solve (unlike takeCounters,
   /// which walks the solvers themselves). Feeds the worker heartbeat's
   /// conflict delta.
   uint64_t conflictsObserved() const {
@@ -135,9 +165,11 @@ public:
   /// one thread may drain at a time; safe while slots are mid-solve.
   std::vector<std::vector<sat::Lit>> drainOutboundLemmas();
 
-  /// Sums the slot solvers' statistics into \p Out. Call only while the
-  /// slots are quiescent (between batches / after the run).
-  void accumulateStats(sat::SolverStats &Out) const;
+  /// The slot solvers' statistics and the solved cubes since the
+  /// previous take (slot solvers persist across batches and cube sets,
+  /// so their totals would double-count). Call only while the slots are
+  /// quiescent (between batches / after the run).
+  CubeCounters takeCounters();
 
   size_t numSlots() const { return Slots.size(); }
   const CubeRunConfig &config() const { return Cfg; }
@@ -155,10 +187,10 @@ private:
   CubeRunConfig Cfg;
 
   std::atomic<bool> Cancel{false};
-  std::atomic<bool> GlobalUnsat{false};
-  std::atomic<bool> AnyAborted{false};
-  std::atomic<bool> SatFlag{false};
+  VerdictCell Verdict;
   std::atomic<uint64_t> Solved{0};
+  /// The counters takeCounters() last returned (taker-only).
+  CubeCounters Taken;
   /// See conflictsObserved(). Owner-only per-slot bases live in
   /// SlotConflictBase; only the published sum is shared.
   std::atomic<uint64_t> ConflictsObserved{0};

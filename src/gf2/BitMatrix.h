@@ -51,9 +51,6 @@ public:
   /// which case it defines the width).
   void appendRow(BitVector Row);
 
-  /// XORs row \p Src into row \p Dst.
-  void addRowInto(size_t Src, size_t Dst) { Rows[Dst] ^= Rows[Src]; }
-
   void swapRows(size_t A, size_t B) { std::swap(Rows[A], Rows[B]); }
 
   BitMatrix transposed() const;

@@ -204,8 +204,9 @@ ProofText veriqec::proof::buildProofHeader(const smt::VerificationProblem &P,
   RecordWriter(Out, "v", 1).num(P.Cnf.NumVars).end();
   for (const std::vector<sat::Lit> &C : P.Cnf.Clauses)
     RecordWriter(Out, "o", C.size() + 1).lits(C).end();
-  for (sat::Lit L : Bound)
-    RecordWriter(Out, "b", 2).lit(L).zero().end();
+  for (std::span<const sat::Lit> Units : {std::span(P.RootUnits), Bound})
+    for (sat::Lit L : Units)
+      RecordWriter(Out, "b", 2).lit(L).zero().end();
   for (const auto &[Vars, Rhs] : P.XorRows)
     writeRow<sat::Var>(Out, "x", Rhs, Vars);
   writeReplayRecords(Out, P);

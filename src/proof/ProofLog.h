@@ -176,9 +176,10 @@ private:
 };
 
 /// Builds the proof header for an encoded problem: clauses exactly as
-/// VerificationProblem::loadInto() feeds them to every solver, \p Bound
-/// as `b` units (the weight bound the certificate assumes), native XOR
-/// rows, and the preprocessor replay records.
+/// VerificationProblem::loadInto() feeds them to every solver, its root
+/// units and then \p Bound as `b` units (the weight bounds the
+/// certificate assumes), native XOR rows, and the preprocessor replay
+/// records.
 ProofText buildProofHeader(const smt::VerificationProblem &P,
                            std::span<const sat::Lit> Bound);
 

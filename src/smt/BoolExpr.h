@@ -67,11 +67,6 @@ public:
   /// Returns (creating on first use) the variable named \p Name.
   ExprRef mkVar(const std::string &Name);
 
-  /// True if a variable of this name exists already.
-  bool hasVar(const std::string &Name) const {
-    return VarByName.count(Name) != 0;
-  }
-
   /// Id of an existing variable (fatal if unknown) — const lookup for
   /// layers that must not grow the context.
   uint32_t varIdOf(const std::string &Name) const;

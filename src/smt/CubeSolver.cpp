@@ -92,6 +92,7 @@ VerificationProblem::VerificationProblem(const BoolContext &Ctx_, ExprRef Root,
       Terms.push_back(Encoder.encode(T));
     BudgetCounter = Encoder.counterOver(Terms, Opts.CounterCap);
     NumBudgetTerms = Terms.size();
+    appendWeightAssumptions(Opts.HardBound, RootUnits);
   }
   EncodeSpan.arg("clauses", Cnf.Clauses.size());
 }
@@ -114,6 +115,8 @@ void VerificationProblem::loadInto(sat::Solver &S) const {
       RowLits.push_back(sat::mkLit(V));
     S.addXorClause(RowLits, Rhs);
   }
+  for (Lit L : RootUnits)
+    S.addClause(L);
 }
 
 void VerificationProblem::readModel(
@@ -152,14 +155,6 @@ void VerificationProblem::appendWeightAssumptions(uint32_t MaxW,
   }
 }
 
-void VerificationProblem::assertWeightBound(sat::Solver &S, uint32_t MaxW,
-                                            uint32_t MinW) const {
-  std::vector<Lit> Units;
-  appendWeightAssumptions(MaxW, Units, MinW);
-  for (Lit L : Units)
-    S.addClause(L);
-}
-
 ProblemOptions veriqec::smt::makeProblemOptions(const BoolContext &Ctx,
                                                 const SolveOptions &Opts) {
   ProblemOptions PO;
@@ -169,9 +164,11 @@ ProblemOptions veriqec::smt::makeProblemOptions(const BoolContext &Ctx,
   PO.ProtectedVars = Opts.SplitVars;
   for (const std::string &Name : Opts.BudgetVars)
     PO.BudgetTerms.push_back(Ctx.varRef(Name));
-  if (!Opts.BudgetVars.empty())
-    // Every consumer hardens the bound at the root (assertWeightBound),
-    // so counters past it are dead weight.
+  if (!Opts.BudgetVars.empty()) {
+    // The bound is hardened at the root, so counters past it are dead
+    // weight.
+    PO.HardBound = Opts.BudgetBound;
     PO.CounterCap = static_cast<size_t>(Opts.BudgetBound) + 1;
+  }
   return PO;
 }

@@ -152,10 +152,17 @@ struct ProblemOptions {
   /// machinery from O(n^2) to O(n*Cap). The budget layer itself then
   /// answers bounds MaxW < Cap (appendWeightAssumptions); SumLeqSum atoms
   /// over the budget are truncated too, which is exact only when the
-  /// solve enforces sum(BudgetTerms) < CounterCap at the root
-  /// (assertWeightBound). The distance search, whose VC has no such
-  /// atoms, sizes it by its first witness's weight. 0 = full depth.
+  /// problem hardens sum(BudgetTerms) < CounterCap (HardBound). The
+  /// distance search, whose VC has no such atoms, sizes it by its first
+  /// witness's weight. 0 = full depth.
   size_t CounterCap = 0;
+  /// With BudgetTerms: sum(BudgetTerms) <= HardBound holds in every
+  /// solver of the problem, as root units (RootUnits). Root-level units
+  /// propagate once and permanently simplify the search — much stronger
+  /// than re-deciding the bound as an assumption on every solve. The
+  /// default hardens nothing; searches that probe many bounds on one
+  /// solver assume them instead (appendWeightAssumptions).
+  uint32_t HardBound = ~uint32_t{0};
 };
 
 /// The reusable middle of the verification pipeline: one (context, root)
@@ -181,6 +188,10 @@ struct VerificationProblem {
   /// solver as native XOR constraints by loadInto(). Empty otherwise
   /// (the rows are then part of Cnf).
   std::vector<std::pair<std::vector<sat::Var>, bool>> XorRows;
+  /// ProblemOptions::HardBound as weight-layer literals: unit clauses of
+  /// every solver (loadInto) and leading `b` records of every proof
+  /// header.
+  std::vector<sat::Lit> RootUnits;
   /// The preprocessor refuted the conjunction outright; the CNF is empty
   /// and no solver needs to run.
   bool TriviallyUnsat = false;
@@ -213,19 +224,10 @@ struct VerificationProblem {
   /// \p Out (bounds at or beyond the trivial ones contribute nothing).
   /// Only valid when the problem was built with BudgetTerms. Use for
   /// searches that probe MANY bounds on one solver (learnt clauses
-  /// survive across bounds); a solver serving a single bound should
-  /// harden it with assertWeightBound instead.
+  /// survive across bounds); a problem serving a single bound should
+  /// harden it with ProblemOptions::HardBound instead.
   void appendWeightAssumptions(uint32_t MaxW, std::vector<sat::Lit> &Out,
                                uint32_t MinW = 0) const;
-
-  /// Asserts MinW <= sum(BudgetTerms) <= MaxW as root-level unit clauses
-  /// of \p S. Root-level units propagate once and permanently simplify
-  /// the search — much stronger than re-deciding the bound as an
-  /// assumption on every solve — while the bound-independent CnfFormula
-  /// is still encoded only once and shared by solvers with different
-  /// bounds.
-  void assertWeightBound(sat::Solver &S, uint32_t MaxW,
-                         uint32_t MinW = 0) const;
 
   /// Proof-header accessors (proof/ProofLog.h): the kept parity rows and
   /// the eliminated-variable records, both in BoolContext variable space.
@@ -250,9 +252,8 @@ private:
 
 /// The one SolveOptions -> ProblemOptions translation (of
 /// engine::prepareCubeProblem): split variables become protected, budget
-/// variables become counter terms, and — because every slot solver
-/// hardens the bound at the root via assertWeightBound — the counters are
-/// truncated just past it.
+/// variables become counter terms, and the budget bound is hardened at
+/// the root (HardBound), so the counters are truncated just past it.
 ProblemOptions makeProblemOptions(const BoolContext &Ctx,
                                   const SolveOptions &Opts);
 

@@ -175,8 +175,7 @@ ConfigVerdict runDirectReuse(const FuzzCase &C, const VerifyOptions &VO,
   if (O.CheckProofs) {
     proof::ProofText Streams[] = {Log.drain()};
     checkProofOracle(Out.Name,
-                     engine::assembleCertificate(
-                         Enc, engine::CubeRunConfig{}, Streams, Tree),
+                     engine::assembleCertificate(Enc, Streams, Tree),
                      Report);
   }
   Out.Verdict = 'V';

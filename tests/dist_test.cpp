@@ -43,10 +43,9 @@ namespace {
 std::vector<uint8_t> problemFrame(const smt::VerificationProblem &P) {
   ProblemMsg M;
   M.ProblemId = 7;
-  M.Config.HardenBudget = true;
-  M.Config.BudgetBound = 2;
   M.Config.ConflictBudget = 123;
   M.Config.RandomSeed = 99;
+  M.Config.LogProofs = true;
   M.Problem = std::const_pointer_cast<smt::VerificationProblem>(
       std::shared_ptr<const smt::VerificationProblem>(
           &P, [](const smt::VerificationProblem *) {}));
@@ -101,10 +100,9 @@ TEST(DistCodec, RoundTripsFuzzerGeneratedProblems) {
     ProblemMsg *PM = std::get_if<ProblemMsg>(&M);
     ASSERT_NE(PM, nullptr);
     EXPECT_EQ(PM->ProblemId, 7u);
-    EXPECT_TRUE(PM->Config.HardenBudget);
-    EXPECT_EQ(PM->Config.BudgetBound, 2u);
     EXPECT_EQ(PM->Config.ConflictBudget, 123u);
     EXPECT_EQ(PM->Config.RandomSeed, 99u);
+    EXPECT_TRUE(PM->Config.LogProofs);
 
     // Exact structural equality: the canonical re-encoding is identical
     // byte-for-byte (covers every private field too).
@@ -132,7 +130,7 @@ TEST(DistCodec, RoundTripsBatchResultsModelsAndProofChunks) {
   BatchResultMsg R;
   R.ProblemId = 3;
   R.BatchId = 11;
-  R.Status = BatchStatus::Sat;
+  R.Status = engine::CubeVerdict::Sat;
   R.Model = {{"e0", true}, {"e1", false}, {"m__3", true}};
   // Every counter gets a distinct large value through the field table.
   uint64_t I = 0;
@@ -147,7 +145,7 @@ TEST(DistCodec, RoundTripsBatchResultsModelsAndProofChunks) {
   ASSERT_NE(D, nullptr);
   EXPECT_EQ(D->ProblemId, 3u);
   EXPECT_EQ(D->BatchId, 11u);
-  EXPECT_EQ(D->Status, BatchStatus::Sat);
+  EXPECT_EQ(D->Status, engine::CubeVerdict::Sat);
   EXPECT_EQ(D->Model, R.Model);
   for (const auto &F : sat::SolverStats::Fields)
     EXPECT_EQ(D->Stats.*F.Member, R.Stats.*F.Member) << F.Name;
@@ -158,14 +156,15 @@ TEST(DistCodec, RoundTripsBatchResultsModelsAndProofChunks) {
 TEST(DistCodec, BatchResultFrameBytesArePinned) {
   // The counters are set by member name, not through the field table,
   // so a reordered table changes these bytes. The FNV-1a hash is of the
-  // frame wire version 9 encodes (the by-name stats codec of version 6,
+  // frame wire version 10 encodes (the by-name stats codec of version 6,
   // without the GF(2) prune counter of version 8 and the core-prune
-  // counter and new cores of version 9).
+  // counter and new cores of version 9; version 10 moved only the status
+  // byte, Sat 1 -> 4).
   const uint64_t K = 0x0102030405060708ull;
   BatchResultMsg R;
   R.ProblemId = 3;
   R.BatchId = 11;
-  R.Status = BatchStatus::Sat;
+  R.Status = engine::CubeVerdict::Sat;
   R.Model = {{"e0", true}, {"e1", false}, {"m__3", true}};
   R.Stats.Decisions = K * 1;
   R.Stats.BinPropagations = K * 2;
@@ -187,7 +186,88 @@ TEST(DistCodec, BatchResultFrameBytesArePinned) {
     Hash *= 1099511628211ull;
   }
   EXPECT_EQ(Frame.size(), 145u);
-  EXPECT_EQ(Hash, 3933943953071864466ull);
+  EXPECT_EQ(Hash, 14765270431404882431ull);
+}
+
+TEST(DistCodec, ResultStatusIsACubeVerdictAndNothingPastSat) {
+  BatchResultMsg R;
+  R.ProblemId = 3;
+  R.BatchId = 11;
+  std::vector<uint8_t> Frame = encodeMessage(R);
+  const size_t StatusAt = 1 + 4 + 4; // kind, problem id, batch id
+  for (uint8_t S = 0; S <= static_cast<uint8_t>(engine::CubeVerdict::Sat);
+       ++S) {
+    Frame[StatusAt] = S;
+    Message M;
+    ASSERT_TRUE(decodeMessage(Frame, M)) << int(S);
+    EXPECT_EQ(std::get<BatchResultMsg>(M).Status,
+              static_cast<engine::CubeVerdict>(S));
+  }
+  Frame[StatusAt] = 5;
+  Message M;
+  EXPECT_FALSE(decodeMessage(Frame, M));
+}
+
+namespace {
+
+/// A problem frame written field by field in ProblemCodec's order: one
+/// CNF variable for the named "a" (BoolContext id 0), and "b" (id 1)
+/// reconstructed from \p Deps, with \p RootUnits.
+std::vector<uint8_t>
+handWrittenProblemFrame(const std::vector<uint32_t> &Deps,
+                        const std::vector<Lit> &RootUnits) {
+  Encoder E;
+  E.u8(static_cast<uint8_t>(MsgKind::Problem));
+  E.u32(1); // problem id
+  E.u64(0); // config: ConflictBudget, RandomSeed, LogProofs
+  E.u64(0);
+  E.boolean(false);
+  E.boolean(false); // persistent
+  E.u64(1);         // CNF variables
+  E.u32(0);         // clauses
+  E.u32(0);         // BoolContext -> CNF map
+  E.u32(1);         // named variables
+  E.str("a");
+  E.i32(0);
+  E.u32(0);         // XOR rows
+  E.boolean(false); // trivially UNSAT
+  for (size_t I = 0; I != std::size(smt::PreprocessStats::Fields); ++I)
+    E.u64(0);
+  E.boolean(false);
+  E.u32(2); // BoolContext names
+  E.str("a");
+  E.str("b");
+  E.u32(1); // reconstruction records
+  E.u32(1);
+  E.u32(static_cast<uint32_t>(Deps.size()));
+  for (uint32_t D : Deps)
+    E.u32(D);
+  E.boolean(false);
+  E.lits({}); // no budget layer
+  E.u64(0);
+  E.lits(RootUnits);
+  return E.take();
+}
+
+} // namespace
+
+TEST(DistCodec, ProblemDecoderRejectsUnloadableUnitsAndUnreadableRecords) {
+  Message M;
+  ASSERT_TRUE(decodeMessage(handWrittenProblemFrame({0}, {sat::mkLit(0)}), M));
+  const smt::VerificationProblem &P = *std::get<ProblemMsg>(M).Problem;
+  EXPECT_EQ(P.RootUnits, std::vector<Lit>{sat::mkLit(0)});
+  sat::Solver S = P.makeSolver();
+  ASSERT_EQ(S.solve(), sat::SolveResult::Sat);
+  std::unordered_map<std::string, bool> Model;
+  P.readModel(S, Model);
+  EXPECT_TRUE(Model.at("a"));
+  EXPECT_TRUE(Model.at("b"));
+  // A root unit past the CNF variables would index the solver's arrays
+  // out of bounds.
+  EXPECT_FALSE(decodeMessage(handWrittenProblemFrame({0}, {sat::mkLit(1)}), M));
+  // "b" from itself: neither named nor reconstructed by a later record,
+  // so readModel could not look it up.
+  EXPECT_FALSE(decodeMessage(handWrittenProblemFrame({1}, {}), M));
 }
 
 TEST(DistCodec, RoundTripsEveryPreprocessStatsField) {
@@ -358,7 +438,7 @@ oneFramePerKind(const smt::VerificationProblem &P) {
   BatchResultMsg R;
   R.ProblemId = 3;
   R.BatchId = 4;
-  R.Status = BatchStatus::Sat;
+  R.Status = engine::CubeVerdict::Sat;
   R.Model = {{"e0", true}, {"e1", false}};
   R.Stats.Conflicts = 17;
   R.ProofChunks = {{0, "a 1 -2 0\n"}};
@@ -472,11 +552,11 @@ TEST(DistCodec, SurvivesCorruptedFramesWithoutCrashing) {
             << Pos;
       }
   // A count field blown up to claim gigabytes must be rejected, not
-  // allocated: the kind byte, problem id, config (HardenBudget,
-  // BudgetBound, ConflictBudget, RandomSeed, LogProofs), the Persistent
-  // flag and the u64 NumVars precede the clause count.
+  // allocated: the kind byte, problem id, config (ConflictBudget,
+  // RandomSeed, LogProofs), the Persistent flag and the u64 NumVars
+  // precede the clause count.
   std::vector<uint8_t> Bad = problemFrame(P);
-  size_t ClauseCountAt = 1 + 4 + (1 + 4 + 8 + 8 + 1) + 1 + 8;
+  size_t ClauseCountAt = 1 + 4 + (8 + 8 + 1) + 1 + 8;
   uint32_t ClauseCount = 0;
   for (int I = 0; I != 4; ++I) {
     ClauseCount |= uint32_t{Bad[ClauseCountAt + I]} << (8 * I);
@@ -939,7 +1019,7 @@ TEST(DistLoopback, CoordinatorRelaysLemmasAndDropsOutOfRangeOnes) {
     BatchResultMsg R;
     R.ProblemId = Batch.ProblemId;
     R.BatchId = Batch.BatchId;
-    R.Status = BatchStatus::AllUnsat;
+    R.Status = engine::CubeVerdict::Unsat;
     R.Solved = Batch.Cubes.size();
     return encodeMessage(R);
   };
@@ -1079,13 +1159,13 @@ TEST(DistLoopback, CertificateMissingOneCubeIsRejected) {
   for (size_t C = 0; C != Batch->Cubes.size(); ++C) {
     if (Batch->Cubes[C] != Model) {
       EXPECT_NE(Run.runCube(0, Batch->Cubes[C], C),
-                engine::CubeRun::CubeOutcome::Sat);
+                engine::CubeVerdict::Sat);
     }
   }
   BatchResultMsg R;
   R.ProblemId = Batch->ProblemId;
   R.BatchId = Batch->BatchId;
-  R.Status = BatchStatus::AllUnsat;
+  R.Status = engine::CubeVerdict::Unsat;
   R.Solved = Batch->Cubes.size();
   R.ProofChunks = {{0, Run.drainSlotProof(0).take()}};
   W.B->send(encodeMessage(R));

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <thread>
 
 using namespace veriqec;
 using namespace veriqec::engine;
@@ -248,9 +249,9 @@ TEST(CubeTree, CertificateMissingOneLeafIsRejected) {
   Cfg.LogProofs = true;
   CubeRun Run(P, Cfg, 2);
   for (size_t C = 0; C != 3; ++C)
-    EXPECT_NE(Run.runCube(C % 2, Cubes[C], C), CubeRun::CubeOutcome::Sat);
+    EXPECT_NE(Run.runCube(C % 2, Cubes[C], C), CubeVerdict::Sat);
   proof::ProofText Streams[] = {Run.drainSlotProof(0), Run.drainSlotProof(1)};
-  std::string Cert = assembleCertificate(P, Cfg, Streams, Tree);
+  std::string Cert = assembleCertificate(P, Streams, Tree);
   proof::CheckResult CR = proof::checkProof(Cert);
   EXPECT_FALSE(CR.Ok);
   // The first trailer addition is the dropped leaf's parent, [a].
@@ -259,7 +260,7 @@ TEST(CubeTree, CertificateMissingOneLeafIsRejected) {
   ASSERT_NE(At, std::string::npos);
   EXPECT_EQ(Cert.substr(At + 3, Parent.size()), Parent);
   EXPECT_NE(CR.Error.find("not RUP"), std::string::npos) << CR.Error;
-  EXPECT_EQ(Run.runCube(0, Cubes[3], 3), CubeRun::CubeOutcome::Sat);
+  EXPECT_EQ(Run.runCube(0, Cubes[3], 3), CubeVerdict::Sat);
 }
 
 namespace {
@@ -505,6 +506,47 @@ TEST(CubeEngine, XorOnAndOffAgreeOnCrossRowParityCase) {
   EXPECT_EQ(Off.Result, sat::SolveResult::Sat);
 }
 
+TEST(CubeVerdict, CellFoldsToTheMaximumAndNeverLowers) {
+  VerdictCell Cell;
+  EXPECT_EQ(Cell.get(), CubeVerdict::Unsat);
+  Cell.raise(CubeVerdict::Aborted);
+  Cell.raise(CubeVerdict::Cancelled);
+  Cell.raise(CubeVerdict::Unsat);
+  EXPECT_EQ(Cell.get(), CubeVerdict::Aborted);
+  // An empty core outranks budget aborts: the aborted cubes were
+  // redundant.
+  Cell.raise(CubeVerdict::Refuted);
+  Cell.raise(CubeVerdict::Aborted);
+  EXPECT_EQ(Cell.get(), CubeVerdict::Refuted);
+  const CubeVerdict All[] = {CubeVerdict::Unsat, CubeVerdict::Cancelled,
+                             CubeVerdict::Aborted, CubeVerdict::Refuted,
+                             CubeVerdict::Sat};
+  Cell.raise(CubeVerdict::Sat);
+  for (CubeVerdict V : All) {
+    Cell.raise(V);
+    EXPECT_EQ(Cell.get(), CubeVerdict::Sat);
+  }
+  Cell.reset();
+  EXPECT_EQ(Cell.get(), CubeVerdict::Unsat);
+
+  // Raised from many threads at once, the cell ends at the maximum.
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T != 4; ++T)
+    Threads.emplace_back([&Cell, &All, T] {
+      for (size_t I = 0; I != 1000; ++I)
+        Cell.raise(All[(I + T) % (T == 3 ? 5 : 4)]);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Cell.get(), CubeVerdict::Sat);
+
+  EXPECT_EQ(resultOf(CubeVerdict::Unsat), sat::SolveResult::Unsat);
+  EXPECT_EQ(resultOf(CubeVerdict::Refuted), sat::SolveResult::Unsat);
+  EXPECT_EQ(resultOf(CubeVerdict::Aborted), sat::SolveResult::Aborted);
+  EXPECT_EQ(resultOf(CubeVerdict::Cancelled), sat::SolveResult::Aborted);
+  EXPECT_EQ(resultOf(CubeVerdict::Sat), sat::SolveResult::Sat);
+}
+
 TEST(CubeRun, ExchangesLemmasOnlyWithPeersAndNeverUnderProofs) {
   // The open cube of surface5 t=2: one slot solves the whole problem.
   smt::BoolContext Ctx;
@@ -524,12 +566,10 @@ TEST(CubeRun, ExchangesLemmasOnlyWithPeersAndNeverUnderProofs) {
                     const std::vector<std::vector<sat::Lit>> &Imports = {}) {
     CubeRun Run(P, Cfg, Slots, Remote);
     Run.addExternalLemmas(Imports);
-    EXPECT_EQ(Run.runCube(0, {}), CubeRun::CubeOutcome::Unsat);
+    EXPECT_EQ(Run.runCube(0, {}), CubeVerdict::Refuted);
     Solved Out;
     Out.Exported = Run.drainOutboundLemmas();
-    sat::SolverStats Stats;
-    Run.accumulateStats(Stats);
-    Out.Conflicts = Stats.Conflicts;
+    Out.Conflicts = Run.takeCounters().Stats.Conflicts;
     Out.Proof = Run.drainSlotProof(0).take();
     return Out;
   };

@@ -380,15 +380,15 @@ TEST(Preprocessor, TruncatedCountersStayExactUnderTheBudget) {
     ExprRef Root =
         Ctx.mkAnd(Ctx.mkSumLeqSum(A, B), Ctx.mkOr(A[0], Ctx.mkNot(B[0])));
 
-    ProblemOptions Full, Capped;
+    ProblemOptions Full;
     Full.BudgetTerms = B;
-    Capped.BudgetTerms = B;
+    Full.HardBound = K;
+    ProblemOptions Capped = Full;
     Capped.CounterCap = K + 1;
 
     auto countAtBound = [&](const ProblemOptions &PO) {
       VerificationProblem Problem(Ctx, Root, PO);
       sat::Solver S = Problem.makeSolver();
-      Problem.assertWeightBound(S, K);
       uint64_t Count = 0;
       while (S.solve() == sat::SolveResult::Sat) {
         ++Count;
