@@ -116,16 +116,6 @@ void encodeBody(Encoder &E, const BatchResultMsg &M) {
 
 void encodeBody(Encoder &E, const CancelMsg &M) { E.u32(M.ProblemId); }
 
-void encodeBody(Encoder &E, const StealRequestMsg &M) { E.u32(M.MaxBatches); }
-
-void encodeBody(Encoder &E, const StealReplyMsg &M) {
-  E.u32(static_cast<uint32_t>(M.Batches.size()));
-  for (const auto &[ProblemId, BatchId] : M.Batches) {
-    E.u32(ProblemId);
-    E.u32(BatchId);
-  }
-}
-
 void encodeBody(Encoder &, const ShutdownMsg &) {}
 
 void encodeBody(Encoder &E, const HeartbeatMsg &M) {
@@ -383,23 +373,6 @@ bool veriqec::dist::decodeMessage(std::span<const uint8_t> Payload,
     CancelMsg M;
     M.ProblemId = D.u32();
     Out = M;
-    break;
-  }
-  case MsgKind::StealRequest: {
-    StealRequestMsg M;
-    M.MaxBatches = D.u32();
-    Out = M;
-    break;
-  }
-  case MsgKind::StealReply: {
-    StealReplyMsg M;
-    uint32_t N = D.count(8);
-    M.Batches.reserve(N);
-    for (uint32_t I = 0; I != N && D.ok(); ++I) {
-      uint32_t ProblemId = D.u32();
-      M.Batches.emplace_back(ProblemId, D.u32());
-    }
-    Out = std::move(M);
     break;
   }
   case MsgKind::Shutdown:

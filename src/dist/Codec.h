@@ -52,8 +52,10 @@ constexpr uint32_t WireMagic = 0x43455156; // "VQEC" little-endian
 /// batch result. v9: sibling-core pruning is gone — the Cores frame and
 /// the batch result's pruned count and new cores with it. v10: the batch
 /// status is an engine::CubeVerdict, and the hardened budget bound leaves
-/// the config for the problem's range-checked root units.
-constexpr uint32_t WireVersion = 10;
+/// the config for the problem's range-checked root units. v11: work
+/// stealing is gone, and its request and reply frames with it, so every
+/// later kind tag moves down by two.
+constexpr uint32_t WireVersion = 11;
 /// Upper bound on one frame payload (a surface-scale problem is a few
 /// MB; anything near this is a corrupt length prefix, not data).
 constexpr uint32_t MaxFrameBytes = 256u << 20;
@@ -226,8 +228,6 @@ enum class MsgKind : uint8_t {
   CubeBatch,     ///< coordinator -> worker: a batch of cubes to discharge
   BatchResult,   ///< worker -> coordinator: verdict, stats, model, proof
   Cancel,        ///< coordinator -> worker: stop + forget one problem
-  StealRequest,  ///< coordinator -> worker: give back queued batches
-  StealReply,    ///< worker -> coordinator: the batch ids it gave back
   Shutdown,      ///< coordinator -> worker: exit cleanly
   Heartbeat,     ///< worker -> coordinator: periodic progress report
   Evicted,       ///< coordinator -> worker: dropped, stop grinding
@@ -289,18 +289,6 @@ struct CancelMsg {
   uint32_t ProblemId = 0;
 };
 
-struct StealRequestMsg {
-  /// Give back up to this many not-yet-started batches (from the back of
-  /// the local queue).
-  uint32_t MaxBatches = 1;
-};
-
-struct StealReplyMsg {
-  /// (ProblemId, BatchId) pairs the worker relinquished; the coordinator
-  /// re-grants them from its own batch store.
-  std::vector<std::pair<uint32_t, uint32_t>> Batches;
-};
-
 struct ShutdownMsg {};
 
 /// Periodic worker -> coordinator progress report (WorkerOptions::
@@ -309,8 +297,9 @@ struct ShutdownMsg {};
 /// while it grinds a hard batch; the payload additionally feeds the
 /// coordinator's `--progress` rendering.
 struct HeartbeatMsg {
-  /// Batches started but not yet resulted (0 or 1 today — the worker
-  /// runs one batch at a time — plus its locally queued backlog).
+  /// Batches granted but not yet resulted: 0 or 1, since the coordinator
+  /// grants only to a worker that holds none — plus, after a Cancel, a
+  /// fresh grant queued behind the cancelled batch that still drains.
   uint32_t BatchesInFlight = 0;
   /// Cubes discharged since the previous heartbeat.
   uint64_t CubesDelta = 0;
@@ -342,8 +331,8 @@ struct LemmasMsg {
 
 using Message =
     std::variant<HelloMsg, HelloAckMsg, ProblemMsg, CubeBatchMsg,
-                 BatchResultMsg, CancelMsg, StealRequestMsg, StealReplyMsg,
-                 ShutdownMsg, HeartbeatMsg, EvictedMsg, LemmasMsg>;
+                 BatchResultMsg, CancelMsg, ShutdownMsg, HeartbeatMsg,
+                 EvictedMsg, LemmasMsg>;
 
 /// True iff every literal of \p Lits names a variable of \p P. Cube and
 /// lemma frames carry literals without their problem, so the decoder

@@ -31,11 +31,8 @@ struct Coordinator::WorkerState {
   uint32_t Slots = 0;
   bool Ready = false; ///< handshake complete
   bool Dead = false;
-  /// A steal request is in flight (or recently failed — cleared on the
-  /// next message from this worker, so an empty-handed victim is not
-  /// hammered with requests).
-  bool StealPending = false;
-  std::set<BatchKey> Outstanding; ///< granted, no result yet
+  /// The batch granted and not yet resulted; a worker holds at most one.
+  std::optional<BatchKey> Outstanding;
   std::set<uint32_t> KnowsProblem;
   Clock::time_point LastActivity = Clock::now();
 };
@@ -44,7 +41,7 @@ struct Coordinator::ActiveProblem {
   std::shared_ptr<const smt::VerificationProblem> Problem;
   engine::CubeRunConfig Config;
   /// The current cube set: its tree, and the leaves, which stay here so
-  /// a stolen or requeued batch can be re-granted without asking anyone.
+  /// a requeued batch can be re-granted without asking anyone.
   /// Batch B is the leaves [B * Chunk, (B + 1) * Chunk). Wire batch ids
   /// are monotone per problem and never reused: the current cube set
   /// occupies [FirstBatchId, FirstBatchId + BatchDone.size()), so a
@@ -217,35 +214,30 @@ bool Coordinator::sendBatch(WorkerState &W, uint32_t ProblemId,
     return false;
   // An idle worker owed no frames, so its silence clock starts with this
   // grant, not with whatever it last sent before going idle.
-  if (W.Outstanding.empty())
-    W.LastActivity = Clock::now();
-  W.Outstanding.insert({ProblemId, BatchId});
+  W.LastActivity = Clock::now();
+  W.Outstanding = BatchKey{ProblemId, BatchId};
   return true;
 }
 
 Coordinator::WorkerState *Coordinator::pickGrantee() {
-  WorkerState *Best = nullptr;
-  double BestLoad = 0;
-  for (std::unique_ptr<WorkerState> &W : Workers) {
-    if (!W->Ready || W->Dead)
-      continue;
-    double Load =
-        static_cast<double>(W->Outstanding.size()) / W->Slots;
-    if (!Best || Load < BestLoad) {
-      Best = W.get();
-      BestLoad = Load;
-    }
-  }
-  return Best;
+  for (std::unique_ptr<WorkerState> &W : Workers)
+    if (W->Ready && !W->Dead && !W->Outstanding)
+      return W.get();
+  return nullptr;
+}
+
+bool Coordinator::stillOpen(const BatchKey &Key) const {
+  auto It = Problems.find(Key.first);
+  if (It == Problems.end())
+    return false;
+  size_t Idx = It->second->indexOf(Key.second);
+  return Idx != SIZE_MAX && !It->second->BatchDone[Idx];
 }
 
 void Coordinator::grantWork() {
   while (!Queue.empty()) {
     BatchKey Key = Queue.front();
-    auto It = Problems.find(Key.first);
-    size_t Idx =
-        It == Problems.end() ? SIZE_MAX : It->second->indexOf(Key.second);
-    if (Idx == SIZE_MAX || It->second->BatchDone[Idx]) {
+    if (!stillOpen(Key)) {
       Queue.pop_front(); // problem gone, stale epoch, or satisfied
       continue;
     }
@@ -263,55 +255,8 @@ void Coordinator::grantWork() {
   }
 }
 
-void Coordinator::stealForIdle() {
-  if (!Queue.empty())
-    return;
-  // One idle worker is enough to ask; more idlers are served as replies
-  // arrive.
-  bool AnyIdle = false;
-  for (std::unique_ptr<WorkerState> &W : Workers)
-    if (W->Ready && !W->Dead && W->Outstanding.empty())
-      AnyIdle = true;
-  if (!AnyIdle)
-    return;
-  WorkerState *Victim = nullptr;
-  for (std::unique_ptr<WorkerState> &W : Workers) {
-    if (!W->Ready || W->Dead || W->StealPending)
-      continue;
-    if (W->Outstanding.size() < 2)
-      continue; // only the in-flight batch: nothing to give back
-    if (!Victim || W->Outstanding.size() > Victim->Outstanding.size())
-      Victim = W.get();
-  }
-  if (!Victim)
-    return;
-  StealRequestMsg SR;
-  SR.MaxBatches =
-      static_cast<uint32_t>(Victim->Outstanding.size() / 2);
-  if (Victim->L->send(encodeMessage(SR)))
-    Victim->StealPending = true;
-  else
-    Victim->Dead = true;
-}
-
-void Coordinator::handleStealReply(WorkerState &W, const StealReplyMsg &R) {
-  W.StealPending = false;
-  for (const auto &[ProblemId, BatchId] : R.Batches) {
-    BatchKey Key{ProblemId, BatchId};
-    if (!W.Outstanding.erase(Key))
-      continue; // already resulted or requeued
-    auto It = Problems.find(ProblemId);
-    size_t Idx =
-        It == Problems.end() ? SIZE_MAX : It->second->indexOf(BatchId);
-    if (Idx == SIZE_MAX || It->second->BatchDone[Idx])
-      continue;
-    Queue.push_back(Key);
-    ++Stats.BatchesStolen;
-  }
-}
-
 void Coordinator::cancelRemaining(ActiveProblem &AP, uint32_t ProblemId) {
-  // Scrub the queue and every worker's outstanding set; mark all
+  // Scrub the queue and every worker's outstanding batch; mark all
   // not-yet-done batches done so the completion count converges.
   std::deque<BatchKey> Keep;
   for (const BatchKey &Key : Queue)
@@ -321,15 +266,11 @@ void Coordinator::cancelRemaining(ActiveProblem &AP, uint32_t ProblemId) {
   for (std::unique_ptr<WorkerState> &W : Workers) {
     if (W->Dead)
       continue;
-    bool Knew = false;
-    for (auto It = W->Outstanding.begin(); It != W->Outstanding.end();) {
-      if (It->first == ProblemId) {
-        It = W->Outstanding.erase(It);
-        Knew = true;
-      } else {
-        ++It;
-      }
-    }
+    // A worker whose batch is cancelled is idle from here on: it may be
+    // granted fresh work while the cancelled batch drains.
+    bool Knew = W->Outstanding && W->Outstanding->first == ProblemId;
+    if (Knew)
+      W->Outstanding.reset();
     // Tell every worker that ever saw the problem to abort in-flight
     // solves and free its state. Persistent problems keep their remote
     // solvers (the next solveCubes call reuses them); their in-flight
@@ -350,11 +291,11 @@ void Coordinator::cancelRemaining(ActiveProblem &AP, uint32_t ProblemId) {
 
 void Coordinator::shardCubes(uint32_t ProblemId, ActiveProblem &AP,
                              engine::CubeTree &&Tree) {
-  // Contiguous batches — a few per fleet slot so stealing can rebalance
-  // — queued eagerly (the grant loop spreads them across the registered
-  // workers). Each cube set gets a FRESH wire-id range so stragglers
-  // from a persistent problem's previous set fall outside indexOf(), and
-  // fresh verdict state; worker-side solvers persist.
+  // Contiguous batches — a few per fleet slot so uneven hardness evens
+  // out — queued here and granted one at a time to idle workers. Each
+  // cube set gets a FRESH wire-id range so stragglers from a persistent
+  // problem's previous set fall outside indexOf(), and fresh verdict
+  // state; worker-side solvers persist.
   AP.DoneCount = 0;
   AP.Verdict.reset();
   AP.Finished = false;
@@ -392,7 +333,10 @@ void Coordinator::finishProblem(ActiveProblem &AP) {
 }
 
 void Coordinator::handleResult(WorkerState &W, BatchResultMsg &&R) {
-  W.Outstanding.erase({R.ProblemId, R.BatchId});
+  // A cancelled batch may report after a fresh grant: only the held
+  // batch's result frees the worker.
+  if (W.Outstanding == BatchKey{R.ProblemId, R.BatchId})
+    W.Outstanding.reset();
   auto It = Problems.find(R.ProblemId);
   if (It == Problems.end())
     return;
@@ -413,7 +357,7 @@ void Coordinator::handleResult(WorkerState &W, BatchResultMsg &&R) {
   AP.Outcome.CubesSolved += R.Solved;
 
   if (AP.BatchDone[Idx])
-    return; // duplicate (stolen-and-raced or post-cancel): counted above
+    return; // duplicate (requeued-and-raced or post-cancel): counted above
   if (R.Status == engine::CubeVerdict::Cancelled) {
     // The worker was cancelled under this batch (or never knew the
     // problem). The problem is still live, so the work is NOT done:
@@ -472,17 +416,10 @@ bool Coordinator::pumpLinks() {
         W->Dead = true; // unusable stream
         break;
       }
-      if (const LemmasMsg *LM = std::get_if<LemmasMsg>(&M)) {
-        // Streamed every poll: it must not count as the answer to a
-        // pending steal request below.
+      if (const LemmasMsg *LM = std::get_if<LemmasMsg>(&M))
         relayLemmas(*W, *LM, Frame);
-        continue;
-      }
-      W->StealPending = false;
-      if (BatchResultMsg *R = std::get_if<BatchResultMsg>(&M))
+      else if (BatchResultMsg *R = std::get_if<BatchResultMsg>(&M))
         handleResult(*W, std::move(*R));
-      else if (const StealReplyMsg *S = std::get_if<StealReplyMsg>(&M))
-        handleStealReply(*W, *S);
       else if (const HeartbeatMsg *H = std::get_if<HeartbeatMsg>(&M)) {
         // The LastActivity refresh above is the heartbeat's real job —
         // it is what keeps a grinding worker off the silence timer. The
@@ -500,16 +437,11 @@ bool Coordinator::pumpLinks() {
 }
 
 void Coordinator::requeueOutstanding(WorkerState &W) {
-  for (const BatchKey &Key : W.Outstanding) {
-    auto It = Problems.find(Key.first);
-    size_t Idx =
-        It == Problems.end() ? SIZE_MAX : It->second->indexOf(Key.second);
-    if (Idx == SIZE_MAX || It->second->BatchDone[Idx])
-      continue;
-    Queue.push_back(Key);
+  if (W.Outstanding && stillOpen(*W.Outstanding)) {
+    Queue.push_back(*W.Outstanding);
     ++Stats.BatchesRequeued;
   }
-  W.Outstanding.clear();
+  W.Outstanding.reset();
   W.KnowsProblem.clear();
 }
 
@@ -518,7 +450,7 @@ void Coordinator::dropDeadWorkers() {
   for (std::unique_ptr<WorkerState> &W : Workers) {
     if (!W->Ready || W->Dead)
       continue;
-    if (Opts.WorkerTimeoutMs > 0 && !W->Outstanding.empty() &&
+    if (Opts.WorkerTimeoutMs > 0 && W->Outstanding &&
         Now - W->LastActivity >
             std::chrono::milliseconds(Opts.WorkerTimeoutMs)) {
       // Tell the worker it was written off before cutting the link: its
@@ -571,7 +503,6 @@ void Coordinator::runUntilDone(const std::vector<uint32_t> &ProblemIds) {
       return;
     }
     grantWork();
-    stealForIdle();
     if (obs::progressEnabled()) {
       size_t BatchesDone = 0, BatchesTotal = 0;
       for (uint32_t Id : ProblemIds) {
@@ -616,8 +547,8 @@ Coordinator::solveAll(std::span<const engine::CubeProblem> CubeProblems) {
     Ids[I] = Id;
     LiveIds.push_back(Id);
     // Encoding is serial on this thread, but the fleet need not wait
-    // for the whole batch: shardCubes queued eagerly, so granting here
-    // puts workers on problem 1 while problem 2 is still encoding.
+    // for the whole batch: granting here puts idle workers on problem 1
+    // while problem 2 is still encoding.
     pumpAccept();
     pumpHandshakes();
     pumpLinks();

@@ -9,11 +9,10 @@
 /// engine::CubeBackend whose solver slots live in other processes (or on
 /// other machines). Problems are preprocessed and encoded locally, their
 /// cube trees sized by the slot-targeting split heuristic over the fleet's
-/// TOTAL slot count, and the leaves' batches sharded eagerly across
-/// every registered worker. From there the scheduler re-balances:
+/// TOTAL slot count, and the leaves' batches queued at the coordinator.
+/// A batch is granted only to a worker that holds none, so unstarted
+/// work lives in one place and a fast worker simply asks more often:
 ///
-///   * an idle worker triggers a steal — the busiest sibling hands back
-///     queued batches, which are re-granted to the idle one;
 ///   * outside proof mode, the short learnt lemmas each worker streams
 ///     are relayed (not stored) to every other worker that knows the
 ///     problem, so remote slots share lemmas like in-process slots do;
@@ -47,8 +46,9 @@
 namespace veriqec::dist {
 
 struct CoordinatorOptions {
-  /// Shard granularity: target this many batches per fleet slot, so
-  /// stealing has material even after the eager shard.
+  /// Shard granularity: target this many batches per fleet slot, so a
+  /// worker that finishes early is granted more of the queue than a slow
+  /// one.
   size_t BatchesPerSlot = 4;
   /// Event-loop poll granularity.
   int PollMs = 2;
@@ -65,19 +65,20 @@ struct CoordinatorOptions {
   int WorkerTimeoutMs = 0;
 };
 
-/// Observability counters (tested by the kill-a-worker and steal paths).
+/// Observability counters (tested by the kill-a-worker and eviction
+/// paths).
 struct CoordinatorStats {
   uint64_t WorkersDropped = 0;
   uint64_t BatchesRequeued = 0;
-  uint64_t BatchesStolen = 0;
   uint64_t HeartbeatsReceived = 0;
   /// Lemmas forwarded, counted once per receiving worker.
   uint64_t LemmasRelayed = 0;
-  /// Always 0: the cross-node core broadcast is gone. The field stays
-  /// only until qecbench/qecbench.cpp stops reading it.
+  /// Always 0: work stealing and the cross-node core broadcast are gone.
+  /// The fields stay only until qecbench/qecbench.cpp stops reading them.
+  uint64_t BatchesStolen = 0;
   uint64_t CoreBroadcasts = 0;
 
-  /// The counters above but the last, named by their metric names.
+  /// The counters above but the last two, named by their metric names.
   struct Field {
     const char *Name;
     uint64_t CoordinatorStats::*Member;
@@ -85,14 +86,13 @@ struct CoordinatorStats {
   static constexpr Field Fields[] = {
       {"dist.workers_dropped", &CoordinatorStats::WorkersDropped},
       {"dist.batches_requeued", &CoordinatorStats::BatchesRequeued},
-      {"dist.batches_stolen", &CoordinatorStats::BatchesStolen},
       {"dist.heartbeats", &CoordinatorStats::HeartbeatsReceived},
       {"dist.lemmas_relayed", &CoordinatorStats::LemmasRelayed},
   };
 };
-// The trailing always-0 CoreBroadcasts pads to one more uint64_t.
+// The two trailing always-0 counters pad to two more uint64_t.
 static_assert(sizeof(CoordinatorStats) ==
-                  (std::size(CoordinatorStats::Fields) + 1) * sizeof(uint64_t),
+                  (std::size(CoordinatorStats::Fields) + 2) * sizeof(uint64_t),
               "every CoordinatorStats counter needs a Fields entry");
 
 class Coordinator : public engine::CubeBackend {
@@ -143,14 +143,16 @@ private:
   /// Drains every worker link; true when at least one message arrived.
   bool pumpLinks();
   void handleResult(WorkerState &W, BatchResultMsg &&R);
-  void handleStealReply(WorkerState &W, const StealReplyMsg &R);
   /// Forwards \p Frame (which decoded to \p M) to the other workers that
   /// know its problem; drops it for unknown, finished or proof-logging
   /// problems and when a literal is out of the problem's range.
   void relayLemmas(WorkerState &From, const LemmasMsg &M,
                    std::span<const uint8_t> Frame);
+  /// True while \p Key is a batch of a live problem's current cube set
+  /// that has no result yet.
+  bool stillOpen(const BatchKey &Key) const;
+  /// Grants queued batches, one to each idle worker.
   void grantWork();
-  void stealForIdle();
   void dropDeadWorkers();
   void requeueOutstanding(WorkerState &W);
   void cancelRemaining(ActiveProblem &AP, uint32_t ProblemId);
@@ -164,6 +166,8 @@ private:
   /// Runs the event loop until every listed problem finished. Problems
   /// that cannot make progress (fleet died) finish as Aborted.
   void runUntilDone(const std::vector<uint32_t> &ProblemIds);
+  /// The first ready, live worker (in registration order) that holds no
+  /// batch; nullptr when every worker is busy.
   WorkerState *pickGrantee();
   bool sendBatch(WorkerState &W, uint32_t ProblemId, uint32_t BatchId);
 
@@ -173,6 +177,7 @@ private:
   std::vector<std::unique_ptr<Link>> PendingLinks;
   std::vector<std::unique_ptr<WorkerState>> Workers;
   std::unordered_map<uint32_t, std::unique_ptr<ActiveProblem>> Problems;
+  /// Every batch not yet granted; the only place unstarted work waits.
   std::deque<BatchKey> Queue;
   uint32_t NextProblemId = 1;
   uint64_t NextWorkerSerial = 1;

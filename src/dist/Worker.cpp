@@ -75,6 +75,14 @@ public:
           finishInflight(/*Block=*/true);
           return 0;
         }
+        if (std::holds_alternative<CubeBatchMsg>(M) && Opts.MaxBatches &&
+            BatchesDone >= Opts.MaxBatches) {
+          // Crash hook: vanish without a goodbye, like a killed process,
+          // holding the batch that just arrived.
+          L->close();
+          abandonAll();
+          return 2;
+        }
         handle(M);
         if (Evicted) {
           // The coordinator already requeued everything this worker
@@ -92,14 +100,8 @@ public:
       }
       shipLemmas();
       maybeHeartbeat();
-      if (finishInflight(/*Block=*/false)) {
+      if (finishInflight(/*Block=*/false))
         ++BatchesDone;
-        if (Opts.MaxBatches && BatchesDone >= Opts.MaxBatches) {
-          // Crash hook: vanish without a goodbye, like a killed process.
-          L->close();
-          return 2;
-        }
-      }
     }
   }
 
@@ -173,21 +175,10 @@ private:
         else
           Problems.erase(It);
       }
-    } else if (const StealRequestMsg *S = std::get_if<StealRequestMsg>(&M)) {
-      StealReplyMsg Reply;
-      for (uint32_t I = 0; I != S->MaxBatches && !Pending.empty(); ++I) {
-        // Give from the back: the front is next to run locally, and the
-        // back shares the least assumption prefix with it.
-        Reply.Batches.emplace_back(Pending.back().ProblemId,
-                                   Pending.back().BatchId);
-        Pending.pop_back();
-      }
-      L->send(encodeMessage(Reply));
     } else if (std::holds_alternative<EvictedMsg>(M)) {
       Evicted = true;
     }
-    // Hello/HelloAck/BatchResult/StealReply are peer-direction messages;
-    // ignore them.
+    // Hello/HelloAck/BatchResult are peer-direction messages; ignore them.
   }
 
   /// Cancels every problem and drains the in-flight batch off the pool.
@@ -346,6 +337,9 @@ private:
   std::unique_ptr<Link> L;
   WorkerOptions Opts;
   std::unordered_map<uint32_t, ProblemState> Problems;
+  /// Granted batches not yet started. The coordinator grants only to a
+  /// worker that holds none, so a batch waits here behind another only
+  /// when it was granted after a Cancel, while the cancelled one drains.
   std::deque<CubeBatchMsg> Pending;
   std::unique_ptr<InflightBatch> Inflight;
   bool EraseAfterInflight = false;

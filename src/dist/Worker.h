@@ -14,8 +14,7 @@
 /// the slots also trade short learnt lemmas with the other workers' slots
 /// (shipped every poll, relayed by the coordinator). The protocol loop
 /// stays responsive while a batch is in flight, so cancellations (a
-/// sibling worker found SAT) abort in-flight solves mid-search and steal
-/// requests hand queued batches back for re-balancing.
+/// sibling worker found SAT) abort in-flight solves mid-search.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,8 +32,9 @@ struct WorkerOptions {
   /// Local solver slots (threads).
   size_t Jobs = 1;
   /// Test hook: after this many batch results, drop the link abruptly
-  /// and exit — simulates a worker crash mid-run for the coordinator's
-  /// requeue path. 0 = run until shutdown.
+  /// and exit when the next batch arrives — simulates a worker that
+  /// crashes holding a batch, for the coordinator's requeue path. 0 = run
+  /// until shutdown.
   uint64_t MaxBatches = 0;
   /// Protocol poll granularity while computing.
   int PollMs = 2;

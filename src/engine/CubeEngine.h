@@ -22,7 +22,8 @@
 /// The sizing rule (prepareCubeProblem): under an auto threshold the tree
 /// grows threshold by threshold until it has max(8 x slots, 8192) leaves,
 /// never past the auto cap. The slot term sizes the cube set to the fleet
-/// (local threads x nodes) so stealing can rebalance uneven hardness; the
+/// (local threads x nodes) so the pool's stealing and the coordinator's
+/// on-demand grants can even out uneven hardness; the
 /// floor keeps the per-slot count high enough that the reusable solvers'
 /// assumption-prefix reuse has material to work with — measured on
 /// surface9 t=4 at one slot, 305 cubes run 14.9 s and 10.4k cubes 5.2 s,

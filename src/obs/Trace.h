@@ -124,7 +124,7 @@ private:
   size_t NumArgs = 0;
 };
 
-/// One "ph":"i" instant event (heartbeats, steals, evictions, requeues).
+/// One "ph":"i" instant event (heartbeats, evictions, requeues).
 inline void traceInstant(const char *Name,
                          std::initializer_list<TraceArg> As = {}) {
   if (!traceEnabled())

@@ -59,7 +59,6 @@ public:
   }
 
   const Pauli &stabilizer(size_t I) const { return Stabs[I]; }
-  const Pauli &destabilizer(size_t I) const { return Destabs[I]; }
 
 private:
   size_t N;

@@ -159,7 +159,8 @@ TEST(DistCodec, BatchResultFrameBytesArePinned) {
   // frame wire version 10 encodes (the by-name stats codec of version 6,
   // without the GF(2) prune counter of version 8 and the core-prune
   // counter and new cores of version 9; version 10 moved only the status
-  // byte, Sat 1 -> 4).
+  // byte, Sat 1 -> 4). Version 11 dropped two kinds after BatchResult,
+  // so its kind tag and these bytes did not move.
   const uint64_t K = 0x0102030405060708ull;
   BatchResultMsg R;
   R.ProblemId = 3;
@@ -442,8 +443,6 @@ oneFramePerKind(const smt::VerificationProblem &P) {
   R.Model = {{"e0", true}, {"e1", false}};
   R.Stats.Conflicts = 17;
   R.ProofChunks = {{0, "a 1 -2 0\n"}};
-  StealReplyMsg SR;
-  SR.Batches = {{1, 2}, {3, 4}};
   HeartbeatMsg HB;
   HB.BatchesInFlight = 2;
   HB.CubesDelta = 5;
@@ -462,8 +461,6 @@ oneFramePerKind(const smt::VerificationProblem &P) {
   All.push_back(B);
   All.push_back(R);
   All.push_back(CancelMsg{7});
-  All.push_back(StealRequestMsg{3});
-  All.push_back(SR);
   All.push_back(ShutdownMsg{});
   All.push_back(HB);
   All.push_back(EvictedMsg{"silence timeout"});
@@ -747,7 +744,8 @@ TEST(DistLoopback, WorkerDropMidRunRecoversToTheCorrectVerdict) {
 
   VerifyOptions VO;
   VO.Parallel = true;
-  // First worker vanishes after one batch; the second finishes the run.
+  // First worker vanishes when its second batch arrives, holding it; the
+  // second worker finishes the run.
   Fleet F(2, 1, /*MaxBatches=*/1);
   engine::VerificationEngine Engine(1);
   std::vector<VerificationResult> Remote =
@@ -844,9 +842,9 @@ TEST(DistLoopback, SilentGrinderIsEvictedAndItsBatchesRequeued) {
   // The grinder must be the whole fleet when batches shard, so its
   // first grant arrives (and starts grinding) before anyone else can
   // absorb the work; the healthy worker joins during the run — its
-  // handshake completes inside the solve pumps — steals the grinder's
-  // queued batches, and finishes the requeued in-flight one after the
-  // eviction.
+  // handshake completes inside the solve pumps — is granted the queued
+  // batches one at a time, and finishes the grinder's requeued batch
+  // after the eviction.
   ASSERT_TRUE(Coord.waitForWorkers(1, 10000));
   LoopbackPair Live = makeLoopbackPair();
   Coord.addWorker(std::move(Live.A));
@@ -1048,6 +1046,68 @@ TEST(DistLoopback, CoordinatorRelaysLemmasAndDropsOutOfRangeOnes) {
     EXPECT_FALSE(std::holds_alternative<LemmasMsg>(M));
   }
   Coord.closeProblem(Handle);
+}
+
+TEST(DistLoopback, CoordinatorGrantsOnlyToIdleWorkers) {
+  // One scripted one-slot worker and a cube set of two batches: the
+  // second batch waits in the coordinator's queue until the first one's
+  // result arrives, and the set still concludes.
+  smt::BoolContext Ctx;
+  std::shared_ptr<smt::VerificationProblem> P = steaneProblem(Ctx);
+  Coordinator Coord;
+  LoopbackPair W = makeLoopbackPair();
+  Coord.addWorker(std::move(W.A));
+  W.B->send(encodeMessage(HelloMsg{}));
+  ASSERT_TRUE(Coord.waitForWorkers(1, 5000));
+  uint32_t Handle = Coord.openProblem(P, engine::CubeRunConfig{});
+  engine::CubeTree Tree;
+  Tree.split(0, 0);
+  smt::SolveOutcome Out;
+  std::thread Solve([&] { Out = Coord.solveCubes(Handle, std::move(Tree)); });
+  // A failed check below hangs up, which ends the solve as Aborted.
+  struct HangUpAndJoin {
+    Link &End;
+    std::thread &T;
+    ~HangUpAndJoin() {
+      End.close();
+      if (T.joinable())
+        T.join();
+    }
+  } Guard{*W.B, Solve};
+  // The next cube batch within \p Ms; nullopt when none arrives.
+  auto NextBatch = [&](int Ms) -> std::optional<CubeBatchMsg> {
+    std::vector<uint8_t> Frame;
+    while (W.B->receive(Frame, Ms)) {
+      Message M;
+      EXPECT_TRUE(decodeMessage(Frame, M));
+      if (CubeBatchMsg *CB = std::get_if<CubeBatchMsg>(&M))
+        return std::move(*CB);
+    }
+    return std::nullopt;
+  };
+  auto Report = [&](const CubeBatchMsg &Batch) {
+    BatchResultMsg R;
+    R.ProblemId = Batch.ProblemId;
+    R.BatchId = Batch.BatchId;
+    R.Status = engine::CubeVerdict::Unsat;
+    R.Solved = Batch.Cubes.size();
+    W.B->send(encodeMessage(R));
+  };
+  std::optional<CubeBatchMsg> First = NextBatch(5000);
+  ASSERT_TRUE(First.has_value());
+  EXPECT_FALSE(NextBatch(300).has_value())
+      << "a second batch was granted to a worker that holds one";
+  Report(*First);
+  std::optional<CubeBatchMsg> Second = NextBatch(5000);
+  ASSERT_TRUE(Second.has_value());
+  EXPECT_NE(Second->BatchId, First->BatchId);
+  Report(*Second);
+  Solve.join();
+  EXPECT_EQ(Out.Result, sat::SolveResult::Unsat);
+  EXPECT_EQ(Out.CubesSolved, 2u);
+  EXPECT_EQ(Coord.stats().BatchesRequeued, 0u);
+  Coord.closeProblem(Handle);
+  Coord.shutdownWorkers();
 }
 
 TEST(DistLoopback, ProofRunsExchangeNoLemmas) {

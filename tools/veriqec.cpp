@@ -55,6 +55,11 @@ namespace {
 /// 8192-cube floor at 1024 slots).
 constexpr uint64_t MaxFleetSlots = 1024;
 
+/// Heartbeat period of the `worker` command and of loopback fleets: the
+/// beats feed `--progress` and `dist.heartbeats`, and keep a grinding
+/// worker off a coordinator's silence timer.
+constexpr int WorkerHeartbeatMs = 500;
+
 struct CliOptions {
   std::string Command;
   std::vector<std::string> Codes;
@@ -86,9 +91,6 @@ struct CliOptions {
   size_t ExpectWorkers = 1;    ///< serve: wait for this many workers
   std::string Connect;         ///< worker: coordinator host:port
   uint64_t MaxBatches = 0;     ///< worker: crash-after-N test hook
-  /// Worker heartbeat period (worker command and loopback fleets); keeps
-  /// a grinding worker off the coordinator's silence timer. 0 = off.
-  int HeartbeatMs = 500;
   std::string TraceOut;   ///< --trace: Chrome trace-event JSON file
   std::string MetricsOut; ///< --metrics-out: metrics snapshot JSON file
   bool Progress = false;  ///< --progress: live stderr status line
@@ -149,12 +151,9 @@ void printUsage(std::FILE *To) {
       "  --listen HOST:PORT    serve: bind the coordinator here\n"
       "  --expect-workers N    serve: wait for N workers (default 1)\n"
       "  --connect HOST:PORT   worker: coordinator address\n"
-      "  --max-batches N       worker: drop the link after N batches\n"
+      "  --max-batches N       worker: after N batch results, drop the\n"
+      "                        link when the next batch arrives\n"
       "                        (crash-recovery testing)\n"
-      "  --heartbeat-ms N      worker/loopback: progress heartbeat period\n"
-      "                        (0 disables; default 500). Heartbeats let\n"
-      "                        the coordinator tell a grinding worker\n"
-      "                        from a dead one\n"
       "\n"
       "output:\n"
       "  --json                machine-readable results on stdout\n"
@@ -321,7 +320,7 @@ bool setupDist(const CliOptions &Cli, DistContext &Ctx) {
   Ctx.Coord = std::make_unique<dist::Coordinator>();
   dist::WorkerOptions WO;
   WO.Jobs = Cli.Jobs ? Cli.Jobs : 1;
-  WO.HeartbeatMs = Cli.HeartbeatMs;
+  WO.HeartbeatMs = WorkerHeartbeatMs;
   Ctx.LoopbackThreads = dist::spawnLoopbackWorkers(*Ctx.Coord, N, WO);
   if (!Ctx.Coord->waitForWorkers(N, 10000)) {
     std::fprintf(stderr, "veriqec: loopback workers failed to register\n");
@@ -793,11 +792,9 @@ int runVerify(const CliOptions &Cli) {
                   DC.Coord ? " (distributed slots)" : "");
     if (DC.Coord) {
       const dist::CoordinatorStats &DS = DC.Coord->stats();
-      std::printf("dist: %zu workers, %zu slots, %llu stolen, %llu "
-                  "requeued, %llu dropped, %llu heartbeats, "
-                  "%llu lemmas relayed\n",
+      std::printf("dist: %zu workers, %zu slots, %llu requeued, %llu "
+                  "dropped, %llu heartbeats, %llu lemmas relayed\n",
                   DC.Coord->numWorkers(), DC.Coord->numSlots(),
-                  static_cast<unsigned long long>(DS.BatchesStolen),
                   static_cast<unsigned long long>(DS.BatchesRequeued),
                   static_cast<unsigned long long>(DS.WorkersDropped),
                   static_cast<unsigned long long>(DS.HeartbeatsReceived),
@@ -1007,7 +1004,7 @@ int runWorkerCommand(const CliOptions &Cli) {
   dist::WorkerOptions WO;
   WO.Jobs = Cli.Jobs ? Cli.Jobs : 1;
   WO.MaxBatches = Cli.MaxBatches;
-  WO.HeartbeatMs = Cli.HeartbeatMs;
+  WO.HeartbeatMs = WorkerHeartbeatMs;
   std::fprintf(stderr, "veriqec: worker connected to %s (%zu slot%s)\n",
                Cli.Connect.c_str(), WO.Jobs, WO.Jobs == 1 ? "" : "s");
   int R = dist::runWorker(std::move(L), WO);
@@ -1094,10 +1091,6 @@ int main(int Argc, char **Argv) {
         return 2;
     } else if (A == "--max-batches") {
       if (!numberValue(I, 0, U64Max, Cli.MaxBatches))
-        return 2;
-    } else if (A == "--heartbeat-ms") {
-      // Up to an hour: a longer period is indistinguishable from off.
-      if (!numberValue(I, 0, 3600000, Cli.HeartbeatMs))
         return 2;
     } else if (A == "--trace") {
       if (!(V = needValue(I)))
