@@ -262,13 +262,11 @@ private:
     Inflight = std::make_unique<InflightBatch>();
     Inflight->Batch = std::move(Batch);
     Inflight->State = &S;
-    size_t N = Inflight->Batch.Cubes.size();
-    size_t Slots = Pool.numWorkers();
-    size_t NumTasks = std::min(N, Slots);
-    Inflight->Remaining.store(NumTasks, std::memory_order_relaxed);
-    if (NumTasks == 0)
+    std::vector<engine::CubeRange> Ranges =
+        engine::cubeRanges(Inflight->Batch.Cubes.size(), Pool.numWorkers());
+    Inflight->Remaining.store(Ranges.size(), std::memory_order_relaxed);
+    if (Ranges.empty())
       return; // empty batch: Remaining is 0, finishInflight acks it
-    size_t Chunk = (N + NumTasks - 1) / NumTasks;
     InflightBatch *B = Inflight.get();
     if (Opts.GrindFirstBatchMs && BatchesDone == 0) {
       GrindArmed = true;
@@ -276,16 +274,14 @@ private:
           std::chrono::steady_clock::now() +
           std::chrono::milliseconds(Opts.GrindFirstBatchMs);
     }
-    for (size_t T = 0; T != NumTasks; ++T) {
-      size_t Begin = T * Chunk, End = std::min(N, Begin + Chunk);
-      Pool.submitTo(T, [B, Begin, End] {
+    for (engine::CubeRange R : Ranges)
+      Pool.submit([B, R] {
         int Slot = engine::ThreadPool::currentWorkerIndex();
-        for (size_t C = Begin; C < End; ++C)
+        for (size_t C = R.Begin; C != R.End; ++C)
           B->Verdict.raise(B->State->Run->runCube(static_cast<size_t>(Slot),
                                                   B->Batch.Cubes[C], C));
         B->Remaining.fetch_sub(1, std::memory_order_acq_rel);
       });
-    }
   }
 
   /// True when a batch just completed (its result was sent).

@@ -1,4 +1,4 @@
-//===- engine/CubeEngine.cpp - Work-stealing cube-and-conquer --------------===//
+//===- engine/CubeEngine.cpp - Shared-queue cube-and-conquer --------------===//
 //
 // Part of the veriqec project.
 //
@@ -258,43 +258,24 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
   }
   EncodeWg.wait();
 
-  // Phase 2: the cubes of every problem are dispatched as *contiguous
-  // range* tasks — a few per worker, not one per cube, so the ET
-  // enumeration's tens of thousands of mostly-trivial cubes do not pay
-  // per-task queue and allocation overhead. Contiguity also means
-  // neighbouring cubes share long assumption prefixes, which both the
-  // worker's reusable solver (learnt clauses) and the incremental
-  // assumption-trail reuse in sat::Solver exploit. Work stealing
-  // rebalances whole ranges (thieves take from the victim's far end,
-  // keeping ranges contiguous).
+  // Phase 2: the cubes of every problem go on the queue as cubeRanges()
+  // tasks, problem by problem; idle threads take the next range, so one
+  // thread runs every cube in enumeration order.
   WaitGroup CubeWg;
-  size_t ProblemIdx = 0;
-  // Several ranges per worker so stealing can still balance uneven
-  // hardness within one problem.
-  constexpr size_t RangesPerWorker = 8;
   for (std::unique_ptr<ProblemRun> &RunPtr : Runs) {
     ProblemRun *Run = RunPtr.get();
     size_t N = Run->D->Cubes.size();
     Run->Out.NumCubes = N;
     Run->Remaining.store(N, std::memory_order_relaxed);
     Run->Clock = Timer();
-    size_t NumRanges = std::min(N, NumWorkers * RangesPerWorker);
-    size_t Chunk = NumRanges ? (N + NumRanges - 1) / NumRanges : 0;
-    size_t PerWorker = (NumRanges + NumWorkers - 1) / NumWorkers;
-    CubeWg.add(NumRanges);
-    for (size_t G = 0; G != NumRanges; ++G) {
-      size_t Begin = std::min(N, G * Chunk);
-      size_t End = std::min(N, Begin + Chunk);
-      // Offset successive problems' ranges so a batch of small problems
-      // still spreads across all workers.
-      Workers.submitTo(ProblemIdx + G / PerWorker,
-                       [Run, Begin, End, &CubeWg] {
-                         for (size_t C = Begin; C < End; ++C)
-                           dischargeCube(*Run, C);
-                         CubeWg.done();
-                       });
-    }
-    ++ProblemIdx;
+    std::vector<CubeRange> Ranges = cubeRanges(N, NumWorkers);
+    CubeWg.add(Ranges.size());
+    for (CubeRange R : Ranges)
+      Workers.submit([Run, R, &CubeWg] {
+        for (size_t C = R.Begin; C != R.End; ++C)
+          dischargeCube(*Run, C);
+        CubeWg.done();
+      });
   }
   // Live progress (opt-in): poll the runs' relaxed counters from the
   // calling thread until every cube is accounted for, then fall through

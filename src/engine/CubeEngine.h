@@ -1,4 +1,4 @@
-//===- engine/CubeEngine.h - Work-stealing cube-and-conquer -----*- C++ -*-===//
+//===- engine/CubeEngine.h - Shared-queue cube-and-conquer ------*- C++ -*-===//
 //
 // Part of the veriqec project.
 //
@@ -6,24 +6,25 @@
 ///
 /// \file
 /// The expression-level half of the verification engine: cube-and-conquer
-/// SAT discharge over a shared work-stealing thread pool. Each problem's
-/// cubes are the leaves of one CubeTree grown by the paper's ET split
-/// (Section 7.1 / Appendix D.4, ET = 2d*N(ones) + N(bits)); they become
-/// pool tasks, and each worker lazily instantiates one reusable solver
-/// per problem from the shared CNF encoding and discharges every cube it
-/// pops or steals under assumptions, so learned clauses on the shared
-/// prefix carry over and the CNF is never re-encoded per cube. The first
-/// SAT cube cancels all outstanding siblings of its problem. solveAll()
-/// multiplexes many independent problems over the same pool — the
-/// substrate of the batch verifyAll() path. The handle API runs an open
-/// problem's cube trees on one persistent slot on the calling thread
-/// (sequential solves, the local distance search).
+/// SAT discharge over a thread pool with one shared task queue. Each
+/// problem's cubes are the leaves of one CubeTree grown by the paper's ET
+/// split (Section 7.1 / Appendix D.4, ET = 2d*N(ones) + N(bits)); they
+/// are cut into contiguous range tasks (cubeRanges()), and each worker
+/// lazily instantiates one reusable solver per problem from the shared
+/// CNF encoding and discharges every cube of the ranges it takes under
+/// assumptions, so learned clauses on the shared prefix carry over and
+/// the CNF is never re-encoded per cube. The first SAT cube cancels all
+/// outstanding siblings of its problem. solveAll() multiplexes many
+/// independent problems over the same pool — the substrate of the batch
+/// verifyAll() path. The handle API runs an open problem's cube trees on
+/// one persistent slot on the calling thread (sequential solves, the
+/// local distance search).
 ///
 /// The sizing rule (prepareCubeProblem): under an auto threshold the tree
 /// grows threshold by threshold until it has max(8 x slots, 8192) leaves,
 /// never past the auto cap. The slot term sizes the cube set to the fleet
-/// (local threads x nodes) so the pool's stealing and the coordinator's
-/// on-demand grants can even out uneven hardness; the
+/// (local threads x nodes) so idle pool threads taking the next range and
+/// the coordinator's on-demand grants can even out uneven hardness; the
 /// floor keeps the per-slot count high enough that the reusable solvers'
 /// assumption-prefix reuse has material to work with — measured on
 /// surface9 t=4 at one slot, 305 cubes run 14.9 s and 10.4k cubes 5.2 s,

@@ -11,6 +11,8 @@
 #include "support/Assert.h"
 #include "support/Timer.h"
 
+#include <algorithm>
+
 using namespace veriqec;
 using namespace veriqec::engine;
 using sat::Lit;
@@ -133,4 +135,14 @@ CubeVerdict CubeRun::runCube(size_t Slot, const std::vector<Lit> &Cube,
   }
   // Aborted: cancellation mid-search is not a budget abort.
   return conclude(cancelled() ? CubeVerdict::Cancelled : CubeVerdict::Aborted);
+}
+
+std::vector<CubeRange> veriqec::engine::cubeRanges(size_t NumCubes,
+                                                   size_t Slots) {
+  constexpr size_t RangesPerSlot = 8;
+  size_t Count = std::min(NumCubes, RangesPerSlot * std::max<size_t>(Slots, 1));
+  std::vector<CubeRange> Ranges;
+  for (size_t R = 0; R != Count; ++R)
+    Ranges.push_back({R * NumCubes / Count, (R + 1) * NumCubes / Count});
+  return Ranges;
 }

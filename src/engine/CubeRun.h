@@ -13,9 +13,10 @@
 /// conclude with the maximum of their cubes' verdicts (VerdictCell), and
 /// resultOf() is the one verdict -> SolveResult map. A SAT cube or an
 /// empty failed-assumption core (Refuted) cancels the run. Extracted
-/// from CubeEngine so the in-process work-stealing scheduler and the
-/// distributed worker (dist/Worker.h) run the identical per-cube logic —
-/// the distributed layer additionally feeds lemmas in from other nodes
+/// from CubeEngine so the in-process shared-queue scheduler and the
+/// distributed worker (dist/Worker.h) run the identical per-cube logic,
+/// cut into pool tasks by the one rule cubeRanges() — the distributed
+/// layer additionally feeds lemmas in from other nodes
 /// (addExternalLemmas) and drains locally learnt ones for relay
 /// (drainOutboundLemmas).
 ///
@@ -218,6 +219,18 @@ private:
   std::mutex ModelMutex; // guards Model on the SAT path
   std::unordered_map<std::string, bool> Model;
 };
+
+/// A contiguous slice [Begin, End) of a cube list: one pool task.
+struct CubeRange {
+  size_t Begin, End;
+};
+
+/// The one rule for cutting \p NumCubes cubes into pool tasks over
+/// \p Slots slots: non-empty contiguous ranges in cube order, at most 8
+/// per slot. Ranges, not single cubes, keep mostly trivial cubes off the
+/// queue and neighbouring cubes (long shared assumption prefixes) on one
+/// slot solver; several per slot let idle threads even out hardness.
+std::vector<CubeRange> cubeRanges(size_t NumCubes, size_t Slots);
 
 } // namespace veriqec::engine
 

@@ -1,10 +1,12 @@
-//===- engine/ThreadPool.cpp - Work-stealing thread pool -------------------===//
+//===- engine/ThreadPool.cpp - Shared-queue thread pool -------------------===//
 //
 // Part of the veriqec project.
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/ThreadPool.h"
+
+#include <algorithm>
 
 using namespace veriqec::engine;
 
@@ -16,17 +18,15 @@ ThreadPool::ThreadPool(size_t NumThreads) {
   if (NumThreads == 0)
     NumThreads = std::max(1u, std::thread::hardware_concurrency());
   for (size_t I = 0; I != NumThreads; ++I)
-    Queues.push_back(std::make_unique<WorkStealingQueue<Task>>());
-  for (size_t I = 0; I != NumThreads; ++I)
     Threads.emplace_back([this, I] { workerLoop(I); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> Lock(IdleMutex);
-    Stopping.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Stopping = true;
   }
-  IdleCv.notify_all();
+  Cv.notify_all();
   for (std::thread &T : Threads)
     T.join();
 }
@@ -34,45 +34,25 @@ ThreadPool::~ThreadPool() {
 int ThreadPool::currentWorkerIndex() { return CurrentWorker; }
 
 void ThreadPool::submit(Task T) {
-  size_t Target = RoundRobin.fetch_add(1, std::memory_order_relaxed);
-  submitTo(Target % Queues.size(), std::move(T));
-}
-
-void ThreadPool::submitTo(size_t Worker, Task T) {
-  Pending.fetch_add(1, std::memory_order_release);
-  Queues[Worker % Queues.size()]->push(std::move(T));
-  // Lock pairs with the worker's predicate check so the notify cannot slip
-  // between "saw no work" and "went to sleep".
-  std::lock_guard<std::mutex> Lock(IdleMutex);
-  IdleCv.notify_one();
-}
-
-bool ThreadPool::tryGetTask(size_t Index, Task &Out) {
-  if (Queues[Index]->tryPop(Out))
-    return true;
-  for (size_t Off = 1; Off != Queues.size(); ++Off)
-    if (Queues[(Index + Off) % Queues.size()]->trySteal(Out))
-      return true;
-  return false;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Queue.push_back(std::move(T));
+  }
+  Cv.notify_one();
 }
 
 void ThreadPool::workerLoop(size_t Index) {
   CurrentWorker = static_cast<int>(Index);
-  Task T;
   for (;;) {
-    if (tryGetTask(Index, T)) {
-      Pending.fetch_sub(1, std::memory_order_release);
-      T();
-      T = Task();
-      continue;
+    Task T;
+    {
+      std::unique_lock<std::mutex> Lock(Mutex);
+      Cv.wait(Lock, [this] { return Stopping || !Queue.empty(); });
+      if (Queue.empty())
+        return; // stopping, and every queued task has run
+      T = std::move(Queue.front());
+      Queue.pop_front();
     }
-    std::unique_lock<std::mutex> Lock(IdleMutex);
-    IdleCv.wait(Lock, [this] {
-      return Stopping.load(std::memory_order_acquire) ||
-             Pending.load(std::memory_order_acquire) != 0;
-    });
-    if (Stopping.load(std::memory_order_acquire) &&
-        Pending.load(std::memory_order_acquire) == 0)
-      return;
+    T();
   }
 }

@@ -1,27 +1,26 @@
-//===- engine/ThreadPool.h - Work-stealing thread pool ----------*- C++ -*-===//
+//===- engine/ThreadPool.h - Shared-queue thread pool -----------*- C++ -*-===//
 //
 // Part of the veriqec project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared worker pool of the verification engine. Each worker owns a
-/// WorkStealingQueue; submission round-robins tasks across the queues and
-/// an idle worker steals from its siblings before sleeping. Completion is
-/// tracked externally with WaitGroup so one pool can multiplex many
-/// concurrent solve batches (the batch verifyAll path).
+/// The shared worker pool of the verification engine: a fixed set of
+/// threads over one FIFO task queue. submit() appends a task and the next
+/// idle thread takes it from the front, so a one-thread pool runs tasks
+/// in submission order. Tasks are coarse (a contiguous range of cubes,
+/// see cubeRanges() in CubeRun.h), so one mutex-guarded queue is enough.
+/// Completion is tracked externally with WaitGroup so one pool can
+/// multiplex many concurrent solve batches (the batch verifyAll path).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef VERIQEC_ENGINE_THREADPOOL_H
 #define VERIQEC_ENGINE_THREADPOOL_H
 
-#include "engine/WorkStealingQueue.h"
-
-#include <atomic>
 #include <condition_variable>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -61,20 +60,16 @@ public:
 
   /// \p NumThreads = 0 picks the hardware concurrency.
   explicit ThreadPool(size_t NumThreads = 0);
+  /// Runs every task still queued, then joins the threads.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
-  size_t numWorkers() const { return Queues.size(); }
+  size_t numWorkers() const { return Threads.size(); }
 
-  /// Enqueues a task on the next queue in round-robin order.
+  /// Appends a task to the queue; the next idle thread runs it.
   void submit(Task T);
-
-  /// Enqueues a task on a specific worker's queue (used to keep the cubes
-  /// of one problem clustered on few workers when many problems share the
-  /// pool).
-  void submitTo(size_t Worker, Task T);
 
   /// Index of the pool worker running the current thread, or -1 when
   /// called from outside the pool. Lets tasks address per-worker state
@@ -83,15 +78,12 @@ public:
 
 private:
   void workerLoop(size_t Index);
-  bool tryGetTask(size_t Index, Task &Out);
 
-  std::vector<std::unique_ptr<WorkStealingQueue<Task>>> Queues;
+  std::mutex Mutex; // guards Queue and Stopping
+  std::condition_variable Cv;
+  std::deque<Task> Queue;
+  bool Stopping = false;
   std::vector<std::thread> Threads;
-  std::atomic<size_t> RoundRobin{0};
-  std::atomic<size_t> Pending{0};
-  std::atomic<bool> Stopping{false};
-  std::mutex IdleMutex;
-  std::condition_variable IdleCv;
 };
 
 } // namespace veriqec::engine

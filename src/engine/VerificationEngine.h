@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The scenario-level half of the verification engine: owns a CubeEngine
-/// (work-stealing pool + cube-and-conquer scheduler) and drives whole
+/// (shared-queue pool + cube-and-conquer scheduler) and drives whole
 /// Scenarios through symbolic execution, VC assembly and SAT discharge on
 /// it. verifyAll() multiplexes many scenarios over the same pool — VC
 /// encodings build concurrently and every scenario's cubes share the

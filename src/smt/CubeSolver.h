@@ -263,7 +263,7 @@ SolveOutcome solveExpr(const BoolContext &Ctx, ExprRef Root,
                        const SolveOptions &Opts = {});
 
 /// Cube-and-conquer parallel solve of \p Root. Facade over the
-/// engine::CubeEngine work-stealing scheduler (defined in
+/// engine::CubeEngine shared-queue scheduler (defined in
 /// engine/CubeEngine.cpp): Opts.NumThreads selects the pool size, with 0
 /// (or the shared pool's width) reusing the process-wide engine.
 SolveOutcome solveExprParallel(const BoolContext &Ctx, ExprRef Root,

@@ -109,7 +109,8 @@ VerificationResult verifyScenario(const Scenario &S,
                                   const VerifyOptions &Opts = {});
 
 /// Verifies a batch of scenarios, multiplexing all of their cubes over one
-/// shared work-stealing pool; one result per scenario, in order.
+/// thread pool with one shared task queue; one result per scenario, in
+/// order.
 std::vector<VerificationResult> verifyAll(std::span<const Scenario> Scenarios,
                                           const VerifyOptions &Opts = {});
 

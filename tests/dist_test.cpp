@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <optional>
 #include <thread>
 #include <variant>
@@ -608,16 +609,18 @@ TEST(DistHandshake, CoordinatorRejectsVersionMismatchedWorker) {
 
 namespace {
 
-/// The coordinator end of a scripted session with one loopback worker:
-/// the handshake is done and \p Problem shipped as problem 1.
+/// The coordinator end of a scripted session with one loopback worker
+/// run with \p Opts: the handshake is done and \p Problem shipped as
+/// problem 1.
 struct ScriptedWorker {
   LoopbackPair Pair = makeLoopbackPair();
   std::thread T;
   int Exit = -1;
 
-  explicit ScriptedWorker(std::shared_ptr<smt::VerificationProblem> Problem) {
-    T = std::thread([this, End = std::move(Pair.B)]() mutable {
-      Exit = runWorker(std::move(End));
+  explicit ScriptedWorker(std::shared_ptr<smt::VerificationProblem> Problem,
+                          WorkerOptions Opts = {}) {
+    T = std::thread([this, End = std::move(Pair.B), Opts]() mutable {
+      Exit = runWorker(std::move(End), Opts);
     });
     std::vector<uint8_t> Frame;
     EXPECT_TRUE(Pair.A->receive(Frame, 5000)); // the Hello
@@ -668,6 +671,28 @@ steaneProblem(smt::BoolContext &Ctx) {
   return std::make_shared<smt::VerificationProblem>(Ctx, Vc.NegatedVc);
 }
 
+/// Declared right after a test starts a solve thread \p T against
+/// scripted workers: on scope exit it hangs up every worker end in
+/// \p Ends, which ends the solve (as Aborted once the fleet is gone),
+/// and joins \p T. A failed ASSERT before the test's own join then fails
+/// only that test, instead of destroying a joinable thread, which calls
+/// std::terminate and takes every later test in the binary with it.
+class HangUpAndJoin {
+public:
+  HangUpAndJoin(std::thread &T, std::initializer_list<Link *> Ends)
+      : T(T), Ends(Ends) {}
+  ~HangUpAndJoin() {
+    for (Link *End : Ends)
+      End->close();
+    if (T.joinable())
+      T.join();
+  }
+
+private:
+  std::thread &T;
+  std::vector<Link *> Ends;
+};
+
 } // namespace
 
 TEST(DistWorker, OutOfRangeLemmaLiteralCorruptsTheStream) {
@@ -690,6 +715,45 @@ TEST(DistWorker, OutOfRangeLemmaLiteralCorruptsTheStream) {
     EXPECT_FALSE(W.next<BatchResultMsg>().has_value());
     EXPECT_EQ(W.exitCode(), 1);
   }
+}
+
+TEST(DistLoopback, TwoSlotWorkerAnswersABatchLikeOneSlot) {
+  // a AND ... AND e has one model; a batch of every other assignment is
+  // UNSAT cube by cube, each refuted by its own assumptions. Cut into
+  // ranges over two slots, it must come back with the one-slot verdict
+  // and every cube solved.
+  smt::BoolContext Ctx;
+  std::vector<std::string> Names{"a", "b", "c", "d", "e"};
+  smt::ExprRef All = Ctx.mkVar(Names[0]);
+  for (size_t I = 1; I != Names.size(); ++I)
+    All = Ctx.mkAnd(All, Ctx.mkVar(Names[I]));
+  smt::ProblemOptions PO;
+  PO.ProtectedVars = Names;
+  auto P = std::make_shared<smt::VerificationProblem>(Ctx, All, PO);
+  ASSERT_FALSE(P->TriviallyUnsat);
+  CubeBatchMsg Batch{1, 0, {}};
+  for (uint32_t Bits = 0; Bits + 1 < (1u << Names.size()); ++Bits) {
+    std::vector<Lit> Cube;
+    for (size_t I = 0; I != Names.size(); ++I) {
+      Lit X = sat::mkLit(P->varOfName(Names[I]));
+      Cube.push_back((Bits >> I) & 1 ? X : ~X);
+    }
+    Batch.Cubes.push_back(std::move(Cube));
+  }
+  std::vector<BatchResultMsg> Results;
+  for (size_t Jobs : {1, 2}) {
+    WorkerOptions WO;
+    WO.Jobs = Jobs;
+    ScriptedWorker W(P, WO);
+    W.send(Batch);
+    std::optional<BatchResultMsg> R = W.next<BatchResultMsg>();
+    ASSERT_TRUE(R.has_value()) << Jobs << " slots";
+    Results.push_back(std::move(*R));
+  }
+  EXPECT_EQ(Results[0].Status, engine::CubeVerdict::Unsat);
+  EXPECT_EQ(Results[0].Solved, Batch.Cubes.size());
+  EXPECT_EQ(Results[1].Status, Results[0].Status);
+  EXPECT_EQ(Results[1].Solved, Results[0].Solved);
 }
 
 // -- End-to-end --------------------------------------------------------------
@@ -1000,6 +1064,7 @@ TEST(DistLoopback, CoordinatorRelaysLemmasAndDropsOutOfRangeOnes) {
   engine::CubeTree Tree;
   Tree.split(0, 0);
   std::thread Solve([&] { Out = Coord.solveCubes(Handle, std::move(Tree)); });
+  HangUpAndJoin Guard(Solve, {A.B.get(), B.B.get()});
   // Reads \p W up to its cube batch; false when none arrives.
   auto NextBatch = [](Link &W, CubeBatchMsg &Batch) {
     std::vector<uint8_t> Frame;
@@ -1064,16 +1129,7 @@ TEST(DistLoopback, CoordinatorGrantsOnlyToIdleWorkers) {
   Tree.split(0, 0);
   smt::SolveOutcome Out;
   std::thread Solve([&] { Out = Coord.solveCubes(Handle, std::move(Tree)); });
-  // A failed check below hangs up, which ends the solve as Aborted.
-  struct HangUpAndJoin {
-    Link &End;
-    std::thread &T;
-    ~HangUpAndJoin() {
-      End.close();
-      if (T.joinable())
-        T.join();
-    }
-  } Guard{*W.B, Solve};
+  HangUpAndJoin Guard(Solve, {W.B.get()});
   // The next cube batch within \p Ms; nullopt when none arrives.
   auto NextBatch = [&](int Ms) -> std::optional<CubeBatchMsg> {
     std::vector<uint8_t> Frame;
@@ -1205,6 +1261,7 @@ TEST(DistLoopback, CertificateMissingOneCubeIsRejected) {
   Tree.growEt(Vars, 0, ~0u, 2);
   smt::SolveOutcome Out;
   std::thread Solve([&] { Out = Coord.solveCubes(Handle, std::move(Tree)); });
+  HangUpAndJoin Guard(Solve, {W.B.get()});
   std::optional<CubeBatchMsg> Batch;
   std::vector<uint8_t> Frame;
   while (!Batch && W.B->receive(Frame, 5000)) {

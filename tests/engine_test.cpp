@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The work-stealing engine: pool and queue mechanics, the ET cube tree
-/// (growth, sizing, cube order, trailer, a certificate missing a leaf),
-/// verdict determinism across 1/2/4/8 workers for both
-/// UNSAT (verified) and SAT (counterexample) workloads, first-SAT-cube
+/// The shared-queue engine: pool mechanics, the cube-range rule, the ET
+/// cube tree (growth, sizing, cube order, trailer, a certificate missing
+/// a leaf), verdict determinism across 1/2/4/8 workers for both UNSAT
+/// (verified) and SAT (counterexample) workloads, first-SAT-cube
 /// cancellation, and batch verifyAll consistency with one-at-a-time
 /// verification.
 ///
@@ -25,8 +25,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 using namespace veriqec;
 using namespace veriqec::engine;
@@ -36,21 +40,33 @@ using smt::SolveOptions;
 using smt::SolveOutcome;
 using smt::XorMode;
 
-TEST(WorkStealingQueue, OwnerFifoThiefLifo) {
-  WorkStealingQueue<int> Q;
-  for (int I = 0; I != 4; ++I)
-    Q.push(I);
-  int V = -1;
-  ASSERT_TRUE(Q.tryPop(V));
-  EXPECT_EQ(V, 0); // owner pops in submission order
-  ASSERT_TRUE(Q.trySteal(V));
-  EXPECT_EQ(V, 3); // thief takes the opposite end
-  ASSERT_TRUE(Q.tryPop(V));
-  EXPECT_EQ(V, 1);
-  ASSERT_TRUE(Q.trySteal(V));
-  EXPECT_EQ(V, 2);
-  EXPECT_FALSE(Q.tryPop(V));
-  EXPECT_FALSE(Q.trySteal(V));
+TEST(ThreadPool, IdleWorkerTakesQueuedTasksInSubmissionOrder) {
+  // One of two threads is held at a gate for the whole test, so the
+  // other runs every queued task, and must take them in submission order.
+  std::promise<void> Started[2], Release[2];
+  ThreadPool Pool(2);
+  for (int G = 0; G != 2; ++G) {
+    Pool.submit([&Started, G, Gate = Release[G].get_future().share()] {
+      Started[G].set_value();
+      Gate.wait();
+    });
+    Started[G].get_future().wait();
+  }
+  std::mutex OrderMutex;
+  std::vector<int> Order;
+  WaitGroup Wg;
+  constexpr int N = 8;
+  Wg.add(N);
+  for (int I = 0; I != N; ++I)
+    Pool.submit([&, I] {
+      std::lock_guard<std::mutex> Lock(OrderMutex);
+      Order.push_back(I);
+      Wg.done();
+    });
+  Release[0].set_value();
+  Wg.wait();
+  EXPECT_EQ(Order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  Release[1].set_value();
 }
 
 TEST(ThreadPool, RunsEveryTaskOnAWorker) {
@@ -93,6 +109,35 @@ TEST(ThreadPool, WaitGroupCanDieRightAfterWait) {
     Wg->wait();
   }
   EXPECT_EQ(Count.load(), Groups * Tasks);
+}
+
+// -- Cutting cubes into pool tasks -------------------------------------------
+
+TEST(CubeRanges, CoverEveryCubeOnceInOrderAtMostEightPerSlot) {
+  for (size_t Slots : {1, 2, 3, 4, 16})
+    for (size_t N : {0, 1, 2, 7, 8, 9, 31, 32, 33, 1000, 9201}) {
+      SCOPED_TRACE(testing::Message() << N << " cubes, " << Slots << " slots");
+      std::vector<CubeRange> Ranges = cubeRanges(N, Slots);
+      EXPECT_LE(Ranges.size(), 8 * Slots);
+      size_t Next = 0;
+      for (CubeRange R : Ranges) {
+        EXPECT_EQ(R.Begin, Next);
+        EXPECT_LT(R.Begin, R.End);
+        Next = R.End;
+      }
+      EXPECT_EQ(Next, N);
+    }
+}
+
+TEST(CubeRanges, NoCubesNoRangesAndFewCubesOneEach) {
+  EXPECT_TRUE(cubeRanges(0, 1).empty());
+  EXPECT_TRUE(cubeRanges(0, 4).empty());
+  std::vector<CubeRange> Few = cubeRanges(3, 4);
+  ASSERT_EQ(Few.size(), 3u);
+  for (size_t I = 0; I != Few.size(); ++I) {
+    EXPECT_EQ(Few[I].Begin, I);
+    EXPECT_EQ(Few[I].End, I + 1);
+  }
 }
 
 // -- The cube tree -----------------------------------------------------------

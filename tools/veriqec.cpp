@@ -7,7 +7,7 @@
 /// \file
 /// One binary for every workload in bench/ and examples/: select codes and
 /// scenarios by name, verify a single triple or a whole batch over the
-/// work-stealing engine, check the precise-detection property, or parse a
+/// shared-queue engine, check the precise-detection property, or parse a
 /// program file from the paper's concrete syntax. Every command runs one
 /// solver configuration (cube-and-conquer with the library's automatic
 /// split threshold, cardinality encoding and preprocessing); exit code
