@@ -38,12 +38,14 @@ int main() {
   const size_t Blocks = 3, Total = Blocks * 7;
 
   // -- Formal verification ---------------------------------------------------
+  bool Verified = true;
   for (LogicalBasis Basis : {LogicalBasis::Z, LogicalBasis::X}) {
     Scenario S = makeGhzScenario(Steane, PauliKind::Y, Basis, 1);
     VerificationResult R = verifyScenario(S);
     std::printf("GHZ prep (21 qubits), basis %c: %s  %.2fs  goals=%zu\n",
                 Basis == LogicalBasis::Z ? 'Z' : 'X',
                 R.Verified ? "VERIFIED" : "FAILED", R.Seconds, R.NumGoals);
+    Verified &= R.Verified;
   }
 
   // -- Concrete demonstration -------------------------------------------------
@@ -108,5 +110,5 @@ int main() {
   std::printf("simulated GHZ runs with one random Y error: %d/%d reached "
               "the verified GHZ stabilizer state\n",
               Good, Runs);
-  return Good == Runs ? 0 : 1;
+  return Verified && Good == Runs ? 0 : 1;
 }

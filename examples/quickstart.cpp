@@ -29,6 +29,8 @@ int main() {
   Scenario Memory =
       makeMemoryScenario(Steane, PauliKind::Y, LogicalBasis::Z, 1);
   VerificationResult R = verifyScenario(Memory);
+  // Every verdict printed below must be the expected one.
+  bool Ok = R.Verified;
   std::printf("memory, <=1 Y error:      %s (%.1f ms, %llu conflicts)\n",
               R.Verified ? "VERIFIED" : "FAILED", R.Seconds * 1e3,
               static_cast<unsigned long long>(R.Stats.Conflicts));
@@ -42,6 +44,7 @@ int main() {
     std::printf("Steane(Y,H), basis %c:     %s (%.1f ms)\n",
                 Basis == LogicalBasis::X ? 'X' : 'Z',
                 RH.Verified ? "VERIFIED" : "FAILED", RH.Seconds * 1e3);
+    Ok &= RH.Verified;
   }
 
   // 3. Two errors exceed the distance-3 budget: the verifier finds a
@@ -58,6 +61,7 @@ int main() {
         std::printf(" %s", E.c_str());
     std::printf("\n");
   }
+  Ok &= !R2.Verified && !R2.CounterExample.empty();
 
   // 4. A decoder that ignores minimum-weight is caught immediately.
   Scenario Weak = makeMemoryScenario(Steane, PauliKind::X, LogicalBasis::Z, 1);
@@ -66,5 +70,6 @@ int main() {
   std::printf("weakened decoder contract: %s\n",
               R3.Verified ? "VERIFIED (unexpected!)"
                           : "counterexample found, as expected");
-  return R.Verified ? 0 : 1;
+  Ok &= !R3.Verified && !R3.CounterExample.empty();
+  return Ok ? 0 : 1;
 }

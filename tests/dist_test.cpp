@@ -693,6 +693,29 @@ private:
   std::vector<Link *> Ends;
 };
 
+/// Declared right after a test starts worker threads \p Threads against
+/// \p Coord: on scope exit it shuts the fleet down, which ends every
+/// worker loop, and joins the threads still running. Like HangUpAndJoin,
+/// it keeps a failed ASSERT before the test's own join from destroying a
+/// joinable thread.
+class ShutDownAndJoin {
+public:
+  ShutDownAndJoin(Coordinator &Coord, std::vector<std::thread> &Threads)
+      : Coord(Coord), Threads(Threads) {}
+  ShutDownAndJoin(const ShutDownAndJoin &) = delete;
+  ShutDownAndJoin &operator=(const ShutDownAndJoin &) = delete;
+  ~ShutDownAndJoin() {
+    Coord.shutdownWorkers();
+    for (std::thread &T : Threads)
+      if (T.joinable())
+        T.join();
+  }
+
+private:
+  Coordinator &Coord;
+  std::vector<std::thread> &Threads;
+};
+
 } // namespace
 
 TEST(DistWorker, OutOfRangeLemmaLiteralCorruptsTheStream) {
@@ -870,6 +893,7 @@ TEST(DistLoopback, HeartbeatingGrinderOutlivesTheSilenceTimeout) {
   WO.GrindFirstBatchMs = 2000;
   std::vector<std::thread> Threads =
       spawnLoopbackWorkers(Coord, std::vector<WorkerOptions>{WO});
+  ShutDownAndJoin Guard(Coord, Threads);
   ASSERT_TRUE(Coord.waitForWorkers(1, 10000));
 
   StabilizerCode Steane = makeSteaneCode();
@@ -883,9 +907,6 @@ TEST(DistLoopback, HeartbeatingGrinderOutlivesTheSilenceTimeout) {
   EXPECT_EQ(Coord.stats().WorkersDropped, 0u);
   EXPECT_EQ(Coord.stats().BatchesRequeued, 0u);
   EXPECT_GT(Coord.stats().HeartbeatsReceived, 0u);
-  Coord.shutdownWorkers();
-  for (std::thread &T : Threads)
-    T.join();
 }
 
 TEST(DistLoopback, SilentGrinderIsEvictedAndItsBatchesRequeued) {
@@ -898,7 +919,9 @@ TEST(DistLoopback, SilentGrinderIsEvictedAndItsBatchesRequeued) {
   LoopbackPair Grinder = makeLoopbackPair();
   Coord.addWorker(std::move(Grinder.A));
   int GrinderExit = -1;
-  std::thread GT([&GrinderExit, End = std::move(Grinder.B)]() mutable {
+  std::vector<std::thread> Threads;
+  ShutDownAndJoin Guard(Coord, Threads);
+  Threads.emplace_back([&GrinderExit, End = std::move(Grinder.B)]() mutable {
     WorkerOptions WO;
     WO.GrindFirstBatchMs = 60000;
     GrinderExit = runWorker(std::move(End), WO);
@@ -912,7 +935,7 @@ TEST(DistLoopback, SilentGrinderIsEvictedAndItsBatchesRequeued) {
   ASSERT_TRUE(Coord.waitForWorkers(1, 10000));
   LoopbackPair Live = makeLoopbackPair();
   Coord.addWorker(std::move(Live.A));
-  std::thread LT(
+  Threads.emplace_back(
       [End = std::move(Live.B)]() mutable { runWorker(std::move(End)); });
 
   StabilizerCode Steane = makeSteaneCode();
@@ -926,8 +949,8 @@ TEST(DistLoopback, SilentGrinderIsEvictedAndItsBatchesRequeued) {
   EXPECT_EQ(Coord.stats().WorkersDropped, 1u);
   EXPECT_GE(Coord.stats().BatchesRequeued, 1u);
   Coord.shutdownWorkers();
-  GT.join();
-  LT.join();
+  for (std::thread &T : Threads)
+    T.join();
   // The Evicted frame reached the grinder before its link closed: it
   // exited through the eviction path, not a bare link error.
   EXPECT_EQ(GrinderExit, 3);
@@ -1201,6 +1224,7 @@ TEST(DistTcp, TwoWorkersOverRealSocketsMatchLocalVerdicts) {
   Coordinator Coord;
   Coord.attachListener(std::move(L));
   std::vector<std::thread> Threads;
+  ShutDownAndJoin Guard(Coord, Threads);
   for (int I = 0; I != 2; ++I)
     Threads.emplace_back([Port] {
       std::string ConnectErr;
@@ -1230,9 +1254,6 @@ TEST(DistTcp, TwoWorkersOverRealSocketsMatchLocalVerdicts) {
     EXPECT_EQ(Local[I].Verified, Remote[I].Verified) << I;
     EXPECT_EQ(Local[I].Aborted, Remote[I].Aborted) << I;
   }
-  Coord.shutdownWorkers();
-  for (std::thread &T : Threads)
-    T.join();
 }
 
 TEST(DistLoopback, CertificateMissingOneCubeIsRejected) {

@@ -5,15 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One binary for every workload in bench/ and examples/: select codes and
-/// scenarios by name, verify a single triple or a whole batch over the
-/// shared-queue engine, check the precise-detection property, or parse a
-/// program file from the paper's concrete syntax. Every command runs one
-/// solver configuration (cube-and-conquer with the library's automatic
-/// split threshold, cardinality encoding and preprocessing); exit code
-/// 0 = everything verified, 1 = a counterexample was found, 2 = usage or
-/// structural error, 3 = inconclusive (a conflict budget was exhausted
-/// before a verdict).
+/// One binary for every CLI workload, the paper's suites among them:
+/// select codes and scenarios by name, verify a single triple or a whole
+/// batch over the shared-queue engine, check the precise-detection
+/// property, or parse a program file from the paper's concrete syntax.
+/// Every command runs one solver configuration (cube-and-conquer with the
+/// library's automatic split threshold, cardinality encoding and
+/// preprocessing); exit code 0 = everything verified, 1 = a
+/// counterexample was found, 2 = usage or structural error, 3 =
+/// inconclusive (a conflict budget was exhausted before a verdict).
 ///
 //===----------------------------------------------------------------------===//
 
