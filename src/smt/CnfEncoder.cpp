@@ -124,7 +124,7 @@ CnfEncoder::unaryCounter(const std::vector<Lit> &Inputs, size_t MaxJ) {
   // place — row j only reads rows j and j-1 of the previous column —
   // so request order never matters and nothing is re-encoded. Counters
   // are built only to the deepest depth ever requested: a truncated
-  // counter is O(n*MaxJ) auxiliaries, and the weight-budget caps keep
+  // counter is O(n*MaxJ) registers, and the weight-budget caps keep
   // MaxJ tiny on the verification hot path.
   std::vector<std::vector<Lit>> &Cols = CounterCache[Key];
   size_t Have = Cols.empty() ? 0 : Cols.back().size();
@@ -136,26 +136,42 @@ CnfEncoder::unaryCounter(const std::vector<Lit> &Inputs, size_t MaxJ) {
   Lit False = ~True;
   for (size_t I = 0; I != Inputs.size(); ++I) {
     std::vector<Lit> &Cur = Cols[I];
+    Lit X = Inputs[I];
     size_t Cap = std::min(MaxJ, I + 1);
     for (size_t J = Cur.size() + 1; J <= Cap; ++J) {
-      // Prev = Cols[I-1]: counts over the first I inputs.
-      Lit GePrevJ = (I > 0 && J <= I) ? Cols[I - 1][J - 1] : False;
-      Lit GePrevJm1 =
-          (J == 1) ? True : ((I > 0 && J - 1 <= I) ? Cols[I - 1][J - 2] : False);
-      // Cur[j] <=> GePrevJ | (x_i & GePrevJm1)
-      Lit Carry;
-      if (GePrevJm1 == True)
-        Carry = Inputs[I];
-      else if (GePrevJm1 == False)
-        Carry = False;
+      // Prev = Cols[I-1]: counts over the first I inputs (J <= I + 1,
+      // so row J-1 of it exists whenever J >= 2).
+      Lit PrevJ = (I > 0 && J <= I) ? Cols[I - 1][J - 1] : False;
+      Lit PrevJm1 = (J == 1) ? True : Cols[I - 1][J - 2];
+      // Cur[j] <=> PrevJ | (x_i & PrevJm1): an alias where a constant
+      // decides it, else one register variable with the (up to) four
+      // clauses of its equivalence (Sinz, CP'05).
+      if (PrevJm1 == False) {
+        Cur.push_back(PrevJ);
+        continue;
+      }
+      if (PrevJ == False && PrevJm1 == True) {
+        Cur.push_back(X);
+        continue;
+      }
+      Lit R = sat::mkLit(Out.newVar());
+      // Upward: PrevJ -> R and x_i & PrevJm1 -> R.
+      if (PrevJ != False)
+        Out.add({~PrevJ, R});
+      if (PrevJm1 == True)
+        Out.add({~X, R});
       else
-        Carry = mkAndLits({Inputs[I], GePrevJm1});
-      if (GePrevJ == False)
-        Cur.push_back(Carry);
-      else if (Carry == False)
-        Cur.push_back(GePrevJ);
-      else
-        Cur.push_back(mkOrLits({GePrevJ, Carry}));
+        Out.add({~X, ~PrevJm1, R});
+      // Downward: R -> PrevJ | x_i and R -> PrevJ | PrevJm1.
+      if (PrevJ == False) {
+        Out.add({~R, X});
+        Out.add({~R, PrevJm1});
+      } else {
+        Out.add({~R, PrevJ, X});
+        if (PrevJm1 != True)
+          Out.add({~R, PrevJ, PrevJm1});
+      }
+      Cur.push_back(R);
     }
   }
   return Cols.back();

@@ -82,11 +82,12 @@ public:
 
   /// Two-sided unary counter over \p Inputs: result[j-1] <=> (sum >= j)
   /// for j = 1..min(MaxJ, Inputs.size()) (MaxJ = 0 means full depth),
-  /// in n*min(MaxJ, n) registers. Shares the counter cache with
-  /// cardinality atoms over the same inputs. This is the substrate of
-  /// the assumption-activated weight layers: one encoding serves every
-  /// bound below its depth, because assuming ~result[K] enforces
-  /// sum <= K and result[K-1] enforces sum >= K at solve time.
+  /// in n*min(MaxJ, n) registers: each is an alias or one variable with
+  /// at most four clauses, with no carry auxiliaries. Shares the counter
+  /// cache with cardinality atoms over the same inputs. This is the
+  /// substrate of the assumption-activated weight layers: one encoding
+  /// serves every bound below its depth, because assuming ~result[K]
+  /// enforces sum <= K and result[K-1] enforces sum >= K at solve time.
   const std::vector<sat::Lit> &counterOver(const std::vector<sat::Lit> &Inputs,
                                            size_t MaxJ = 0) {
     return unaryCounter(Inputs, MaxJ ? MaxJ : Inputs.size());
@@ -99,8 +100,9 @@ public:
   /// comparison thresholds up to Cap — the threshold-Cap implication
   /// pins the left sum below Cap, making every higher threshold vacuous
   /// — which keeps the unary counters shallow (O(n*Cap) instead of
-  /// O(n^2) auxiliaries). Only those atoms read the cap: the depth of a
-  /// counterOver() layer is its caller's MaxJ.
+  /// O(n^2) registers of one variable and at most four clauses each).
+  /// Only those atoms read the cap: the depth of a counterOver() layer
+  /// is its caller's MaxJ.
   void setBudgetTruncation(size_t Cap,
                            const std::vector<ExprRef> &BudgetTerms) {
     CounterCap = Cap;
@@ -116,9 +118,12 @@ private:
   sat::Lit mkXorLits(sat::Lit A, sat::Lit B);
 
   /// Unary counter over \p Inputs: result[j-1] <=> (sum >= j), for
-  /// j = 1..MaxJ. The full register bank is cached per input list and
-  /// deepened in place on a later deeper request, so request order does
-  /// not matter and nothing is ever re-encoded.
+  /// j = 1..MaxJ, as Sinz's sequential counter (CP'05): each register
+  /// is one variable with the clauses of
+  /// r[i][j] <=> r[i-1][j] | (x_i & r[i-1][j-1]). The full register
+  /// bank is cached per input list and deepened in place on a later
+  /// deeper request, so request order does not matter and nothing is
+  /// ever re-encoded.
   const std::vector<sat::Lit> &unaryCounter(const std::vector<sat::Lit> &Inputs,
                                             size_t MaxJ);
 

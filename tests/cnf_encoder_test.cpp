@@ -10,7 +10,10 @@
 /// equisatisfiable — verified the strong way, by enumerating *all* models
 /// with blocking clauses and comparing the counts against the binomial
 /// sums — and random mixed formulas must get the same verdict plus
-/// self-validating models from either encoding.
+/// self-validating models from either encoding. The counter register
+/// bank is checked register by register in both polarities, and
+/// SumLeqSum model counts against brute force, with and without budget
+/// truncation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace veriqec;
 using namespace veriqec::smt;
 
@@ -28,9 +33,7 @@ namespace {
 /// Counts the models of (Ctx, Root) projected onto the named variables by
 /// iterated solving with blocking clauses.
 uint64_t countModels(const BoolContext &Ctx, ExprRef Root,
-                     CardinalityEncoding Enc) {
-  ProblemOptions PO;
-  PO.CardEnc = Enc;
+                     const ProblemOptions &PO) {
   VerificationProblem Problem(Ctx, Root, PO);
   if (Problem.TriviallyUnsat)
     return 0;
@@ -46,6 +49,13 @@ uint64_t countModels(const BoolContext &Ctx, ExprRef Root,
       break;
   }
   return Count;
+}
+
+uint64_t countModels(const BoolContext &Ctx, ExprRef Root,
+                     CardinalityEncoding Enc) {
+  ProblemOptions PO;
+  PO.CardEnc = Enc;
+  return countModels(Ctx, Root, PO);
 }
 
 uint64_t binomial(uint64_t N, uint64_t K) {
@@ -176,4 +186,113 @@ TEST(CnfEncoder, RandomFormulasAreEquisatisfiableWithValidModels) {
     }
   }
   EXPECT_GT(SatCases, 0);
+}
+
+TEST(CnfEncoder, CounterRegistersAreExactlySumAtLeastJ) {
+  // The distance search assumes counterOver registers in both
+  // polarities, so every register must be forced both ways: under each
+  // input assignment, register j is satisfiable iff sum >= j and its
+  // negation iff sum < j. One input is negated. A truncated bank is
+  // checked alone, and again after a full-depth request deepens it in
+  // place.
+  auto CheckBank = [](const CnfFormula &Cnf,
+                      const std::vector<sat::Lit> &Inputs,
+                      const std::vector<sat::Lit> &Regs) {
+    sat::Solver S;
+    for (size_t I = 0; I != Cnf.NumVars; ++I)
+      S.newVar();
+    for (const auto &C : Cnf.Clauses)
+      S.addClause(C);
+    size_t N = Inputs.size();
+    for (uint32_t Mask = 0; Mask != (1u << N); ++Mask) {
+      std::vector<sat::Lit> Assumptions;
+      size_t Sum = 0;
+      for (size_t I = 0; I != N; ++I) {
+        bool One = (Mask >> I) & 1;
+        Sum += One;
+        Assumptions.push_back(One ? Inputs[I] : ~Inputs[I]);
+      }
+      for (size_t J = 1; J <= Regs.size(); ++J)
+        for (bool Positive : {true, false}) {
+          std::vector<sat::Lit> A = Assumptions;
+          A.push_back(Positive ? Regs[J - 1] : ~Regs[J - 1]);
+          bool Sat = S.solve(A) == sat::SolveResult::Sat;
+          ASSERT_EQ(Sat, Positive == (Sum >= J))
+              << "n=" << N << " depth=" << Regs.size() << " j=" << J
+              << " mask=" << Mask << (Positive ? "" : " negated");
+        }
+    }
+  };
+  for (size_t N = 1; N <= 8; ++N) {
+    BoolContext Ctx;
+    std::vector<ExprRef> Vars = makeVars(Ctx, N);
+    size_t Truncated = (N + 1) / 2;
+    for (bool Deepen : {false, true}) {
+      CnfFormula Cnf;
+      CnfEncoder Encoder(Ctx, Cnf);
+      std::vector<sat::Lit> Inputs;
+      for (ExprRef V : Vars)
+        Inputs.push_back(Encoder.encode(V));
+      Inputs[N / 2] = ~Inputs[N / 2];
+      std::vector<sat::Lit> Regs = Encoder.counterOver(Inputs, Truncated);
+      ASSERT_EQ(Regs.size(), Truncated);
+      if (Deepen) {
+        std::vector<sat::Lit> Full = Encoder.counterOver(Inputs);
+        ASSERT_EQ(Full.size(), N);
+        EXPECT_TRUE(std::equal(Regs.begin(), Regs.end(), Full.begin()))
+            << "deepening re-encoded the shallow registers, n=" << N;
+        Regs = Full;
+      }
+      CheckBank(Cnf, Inputs, Regs);
+    }
+  }
+}
+
+TEST(CnfEncoder, SumLeqSumModelCountsMatchBruteForce) {
+  // The verify path's decoder-minimality atom sum(A) <= sum(B), once at
+  // full depth and once truncated under a hardened budget on B
+  // (setBudgetTruncation: Depth = min(|A|, Cap)). A and B draw from one
+  // pool, so they may share variables.
+  Rng R(20240);
+  auto Draw = [&R](const std::vector<ExprRef> &Pool, size_t K) {
+    std::vector<size_t> Idx(Pool.size());
+    for (size_t I = 0; I != Idx.size(); ++I)
+      Idx[I] = I;
+    for (size_t I = Idx.size(); I > 1; --I)
+      std::swap(Idx[I - 1], Idx[R.nextBelow(I)]);
+    Idx.resize(K);
+    return Idx;
+  };
+  for (int Iter = 0; Iter != 30; ++Iter) {
+    size_t NA = R.nextBelow(7), NB = R.nextBelow(7);
+    size_t P = std::max<size_t>(1, NA + NB - R.nextBelow(std::min(NA, NB) + 1));
+    BoolContext Ctx;
+    std::vector<ExprRef> Pool = makeVars(Ctx, P);
+    std::vector<size_t> IA = Draw(Pool, NA), IB = Draw(Pool, NB);
+    std::vector<ExprRef> A, B;
+    for (size_t I : IA)
+      A.push_back(Pool[I]);
+    for (size_t I : IB)
+      B.push_back(Pool[I]);
+    uint32_t H = static_cast<uint32_t>(R.nextBelow(NB + 1));
+    uint64_t Expected = 0, ExpectedCapped = 0;
+    for (uint32_t Mask = 0; Mask != (1u << P); ++Mask) {
+      size_t SumA = 0, SumB = 0;
+      for (size_t I : IA)
+        SumA += (Mask >> I) & 1;
+      for (size_t I : IB)
+        SumB += (Mask >> I) & 1;
+      Expected += SumA <= SumB;
+      ExpectedCapped += SumA <= SumB && SumB <= H;
+    }
+    ExprRef Root = Ctx.mkSumLeqSum(A, B);
+    EXPECT_EQ(countModels(Ctx, Root, ProblemOptions{}), Expected)
+        << "|A|=" << NA << " |B|=" << NB << " pool=" << P;
+    ProblemOptions Capped;
+    Capped.BudgetTerms = B;
+    Capped.HardBound = H;
+    Capped.CounterCap = H + 1;
+    EXPECT_EQ(countModels(Ctx, Root, Capped), ExpectedCapped)
+        << "|A|=" << NA << " |B|=" << NB << " pool=" << P << " h=" << H;
+  }
 }

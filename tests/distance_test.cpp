@@ -127,7 +127,7 @@ TEST(Distance, LdpcRegistryRowsMatchDocumentedDistances) {
 TEST(Distance, Tanner1SeedZeroCountersArePinned) {
   // tanner1 at solver seed 0: the existence probe finds a weight-8
   // logical, and the search on the problem sized by it runs a handful of
-  // learnt-clause reductions and about a dozen arena compactions in a
+  // learnt-clause reductions and several arena compactions in a
   // fraction of a second. The exact counters pin the search: a reduceDB
   // that keeps different clauses, a different watch order, or a weight
   // layer of another depth moves them.
@@ -137,13 +137,13 @@ TEST(Distance, Tanner1SeedZeroCountersArePinned) {
   std::string Trace = obs::renderTraceJson();
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Distance, 4u);
-  EXPECT_EQ(R.Stats.Conflicts, 3461u);
-  EXPECT_EQ(R.Stats.propagations(), 1874756u);
+  EXPECT_EQ(R.Stats.Conflicts, 3354u);
+  EXPECT_EQ(R.Stats.propagations(), 1387701u);
   EXPECT_EQ(R.SolverCalls, 4u);
-  EXPECT_EQ(R.Stats.Compactions, 11u);
+  EXPECT_EQ(R.Stats.Compactions, 8u);
   EXPECT_EQ(R.LayerDepth, 8u);
-  EXPECT_EQ(R.CnfVars, 4102u);
-  EXPECT_EQ(R.CnfClauses, 11475u);
+  EXPECT_EQ(R.CnfVars, 2667u);
+  EXPECT_EQ(R.CnfClauses, 8605u);
   // What the pin exists to exercise: reduceDB and compaction on an
   // incremental solver.
   EXPECT_GE(countEvents(Trace, "reduce_db"), 1u);
@@ -160,11 +160,11 @@ TEST(Distance, Tanner1FullSeedZeroCountersArePinned) {
   DistanceResult R = computeDistance(makeTannerIFull());
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Distance, 4u);
-  EXPECT_EQ(R.Stats.Conflicts, 6687u);
-  EXPECT_EQ(R.Stats.propagations(), 5811482u);
-  EXPECT_EQ(R.SolverCalls, 4u);
-  EXPECT_EQ(R.Stats.XorEliminations, 5206u);
-  EXPECT_EQ(R.Stats.XorPropagations, 147535u);
+  EXPECT_EQ(R.Stats.Conflicts, 4301u);
+  EXPECT_EQ(R.Stats.propagations(), 4178301u);
+  EXPECT_EQ(R.SolverCalls, 5u);
+  EXPECT_EQ(R.Stats.XorEliminations, 2799u);
+  EXPECT_EQ(R.Stats.XorPropagations, 166537u);
 }
 
 TEST(Distance, CssFamiliesMatchTheDocumentedDistance) {

@@ -658,9 +658,9 @@ TEST(ProofEmission, DistanceCertificatesArePinned) {
     size_t Bytes;
     uint64_t Hash;
   } Pins[] = {
-      {makeSteaneCode(), 3367, 17048178610281159171ull},
-      {makeRotatedSurfaceCode(3), 4360, 13709043325164703779ull},
-      {makeTannerISubstitute(), 10688747, 8410036074917565349ull},
+      {makeSteaneCode(), 3380, 16757025413654076353ull},
+      {makeRotatedSurfaceCode(3), 3890, 2665927263284998418ull},
+      {makeTannerISubstitute(), 7139619, 1141955264382930822ull},
   };
   VerifyOptions O;
   O.LogProofs = true;
@@ -690,13 +690,13 @@ TEST(ProofEmission, SurfaceSevenCertificatesArePinned) {
     std::string_view Proof = R.Proof;
     EXPECT_TRUE(checkProof(Proof).Ok) << Threads;
     if (Threads == 1) {
-      EXPECT_EQ(Proof.size(), 12405117u);
-      EXPECT_EQ(fnv1a(Proof), 12313812876646448667ull);
+      EXPECT_EQ(Proof.size(), 8846264u);
+      EXPECT_EQ(fnv1a(Proof), 3866251409872805366ull);
       continue;
     }
     size_t Streams = Proof.find("\ns ") + 1;
-    EXPECT_EQ(Streams, 89096u);
-    EXPECT_EQ(fnv1a(Proof.substr(0, Streams)), 8718932789244615184ull);
+    EXPECT_EQ(Streams, 77503u);
+    EXPECT_EQ(fnv1a(Proof.substr(0, Streams)), 12110644667386715015ull);
     size_t Trailer = Proof.find("\nr\n");
     if (Trailer != std::string_view::npos) {
       EXPECT_EQ(Proof.size() - Trailer - 1, 73457u);
@@ -725,6 +725,6 @@ TEST(ProofEmission, EveryCubeThatRunsConcludesInItsOwnRecord) {
     ASSERT_TRUE(C.Ok) << Code.Name << ": " << C.Error;
     EXPECT_EQ(C.Conclusions, R.CubesSolved) << Code.Name;
   };
-  Check(makeRotatedSurfaceCode(5), 1597, 186176);
-  Check(makeXzzxSurfaceCode(5, 5), 658, 107463);
+  Check(makeRotatedSurfaceCode(5), 1738, 168518);
+  Check(makeXzzxSurfaceCode(5, 5), 669, 96859);
 }
